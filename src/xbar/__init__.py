@@ -31,7 +31,6 @@ from .compiler import (
     AffineEncoding,
     CompiledMatrix,
     MatrixCompiler,
-    align_resonance,
     decode_output,
     encode_signed,
     equalize_peak_power,

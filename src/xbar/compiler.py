@@ -1,25 +1,25 @@
 """Weight compilation and heater calibration for the crossbar.
 
 Maps signed matrices/vectors onto non-negative transmittances via an affine
-min-max encoding with an exact electronic decode, aligns ring resonances to
-their channels, equalizes per-ring peak power, and converts transmittance
-targets into heater settings. Programming works against the ring's measured
-response: a fixed-point pass subtracts the predicted foreign-channel leakage
-from each element's target, mirroring how a physical calibration programs
-each element from its measured response curve. A parked ring still leaks at
-its floor, so targets are clamped from below; `CompiledMatrix.transmittances`
-records what was actually programmed.
+min-max encoding with an exact electronic decode, equalizes per-ring peak
+power, and converts transmittance targets into heater detunings from each
+ring's aligned setting (which `RingGrid` computes once). Programming works
+against the ring's measured response: a fixed-point pass subtracts the
+predicted foreign-channel leakage from each element's target, mirroring how
+a physical calibration programs each element from its measured response
+curve. A parked ring still leaks at its floor, so targets are clamped from
+below; `CompiledMatrix.transmittances` records what was actually programmed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crossbar import BACKWARD, FORWARD, CrossbarArray, RingGrid
+from .crossbar import CrossbarArray
 from .devices import RingDevice
-from .errors import InfeasibleError, ProtocolError, ShapeError
+from .errors import ProtocolError, ShapeError
 
 MATRIX = "matrix"
 VECTOR = "vector"
@@ -121,47 +121,17 @@ def decode_output(
     return result
 
 
-# -- resonance alignment and equalization ------------------------------------
-
-ALIGNMENT_TOLERANCE_NM = 1e-4
+# -- peak-power equalization ---------------------------------------------------
 
 
-def align_resonance(ring: RingDevice, target_channel_nm: float) -> float:
-    """Heater power placing the ring's resonance on the target channel.
-
-    The thermo-optic shift is linear, so the modular inversion is exact; the
-    residual is verified against the 1e-4 nm alignment tolerance.
-    """
-    base = ring.resonance_wavelength_nm(0.0)
-    fsr = ring.fsr_nm()
-    power = ((target_channel_nm - base) % fsr) / ring.resonance_shift_per_mw
-    if power > ring.shifter.max_power_mw:
-        raise InfeasibleError(
-            f"target channel {target_channel_nm} nm lies outside the ring's tuning range"
-        )
-    shifted = ring.resonance_wavelength_nm(power)
-    residual = abs((shifted - target_channel_nm + fsr / 2.0) % fsr - fsr / 2.0)
-    if residual > ALIGNMENT_TOLERANCE_NM:
-        raise InfeasibleError(
-            f"alignment residual {residual:.2e} nm exceeds tolerance"
-        )
-    return float(power)
-
-
-def equalize_peak_power(ring_grid: RingGrid):
+def equalize_peak_power(peaks: np.ndarray):
     """Common full-scale drop target so every ring can reach it.
 
-    Returns (per_ring_scaling, common_target): the common target is the
-    minimum of the per-ring peak drop transmittances (the lossiest ring
-    binds), and per_ring_scaling[i, j] <= 1 maps each ring's peak onto it.
+    `peaks` holds the per-ring peak drop transmittances. Returns
+    (per_ring_scaling, common_target): the common target is the minimum
+    peak (the lossiest ring binds), and per_ring_scaling[i, j] <= 1 maps
+    each ring's peak onto it.
     """
-    n = ring_grid.n
-    peaks = np.array(
-        [
-            [ring_grid.rings[i][j].peak_drop_transmittance() for j in range(n)]
-            for i in range(n)
-        ]
-    )
     common = float(peaks.min())
     return common / peaks, common
 
@@ -199,23 +169,24 @@ class MatrixCompiler:
         self.compensate_leakage = compensate_leakage
         self.compensation_passes = compensation_passes
         grid = array.ring_grid
-        n = grid.n
-        self._scaling, self._full_scale = equalize_peak_power(grid)
         self._peaks = np.array(
-            [[grid.rings[i][j].peak_drop_transmittance() for j in range(n)] for i in range(n)]
+            [[ring.peak_drop_transmittance() for ring in row] for row in grid.rings]
         )
-        self._aligned = grid.aligned_heaters()
-        self._rates = np.array(
-            [[grid.rings[i][j].resonance_shift_per_mw for j in range(n)] for i in range(n)]
-        )
+        _, self._full_scale = equalize_peak_power(self._peaks)
         # Residual relative coupling of a parked ring at its own channel.
         park = grid.park_detuning_nm
-        self._floor_rel = np.array(
-            [
-                [self._relative_drop_at(grid.rings[i][j], park) for j in range(n)]
-                for i in range(n)
-            ]
+        self._floor_rel = (
+            np.array([[self._drop_at(ring, park) for ring in row] for row in grid.rings])
+            / self._peaks
         )
+        # The inverse lineshape does not depend on a ring's fabrication
+        # detuning (it is measured from the ring's own resonance), so rings
+        # sharing a design share one batched solve.
+        designs: dict[RingDevice, list] = {}
+        for i, row in enumerate(grid.rings):
+            for j, ring in enumerate(row):
+                designs.setdefault(replace(ring, fabrication_detuning_nm=0.0), []).append((i, j))
+        self._designs = [(design, tuple(np.array(cells).T)) for design, cells in designs.items()]
 
     @property
     def n(self) -> int:
@@ -226,25 +197,16 @@ class MatrixCompiler:
         return self._full_scale
 
     @staticmethod
-    def _relative_drop_at(ring: RingDevice, detuning_nm: float) -> float:
+    def _drop_at(ring: RingDevice, detuning_nm: float) -> float:
         res = ring.resonance_wavelength_nm(0.0)
         drop, _ = ring.drop_through(res - detuning_nm, 0.0)
-        return drop / ring.peak_drop_transmittance()
+        return drop
 
     def _detunings_for(self, relative_targets: np.ndarray) -> np.ndarray:
-        grid = self.array.ring_grid
-        n = self.n
-        park = grid.park_detuning_nm
-        det = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                det[i, j] = min(
-                    grid.rings[i][j].detuning_for_relative_drop(
-                        float(relative_targets[i, j])
-                    ),
-                    park,
-                )
-        return det
+        det = np.empty((self.n, self.n))
+        for design, cells in self._designs:
+            det[cells] = design.detuning_for_relative_drop(relative_targets[cells])
+        return np.minimum(det, self.array.ring_grid.park_detuning_nm)
 
     def heaters_for_targets(self, unit_targets: np.ndarray):
         """Heater matrix realizing absolute drop targets unit_targets * full_scale.

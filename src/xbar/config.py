@@ -44,6 +44,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
+from .nn import KERNEL_COUNT, KERNEL_SIZE
 
 EXPERIMENTS = (
     "characterize-devices",
@@ -73,6 +74,11 @@ class DeviceSection:
     n: int = 4
     fabrication_sigma_nm: float = 0.0
     random_mzi_phases: bool = False
+
+    @property
+    def array_size(self) -> int:
+        """Crossbar size n that the preset builds."""
+        return {"experimental_4x4": 4, "simulation_9x9": 9}.get(self.preset, self.n)
 
     def validate(self):
         if self.preset not in ("experimental_4x4", "simulation_9x9", "ideal"):
@@ -160,6 +166,14 @@ class RunConfig:
             )
         for section in (self.devices, self.topology, self.noise, self.training, self.datasets):
             section.validate()
+        if self.experiment == "mnist-train" and self.training.backend != "ideal":
+            needed = max(KERNEL_COUNT, KERNEL_SIZE * KERNEL_SIZE)
+            if self.devices.array_size < needed:
+                raise ConfigError(
+                    f"mnist-train on the {self.training.backend} backend needs an array of at "
+                    f"least {needed}x{needed} for its kernel matrix; devices.preset "
+                    f"{self.devices.preset!r} gives {self.devices.array_size}x{self.devices.array_size}"
+                )
         return self
 
     @classmethod
@@ -194,5 +208,8 @@ class RunConfig:
         return asdict(self)
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True)
+        """SHA-256 of the experiment's settings; where it is written (out_dir) is excluded."""
+        settings = self.to_dict()
+        del settings["out_dir"]
+        canonical = json.dumps(settings, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()

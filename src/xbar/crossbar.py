@@ -34,6 +34,7 @@ LEGACY_ASYMMETRIC = "legacy_asymmetric"
 
 DEFAULT_CROSSING_LOSS_DB = 0.02  # assumption: low-loss crossing design, not a measured value
 DEFAULT_SEGMENT_LENGTH_UM = 150.0
+ALIGNMENT_TOLERANCE_NM = 1e-4
 
 
 def _check_direction(direction: str) -> None:
@@ -145,9 +146,21 @@ class OpticalField:
         return self.powers.sum(axis=1)
 
 
+def _per_ring(rings: list, value) -> np.ndarray:
+    """n x n array of value(ring) over a grid of rings."""
+    return np.array([[value(ring) for ring in row] for row in rings])
+
+
 @dataclass
 class RingGrid:
-    """n x n grid of rings; ring (i, j) carries matrix element w_ij on channel i."""
+    """n x n grid of rings; ring (i, j) carries matrix element w_ij on channel i.
+
+    Everything that depends only on the rings is computed once, at
+    construction: the per-ring parameters and lineshape constants read by
+    `drop_through_tensor`, and the aligned heater matrix (checked against
+    each ring's heater range and against ALIGNMENT_TOLERANCE_NM). The rings
+    must not be replaced or mutated afterwards.
+    """
 
     rings: list  # list of n lists of n RingDevice
     grid: WavelengthGrid
@@ -165,51 +178,66 @@ class RingGrid:
                 spacing / 2.0 if math.isfinite(spacing) else self.rings[0][0].fsr_nm() / 8.0
             )
         self._build_param_cache()
+        self._aligned = self._align()
 
     @property
     def n(self) -> int:
         return len(self.rings)
 
     def _build_param_cache(self):
-        n = self.n
-        get = lambda attr: np.array(
-            [[getattr(self.rings[i][j], attr) for j in range(n)] for i in range(n)]
+        get = lambda value: _per_ring(self.rings, value)
+        t1 = get(lambda r: r.self_coupling_t1)
+        t2 = get(lambda r: r.self_coupling_t2)
+        a = get(lambda r: r.round_trip_amplitude)
+        n0 = get(lambda r: r.effective_index_at_ref)
+        self._rate = get(lambda r: r.resonance_shift_per_mw)
+        self._fab = get(lambda r: r.fabrication_detuning_nm)
+        self._phase0 = get(
+            lambda r: r.shifter.initial_phase_rad / (2.0 * math.pi) * r.fsr_nm()
         )
-        self._t1 = get("self_coupling_t1")
-        self._t2 = get("self_coupling_t2")
-        self._a = get("round_trip_amplitude")
-        self._n0 = get("effective_index_at_ref")
-        self._ng = get("group_index")
-        self._length = get("circumference_nm")
-        self._lam0 = get("reference_wavelength_nm")
-        self._rate = get("resonance_shift_per_mw")
-        self._fab = get("fabrication_detuning_nm")
-        self._drop_loss = np.array(
-            [
-                [db_to_power(self.rings[i][j].drop_excess_loss_db) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        self._phase0 = np.array(
-            [
-                [
-                    self.rings[i][j].shifter.initial_phase_rad
-                    / (2.0 * math.pi)
-                    * self.rings[i][j].fsr_nm()
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        )
-        self._max_power = np.array(
-            [[self.rings[i][j].shifter.max_power_mw for j in range(n)] for i in range(n)]
-        )
+        self._max_power = get(lambda r: r.shifter.max_power_mw)
+        # Lineshape constants, broadcast over the channel axis.
+        ta = (t1 * t2 * a)[:, :, None]
+        self._n0_c = n0[:, :, None]
+        self._dispersion_c = (n0 - get(lambda r: r.group_index))[:, :, None]
+        self._lam0_c = get(lambda r: r.reference_wavelength_nm)[:, :, None]
+        self._length_c = get(lambda r: r.circumference_nm)[:, :, None]
+        self._denom0_c = (1.0 - ta) ** 2
+        self._four_ta_c = 4.0 * ta
+        self._drop_num_c = (1.0 - t1**2)[:, :, None] * (1.0 - t2**2)[:, :, None] * a[:, :, None]
+        self._drop_loss_c = get(lambda r: db_to_power(r.drop_excess_loss_db))[:, :, None]
+        self._through_num_c = (t2 * a - t1)[:, :, None] ** 2
+
+    def _align(self) -> np.ndarray:
+        """Heater matrix putting every ring's resonance on its row channel.
+
+        The thermo-optic shift is linear, so the modular inversion is exact;
+        the residual is verified against ALIGNMENT_TOLERANCE_NM.
+        """
+        base = _per_ring(self.rings, lambda r: r.resonance_wavelength_nm(0.0))
+        fsr = _per_ring(self.rings, lambda r: r.fsr_nm())
+        target = self.grid.array[:, None]
+        power = ((target - base) % fsr) / self._rate
+        out_of_range = np.argwhere(power > self._max_power)
+        if out_of_range.size:
+            i, j = out_of_range[0]
+            raise InfeasibleError(
+                f"ring ({i},{j}) cannot reach channel {self.grid.channels_nm[i]} nm "
+                "within its heater range"
+            )
+        shifted = base + self._rate * power
+        residual = np.abs((shifted - target + fsr / 2.0) % fsr - fsr / 2.0)
+        if np.any(residual > ALIGNMENT_TOLERANCE_NM):
+            raise InfeasibleError(
+                f"alignment residual {residual.max():.2e} nm exceeds tolerance"
+            )
+        return power
 
     def check_heaters(self, heaters: np.ndarray) -> np.ndarray:
         h = np.asarray(heaters, dtype=float)
         if h.shape != (self.n, self.n):
             raise ShapeError(f"heater matrix must be {self.n}x{self.n}; got {h.shape}")
-        if np.any(h < 0) or np.any(h > self._max_power):
+        if (h < 0).any() or (h > self._max_power).any():
             raise ValueError("ring heater power out of range")
         return h
 
@@ -218,36 +246,17 @@ class RingGrid:
         h = self.check_heaters(heaters)
         shift = self._fab + self._rate * h + self._phase0  # (n, n)
         lam = self.grid.array[None, None, :] - shift[:, :, None]  # (n, n, C)
-        n_eff = self._n0[:, :, None] + (self._n0 - self._ng)[:, :, None] * (
-            lam - self._lam0[:, :, None]
-        ) / self._lam0[:, :, None]
-        phi = 2.0 * math.pi * n_eff * self._length[:, :, None] / lam
-        ta = (self._t1 * self._t2 * self._a)[:, :, None]
+        n_eff = self._n0_c + self._dispersion_c * (lam - self._lam0_c) / self._lam0_c
+        phi = 2.0 * math.pi * n_eff * self._length_c / lam
         s2 = np.sin(phi / 2.0) ** 2
-        denom = (1.0 - ta) ** 2 + 4.0 * ta * s2
-        k1sq = (1.0 - self._t1**2)[:, :, None]
-        k2sq = (1.0 - self._t2**2)[:, :, None]
-        t_drop = k1sq * k2sq * self._a[:, :, None] / denom * self._drop_loss[:, :, None]
-        t_through = ((self._t2 * self._a - self._t1)[:, :, None] ** 2 + 4.0 * ta * s2) / denom
+        denom = self._denom0_c + self._four_ta_c * s2
+        t_drop = self._drop_num_c / denom * self._drop_loss_c
+        t_through = (self._through_num_c + self._four_ta_c * s2) / denom
         return t_drop, t_through
 
-    def alignment_power(self, i: int, j: int) -> float:
-        """Heater power placing ring (i, j)'s resonance on its row channel."""
-        ring = self.rings[i][j]
-        target = self.grid.channels_nm[i]
-        base = ring.resonance_wavelength_nm(0.0)
-        fsr = ring.fsr_nm()
-        power = ((target - base) % fsr) / ring.resonance_shift_per_mw
-        if power > ring.shifter.max_power_mw:
-            raise InfeasibleError(
-                f"ring ({i},{j}) cannot reach channel {target} nm within its heater range"
-            )
-        return float(power)
-
     def aligned_heaters(self) -> np.ndarray:
-        """Heater matrix putting every ring exactly on its row channel."""
-        n = self.n
-        return np.array([[self.alignment_power(i, j) for j in range(n)] for i in range(n)])
+        """Heater matrix putting every ring exactly on its row channel (a copy)."""
+        return self._aligned.copy()
 
     def detuned_heaters(self, detunings_nm: np.ndarray) -> np.ndarray:
         """Heaters putting each ring `detunings_nm[i,j]` red of its row channel."""
@@ -256,7 +265,7 @@ class RingGrid:
             raise ShapeError("detuning matrix shape mismatch")
         if np.any(d < 0):
             raise ValueError("red-shift detunings must be non-negative")
-        return self.aligned_heaters() + d / self._rate
+        return self._aligned + d / self._rate
 
     def parked_heaters(self) -> np.ndarray:
         """All rings parked midway between channels (dark program)."""
@@ -320,6 +329,9 @@ class CrossbarArray:
         # Each ring is allotted 1/n of its bus power; see module docstring.
         self.bus_budget = 1.0 / n
         self._norm_cache: dict[str, float] = {}
+        self._path_transmission = {
+            direction: topology.path_transmission(direction) for direction in (FORWARD, BACKWARD)
+        }
 
     @property
     def n(self) -> int:
@@ -366,7 +378,7 @@ class CrossbarArray:
         if field.channels_nm != self.channels.channels_nm:
             raise ShapeError("field channel plan does not match the array")
         drop, _ = self.ring_grid.drop_through_tensor(heaters)  # (n, n, C)
-        u = self.topology.path_transmission(direction)  # (n, n)
+        u = self._path_transmission[direction]  # (n, n)
         b = self.bus_budget
         p = field.powers  # (ports, C)
         if direction == FORWARD:
@@ -425,7 +437,7 @@ class CrossbarArray:
         """
         _check_direction(direction)
         drop, _ = self.ring_grid.drop_through_tensor(heaters)
-        u = self.topology.path_transmission(direction)
+        u = self._path_transmission[direction]
         g = drop.sum(axis=2) * u * self.bus_budget
         return g / self.normalization_constant(direction)
 

@@ -198,7 +198,7 @@ class RingDevice:
             self.shifter.initial_phase_rad / (2.0 * math.pi) * self.fsr_nm()
         )
         p = np.asarray(heater_power_mw, dtype=float)
-        if np.any(p < 0) or np.any(p > self.shifter.max_power_mw):
+        if (p < 0).any() or (p > self.shifter.max_power_mw).any():
             raise PowerRangeError(
                 f"ring heater power must lie in [0, {self.shifter.max_power_mw}] mW"
             )
@@ -246,7 +246,7 @@ class RingDevice:
     def quality_factor(self) -> float:
         return self.reference_wavelength_nm / self.fwhm_nm()
 
-    def _wavelength_at_phase(self, phi: float) -> float:
+    def _wavelength_at_phase(self, phi):
         """Wavelength whose round-trip phase equals phi (zero heater/detuning).
 
         n_eff is linear in wavelength, so phi(lam) inverts in closed form.
@@ -256,24 +256,32 @@ class RingDevice:
         ng = self.group_index
         return ng / (phi / (2.0 * math.pi * self.circumference_nm) - (n0 - ng) / lam0)
 
-    def detuning_for_relative_drop(self, relative: float) -> float:
+    def detuning_for_relative_drop(self, relative):
         """Detuning (nm, >= 0) at which T_drop equals `relative` times its peak.
 
         Exact inverse of the add-drop lineshape including the wavelength
-        dependence of the round-trip phase; `relative` must lie in (0, 1].
+        dependence of the round-trip phase; vectorized over `relative`, whose
+        values must lie in (0, 1]. A scalar input returns a float.
         """
-        if not (0.0 < relative <= 1.0):
+        r = np.asarray(relative, dtype=float)
+        if not ((r > 0.0) & (r <= 1.0)).all():
             raise ValueError("relative drop level must lie in (0, 1]")
         ta = self.self_coupling_t1 * self.self_coupling_t2 * self.round_trip_amplitude
-        s2 = (1.0 - ta) ** 2 * (1.0 / relative - 1.0) / (4.0 * ta)
-        if s2 >= 1.0:
-            # Deeper than the lineshape floor: park half an FSR away.
-            return self.fsr_nm() / 2.0
-        dphi = 2.0 * math.asin(math.sqrt(s2))
+        s2 = (1.0 - ta) ** 2 * (1.0 / r - 1.0) / (4.0 * ta)
+        # Deeper than the lineshape floor (s2 >= 1): park half an FSR away.
+        deep = s2 >= 1.0
+        # math.asin per value, not np.arcsin: numpy's SIMD arcsin can differ
+        # from the C library's in the last bit, depending on the batch length,
+        # so a batched call would not always equal one call per element.
+        dphi = np.array(
+            [0.0 if v >= 1.0 else 2.0 * math.asin(math.sqrt(v)) for v in s2.ravel().tolist()]
+        ).reshape(r.shape)
         phi_res = 2.0 * math.pi * self.resonance_order
         # Red-shifting the ring moves the operating point blue of resonance,
         # where the round-trip phase is larger.
-        return self._wavelength_at_phase(phi_res) - self._wavelength_at_phase(phi_res + dphi)
+        det = self._wavelength_at_phase(phi_res) - self._wavelength_at_phase(phi_res + dphi)
+        out = np.where(deep, self.fsr_nm() / 2.0, det)
+        return out if out.ndim else float(out)
 
     def designed_for(self, channel_nm: float) -> "RingDevice":
         """Copy of this ring whose zero-power resonance sits at `channel_nm`.

@@ -22,7 +22,7 @@ import numpy as np
 
 from .crossbar import FORWARD, CrossbarArray, _check_direction
 from .devices import db_to_power
-from .errors import DataFormatError, ShapeError
+from .errors import DataFormatError, InfeasibleError, ShapeError
 
 LUT_MAGIC = float(0x4C555431)  # 'LUT1'
 LUT_VERSION = 1.0
@@ -179,9 +179,18 @@ def build_lut(
     grid = array.ring_grid
     ring = grid.rings[row][col]
     if mrr_range_mw is None:
-        p_align = grid.alignment_power(row, col)
+        p_align = grid.aligned_heaters()[row, col]
         span = LUT_RING_WINDOW_NM / ring.resonance_shift_per_mw
-        mrr_range_mw = (max(p_align - span, 0.0), p_align)
+        if p_align < span:
+            # The window would run below zero power: approach the next
+            # resonance order instead, one FSR of heater power higher.
+            p_align += ring.fsr_nm() / ring.resonance_shift_per_mw
+            if p_align > ring.shifter.max_power_mw:
+                raise InfeasibleError(
+                    f"element ({row},{col}): the LUT ring window needs {p_align:.4g} mW, "
+                    f"beyond the heater range of {ring.shifter.max_power_mw} mW"
+                )
+        mrr_range_mw = (p_align - span, p_align)
     mzi_powers = np.linspace(mzi_range_mw[0], mzi_range_mw[1], steps)
     mrr_powers = np.linspace(mrr_range_mw[0], mrr_range_mw[1], steps)
 

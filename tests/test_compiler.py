@@ -1,0 +1,217 @@
+"""Compiler and crossbar fast-path tests: the batched heater solve and the
+alignment cached at construction must reproduce the per-element scalar
+computation bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+
+from xbar.compiler import MatrixCompiler
+from xbar.config import RunConfig
+from xbar.crossbar import BACKWARD, FORWARD, build_ring_grid
+from xbar.devices import PhaseShifter, RingDevice, WavelengthGrid
+from xbar.errors import InfeasibleError
+from xbar.experiments import run_experiment
+from xbar.presets import experimental_4x4, ideal_array, ring_for_q, simulation_9x9
+
+PRESETS = {
+    "experimental_4x4": lambda: experimental_4x4(),
+    "experimental_4x4_fab": lambda: experimental_4x4(fabrication_sigma_nm=0.02, seed=7),
+    "simulation_9x9": simulation_9x9,
+    "ideal": lambda: ideal_array(4),
+}
+
+
+def scalar_inverse(ring: RingDevice, relative: float) -> float:
+    """The inverse add-drop lineshape on Python floats, one value at a time."""
+    ta = ring.self_coupling_t1 * ring.self_coupling_t2 * ring.round_trip_amplitude
+    s2 = (1.0 - ta) ** 2 * (1.0 / relative - 1.0) / (4.0 * ta)
+    if s2 >= 1.0:
+        return ring.fsr_nm() / 2.0
+    dphi = 2.0 * math.asin(math.sqrt(s2))
+    phi_res = 2.0 * math.pi * ring.resonance_order
+    return ring._wavelength_at_phase(phi_res) - ring._wavelength_at_phase(phi_res + dphi)
+
+
+def reference_alignment(ring_grid) -> np.ndarray:
+    """Per-ring modular inversion of the resonance onto the row channel."""
+    n = ring_grid.n
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            ring = ring_grid.rings[i][j]
+            base = ring.resonance_wavelength_nm(0.0)
+            target = ring_grid.grid.channels_nm[i]
+            out[i, j] = ((target - base) % ring.fsr_nm()) / ring.resonance_shift_per_mw
+    return out
+
+
+def reference_heaters(compiler: MatrixCompiler, targets: np.ndarray):
+    """heaters_for_targets as an element-by-element loop over scalar calls."""
+    grid = compiler.array.ring_grid
+    n = grid.n
+    rings = grid.rings
+    park = grid.park_detuning_nm
+    aligned = reference_alignment(grid)
+    rates = np.array([[r.resonance_shift_per_mw for r in row] for row in rings])
+    peaks = np.array([[r.peak_drop_transmittance() for r in row] for row in rings])
+    full = float(peaks.min())
+    floor = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            ring = rings[i][j]
+            drop, _ = ring.drop_through(ring.resonance_wavelength_nm(0.0) - park, 0.0)
+            floor[i, j] = drop / ring.peak_drop_transmittance()
+
+    def detunings(rel):
+        det = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                det[i, j] = min(rings[i][j].detuning_for_relative_drop(float(rel[i, j])), park)
+        return det
+
+    rel = np.clip(targets * full / peaks, floor, 1.0)
+    det = detunings(rel)
+    if compiler.compensate_leakage:
+        rows = np.arange(n)[:, None]
+        cols = np.arange(n)[None, :]
+        for _ in range(compiler.compensation_passes):
+            drop, _ = grid.drop_through_tensor(aligned + det / rates)
+            own = drop[rows, cols, rows]
+            foreign = drop.sum(axis=2) - own
+            rel = np.clip((targets * full - foreign) / peaks, floor, 1.0)
+            det = detunings(rel)
+    return aligned + det / rates, rel * peaks / full
+
+
+def seeded_targets(n: int, seed: int, count: int = 12):
+    rng = np.random.default_rng(seed)
+    yield np.zeros((n, n))
+    yield np.ones((n, n))
+    yield np.eye(n)
+    for _ in range(count):
+        t = rng.uniform(0.0, 1.0, (n, n))
+        t[rng.uniform(size=(n, n)) < 0.25] = 0.0
+        t[rng.uniform(size=(n, n)) < 0.25] = 1.0
+        yield t
+
+
+@pytest.mark.parametrize("compensate", [True, False])
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_heaters_match_elementwise_reference(preset, compensate):
+    array = PRESETS[preset]()
+    compiler = MatrixCompiler(array, compensate_leakage=compensate)
+    for targets in seeded_targets(array.n, seed=11):
+        heaters, achieved = compiler.heaters_for_targets(targets)
+        ref_heaters, ref_achieved = reference_heaters(compiler, targets)
+        np.testing.assert_array_equal(heaters, ref_heaters)
+        np.testing.assert_array_equal(achieved, ref_achieved)
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_cached_alignment_matches_per_ring_inversion(preset):
+    grid = PRESETS[preset]().ring_grid
+    np.testing.assert_array_equal(grid.aligned_heaters(), reference_alignment(grid))
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_grid_lineshape_equals_device_lineshape(preset):
+    array = PRESETS[preset]()
+    grid = array.ring_grid
+    compiler = MatrixCompiler(array)
+    channels = grid.grid.array
+    for targets in seeded_targets(array.n, seed=2, count=3):
+        heaters, _ = compiler.heaters_for_targets(targets)
+        drop, through = grid.drop_through_tensor(heaters)
+        for i, row in enumerate(grid.rings):
+            for j, ring in enumerate(row):
+                ring_drop, ring_through = ring.drop_through(channels, heaters[i, j])
+                np.testing.assert_array_equal(drop[i, j], ring_drop)
+                np.testing.assert_array_equal(through[i, j], ring_through)
+
+
+@pytest.mark.parametrize(
+    "ring", [RingDevice(), ring_for_q(2.5e4), ring_for_q(1e8, lossless=True)], ids=["default", "q25k", "q1e8"]
+)
+def test_vectorized_detuning_equals_scalar_calls(ring):
+    rng = np.random.default_rng(3)
+    ta = ring.self_coupling_t1 * ring.self_coupling_t2 * ring.round_trip_amplitude
+    # Below this level the lineshape floor is passed and the ring parks.
+    deep = 1.0 / (1.0 + 4.0 * ta / (1.0 - ta) ** 2)
+    # A large batch: a last-bit difference in the arcsine survives into the
+    # detuning only for about one value in tens of thousands.
+    relative = np.concatenate(
+        [
+            rng.uniform(0.0, 1.0, 20000),
+            10.0 ** rng.uniform(-12, 0, 19996),
+            [1.0, 1e-300, deep / 2.0, deep * 2.0],
+        ]
+    ).reshape(4, 10000)
+    batched = ring.detuning_for_relative_drop(relative)
+    assert batched.shape == relative.shape
+    reference = np.array([scalar_inverse(ring, r) for r in relative.ravel().tolist()])
+    np.testing.assert_array_equal(batched.ravel(), reference)
+    picks = rng.choice(relative.size, 200, replace=False)
+    singles = [ring.detuning_for_relative_drop(float(relative.flat[k])) for k in picks]
+    np.testing.assert_array_equal(singles, reference[picks])
+    assert ring.detuning_for_relative_drop(deep / 2.0) == ring.fsr_nm() / 2.0
+    assert isinstance(ring.detuning_for_relative_drop(0.5), float)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, 1.0 + 1e-12, float("nan")])
+def test_detuning_rejects_levels_outside_unit_interval(bad):
+    ring = RingDevice()
+    with pytest.raises(ValueError):
+        ring.detuning_for_relative_drop(bad)
+    with pytest.raises(ValueError):
+        ring.detuning_for_relative_drop(np.array([0.5, bad, 1.0]))
+
+
+def test_aligned_heaters_returns_a_copy():
+    grid = experimental_4x4().ring_grid
+    first = grid.aligned_heaters()
+    expected = first.copy()
+    first[:] = -1.0
+    np.testing.assert_array_equal(grid.aligned_heaters(), expected)
+    np.testing.assert_array_equal(grid.detuned_heaters(np.zeros((4, 4))), expected)
+
+
+def test_alignment_beyond_heater_range_is_rejected_at_construction():
+    # 2 nm of red shift needs about 17.5 mW; the heaters stop at 1 mW.
+    ring = RingDevice(shifter=PhaseShifter(max_power_mw=1.0), fabrication_detuning_nm=-2.0)
+    with pytest.raises(InfeasibleError, match="heater range"):
+        build_ring_grid(4, WavelengthGrid.c_band_4(), ring)
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_forward_and_backward_are_transposes(preset):
+    array = PRESETS[preset]()
+    compiler = MatrixCompiler(array)
+    np.testing.assert_array_equal(
+        array.topology.path_transmission(FORWARD), array.topology.path_transmission(BACKWARD)
+    )
+    for targets in seeded_targets(array.n, seed=5, count=4):
+        heaters, _ = compiler.heaters_for_targets(targets)
+        forward = array.effective_matrix(heaters, FORWARD)  # forward y = forward.T @ x
+        backward = array.effective_matrix(heaters, BACKWARD)  # backward y = backward @ s
+        # Both directions share the drop tensor and the path losses exactly.
+        # The one-time normalization probes sum the same powers in different
+        # orders, so the two constants may differ in their last bits.
+        np.testing.assert_allclose(forward, backward, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
+def test_photonic_iris_train_rerun_is_byte_identical(tmp_path):
+    outputs = []
+    for name in ("a", "b"):
+        config = RunConfig.from_dict(
+            {
+                "experiment": "iris-train",
+                "seed": 4,
+                "out_dir": str(tmp_path / name),
+                "training": {"backend": "photonic", "epochs": 2, "runs": 1},
+            }
+        )
+        out_dir = run_experiment(config)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))})
+    assert outputs[0] and outputs[0] == outputs[1]
