@@ -10,22 +10,15 @@ from .devices import (
     RingDevice,
     WavelengthGrid,
     couplings_for_q,
-    fsr_of,
-    mzi_transmittance,
-    ring_drop_through,
     sweep_spectrum,
-    thermo_phase,
 )
 from .crossbar import (
     BACKWARD,
     FORWARD,
     CrossbarArray,
     CrossbarTopology,
-    OpticalField,
     RingGrid,
-    build_legacy_asymmetric,
-    build_symmetric,
-    path_loss_report,
+    build_crossbar,
 )
 from .compiler import (
     AffineEncoding,
@@ -33,26 +26,22 @@ from .compiler import (
     MatrixCompiler,
     decode_output,
     encode_signed,
-    equalize_peak_power,
 )
 from .lut import (
     CalibrationLUT,
     build_lut,
     compensate_asymmetry,
-    lut_multiply,
+    lut_multiply_many,
 )
 from .noise import NoiseConfig, make_rng, perturb, time_average
 from .backends import IdealBackend, LutBackend, PhotonicBackend, make_backend
 from .nn import (
     CnnModel,
     MlpModel,
-    TrainingConfig,
-    im2col_convolve,
-    mlp_forward,
-    onchip_backprop_step,
     train_iris,
     train_mnist,
 )
+from .presets import preset_array
 from .datasets import IrisDataset, MnistSubset, load_iris, load_mnist
-from .config import RunConfig
+from .config import RunConfig, TrainingSection
 from .experiments import run_experiment

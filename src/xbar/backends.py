@@ -21,14 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from .compiler import (
-    MATRIX,
-    VECTOR,
     AffineEncoding,
     MatrixCompiler,
     decode_output,
     encode_signed,
     encode_signed_columns,
-    identity_encoding,
 )
 from .crossbar import BACKWARD, FORWARD, CrossbarArray
 from .errors import EncodingError
@@ -57,20 +54,6 @@ def _check_unit_interval(x):
     if np.any(x < -_INPUT_TOL) or np.any(x > 1.0 + _INPUT_TOL):
         raise EncodingError("forward inputs must lie in [0, 1]")
     return np.clip(x, 0.0, 1.0)
-
-
-def _decode_backward_columns(raw, enc_matrix, scales, offsets, sums, n, ones):
-    """Vectorized decode of W'^T-style products over a column batch.
-
-    raw: (n, B) measured T' @ s'; scales/offsets/sums: per-column vector
-    encodings; ones: the measured all-ones response T' @ 1.
-    """
-    s_m, m_m = enc_matrix.scale, enc_matrix.offset
-    y = s_m * scales[None, :] * raw
-    y = y + s_m * offsets[None, :] * ones[:, None]
-    y = y + m_m * scales[None, :] * sums[None, :]
-    y = y + m_m * offsets[None, :] * n
-    return y
 
 
 class IdealProgrammed:
@@ -103,7 +86,7 @@ class _NoiseMixin:
     def _init_noise(self, noise: NoiseConfig | None, time_average_count: int):
         self.noise = noise
         self.time_average_count = max(1, int(time_average_count))
-        self._rng = make_rng(noise.seed) if noise is not None else None
+        self._rng = make_rng(noise.seed, noise.stream) if noise is not None else None
 
     def _measure(self, clean: np.ndarray) -> np.ndarray:
         """One detector reading of `clean` powers (may be signed after decode
@@ -142,14 +125,7 @@ class PhotonicProgrammed:
         xp = np.zeros((n, xb.shape[1]))
         xp[: self.in_dim] = xb
         raw = self.backend._measure(self._eff_fwd.T @ xp)
-        y = decode_output(
-            raw,
-            self.compiled.encoding,
-            identity_encoding(VECTOR),
-            sum_x_prime=xp.sum(axis=0),
-            n=n,
-        )
-        y = y[: self.out_dim]
+        y = decode_output(raw, self.compiled.encoding, 1.0, 0.0, xp.sum(axis=0), n)[: self.out_dim]
         return y[:, 0] if squeeze else y
 
     def _measured_ones_response(self) -> np.ndarray:
@@ -169,8 +145,8 @@ class PhotonicProgrammed:
         sp[: self.out_dim] = sb
         s_prime, scales, offsets = encode_signed_columns(sp)
         raw = self.backend._measure(self._eff_bwd @ s_prime)
-        ones = self._measured_ones_response()
-        y = _decode_backward_columns(
+        ones = self._measured_ones_response()[:, None]
+        y = decode_output(
             raw, self.compiled.encoding, scales, offsets, s_prime.sum(axis=0), n, ones
         )[: self.in_dim]
         return y[:, 0] if squeeze else y
@@ -184,12 +160,11 @@ class PhotonicBackend(_NoiseMixin):
     def __init__(
         self,
         array: CrossbarArray,
-        compensate_leakage: bool = True,
         noise: NoiseConfig | None = None,
         time_average_count: int = 1,
     ):
         self.array = array
-        self.compiler = MatrixCompiler(array, compensate_leakage=compensate_leakage)
+        self.compiler = MatrixCompiler(array)
         self._init_noise(noise, time_average_count)
 
     def program(self, matrix: np.ndarray) -> PhotonicProgrammed:
@@ -203,9 +178,8 @@ class LutProgrammed:
         self.backend = backend
         m = np.asarray(matrix, dtype=float)
         self.out_dim, self.in_dim = m.shape
-        n = backend.array.n
         padded = backend.compiler.pad(m.T)
-        encoded, enc = encode_signed(padded, axis=MATRIX)
+        encoded, enc = encode_signed(padded)
         self.encoding: AffineEncoding = enc
         self.targets = encoded  # (n, n): targets[i, j] multiplies input i
         self._ones_response: np.ndarray | None = None
@@ -219,14 +193,7 @@ class LutProgrammed:
         xp = np.zeros((n, xb.shape[1]))
         xp[: self.in_dim] = xb
         raw = self._products_forward(xp)
-        y = decode_output(
-            raw,
-            self.encoding,
-            identity_encoding(VECTOR),
-            sum_x_prime=xp.sum(axis=0),
-            n=n,
-        )
-        y = y[: self.out_dim]
+        y = decode_output(raw, self.encoding, 1.0, 0.0, xp.sum(axis=0), n)[: self.out_dim]
         return y[:, 0] if squeeze else y
 
     def _products_forward(self, xp):
@@ -274,10 +241,10 @@ class LutProgrammed:
         sp[: self.out_dim] = sb
         s_prime, scales, offsets = encode_signed_columns(sp)
         raw = self._products_backward(s_prime)
-        ones = self._measured_ones_response()
-        y = _decode_backward_columns(
-            raw, self.encoding, scales, offsets, s_prime.sum(axis=0), n, ones
-        )[: self.in_dim]
+        ones = self._measured_ones_response()[:, None]
+        y = decode_output(raw, self.encoding, scales, offsets, s_prime.sum(axis=0), n, ones)[
+            : self.in_dim
+        ]
         return y[:, 0] if squeeze else y
 
 
@@ -285,8 +252,8 @@ class LutBackend(_NoiseMixin):
     """Performs every multiplication by fetching calibration LUT entries.
 
     When the ring grid is uniform a single LUT pair is shared by all
-    elements; otherwise one pair is built per ring. An injected backward
-    port-loss imbalance is compensated by the constant additive bias.
+    elements; otherwise one pair is built per ring. A forward/backward
+    power imbalance is compensated by a constant additive bias.
     """
 
     name = "lut"
@@ -295,79 +262,31 @@ class LutBackend(_NoiseMixin):
         self,
         array: CrossbarArray,
         steps: int = 64,
-        shared_lut: bool | None = None,
-        backward_extra_loss_db: float = 0.0,
-        reuse_forward_for_backward: bool = False,
-        measurement_noise: NoiseConfig | None = None,
-        measurement_time_average: int = 1,
         noise: NoiseConfig | None = None,
         time_average_count: int = 1,
     ):
         self.array = array
         self.compiler = MatrixCompiler(array)
         self._init_noise(noise, time_average_count)
-        if shared_lut is None:
-            rings = array.ring_grid.rings
-            shared_lut = all(
-                rings[i][j].fabrication_detuning_nm == rings[0][0].fabrication_detuning_nm
-                and rings[i][j].self_coupling_t1 == rings[0][0].self_coupling_t1
-                for i in range(array.n)
-                for j in range(array.n)
-            )
-        self.shared_lut = shared_lut
+        rings = array.ring_grid.rings
+        self.shared_lut = all(
+            ring.fabrication_detuning_nm == rings[0][0].fabrication_detuning_nm
+            and ring.self_coupling_t1 == rings[0][0].self_coupling_t1
+            for row in rings
+            for ring in row
+        )
         self._fwd: dict[tuple, CalibrationLUT] = {}
         self._bwd: dict[tuple, CalibrationLUT] = {}
         self._bias: dict[tuple, AsymmetryBias] = {}
-        lut_rng = (
-            make_rng(measurement_noise.seed, stream=101)
-            if measurement_noise is not None
-            else None
-        )
-        keys = [(0, 0)] if shared_lut else [
+        keys = [(0, 0)] if self.shared_lut else [
             (i, j) for i in range(array.n) for j in range(array.n)
         ]
         for key in keys:
             fwd = build_lut(array, key[0], key[1], steps=steps, direction=FORWARD)
-            if reuse_forward_for_backward:
-                bwd = CalibrationLUT(
-                    fwd.mzi_powers_mw, fwd.mrr_powers_mw, fwd.output_power, direction=BACKWARD
-                )
-            else:
-                bwd = build_lut(
-                    array,
-                    key[0],
-                    key[1],
-                    steps=steps,
-                    direction=BACKWARD,
-                    extra_loss_db=backward_extra_loss_db,
-                )
-            if measurement_noise is not None:
-                # The tables hold measured powers: each grid point is a
-                # time-averaged reading with residual fluctuation noise.
-                fwd = CalibrationLUT(
-                    fwd.mzi_powers_mw,
-                    fwd.mrr_powers_mw,
-                    time_average(
-                        lambda: perturb(fwd.output_power, measurement_noise, lut_rng),
-                        measurement_time_average,
-                    ),
-                    direction=FORWARD,
-                )
-                bwd = CalibrationLUT(
-                    bwd.mzi_powers_mw,
-                    bwd.mrr_powers_mw,
-                    time_average(
-                        lambda: perturb(bwd.output_power, measurement_noise, lut_rng),
-                        measurement_time_average,
-                    ),
-                    direction=BACKWARD,
-                )
+            bwd = build_lut(array, key[0], key[1], steps=steps, direction=BACKWARD)
             self._fwd[key] = fwd
             self._bwd[key] = bwd
             self._bias[key] = compensate_asymmetry(fwd, bwd)
-
-    def _key(self, i: int, j: int) -> tuple:
-        return (0, 0) if self.shared_lut else (i, j)
 
     def element_products(self, row: int, values, targets, direction: str) -> np.ndarray:
         """LUT product estimates values * targets for elements of grid row `row`.
@@ -392,7 +311,7 @@ class LutBackend(_NoiseMixin):
         v_b = np.broadcast_to(values, shape)
         t_b = np.broadcast_to(targets, shape)
         for j in range(shape[0]):
-            key = self._key(row, j)
+            key = (row, j)
             lut = self._fwd[key] if direction == FORWARD else self._bwd[key]
             est, _ = lut_multiply_many(lut, v_b[j], t_b[j])
             if direction == BACKWARD:
@@ -411,7 +330,6 @@ def make_backend(
     array: CrossbarArray | None = None,
     noise: NoiseConfig | None = None,
     time_average_count: int = 1,
-    **kwargs,
 ):
     """Factory used by the experiment layer."""
     if name == "ideal":
@@ -419,11 +337,7 @@ def make_backend(
     if array is None:
         raise ValueError(f"backend {name!r} requires a crossbar array")
     if name == "photonic":
-        return PhotonicBackend(
-            array, noise=noise, time_average_count=time_average_count, **kwargs
-        )
+        return PhotonicBackend(array, noise=noise, time_average_count=time_average_count)
     if name == "lut":
-        return LutBackend(
-            array, noise=noise, time_average_count=time_average_count, **kwargs
-        )
+        return LutBackend(array, noise=noise, time_average_count=time_average_count)
     raise ValueError(f"unknown backend {name!r}")

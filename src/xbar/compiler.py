@@ -19,10 +19,7 @@ import numpy as np
 
 from .crossbar import CrossbarArray
 from .devices import RingDevice
-from .errors import ProtocolError, ShapeError
-
-MATRIX = "matrix"
-VECTOR = "vector"
+from .errors import ShapeError
 
 
 @dataclass(frozen=True)
@@ -31,26 +28,16 @@ class AffineEncoding:
 
     scale: float
     offset: float
-    axis: str = MATRIX
 
     def __post_init__(self):
         if self.scale <= 0:
             raise ValueError("encoding scale must be positive")
-        if self.axis not in (MATRIX, VECTOR):
-            raise ValueError("axis must be 'matrix' or 'vector'")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.scale == 1.0 and self.offset == 0.0
 
     def encode(self, values):
         return (np.asarray(values, dtype=float) - self.offset) / self.scale
 
-    def decode_values(self, encoded):
-        return np.asarray(encoded, dtype=float) * self.scale + self.offset
 
-
-def encode_signed(values, axis: str = MATRIX):
+def encode_signed(values):
     """Affine-encode a signed array onto [0, 1]; returns (encoded, encoding).
 
     Degenerate all-equal input encodes to zeros with the common value carried
@@ -61,15 +48,8 @@ def encode_signed(values, axis: str = MATRIX):
         raise ValueError("cannot encode non-finite values")
     lo = float(arr.min())
     hi = float(arr.max())
-    if hi == lo:
-        enc = AffineEncoding(scale=1.0, offset=lo, axis=axis)
-    else:
-        enc = AffineEncoding(scale=hi - lo, offset=lo, axis=axis)
+    enc = AffineEncoding(scale=1.0 if hi == lo else hi - lo, offset=lo)
     return enc.encode(arr), enc
-
-
-def identity_encoding(axis: str = VECTOR) -> AffineEncoding:
-    return AffineEncoding(scale=1.0, offset=0.0, axis=axis)
 
 
 def encode_signed_columns(arr: np.ndarray):
@@ -87,53 +67,25 @@ def encode_signed_columns(arr: np.ndarray):
     return (a - lo) / scales, scales, lo
 
 
-def decode_output(
-    y_prime,
-    enc_matrix: AffineEncoding,
-    enc_vector: AffineEncoding,
-    sum_x_prime: float,
-    n: int,
-    w_prime_ones=None,
-):
-    """Exact algebraic inverse of the affine encoding applied to an MVM.
+def decode_output(raw, matrix_encoding: AffineEncoding, scales, offsets, sums, n: int, ones=0.0):
+    """Exact algebraic inverse of the affine encodings applied to a product.
 
-    With W = s_M W' + m_M J and x = s_x x' + m_x 1:
+    With W = s_M W' + m_M J and each input column x = s_x x' + m_x 1:
 
         y = s_M s_x y' + s_M m_x (W' 1) + m_M s_x (sum x') 1 + m_M m_x n 1
 
-    `w_prime_ones` is the W' @ 1 vector obtained from one extra photonic pass
-    with the all-ones input; it is only required when the vector encoding is
-    non-trivial (m_x != 0).
+    `raw` (n, B) holds the measured y' = W' x' of every column; `scales`,
+    `offsets` and `sums` (sum x') describe each column and broadcast over
+    the batch. `ones` is the (n, 1) response W' 1 of one all-ones pass; it
+    is only read through the offsets, so inputs encoded with offset 0 (the
+    forward products) may leave it at 0.
     """
-    y_prime = np.asarray(y_prime, dtype=float)
-    s_m, m_m = enc_matrix.scale, enc_matrix.offset
-    s_x, m_x = enc_vector.scale, enc_vector.offset
-    result = s_m * s_x * y_prime
-    if m_x != 0.0:
-        if w_prime_ones is None:
-            raise ProtocolError(
-                "vector encoding has a non-zero offset: the all-ones photonic "
-                "pass (W' @ 1) is required to decode"
-            )
-        result = result + s_m * m_x * np.asarray(w_prime_ones, dtype=float)
-    if m_m != 0.0:
-        result = result + m_m * s_x * sum_x_prime + m_m * m_x * n
-    return result
-
-
-# -- peak-power equalization ---------------------------------------------------
-
-
-def equalize_peak_power(peaks: np.ndarray):
-    """Common full-scale drop target so every ring can reach it.
-
-    `peaks` holds the per-ring peak drop transmittances. Returns
-    (per_ring_scaling, common_target): the common target is the minimum
-    peak (the lossiest ring binds), and per_ring_scaling[i, j] <= 1 maps
-    each ring's peak onto it.
-    """
-    common = float(peaks.min())
-    return common / peaks, common
+    s_m, m_m = matrix_encoding.scale, matrix_encoding.offset
+    y = s_m * scales * raw
+    y = y + s_m * offsets * ones
+    y = y + m_m * scales * sums
+    y = y + m_m * offsets * n
+    return y
 
 
 @dataclass(frozen=True)
@@ -143,17 +95,13 @@ class CompiledMatrix:
     `transmittances` holds the physically programmed relative targets: the
     encoded matrix clamped to each ring's realizable [floor, 1] span, where
     the floor is the parked ring's residual coupling at its own channel.
+    `clamped_elements` marks the elements where that clamp was active.
     """
 
     transmittances: np.ndarray
     encoding: AffineEncoding
     heater_settings_mw: np.ndarray
-    requested: np.ndarray
-
-    @property
-    def clamped_elements(self) -> np.ndarray:
-        """Boolean mask of elements that could not be programmed exactly."""
-        return ~np.isclose(self.transmittances, self.requested, atol=1e-12)
+    clamped_elements: np.ndarray
 
 
 class MatrixCompiler:
@@ -172,7 +120,8 @@ class MatrixCompiler:
         self._peaks = np.array(
             [[ring.peak_drop_transmittance() for ring in row] for row in grid.rings]
         )
-        _, self._full_scale = equalize_peak_power(self._peaks)
+        # Common full-scale drop target: the lossiest ring binds.
+        self._full_scale = float(self._peaks.min())
         # Residual relative coupling of a parked ring at its own channel.
         park = grid.park_detuning_nm
         self._floor_rel = (
@@ -192,10 +141,6 @@ class MatrixCompiler:
     def n(self) -> int:
         return self.array.n
 
-    @property
-    def full_scale(self) -> float:
-        return self._full_scale
-
     @staticmethod
     def _drop_at(ring: RingDevice, detuning_nm: float) -> float:
         res = ring.resonance_wavelength_nm(0.0)
@@ -208,11 +153,17 @@ class MatrixCompiler:
             det[cells] = design.detuning_for_relative_drop(relative_targets[cells])
         return np.minimum(det, self.array.ring_grid.park_detuning_nm)
 
-    def heaters_for_targets(self, unit_targets: np.ndarray):
-        """Heater matrix realizing absolute drop targets unit_targets * full_scale.
+    def _clip(self, rel: np.ndarray):
+        """(rel clipped to each ring's [floor, 1] span, mask of clipped elements)."""
+        return np.clip(rel, self._floor_rel, 1.0), (rel < self._floor_rel) | (rel > 1.0)
 
-        Returns (heaters, achieved_unit_targets). Targets are clamped to each
-        ring's realizable span; with leakage compensation enabled, the
+    def heaters_for_targets(self, unit_targets: np.ndarray):
+        """Heater matrix realizing absolute drop targets unit_targets * full scale.
+
+        The full scale is the smallest peak drop transmittance of the grid.
+        Returns (heaters, achieved_unit_targets, clamped). Targets are
+        clamped to each ring's realizable span, and `clamped` marks where
+        that clamp was active; with leakage compensation enabled, the
         predicted foreign-channel pedestal is subtracted from each element's
         own-channel target so the summed response lands on the request.
         """
@@ -223,8 +174,7 @@ class MatrixCompiler:
             raise ValueError("unit targets must lie in [0, 1]")
         grid = self.array.ring_grid
         # Relative-to-peak own-channel target for each ring.
-        rel = t * self._full_scale / self._peaks
-        rel = np.clip(rel, self._floor_rel, 1.0)
+        rel, clamped = self._clip(t * self._full_scale / self._peaks)
         det = self._detunings_for(rel)
         if self.compensate_leakage:
             rows = np.arange(self.n)[:, None]
@@ -234,22 +184,22 @@ class MatrixCompiler:
                 drop, _ = grid.drop_through_tensor(heaters)
                 own = drop[rows, cols, rows]  # response on the ring's own channel
                 foreign = drop.sum(axis=2) - own
-                rel = (t * self._full_scale - foreign) / self._peaks
-                rel = np.clip(rel, self._floor_rel, 1.0)
+                rel, clamped = self._clip((t * self._full_scale - foreign) / self._peaks)
                 det = self._detunings_for(rel)
         heaters = grid.detuned_heaters(det)
         achieved = rel * self._peaks / self._full_scale
-        return heaters, achieved
+        return heaters, achieved, clamped
 
-    def compile_unit(self, unit_matrix: np.ndarray, encoding: AffineEncoding | None = None) -> CompiledMatrix:
+    def compile_unit(
+        self, unit_matrix: np.ndarray, encoding: AffineEncoding = AffineEncoding(1.0, 0.0)
+    ) -> CompiledMatrix:
         """Compile a matrix already normalized to [0, 1]."""
-        encoding = encoding or identity_encoding(MATRIX)
-        heaters, achieved = self.heaters_for_targets(unit_matrix)
+        heaters, achieved, clamped = self.heaters_for_targets(unit_matrix)
         return CompiledMatrix(
             transmittances=achieved,
             encoding=encoding,
             heater_settings_mw=heaters,
-            requested=np.asarray(unit_matrix, dtype=float).copy(),
+            clamped_elements=clamped,
         )
 
     def compile_signed(self, matrix: np.ndarray) -> CompiledMatrix:
@@ -257,7 +207,7 @@ class MatrixCompiler:
         m = np.asarray(matrix, dtype=float)
         if m.shape != (self.n, self.n):
             raise ShapeError(f"matrix must be {self.n}x{self.n}; pad before compiling")
-        encoded, enc = encode_signed(m, axis=MATRIX)
+        encoded, enc = encode_signed(m)
         return self.compile_unit(encoded, encoding=enc)
 
     def pad(self, matrix: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 A run config is a small YAML document with five optional sections; every
 field has a default so a bare `experiment:` line is a valid file. Unknown
-keys fail validation (typos should not silently fall back to defaults).
+keys and values of the wrong type fail with a ConfigError when the config is
+read (typos should not silently fall back to defaults, nor crash later).
 
     experiment: iris-train        # required (or given on the command line)
     seed: 0
@@ -24,7 +25,6 @@ keys fail validation (typos should not silently fall back to defaults).
       learning_rate: 0.5
       epochs: 100
       batch_size: 1
-      loss: mse                   # mse | cross_entropy
       hidden: 4                   # MLP hidden width
       runs: 4                     # independent seeded trainings
     datasets:
@@ -39,12 +39,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 import yaml
 
 from .errors import ConfigError
-from .nn import KERNEL_COUNT, KERNEL_SIZE
+from .nn import KERNEL_COUNT, KERNEL_SIZE, Adam, Sgd
+from .presets import PRESETS
 
 EXPERIMENTS = (
     "characterize-devices",
@@ -56,16 +56,39 @@ EXPERIMENTS = (
 )
 
 
+# Value types a field accepts, by its annotation. An int is a valid float;
+# a bool is an int to Python but never a valid number here.
+_SCALAR_TYPES = {
+    "str": str,
+    "str | None": (str, type(None)),
+    "int": int,
+    "float": (int, float),
+    "bool": bool,
+}
+
+
 def _from_mapping(cls, data, where: str):
+    """Instance of a config dataclass from a YAML mapping; `where` names it in errors."""
     if data is None:
         return cls()
     if not isinstance(data, dict):
-        raise ConfigError(f"{where}: expected a mapping")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+        raise ConfigError(f"{where or 'run config'}: expected a mapping")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    return cls(**data)
+        raise ConfigError(f"{where or 'run config'}: unknown keys {sorted(unknown)}")
+    values = {}
+    for key, value in data.items():
+        name = f"{where}.{key}" if where else key
+        kind = types[key]
+        if kind in _SECTIONS:
+            value = _from_mapping(_SECTIONS[kind], value, name)
+        elif not isinstance(value, _SCALAR_TYPES[kind]) or (
+            isinstance(value, bool) and kind != "bool"
+        ):
+            raise ConfigError(f"{name}: expected {kind}, got {value!r}")
+        values[key] = value
+    return cls(**values)
 
 
 @dataclass
@@ -81,7 +104,7 @@ class DeviceSection:
         return {"experimental_4x4": 4, "simulation_9x9": 9}.get(self.preset, self.n)
 
     def validate(self):
-        if self.preset not in ("experimental_4x4", "simulation_9x9", "ideal"):
+        if self.preset not in PRESETS:
             raise ConfigError(f"devices.preset: unknown preset {self.preset!r}")
         if self.n < 1:
             raise ConfigError("devices.n must be >= 1")
@@ -118,17 +141,17 @@ class TrainingSection:
     learning_rate: float = 0.5
     epochs: int = 100
     batch_size: int = 1
-    loss: str = "mse"
     hidden: int = 4
     runs: int = 4
+
+    def make_optimizer(self):
+        return Sgd(self.learning_rate) if self.optimizer == "sgd" else Adam(self.learning_rate)
 
     def validate(self):
         if self.backend not in ("ideal", "photonic", "lut"):
             raise ConfigError(f"training.backend: unknown backend {self.backend!r}")
         if self.optimizer not in ("sgd", "adam"):
             raise ConfigError(f"training.optimizer: unknown optimizer {self.optimizer!r}")
-        if self.loss not in ("mse", "cross_entropy"):
-            raise ConfigError(f"training.loss: unknown loss {self.loss!r}")
         if self.learning_rate <= 0:
             raise ConfigError("training.learning_rate must be > 0")
         for name in ("epochs", "batch_size", "hidden", "runs"):
@@ -166,6 +189,11 @@ class RunConfig:
             )
         for section in (self.devices, self.topology, self.noise, self.training, self.datasets):
             section.validate()
+        if self.topology.variant != "symmetric" and self.devices.preset != "experimental_4x4":
+            raise ConfigError(
+                f"topology.variant {self.topology.variant!r} is modeled for the "
+                "experimental_4x4 preset only"
+            )
         if self.experiment == "mnist-train" and self.training.backend != "ideal":
             needed = max(KERNEL_COUNT, KERNEL_SIZE * KERNEL_SIZE)
             if self.devices.array_size < needed:
@@ -178,22 +206,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("run config must be a mapping")
-        allowed = {f.name for f in fields(cls)}
-        unknown = set(data) - allowed
-        if unknown:
-            raise ConfigError(f"unknown top-level keys {sorted(unknown)}")
-        return cls(
-            experiment=data.get("experiment", ""),
-            seed=int(data.get("seed", 0)),
-            out_dir=str(data.get("out_dir", "results")),
-            devices=_from_mapping(DeviceSection, data.get("devices"), "devices"),
-            topology=_from_mapping(TopologySection, data.get("topology"), "topology"),
-            noise=_from_mapping(NoiseSection, data.get("noise"), "noise"),
-            training=_from_mapping(TrainingSection, data.get("training"), "training"),
-            datasets=_from_mapping(DatasetSection, data.get("datasets"), "datasets"),
-        )
+        return _from_mapping(cls, data, "")
 
     @classmethod
     def from_yaml(cls, path) -> "RunConfig":
@@ -213,3 +226,9 @@ class RunConfig:
         del settings["out_dir"]
         canonical = json.dumps(settings, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+_SECTIONS = {
+    section.__name__: section
+    for section in (DeviceSection, TopologySection, NoiseSection, TrainingSection, DatasetSection)
+}

@@ -8,7 +8,7 @@ after construction; every method is a pure function of (device, inputs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -56,11 +56,6 @@ class PhaseShifter:
             )
         out = self.initial_phase_rad + math.pi * p / self.power_per_pi_mw
         return out if out.ndim else float(out)
-
-
-def thermo_phase(shifter: PhaseShifter, power_mw):
-    """Module-level alias for PhaseShifter.phase."""
-    return shifter.phase(power_mw)
 
 
 @dataclass(frozen=True)
@@ -122,25 +117,59 @@ class MziDevice:
         return best if best.ndim else float(best)
 
 
-def mzi_transmittance(dev: MziDevice, power_mw):
-    """Module-level alias for MziDevice.transmittance."""
-    return dev.transmittance(power_mw)
+@dataclass(frozen=True)
+class AddDropLineshape:
+    """Add-drop power transfer of one ring (scalar fields) or a grid of rings
+    (array fields broadcasting against the wavelengths).
+
+    With round-trip amplitude a, self-coupling coefficients t1, t2,
+    k_i^2 = 1 - t_i^2 and round-trip phase phi:
+
+        T_drop    = k1^2 k2^2 a / ((1 - t1 t2 a)^2 + 4 t1 t2 a sin^2(phi/2))
+        T_through = ((t2 a - t1)^2 + 4 t1 t2 a sin^2(phi/2)) / (same denominator)
+
+    T_drop carries the drop-port excess loss. The effective index is treated
+    to first order in wavelength through the group index. The fields hold
+    the wavelength-independent factors, so a grid computes them once.
+    """
+
+    n0: float  # effective index at the reference wavelength
+    dispersion: float  # n0 - group index
+    lam0: float  # reference wavelength, nm
+    length: float  # circumference, nm
+    denom0: float  # (1 - t1 t2 a)^2
+    four_ta: float  # 4 t1 t2 a
+    drop_num: float  # k1^2 k2^2 a
+    drop_loss: float  # drop-port excess loss as a power factor
+    through_num: float  # (t2 a - t1)^2
+
+    @classmethod
+    def stack(cls, shapes: list) -> "AddDropLineshape":
+        """Grid lineshape from a square list of per-ring ones; fields get shape (n, n, 1)."""
+        return cls(
+            **{
+                f.name: np.array([[getattr(s, f.name) for s in row] for row in shapes])[:, :, None]
+                for f in fields(cls)
+            }
+        )
+
+    def __call__(self, lam):
+        """(T_drop, T_through) at wavelengths `lam` in the ring's unshifted frame."""
+        n_eff = self.n0 + self.dispersion * (lam - self.lam0) / self.lam0
+        phi = 2.0 * math.pi * n_eff * self.length / lam
+        s2 = np.sin(phi / 2.0) ** 2
+        denom = self.denom0 + self.four_ta * s2
+        t_drop = self.drop_num / denom * self.drop_loss
+        return t_drop, (self.through_num + self.four_ta * s2) / denom
 
 
 @dataclass(frozen=True)
 class RingDevice:
     """Add-drop microring resonator with thermo-optic resonance tuning.
 
-    Power transfer follows the standard add-drop equations with round-trip
-    amplitude `a` and self-coupling coefficients t1, t2:
-
-        T_drop    = k1^2 k2^2 a / ((1 - t1 t2 a)^2 + 4 t1 t2 a sin^2(phi/2))
-        T_through = ((t2 a - t1)^2 + 4 t1 t2 a sin^2(phi/2)) / (same denominator)
-
-    where k_i^2 = 1 - t_i^2 and phi is the round-trip phase. The effective
-    index is treated to first order in wavelength through the group index.
-    Heater power and fabrication detuning translate the spectrum rigidly:
-    the resonance red-shifts by resonance_shift_per_mw per mW.
+    Power transfer follows `AddDropLineshape`. Heater power and fabrication
+    detuning translate the spectrum rigidly: the resonance red-shifts by
+    resonance_shift_per_mw per mW.
     """
 
     radius_um: float = DEFAULT_RADIUS_UM
@@ -206,37 +235,34 @@ class RingDevice:
 
     # -- transfer functions -------------------------------------------------
 
-    def round_trip_phase(self, wavelength_nm, heater_power_mw=0.0):
-        """Round-trip phase at a wavelength, including heater/fabrication shifts."""
-        lam = np.asarray(wavelength_nm, dtype=float) - self._shift_nm(heater_power_mw)
-        lam0 = self.reference_wavelength_nm
-        n_eff = self.effective_index_at_ref + (
-            self.effective_index_at_ref - self.group_index
-        ) * (lam - lam0) / lam0
-        return 2.0 * math.pi * n_eff * self.circumference_nm / lam
+    @property
+    def lineshape(self) -> AddDropLineshape:
+        t1, t2, a = self.self_coupling_t1, self.self_coupling_t2, self.round_trip_amplitude
+        ta = t1 * t2 * a
+        return AddDropLineshape(
+            n0=self.effective_index_at_ref,
+            dispersion=self.effective_index_at_ref - self.group_index,
+            lam0=self.reference_wavelength_nm,
+            length=self.circumference_nm,
+            denom0=(1.0 - ta) ** 2,
+            four_ta=4.0 * ta,
+            drop_num=(1.0 - t1**2) * (1.0 - t2**2) * a,
+            drop_loss=db_to_power(self.drop_excess_loss_db),
+            through_num=(t2 * a - t1) ** 2,
+        )
 
     def drop_through(self, wavelength_nm, heater_power_mw=0.0):
         """(T_drop, T_through) power transmittances; vectorized over wavelength."""
-        phi = self.round_trip_phase(wavelength_nm, heater_power_mw)
-        t1, t2, a = self.self_coupling_t1, self.self_coupling_t2, self.round_trip_amplitude
-        ta = t1 * t2 * a
-        s2 = np.sin(np.asarray(phi) / 2.0) ** 2
-        denom = (1.0 - ta) ** 2 + 4.0 * ta * s2
-        k1sq = 1.0 - t1**2
-        k2sq = 1.0 - t2**2
-        t_drop = k1sq * k2sq * a / denom * db_to_power(self.drop_excess_loss_db)
-        t_through = ((t2 * a - t1) ** 2 + 4.0 * ta * s2) / denom
+        lam = np.asarray(wavelength_nm, dtype=float) - self._shift_nm(heater_power_mw)
+        t_drop, t_through = self.lineshape(lam)
         if np.ndim(t_drop):
             return t_drop, t_through
         return float(t_drop), float(t_through)
 
     def peak_drop_transmittance(self) -> float:
         """Drop transmittance exactly on resonance (includes excess loss)."""
-        t1, t2, a = self.self_coupling_t1, self.self_coupling_t2, self.round_trip_amplitude
-        ta = t1 * t2 * a
-        return (
-            (1.0 - t1**2) * (1.0 - t2**2) * a / (1.0 - ta) ** 2
-        ) * db_to_power(self.drop_excess_loss_db)
+        shape = self.lineshape
+        return shape.drop_num / shape.denom0 * shape.drop_loss
 
     def fwhm_nm(self) -> float:
         """Analytic full-width half-maximum of the drop resonance."""
@@ -298,16 +324,6 @@ class RingDevice:
             length * (1.0 + (channel_nm - lam0) / lam0)
         )
         return replace(self, effective_index_at_ref=n0)
-
-
-def ring_drop_through(dev: RingDevice, wavelength_nm, heater_power_mw=0.0):
-    """Module-level alias for RingDevice.drop_through."""
-    return dev.drop_through(wavelength_nm, heater_power_mw)
-
-
-def fsr_of(dev: RingDevice, wavelength_nm: float) -> float:
-    """Free spectral range at a wavelength."""
-    return dev.fsr_nm(wavelength_nm)
 
 
 def couplings_for_q(

@@ -21,10 +21,6 @@ class EncodingError(XbarError, ValueError):
     """Value cannot be mapped onto a physical transmittance."""
 
 
-class ProtocolError(XbarError, RuntimeError):
-    """A required measurement pass is missing (e.g. all-ones decode pass)."""
-
-
 class DataFormatError(XbarError, ValueError):
     """Malformed dataset file; message carries the position of the defect."""
 

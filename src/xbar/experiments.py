@@ -18,20 +18,14 @@ from . import __version__
 from .backends import IdealBackend, PhotonicBackend, make_backend
 from .compiler import MatrixCompiler
 from .config import RunConfig
-from .crossbar import BACKWARD, FORWARD, CrossbarArray, path_loss_report
+from .crossbar import BACKWARD, FORWARD, CrossbarArray, build_crossbar
 from .datasets import load_iris, load_mnist_subset
 from .devices import MziDevice, PhaseShifter, sweep_spectrum
 from .errors import ConfigError
 from .lut import build_lut, lut_to_binary, lut_to_csv
-from .nn import TrainingConfig, MlpRunner, train_iris, train_mnist
+from .nn import MlpRunner, train_iris, train_mnist
 from .noise import NoiseConfig, make_rng, perturb, time_average
-from .presets import (
-    PRESET_BUILDERS,
-    experimental_4x4,
-    experimental_mzi,
-    ideal_array,
-    simulation_9x9,
-)
+from .presets import preset_array, ring_for_q
 
 FLOAT_FMT = ".17g"
 
@@ -72,23 +66,20 @@ def write_manifest(out_dir: Path, config: RunConfig) -> None:
 
 def build_array(config: RunConfig) -> CrossbarArray:
     dev = config.devices
-    if dev.preset == "experimental_4x4":
-        return experimental_4x4(
-            fabrication_sigma_nm=dev.fabrication_sigma_nm,
-            seed=config.seed,
-            variant=config.topology.variant,
-        )
-    if config.topology.variant != "symmetric":
-        raise ConfigError("legacy_asymmetric topology is modeled for the 4x4 preset")
-    if dev.preset == "simulation_9x9":
-        return simulation_9x9()
-    return ideal_array(dev.n)
+    return preset_array(
+        dev.preset,
+        dev.n,
+        variant=config.topology.variant,
+        fabrication_sigma_nm=dev.fabrication_sigma_nm,
+        seed=config.seed,
+    )
 
 
-def noise_config(config: RunConfig) -> NoiseConfig | None:
+def noise_config(config: RunConfig, run: int = 0) -> NoiseConfig | None:
+    """Measurement noise of training run `run`; each run draws its own stream."""
     if not config.noise.enabled:
         return None
-    return NoiseConfig(relative_sigma=config.noise.relative_sigma, seed=config.seed)
+    return NoiseConfig(relative_sigma=config.noise.relative_sigma, seed=config.seed, stream=run)
 
 
 # -- individual experiments ------------------------------------------------------
@@ -186,24 +177,19 @@ def run_measure_matrix(config: RunConfig, out_dir: Path) -> None:
     )
 
 
-def _train_computer_mlp(config: RunConfig, train_x, train_y, test_x, test_y, seed: int):
-    tc = TrainingConfig(
-        optimizer="sgd",
-        learning_rate=config.training.learning_rate,
-        epochs=config.training.epochs,
-        batch_size=config.training.batch_size,
-        loss="mse",
-        backend="ideal",
-        seed=seed,
-        hidden=config.training.hidden,
-    )
-    return train_iris(tc, train_x, train_y, test_x, test_y, IdealBackend())
-
-
 def run_iris_inference(config: RunConfig, out_dir: Path) -> None:
     dataset = load_iris(config.datasets.iris_csv)
     train_x, train_y, test_x, test_y = dataset.split(config.seed)
-    result = _train_computer_mlp(config, train_x, train_y, test_x, test_y, config.seed)
+    # The weights are trained on a computer (ideal backend, SGD), then loaded.
+    result = train_iris(
+        replace(config.training, optimizer="sgd"),
+        config.seed,
+        train_x,
+        train_y,
+        test_x,
+        test_y,
+        IdealBackend(),
+    )
     array = build_array(config)
     backend = PhotonicBackend(
         array,
@@ -237,24 +223,15 @@ def run_iris_train(config: RunConfig, out_dir: Path) -> None:
     array = build_array(config)
     accs = []
     for run in range(config.training.runs):
-        seed = config.seed + run
         backend = make_backend(
             config.training.backend,
             array,
-            noise=noise_config(config),
+            noise=noise_config(config, run),
             time_average_count=config.noise.time_average,
         )
-        tc = TrainingConfig(
-            optimizer=config.training.optimizer,
-            learning_rate=config.training.learning_rate,
-            epochs=config.training.epochs,
-            batch_size=config.training.batch_size,
-            loss="mse",
-            backend=config.training.backend,
-            seed=seed,
-            hidden=config.training.hidden,
+        result = train_iris(
+            config.training, config.seed + run, train_x, train_y, test_x, test_y, backend
         )
-        result = train_iris(tc, train_x, train_y, test_x, test_y, backend)
         write_csv(
             out_dir / f"cost_history_run{run + 1}.csv",
             "epoch,value",
@@ -281,17 +258,14 @@ def run_mnist_train(config: RunConfig, out_dir: Path) -> None:
         noise=noise_config(config),
         time_average_count=config.noise.time_average,
     )
-    tc = TrainingConfig(
-        optimizer="adam",
-        learning_rate=config.training.learning_rate,
-        epochs=config.training.epochs,
-        batch_size=config.training.batch_size,
-        loss="cross_entropy",
-        backend=config.training.backend,
-        seed=config.seed,
-    )
     result = train_mnist(
-        tc, data.train_images, data.train_labels, data.test_images, data.test_labels, backend
+        replace(config.training, optimizer="adam"),
+        config.seed,
+        data.train_images,
+        data.train_labels,
+        data.test_images,
+        data.test_labels,
+        backend,
     )
     write_csv(
         out_dir / "accuracy_history.csv",
@@ -310,13 +284,10 @@ def run_mnist_train(config: RunConfig, out_dir: Path) -> None:
 
 def run_sweep_scaling(config: RunConfig, out_dir: Path) -> None:
     """Crosstalk scaling: MVM error against the exact product versus ring Q."""
-    from .presets import ring_for_q
-    from .crossbar import build_symmetric
-
     rng = make_rng(config.seed, stream=3)
     rows = []
     for q in (1e4, 1e5, 3e5):
-        array = build_symmetric(9, ring_template=ring_for_q(q, lossless=True))
+        array = build_crossbar(9, ring_template=ring_for_q(q, lossless=True))
         compiler = MatrixCompiler(array)
         errs = []
         for _ in range(20):
@@ -328,13 +299,12 @@ def run_sweep_scaling(config: RunConfig, out_dir: Path) -> None:
             errs.append(np.linalg.norm(y - ref) / np.linalg.norm(ref))
         rows.append((q, float(np.mean(errs)), float(np.max(errs))))
     write_csv(out_dir / "scaling.csv", "quality_factor,mean_rel_l2,max_rel_l2", rows)
-    # Path-loss uniformity report for both variants.
-    report = path_loss_report(build_array(config).topology)
-    write_matrix_csv(out_dir / "path_loss_forward_db.csv", report[FORWARD])
-    write_matrix_csv(out_dir / "path_loss_backward_db.csv", report[BACKWARD])
+    # Path-loss uniformity report for the configured layout.
+    topology = build_array(config).topology
+    write_matrix_csv(out_dir / "path_loss_forward_db.csv", topology.path_loss_db(FORWARD))
+    write_matrix_csv(out_dir / "path_loss_backward_db.csv", topology.path_loss_db(BACKWARD))
     # A Fig.-7(a)-style calibration table for the (1,1) element.
-    lut_array = experimental_4x4()
-    lut = build_lut(lut_array, 0, 0)
+    lut = build_lut(preset_array("experimental_4x4"), 0, 0)
     lut_to_csv(lut, out_dir / "lut_element_1_1.csv")
     lut_to_binary(lut, out_dir / "lut_element_1_1.lut")
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .crossbar import FORWARD, CrossbarArray, _check_direction
-from .devices import db_to_power
 from .errors import DataFormatError, InfeasibleError, ShapeError
 
 LUT_MAGIC = float(0x4C555431)  # 'LUT1'
@@ -127,20 +126,6 @@ class CalibrationLUT:
         return px, pw, clamped
 
 
-@dataclass(frozen=True)
-class LutProduct:
-    """Result of a LUT multiplication; `clamped` marks out-of-span requests."""
-
-    value: float
-    clamped: bool
-
-
-def lut_multiply(lut: CalibrationLUT, x_element: float, w_element: float) -> LutProduct:
-    """Estimate x * w by inverting the LUT axes and reading the output power."""
-    value, clamped = lut_multiply_many(lut, np.asarray([x_element]), np.asarray([w_element]))
-    return LutProduct(value=float(value[0]), clamped=bool(clamped[0]))
-
-
 def lut_multiply_many(lut: CalibrationLUT, x_targets, w_targets):
     """Vectorized LUT products; broadcasts x against w. Returns (values, clamped)."""
     x = np.asarray(x_targets, dtype=float)
@@ -156,19 +141,14 @@ def build_lut(
     array: CrossbarArray,
     row: int,
     col: int,
-    mzi_range_mw: tuple = DEFAULT_MZI_WINDOW_MW,
-    mrr_range_mw: tuple | None = None,
     steps: int = 64,
     direction: str = FORWARD,
-    extra_loss_db: float = 0.0,
 ) -> CalibrationLUT:
     """Simulated calibration sweep for element (row, col) of a crossbar.
 
-    The element's input MZI sweeps `mzi_range_mw` while its ring sweeps
-    `mrr_range_mw` (default: approaching its aligned resonance from 0.65 nm
-    below); all other MZIs sit at their extinction floor and all other rings
-    are parked. `extra_loss_db` injects a per-port loss imbalance, emulating
-    non-uniform fiber coupling.
+    The element's input MZI sweeps DEFAULT_MZI_WINDOW_MW while its ring
+    approaches its aligned resonance from LUT_RING_WINDOW_NM below; all
+    other MZIs sit at their extinction floor and all other rings are parked.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2 per axis")
@@ -178,21 +158,19 @@ def build_lut(
         raise ShapeError(f"element ({row},{col}) outside a {n}x{n} crossbar")
     grid = array.ring_grid
     ring = grid.rings[row][col]
-    if mrr_range_mw is None:
-        p_align = grid.aligned_heaters()[row, col]
-        span = LUT_RING_WINDOW_NM / ring.resonance_shift_per_mw
-        if p_align < span:
-            # The window would run below zero power: approach the next
-            # resonance order instead, one FSR of heater power higher.
-            p_align += ring.fsr_nm() / ring.resonance_shift_per_mw
-            if p_align > ring.shifter.max_power_mw:
-                raise InfeasibleError(
-                    f"element ({row},{col}): the LUT ring window needs {p_align:.4g} mW, "
-                    f"beyond the heater range of {ring.shifter.max_power_mw} mW"
-                )
-        mrr_range_mw = (p_align - span, p_align)
-    mzi_powers = np.linspace(mzi_range_mw[0], mzi_range_mw[1], steps)
-    mrr_powers = np.linspace(mrr_range_mw[0], mrr_range_mw[1], steps)
+    p_align = grid.aligned_heaters()[row, col]
+    span = LUT_RING_WINDOW_NM / ring.resonance_shift_per_mw
+    if p_align < span:
+        # The window would run below zero power: approach the next
+        # resonance order instead, one FSR of heater power higher.
+        p_align += ring.fsr_nm() / ring.resonance_shift_per_mw
+        if p_align > ring.shifter.max_power_mw:
+            raise InfeasibleError(
+                f"element ({row},{col}): the LUT ring window needs {p_align:.4g} mW, "
+                f"beyond the heater range of {ring.shifter.max_power_mw} mW"
+            )
+    mzi_powers = np.linspace(DEFAULT_MZI_WINDOW_MW[0], DEFAULT_MZI_WINDOW_MW[1], steps)
+    mrr_powers = np.linspace(p_align - span, p_align, steps)
 
     # Input port: the driven MZI for this element's bus in this direction.
     port = row if direction == FORWARD else col
@@ -201,8 +179,8 @@ def build_lut(
     t_mzi = np.asarray(mzi.transmittance(mzi_powers))
 
     heaters = grid.parked_heaters()
-    channels = grid.grid.array
-    u = array.topology.path_transmission(direction)[row, col]
+    u_all = array.topology.path_transmission(direction)
+    u = u_all[row, col]
     b = array.bus_budget
     # Element response summed over channels at each ring setting.
     g = np.empty(steps)
@@ -213,8 +191,7 @@ def build_lut(
         g[k] = drop[row, col, :].sum()
     # Pedestal from the other (parked) rings on this bus, fed by the dark MZIs.
     drop_dark, _ = grid.drop_through_tensor(heaters)
-    u_all = array.topology.path_transmission(direction)
-    floor_t = np.array([dev.transmittance(dev.power_for(0.0)) for dev in bank])
+    floor_t = array.input_transmittances(np.zeros(n), direction)
     if direction == FORWARD:
         # output col: sum over input rows i of floor_i * G[i, col] (i != row)
         others = sum(
@@ -229,7 +206,6 @@ def build_lut(
             if j != col
         )
     output = np.outer(t_mzi, g) * (b * u) + others
-    output = output * db_to_power(extra_loss_db)
     return CalibrationLUT(
         mzi_powers_mw=mzi_powers,
         mrr_powers_mw=mrr_powers,
@@ -244,11 +220,6 @@ class AsymmetryBias:
 
     bias: float
     apply_to: str  # direction whose readings receive the bias
-
-    def corrected(self, forward_norm, backward_norm):
-        if self.apply_to == FORWARD:
-            return forward_norm + self.bias, backward_norm
-        return forward_norm, backward_norm + self.bias
 
 
 def compensate_asymmetry(forward_lut: CalibrationLUT, backward_lut: CalibrationLUT) -> AsymmetryBias:

@@ -12,11 +12,15 @@ signals propagate backward through the same programmed weights
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import XbarError
+
+if TYPE_CHECKING:
+    from .config import TrainingSection
 
 # -- activations and losses ----------------------------------------------------
 
@@ -90,38 +94,6 @@ class Adam:
             mhat = m / (1 - self.b1**self.t)
             vhat = v / (1 - self.b2**self.t)
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-@dataclass
-class TrainingConfig:
-    optimizer: str = "sgd"  # sgd | adam
-    learning_rate: float = 0.5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    epochs: int = 100
-    batch_size: int = 1
-    loss: str = "mse"  # mse | cross_entropy
-    backend: str = "ideal"  # ideal | photonic | lut
-    seed: int = 0
-    hidden: int = 4
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss not in ("mse", "cross_entropy"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-
-    def make_optimizer(self):
-        if self.optimizer == "sgd":
-            return Sgd(self.learning_rate)
-        return Adam(self.learning_rate, self.adam_beta1, self.adam_beta2, self.adam_eps)
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -223,26 +195,6 @@ class MlpRunner:
         )
 
 
-def mlp_forward(model: MlpModel, x, backend):
-    """One inference pass; programs the backend for the current weights."""
-    return MlpRunner(model, backend).forward(x)
-
-
-def onchip_backprop_step(model: MlpModel, sample, target, backend, config: TrainingConfig):
-    """One optimizer step on one sample; returns the trace.
-
-    The weight update is applied in place and the crossbar would be
-    re-programmed on the next step (the runner refresh).
-    """
-    runner = MlpRunner(model, backend)
-    trace = runner.backprop(sample, target)
-    cost = mse_cost(trace.activations[-1], np.asarray(target, dtype=float).reshape(-1, 1))
-    if not np.isfinite(cost):
-        raise XbarError("training aborted: non-finite loss")
-    config.make_optimizer().update(model.params, trace.all_gradients)
-    return trace
-
-
 @dataclass
 class IrisTrainResult:
     cost_history: np.ndarray
@@ -256,13 +208,15 @@ def mlp_accuracy(model: MlpModel, backend, features, labels) -> float:
     return float((out.argmax(axis=0) == labels).mean())
 
 
-def train_iris(config: TrainingConfig, train_x, train_y, test_x, test_y, backend) -> IrisTrainResult:
-    """SGD training with on-chip-style backprop; MSE cost per the experiments."""
+def train_iris(
+    config: TrainingSection, seed: int, train_x, train_y, test_x, test_y, backend
+) -> IrisTrainResult:
+    """Training with on-chip-style backprop; MSE cost per the experiments."""
     sizes = (4, config.hidden, 3)
-    model = MlpModel.init(sizes, seed=config.seed)
+    model = MlpModel.init(sizes, seed=seed)
     runner = MlpRunner(model, backend)
     optimizer = config.make_optimizer()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     targets = one_hot(train_y, 3)
     costs = np.zeros(config.epochs)
     n_train = train_x.shape[0]
@@ -334,18 +288,6 @@ def im2col(images: np.ndarray) -> np.ndarray:
     windows = sliding_window_view(images, (KERNEL_SIZE, KERNEL_SIZE), axis=(1, 2))
     b = images.shape[0]
     return windows.reshape(b, CONV_OUT * CONV_OUT, KERNEL_SIZE * KERNEL_SIZE)
-
-
-def im2col_convolve(image: np.ndarray, kernel_matrix: np.ndarray, backend) -> np.ndarray:
-    """Convolve one 28x28 image with all nine kernels via one programmed matrix.
-
-    Returns (9, 26, 26): channel k is the valid correlation of the image with
-    kernel k (patch-dot products, as the crossbar computes them).
-    """
-    patches = im2col(image)[0]  # (676, 9)
-    handle = backend.program(kernel_matrix)
-    maps = handle.forward(patches.T)  # (9, 676)
-    return maps.reshape(KERNEL_COUNT, CONV_OUT, CONV_OUT)
 
 
 class CnnRunner:
@@ -444,18 +386,19 @@ def confusion_matrix(predicted, actual, classes: int = CLASSES) -> np.ndarray:
 
 
 def train_mnist(
-    config: TrainingConfig,
+    config: TrainingSection,
+    seed: int,
     train_images,
     train_labels,
     test_images,
     test_labels,
     backend,
 ) -> MnistTrainResult:
-    """ADAM training of the CNN with crossbar-routed convolutions."""
-    model = CnnModel.init(seed=config.seed)
+    """Training of the CNN with crossbar-routed convolutions."""
+    model = CnnModel.init(seed=seed)
     runner = CnnRunner(model, backend)
     optimizer = config.make_optimizer()
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     n_train = train_images.shape[0]
     acc_history = np.zeros(config.epochs)
     cost_history = np.zeros(config.epochs)

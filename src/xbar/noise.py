@@ -19,6 +19,7 @@ class NoiseConfig:
     relative_sigma: float = 0.02
     seed: int = 0
     enabled: bool = True
+    stream: int = 0  # independent stream of `seed`, one per parallel run
 
     def __post_init__(self):
         if self.relative_sigma < 0:

@@ -8,22 +8,22 @@
 - `simulation_9x9`: the modeled tensor core (Q = 3e5, nine channels evenly
   spaced within one FSR, lossless couplers).
 - `ideal`: near-perfect devices for oracle comparisons (Q = 1e8, infinite
-  extinction, no excess loss).
+  extinction, no excess loss), at any array size n.
+
+Every preset is built by `preset_array`, which accepts a waveguide layout,
+a fabrication spread of the ring resonances and its seed.
 """
 
 from __future__ import annotations
 
 import math
 
-from .crossbar import CrossbarArray, build_legacy_asymmetric, build_symmetric
+from .crossbar import SYMMETRIC, CrossbarArray, build_crossbar
 from .devices import (
-    DEFAULT_POWER_PER_PI_MW,
     DEFAULT_SHIFT_NM_PER_MW,
-    MziDevice,
-    PhaseShifter,
-    RingDevice,
     WAVEGUIDE_LOSS_DB_PER_CM,
-    WavelengthGrid,
+    MziDevice,
+    RingDevice,
     couplings_for_q,
 )
 
@@ -69,52 +69,23 @@ def experimental_ring() -> RingDevice:
     )
 
 
-def experimental_mzi(initial_phase_rad: float = 0.0) -> MziDevice:
-    return MziDevice(
-        shifter=PhaseShifter(
-            power_per_pi_mw=DEFAULT_POWER_PER_PI_MW, initial_phase_rad=initial_phase_rad
-        ),
-        extinction_ratio_db=EXPERIMENTAL_MZI_ER_DB,
-    )
+PRESETS = ("experimental_4x4", "simulation_9x9", "ideal")
 
 
-def experimental_4x4(
+def preset_array(
+    preset: str,
+    n: int = 4,
+    variant: str = SYMMETRIC,
     fabrication_sigma_nm: float = 0.0,
     seed: int | None = None,
-    variant: str = "symmetric",
 ) -> CrossbarArray:
-    builder = build_symmetric if variant == "symmetric" else build_legacy_asymmetric
-    return builder(
-        4,
-        grid=WavelengthGrid.c_band_4(),
-        ring_template=experimental_ring(),
-        mzi_template=experimental_mzi(),
-        fabrication_sigma_nm=fabrication_sigma_nm,
-        seed=seed,
-    )
-
-
-def simulation_9x9() -> CrossbarArray:
-    return build_symmetric(
-        9,
-        grid=WavelengthGrid.evenly_spaced(9),
-        ring_template=ring_for_q(SIMULATION_Q, lossless=True),
-        mzi_template=MziDevice(),
-    )
-
-
-def ideal_array(n: int) -> CrossbarArray:
-    grid = WavelengthGrid.c_band_4() if n == 4 else WavelengthGrid.evenly_spaced(n)
-    return build_symmetric(
-        n,
-        grid=grid,
-        ring_template=ring_for_q(IDEAL_Q, lossless=True),
-        mzi_template=MziDevice(),
-    )
-
-
-PRESET_BUILDERS = {
-    "experimental_4x4": lambda n=4, **kw: experimental_4x4(**kw),
-    "simulation_9x9": lambda n=9, **kw: simulation_9x9(),
-    "ideal": ideal_array,
-}
+    """Crossbar of a named preset; `n` sizes the `ideal` preset only."""
+    if preset == "experimental_4x4":
+        n, ring, mzi = 4, experimental_ring(), MziDevice(extinction_ratio_db=EXPERIMENTAL_MZI_ER_DB)
+    elif preset == "simulation_9x9":
+        n, ring, mzi = 9, ring_for_q(SIMULATION_Q, lossless=True), MziDevice()
+    elif preset == "ideal":
+        ring, mzi = ring_for_q(IDEAL_Q, lossless=True), MziDevice()
+    else:
+        raise ValueError(f"unknown preset {preset!r}")
+    return build_crossbar(n, ring, mzi, variant, fabrication_sigma_nm, seed)

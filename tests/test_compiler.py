@@ -6,20 +6,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from xbar.compiler import MatrixCompiler
+from xbar.compiler import MatrixCompiler, decode_output, encode_signed, encode_signed_columns
 from xbar.config import RunConfig
 from xbar.crossbar import BACKWARD, FORWARD, build_ring_grid
 from xbar.devices import PhaseShifter, RingDevice, WavelengthGrid
 from xbar.errors import InfeasibleError
 from xbar.experiments import run_experiment
-from xbar.presets import experimental_4x4, ideal_array, ring_for_q, simulation_9x9
+from xbar.presets import preset_array, ring_for_q
 
 PRESETS = {
-    "experimental_4x4": lambda: experimental_4x4(),
-    "experimental_4x4_fab": lambda: experimental_4x4(fabrication_sigma_nm=0.02, seed=7),
-    "simulation_9x9": simulation_9x9,
-    "ideal": lambda: ideal_array(4),
+    "experimental_4x4": lambda: preset_array("experimental_4x4"),
+    "experimental_4x4_fab": lambda: preset_array(
+        "experimental_4x4", fabrication_sigma_nm=0.02, seed=7
+    ),
+    "simulation_9x9": lambda: preset_array("simulation_9x9"),
+    "ideal": lambda: preset_array("ideal", 4),
 }
 
 
@@ -103,7 +108,7 @@ def test_heaters_match_elementwise_reference(preset, compensate):
     array = PRESETS[preset]()
     compiler = MatrixCompiler(array, compensate_leakage=compensate)
     for targets in seeded_targets(array.n, seed=11):
-        heaters, achieved = compiler.heaters_for_targets(targets)
+        heaters, achieved, _ = compiler.heaters_for_targets(targets)
         ref_heaters, ref_achieved = reference_heaters(compiler, targets)
         np.testing.assert_array_equal(heaters, ref_heaters)
         np.testing.assert_array_equal(achieved, ref_achieved)
@@ -122,7 +127,7 @@ def test_grid_lineshape_equals_device_lineshape(preset):
     compiler = MatrixCompiler(array)
     channels = grid.grid.array
     for targets in seeded_targets(array.n, seed=2, count=3):
-        heaters, _ = compiler.heaters_for_targets(targets)
+        heaters, _, _ = compiler.heaters_for_targets(targets)
         drop, through = grid.drop_through_tensor(heaters)
         for i, row in enumerate(grid.rings):
             for j, ring in enumerate(row):
@@ -169,7 +174,7 @@ def test_detuning_rejects_levels_outside_unit_interval(bad):
 
 
 def test_aligned_heaters_returns_a_copy():
-    grid = experimental_4x4().ring_grid
+    grid = preset_array("experimental_4x4").ring_grid
     first = grid.aligned_heaters()
     expected = first.copy()
     first[:] = -1.0
@@ -192,13 +197,12 @@ def test_forward_and_backward_are_transposes(preset):
         array.topology.path_transmission(FORWARD), array.topology.path_transmission(BACKWARD)
     )
     for targets in seeded_targets(array.n, seed=5, count=4):
-        heaters, _ = compiler.heaters_for_targets(targets)
+        heaters, _, _ = compiler.heaters_for_targets(targets)
         forward = array.effective_matrix(heaters, FORWARD)  # forward y = forward.T @ x
         backward = array.effective_matrix(heaters, BACKWARD)  # backward y = backward @ s
-        # Both directions share the drop tensor and the path losses exactly.
-        # The one-time normalization probes sum the same powers in different
-        # orders, so the two constants may differ in their last bits.
-        np.testing.assert_allclose(forward, backward, rtol=4 * np.finfo(float).eps, atol=0.0)
+        # Both directions share the drop tensor, the path losses and the
+        # normalization constant exactly.
+        np.testing.assert_array_equal(forward, backward)
 
 
 def test_photonic_iris_train_rerun_is_byte_identical(tmp_path):
@@ -215,3 +219,49 @@ def test_photonic_iris_train_rerun_is_byte_identical(tmp_path):
         out_dir = run_experiment(config)
         outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))})
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("compensate", [True, False])
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_clamped_elements_mark_where_the_span_clip_was_active(preset, compensate):
+    array = PRESETS[preset]()
+    compiler = MatrixCompiler(array, compensate_leakage=compensate)
+    n = array.n
+    rng = np.random.default_rng(9)
+    targets = rng.uniform(0.2, 0.8, (n, n))
+    assert not compiler.compile_unit(targets).clamped_elements.any()
+    targets[rng.uniform(size=(n, n)) < 0.3] = 0.0
+    targets[0, 0] = 0.0
+    np.testing.assert_array_equal(compiler.compile_unit(targets).clamped_elements, targets == 0.0)
+
+
+values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def products(draw):
+    n = draw(st.integers(1, 9))
+    batch = draw(st.integers(1, 5))
+    w = draw(arrays(float, (n, n), elements=values))
+    x = draw(arrays(float, (n, batch), elements=st.floats(0.0, 1.0)))
+    s = draw(arrays(float, (n, batch), elements=values))
+    return w, x, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(products())
+def test_decode_inverts_the_encodings_of_exact_products(case):
+    w, x, s = case
+    n = w.shape[0]
+    w_prime, encoding = encode_signed(w)
+    assert np.all((w_prime >= 0.0) & (w_prime <= 1.0))
+    tol = 1e-12 * n * (1.0 + np.abs(w).max()) * (1.0 + np.abs(s).max())
+    # Forward inputs are non-negative and pass unencoded (scale 1, offset 0).
+    forward = decode_output(w_prime @ x, encoding, 1.0, 0.0, x.sum(axis=0), n)
+    np.testing.assert_allclose(forward, w @ x, rtol=1e-12, atol=tol)
+    s_prime, scales, offsets = encode_signed_columns(s)
+    ones = w_prime.T @ np.ones((n, 1))
+    backward = decode_output(
+        w_prime.T @ s_prime, encoding, scales, offsets, s_prime.sum(axis=0), n, ones
+    )
+    np.testing.assert_allclose(backward, w.T @ s, rtol=1e-12, atol=tol)

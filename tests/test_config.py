@@ -66,3 +66,62 @@ def test_cli_rejects_mnist_train_on_default_preset(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "9x9" in lines[0]
     assert not out.exists()  # rejected before any work
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"training": {"epochs": "ten"}}, "training.epochs"),
+        ({"seed": "abc"}, "seed"),
+        ({"devices": {"n": "4"}}, "devices.n"),
+        ({"training": {"runs": True}}, "training.runs"),
+        ({"noise": {"relative_sigma": False}}, "noise.relative_sigma"),
+        ({"noise": {"enabled": 1}}, "noise.enabled"),
+        ({"datasets": {"iris_csv": 3}}, "datasets.iris_csv"),
+        ({"out_dir": None}, "out_dir"),
+        ({"devices": ["ideal"]}, "devices"),
+    ],
+)
+def test_wrong_value_types_raise_config_error(data, field):
+    with pytest.raises(ConfigError, match=f"^{field}: expected"):
+        RunConfig.from_dict({"experiment": "iris-train", **data})
+
+
+def test_int_is_accepted_for_float_fields():
+    config = RunConfig.from_dict({"training": {"learning_rate": 1}, "datasets": {"iris_csv": None}})
+    assert config.training.learning_rate == 1
+
+
+def test_legacy_topology_is_rejected_off_the_4x4_preset():
+    config = RunConfig.from_dict(
+        {
+            "experiment": "measure-matrix",
+            "devices": {"preset": "simulation_9x9"},
+            "topology": {"variant": "legacy_asymmetric"},
+        }
+    )
+    with pytest.raises(ConfigError, match="experimental_4x4"):
+        config.validate()
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"training": {"epochs": "ten"}},
+        {"seed": "abc"},
+        {"devices": {"preset": "ideal", "n": "4"}},
+        {"training": {"epochs": True}},
+        {"devices": {"preset": "ideal"}, "topology": {"variant": "legacy_asymmetric"}},
+    ],
+)
+def test_cli_reports_a_bad_config_in_one_line_before_any_work(tmp_path, capsys, config):
+    config_path = tmp_path / "run.yaml"
+    config_path.write_text(yaml.safe_dump(config))
+    out = tmp_path / "out"
+    code = main(["measure-matrix", "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("xbar: error:")
+    assert not out.exists()

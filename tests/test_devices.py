@@ -12,12 +12,8 @@ from xbar.devices import (
     WavelengthGrid,
     couplings_for_q,
     find_drop_peaks,
-    fsr_of,
     measure_fwhm,
-    mzi_transmittance,
-    ring_drop_through,
     sweep_spectrum,
-    thermo_phase,
 )
 from xbar.errors import InfeasibleError, PowerRangeError
 
@@ -25,7 +21,7 @@ from xbar.errors import InfeasibleError, PowerRangeError
 class TestPhaseShifter:
     def test_pi_at_power_per_pi(self):
         ps = PhaseShifter(power_per_pi_mw=19.3)
-        assert thermo_phase(ps, 19.3) == pytest.approx(math.pi, rel=1e-15)
+        assert ps.phase(19.3) == pytest.approx(math.pi, rel=1e-15)
 
     def test_zero_power_gives_initial_phase(self):
         ps = PhaseShifter(initial_phase_rad=0.7)
@@ -50,7 +46,7 @@ class TestPhaseShifter:
 class TestMzi:
     def test_full_transfer_at_pi(self):
         dev = MziDevice(excess_loss_db=0.5)
-        t = mzi_transmittance(dev, dev.shifter.power_per_pi_mw)
+        t = dev.transmittance(dev.shifter.power_per_pi_mw)
         assert t == pytest.approx(10 ** (-0.05), rel=1e-12)
 
     def test_null_state_at_zero_phase(self):
@@ -119,7 +115,7 @@ class TestRing:
 
     def test_fsr_default_geometry(self):
         ring = RingDevice()
-        assert fsr_of(ring, 1550.0) == pytest.approx(4.4, abs=0.05)
+        assert ring.fsr_nm(1550.0) == pytest.approx(4.4, abs=0.05)
 
     def test_fsr_inverse_proportional_to_group_index(self):
         r1 = RingDevice()

@@ -6,9 +6,12 @@ import pytest
 from xbar.backends import LutBackend
 from xbar.crossbar import BACKWARD, FORWARD
 from xbar.lut import LUT_RING_WINDOW_NM, build_lut
-from xbar.presets import EXPERIMENTAL_ALIGN_MW, experimental_4x4, ideal_array, simulation_9x9
+from xbar.presets import EXPERIMENTAL_ALIGN_MW, preset_array
 
-NEAR_ZERO_ALIGNMENT = {"ideal": lambda: ideal_array(4), "simulation_9x9": simulation_9x9}
+NEAR_ZERO_ALIGNMENT = {
+    "ideal": lambda: preset_array("ideal", 4),
+    "simulation_9x9": lambda: preset_array("simulation_9x9"),
+}
 
 
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
@@ -34,7 +37,7 @@ def test_lut_backend_calibrates_on_near_zero_alignment_presets(preset):
 
 
 def test_ring_window_unchanged_when_alignment_leaves_room():
-    array = experimental_4x4()
+    array = preset_array("experimental_4x4")
     ring = array.ring_grid.rings[0][0]
     p_align = array.ring_grid.aligned_heaters()[0, 0]
     assert p_align == pytest.approx(EXPERIMENTAL_ALIGN_MW, abs=0.5)
