@@ -26,16 +26,11 @@ from .compiler import (
     decode_output,
     encode_signed,
     encode_signed_columns,
+    pad,
 )
 from .crossbar import BACKWARD, FORWARD, CrossbarArray
 from .errors import EncodingError
-from .lut import (
-    AsymmetryBias,
-    CalibrationLUT,
-    build_lut,
-    compensate_asymmetry,
-    lut_multiply_many,
-)
+from .lut import build_lut, compensate_asymmetry, lut_multiply_many
 from .noise import NoiseConfig, make_rng, perturb, time_average
 
 _INPUT_TOL = 1e-9
@@ -99,57 +94,71 @@ class _NoiseMixin:
         return time_average(one, self.time_average_count)
 
 
-class PhotonicProgrammed:
-    """A signed matrix held as heater settings on a crossbar."""
+class _ProgrammedMatrix:
+    """A signed matrix programmed onto a crossbar-sized backend.
 
-    def __init__(self, backend: "PhotonicBackend", matrix: np.ndarray):
+    The base class pads, checks and encodes inputs, takes the all-ones pass
+    once per program and decodes. A subclass supplies the matrix encoding
+    (`_program`) and the measured raw products of encoded inputs:
+    `_raw_forward(x')` ~ W'^T x' and `_raw_backward(s')` ~ W' s', where W'
+    is the encoded, padded transpose held on the grid.
+    """
+
+    def __init__(self, backend, matrix: np.ndarray):
         self.backend = backend
+        self.n = backend.array.n
         m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError("programmed matrix must be 2-D")
-        self.out_dim, self.in_dim = m.shape
-        compiler = backend.compiler
         # The crossbar contracts over input ports: program the transpose.
-        self.compiled = compiler.compile_signed(compiler.pad(m.T))
-        array = backend.array
-        self._eff_fwd = array.effective_matrix(self.compiled.heater_settings_mw, FORWARD)
-        self._eff_bwd = array.effective_matrix(self.compiled.heater_settings_mw, BACKWARD)
+        self.encoding: AffineEncoding = self._program(pad(m.T, self.n))
+        self.out_dim, self.in_dim = m.shape
         self._ones_response: np.ndarray | None = None
+
+    def _padded(self, v, dim: int, what: str) -> np.ndarray:
+        if v.shape[0] != dim:
+            raise ValueError(f"expected {what} dim {dim}, got {v.shape[0]}")
+        out = np.zeros((self.n, v.shape[1]))
+        out[:dim] = v
+        return out
 
     def forward(self, x):
         xb, squeeze = _as_batch(x)
-        if xb.shape[0] != self.in_dim:
-            raise ValueError(f"expected input dim {self.in_dim}, got {xb.shape[0]}")
-        xb = _check_unit_interval(xb)
-        n = self.backend.array.n
-        xp = np.zeros((n, xb.shape[1]))
-        xp[: self.in_dim] = xb
-        raw = self.backend._measure(self._eff_fwd.T @ xp)
-        y = decode_output(raw, self.compiled.encoding, 1.0, 0.0, xp.sum(axis=0), n)[: self.out_dim]
+        xp = _check_unit_interval(self._padded(xb, self.in_dim, "input"))
+        raw = self._raw_forward(xp)
+        y = decode_output(raw, self.encoding, 1.0, 0.0, xp.sum(axis=0), self.n)[: self.out_dim]
         return y[:, 0] if squeeze else y
 
     def _measured_ones_response(self) -> np.ndarray:
-        """Backward all-ones pass (T' @ 1), measured once per program."""
+        """Backward all-ones pass (W' 1), measured once per program."""
         if self._ones_response is None:
-            self._ones_response = self.backend._measure(
-                self._eff_bwd @ np.ones(self.backend.array.n)
-            )
+            self._ones_response = self._raw_backward(np.ones((self.n, 1)))
         return self._ones_response
 
     def backward(self, s):
         sb, squeeze = _as_batch(s)
-        if sb.shape[0] != self.out_dim:
-            raise ValueError(f"expected error dim {self.out_dim}, got {sb.shape[0]}")
-        n = self.backend.array.n
-        sp = np.zeros((n, sb.shape[1]))
-        sp[: self.out_dim] = sb
-        s_prime, scales, offsets = encode_signed_columns(sp)
-        raw = self.backend._measure(self._eff_bwd @ s_prime)
-        ones = self._measured_ones_response()[:, None]
+        s_prime, scales, offsets = encode_signed_columns(self._padded(sb, self.out_dim, "error"))
+        raw = self._raw_backward(s_prime)
+        ones = self._measured_ones_response()
         y = decode_output(
-            raw, self.compiled.encoding, scales, offsets, s_prime.sum(axis=0), n, ones
+            raw, self.encoding, scales, offsets, s_prime.sum(axis=0), self.n, ones
         )[: self.in_dim]
         return y[:, 0] if squeeze else y
+
+
+class PhotonicProgrammed(_ProgrammedMatrix):
+    """A signed matrix held as heater settings on a crossbar."""
+
+    def _program(self, padded):
+        self.compiled = self.backend.compiler.compile_signed(padded)
+        heaters, array = self.compiled.heater_settings_mw, self.backend.array
+        self._eff_fwd = array.effective_matrix(heaters, FORWARD)
+        self._eff_bwd = array.effective_matrix(heaters, BACKWARD)
+        return self.compiled.encoding
+
+    def _raw_forward(self, xp):
+        return self.backend._measure(self._eff_fwd.T @ xp)
+
+    def _raw_backward(self, s_prime):
+        return self.backend._measure(self._eff_bwd @ s_prime)
 
 
 class PhotonicBackend(_NoiseMixin):
@@ -171,89 +180,32 @@ class PhotonicBackend(_NoiseMixin):
         return PhotonicProgrammed(self, matrix)
 
 
-class LutProgrammed:
+class LutProgrammed(_ProgrammedMatrix):
     """A signed matrix held as per-element LUT targets."""
 
-    def __init__(self, backend: "LutBackend", matrix: np.ndarray):
-        self.backend = backend
-        m = np.asarray(matrix, dtype=float)
-        self.out_dim, self.in_dim = m.shape
-        padded = backend.compiler.pad(m.T)
-        encoded, enc = encode_signed(padded)
-        self.encoding: AffineEncoding = enc
-        self.targets = encoded  # (n, n): targets[i, j] multiplies input i
-        self._ones_response: np.ndarray | None = None
+    def _program(self, padded):
+        self.targets, encoding = encode_signed(padded)  # targets[i, j] multiplies input i
+        return encoding
 
-    def forward(self, x):
-        xb, squeeze = _as_batch(x)
-        if xb.shape[0] != self.in_dim:
-            raise ValueError(f"expected input dim {self.in_dim}, got {xb.shape[0]}")
-        xb = _check_unit_interval(xb)
-        n = self.backend.array.n
-        xp = np.zeros((n, xb.shape[1]))
-        xp[: self.in_dim] = xb
-        raw = self._products_forward(xp)
-        y = decode_output(raw, self.encoding, 1.0, 0.0, xp.sum(axis=0), n)[: self.out_dim]
-        return y[:, 0] if squeeze else y
-
-    def _products_forward(self, xp):
+    def _raw_forward(self, xp):
         # y'[j, b] = sum_i lut_ij(x[i, b], T'[i, j])
-        n = self.backend.array.n
-        if self.backend.shared_lut:
-            est = self.backend.element_products(
-                0, xp[:, None, :], self.targets[:, :, None], FORWARD
-            )  # (n, n, B)
-            return est.sum(axis=0)
-        out = np.zeros((n, xp.shape[1]))
-        for i in range(n):
-            out += self.backend.element_products(
-                i, xp[i][None, :], self.targets[i][:, None], FORWARD
-            )
-        return out
+        return self.backend.element_products(
+            xp[:, None, :], self.targets[:, :, None], FORWARD
+        ).sum(axis=0)
 
-    def _products_backward(self, s_prime):
+    def _raw_backward(self, s_prime):
         # y'[i, b] = sum_j lut_ij(s'[j, b], T'[i, j])
-        n = self.backend.array.n
-        if self.backend.shared_lut:
-            est = self.backend.element_products(
-                0, s_prime[None, :, :], self.targets[:, :, None], BACKWARD
-            )  # (n, n, B)
-            return est.sum(axis=1)
-        out = np.zeros((n, s_prime.shape[1]))
-        for i in range(n):
-            out[i] = self.backend.element_products(
-                i, s_prime, self.targets[i][:, None], BACKWARD
-            ).sum(axis=0)
-        return out
-
-    def _measured_ones_response(self) -> np.ndarray:
-        if self._ones_response is None:
-            ones = np.ones((self.backend.array.n, 1))
-            self._ones_response = self._products_backward(ones)[:, 0]
-        return self._ones_response
-
-    def backward(self, s):
-        sb, squeeze = _as_batch(s)
-        if sb.shape[0] != self.out_dim:
-            raise ValueError(f"expected error dim {self.out_dim}, got {sb.shape[0]}")
-        n = self.backend.array.n
-        sp = np.zeros((n, sb.shape[1]))
-        sp[: self.out_dim] = sb
-        s_prime, scales, offsets = encode_signed_columns(sp)
-        raw = self._products_backward(s_prime)
-        ones = self._measured_ones_response()[:, None]
-        y = decode_output(raw, self.encoding, scales, offsets, s_prime.sum(axis=0), n, ones)[
-            : self.in_dim
-        ]
-        return y[:, 0] if squeeze else y
+        return self.backend.element_products(
+            s_prime[None, :, :], self.targets[:, :, None], BACKWARD
+        ).sum(axis=1)
 
 
 class LutBackend(_NoiseMixin):
     """Performs every multiplication by fetching calibration LUT entries.
 
-    When the ring grid is uniform a single LUT pair is shared by all
-    elements; otherwise one pair is built per ring. A forward/backward
-    power imbalance is compensated by a constant additive bias.
+    One LUT pair is calibrated per ring design, on the design's first
+    element; a uniform grid is one design. A forward/backward power
+    imbalance is compensated by a constant additive bias per design.
     """
 
     name = "lut"
@@ -266,59 +218,44 @@ class LutBackend(_NoiseMixin):
         time_average_count: int = 1,
     ):
         self.array = array
-        self.compiler = MatrixCompiler(array)
         self._init_noise(noise, time_average_count)
-        rings = array.ring_grid.rings
-        self.shared_lut = all(
-            ring.fabrication_detuning_nm == rings[0][0].fabrication_detuning_nm
-            and ring.self_coupling_t1 == rings[0][0].self_coupling_t1
-            for row in rings
-            for ring in row
-        )
-        self._fwd: dict[tuple, CalibrationLUT] = {}
-        self._bwd: dict[tuple, CalibrationLUT] = {}
-        self._bias: dict[tuple, AsymmetryBias] = {}
-        keys = [(0, 0)] if self.shared_lut else [
-            (i, j) for i in range(array.n) for j in range(array.n)
-        ]
-        for key in keys:
-            fwd = build_lut(array, key[0], key[1], steps=steps, direction=FORWARD)
-            bwd = build_lut(array, key[0], key[1], steps=steps, direction=BACKWARD)
-            self._fwd[key] = fwd
-            self._bwd[key] = bwd
-            self._bias[key] = compensate_asymmetry(fwd, bwd)
+        n = array.n
+        members: dict[tuple, list] = {}
+        for k, ring in enumerate(r for row in array.ring_grid.rings for r in row):
+            members.setdefault((ring.fabrication_detuning_nm, ring.self_coupling_t1), []).append(k)
+        # Elements ordered by design, so that each design reads one contiguous slice.
+        self._cells = np.divmod(np.concatenate(list(members.values())), n)
+        self._designs = []
+        start = 0
+        for elements in members.values():
+            row, col = divmod(elements[0], n)
+            luts = {d: build_lut(array, row, col, steps=steps, direction=d) for d in (FORWARD, BACKWARD)}
+            asymmetry = compensate_asymmetry(luts[FORWARD], luts[BACKWARD])
+            bias = {FORWARD: 0.0, BACKWARD: 0.0}
+            if asymmetry.apply_to == BACKWARD:
+                bias[BACKWARD] = asymmetry.bias
+            self._designs.append((slice(start, start + len(elements)), luts, bias))
+            start += len(elements)
 
-    def element_products(self, row: int, values, targets, direction: str) -> np.ndarray:
-        """LUT product estimates values * targets for elements of grid row `row`.
+    def element_products(self, values, targets, direction: str) -> np.ndarray:
+        """LUT product estimates values * targets for every grid element.
 
-        `values` and `targets` broadcast together; per-element LUTs are used
-        unless the grid is uniform. Estimates are clamped to the calibrated
-        span (a LUT cannot represent levels outside its windows).
+        `values` and `targets` broadcast to (n, n, batch), indexed by ring
+        (row, col). Each ring design reads its own LUT pair; estimates are
+        clamped to the calibrated span (a LUT cannot represent levels
+        outside its windows).
         """
         values = np.asarray(values, dtype=float)
         targets = np.asarray(targets, dtype=float)
         shape = np.broadcast_shapes(values.shape, targets.shape)
-        if self.shared_lut:
-            lut = self._fwd[(0, 0)] if direction == FORWARD else self._bwd[(0, 0)]
-            est, _ = lut_multiply_many(lut, values, targets)
-            est = np.broadcast_to(est, shape).copy()
-            if direction == BACKWARD:
-                bias = self._bias[(0, 0)]
-                if bias.apply_to == BACKWARD:
-                    est += bias.bias
-            return self._measure(est)
+        v = np.broadcast_to(values, shape)[self._cells]
+        t = np.broadcast_to(targets, shape)[self._cells]
+        est = np.empty(v.shape)
+        for cells, luts, bias in self._designs:
+            est[cells], _ = lut_multiply_many(luts[direction], v[cells], t[cells])
+            est[cells] += bias[direction]
         out = np.empty(shape)
-        v_b = np.broadcast_to(values, shape)
-        t_b = np.broadcast_to(targets, shape)
-        for j in range(shape[0]):
-            key = (row, j)
-            lut = self._fwd[key] if direction == FORWARD else self._bwd[key]
-            est, _ = lut_multiply_many(lut, v_b[j], t_b[j])
-            if direction == BACKWARD:
-                bias = self._bias[key]
-                if bias.apply_to == BACKWARD:
-                    est = est + bias.bias
-            out[j] = est
+        out[self._cells] = est
         return self._measure(out)
 
     def program(self, matrix: np.ndarray) -> LutProgrammed:

@@ -67,6 +67,16 @@ def encode_signed_columns(arr: np.ndarray):
     return (a - lo) / scales, scales, lo
 
 
+def pad(matrix, n: int) -> np.ndarray:
+    """Zero-pad a (rows, cols) matrix to an n x n crossbar."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] > n or m.shape[1] > n:
+        raise ShapeError(f"matrix {m.shape} does not fit a {n}x{n} crossbar")
+    out = np.zeros((n, n))
+    out[: m.shape[0], : m.shape[1]] = m
+    return out
+
+
 def decode_output(raw, matrix_encoding: AffineEncoding, scales, offsets, sums, n: int, ones=0.0):
     """Exact algebraic inverse of the affine encodings applied to a product.
 
@@ -209,12 +219,3 @@ class MatrixCompiler:
             raise ShapeError(f"matrix must be {self.n}x{self.n}; pad before compiling")
         encoded, enc = encode_signed(m)
         return self.compile_unit(encoded, encoding=enc)
-
-    def pad(self, matrix: np.ndarray) -> np.ndarray:
-        """Zero-pad a (rows, cols) matrix to the crossbar size."""
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] > self.n or m.shape[1] > self.n:
-            raise ShapeError(f"matrix {m.shape} does not fit a {self.n}x{self.n} crossbar")
-        out = np.zeros((self.n, self.n))
-        out[: m.shape[0], : m.shape[1]] = m
-        return out

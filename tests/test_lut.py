@@ -5,7 +5,7 @@ import pytest
 
 from xbar.backends import LutBackend
 from xbar.crossbar import BACKWARD, FORWARD
-from xbar.lut import LUT_RING_WINDOW_NM, build_lut
+from xbar.lut import LUT_RING_WINDOW_NM, build_lut, compensate_asymmetry, lut_multiply_many
 from xbar.presets import EXPERIMENTAL_ALIGN_MW, preset_array
 
 NEAR_ZERO_ALIGNMENT = {
@@ -46,3 +46,32 @@ def test_ring_window_unchanged_when_alignment_leaves_room():
         lut.mrr_powers_mw,
         np.linspace(p_align - LUT_RING_WINDOW_NM / ring.resonance_shift_per_mw, p_align, 16),
     )
+
+
+# Element whose LUT pair calibrates element (i, j): a uniform grid is one
+# ring design calibrated on (0, 0); with a fabrication spread every ring is
+# its own design.
+CALIBRATED_ON = {0.0: lambda i, j: (0, 0), 0.02: lambda i, j: (i, j)}
+
+
+@pytest.mark.parametrize("sigma", list(CALIBRATED_ON))
+def test_element_products_match_a_per_element_lut_loop(sigma):
+    array = preset_array("experimental_4x4", fabrication_sigma_nm=sigma, seed=0)
+    backend = LutBackend(array, steps=16)
+    rng = np.random.default_rng(1)
+    values = rng.uniform(0.0, 1.0, (4, 4, 3))
+    targets = rng.uniform(0.0, 1.0, (4, 4, 1))
+    for direction in (FORWARD, BACKWARD):
+        want = np.empty((4, 4, 3))
+        for i in range(4):
+            for j in range(4):
+                fwd, bwd = (
+                    build_lut(array, *CALIBRATED_ON[sigma](i, j), steps=16, direction=d)
+                    for d in (FORWARD, BACKWARD)
+                )
+                lut = fwd if direction == FORWARD else bwd
+                want[i, j], _ = lut_multiply_many(lut, values[i, j], targets[i, j])
+                asymmetry = compensate_asymmetry(fwd, bwd)
+                if asymmetry.apply_to == BACKWARD == direction:
+                    want[i, j] += asymmetry.bias
+        np.testing.assert_array_equal(backend.element_products(values, targets, direction), want)
