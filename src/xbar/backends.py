@@ -232,8 +232,7 @@ class LutBackend(_NoiseMixin):
             luts = {d: build_lut(array, row, col, steps=steps, direction=d) for d in (FORWARD, BACKWARD)}
             asymmetry = compensate_asymmetry(luts[FORWARD], luts[BACKWARD])
             bias = {FORWARD: 0.0, BACKWARD: 0.0}
-            if asymmetry.apply_to == BACKWARD:
-                bias[BACKWARD] = asymmetry.bias
+            bias[asymmetry.apply_to] = asymmetry.bias
             self._designs.append((slice(start, start + len(elements)), luts, bias))
             start += len(elements)
 

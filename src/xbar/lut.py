@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .crossbar import FORWARD, CrossbarArray, _check_direction
+from .crossbar import BACKWARD, FORWARD, CrossbarArray, _check_direction
 from .errors import DataFormatError, InfeasibleError, ShapeError
 
 LUT_MAGIC = float(0x4C555431)  # 'LUT1'
@@ -237,7 +237,7 @@ def compensate_asymmetry(forward_lut: CalibrationLUT, backward_lut: CalibrationL
     full = forward_lut.output_power.max()
     diff = float(np.mean(forward_lut.output_power - backward_lut.output_power) / full)
     if diff >= 0:
-        return AsymmetryBias(bias=diff, apply_to="backward")
+        return AsymmetryBias(bias=diff, apply_to=BACKWARD)
     return AsymmetryBias(bias=-diff, apply_to=FORWARD)
 
 

@@ -72,6 +72,22 @@ def test_element_products_match_a_per_element_lut_loop(sigma):
                 lut = fwd if direction == FORWARD else bwd
                 want[i, j], _ = lut_multiply_many(lut, values[i, j], targets[i, j])
                 asymmetry = compensate_asymmetry(fwd, bwd)
-                if asymmetry.apply_to == BACKWARD == direction:
+                if asymmetry.apply_to == direction:
                     want[i, j] += asymmetry.bias
         np.testing.assert_array_equal(backend.element_products(values, targets, direction), want)
+
+
+def test_forward_bias_is_added_to_forward_products():
+    array = preset_array("experimental_4x4")
+    fwd, bwd = (build_lut(array, 0, 0, direction=d) for d in (FORWARD, BACKWARD))
+    asymmetry = compensate_asymmetry(fwd, bwd)
+    assert asymmetry.apply_to == FORWARD and asymmetry.bias > 0.0
+    backend = LutBackend(array)
+    rng = np.random.default_rng(2)
+    values = rng.uniform(0.0, 1.0, (4, 4, 2))
+    targets = rng.uniform(0.0, 1.0, (4, 4, 1))
+    for direction, lut, bias in ((FORWARD, fwd, asymmetry.bias), (BACKWARD, bwd, 0.0)):
+        bare, _ = lut_multiply_many(lut, values, targets)
+        np.testing.assert_array_equal(
+            backend.element_products(values, targets, direction), bare + bias
+        )
