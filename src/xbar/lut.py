@@ -3,10 +3,15 @@
 A LUT records the detected output power of one crossbar element while its
 input MZI and its ring heater sweep a rectangular window, the way a
 hardware-in-the-loop calibration would measure it. Multiplications are then
-performed by inverting the two axes on their monotone rising branches
-(bilinear interpolation, ties toward lower heater power) and reading the
-stored power. Forward/backward pairs may differ when per-port losses are
-unbalanced; a constant additive bias in normalized power compensates.
+performed by inverting the two axes on their rising branches and reading the
+stored power by bilinear interpolation. An axis's rising branch is the
+strictly increasing run of its response that ends at the response's maximum:
+it starts after the last non-increase before the peak, so a falling run or a
+neighbouring resonance inside the window is never inverted. The `lut`
+backend calibrates one forward/backward pair per ring design. The pair may
+differ when per-port losses are unbalanced; a constant additive bias in
+normalized power, applied in the direction `compensate_asymmetry` names,
+compensates.
 
 Serialization: CSV (`mzi_mw,mrr_mw,power`) and a compact binary layout with
 an 8-value float64 header [magic, version, n_mzi, n_mrr, mzi_min, mzi_max,
@@ -87,23 +92,17 @@ class CalibrationLUT:
         """Rising-branch responses along each axis, normalized to [~0, 1].
 
         MZI branch: the output column at the ring setting that maximizes
-        power, truncated at its maximum (the fringe's rising branch). Ring
-        branch: the row at the MZI setting that maximizes power.
+        power. Ring branch: the row at the MZI setting that maximizes power.
+        Each is cut to its rising branch (see `_rising_branch`).
         """
         cached = getattr(self, "_branch_cache", None)
         if cached is not None:
             return cached
         i_pk, j_pk = np.unravel_index(int(np.argmax(self.output_power)), self.output_power.shape)
         full = self.output_power[i_pk, j_pk]
-        col = self.output_power[:, j_pk] / full
-        row = self.output_power[i_pk, :] / full
-        mzi_stop = int(np.argmax(col)) + 1
-        mrr_stop = int(np.argmax(row)) + 1
         result = (
-            self.mzi_powers_mw[:mzi_stop],
-            col[:mzi_stop],
-            self.mrr_powers_mw[:mrr_stop],
-            row[:mrr_stop],
+            *_rising_branch(self.mzi_powers_mw, self.output_power[:, j_pk] / full),
+            *_rising_branch(self.mrr_powers_mw, self.output_power[i_pk, :] / full),
             full,
         )
         object.__setattr__(self, "_branch_cache", result)
@@ -124,6 +123,16 @@ class CalibrationLUT:
         px = np.interp(x, mzi_r, mzi_p)
         pw = np.interp(w, mrr_r, mrr_p)
         return px, pw, clamped
+
+
+def _rising_branch(powers: np.ndarray, response: np.ndarray):
+    """(powers, response) on the rising branch: the strictly increasing run
+    that ends at the response's maximum, starting after the last
+    non-increase before it."""
+    stop = int(np.argmax(response)) + 1
+    falls = np.flatnonzero(np.diff(response[:stop]) <= 0)
+    start = int(falls[-1]) + 1 if falls.size else 0
+    return powers[start:stop], response[start:stop]
 
 
 def lut_multiply_many(lut: CalibrationLUT, x_targets, w_targets):

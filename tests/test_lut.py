@@ -8,6 +8,12 @@ from xbar.crossbar import BACKWARD, FORWARD
 from xbar.lut import LUT_RING_WINDOW_NM, build_lut, compensate_asymmetry, lut_multiply_many
 from xbar.presets import EXPERIMENTAL_ALIGN_MW, preset_array
 
+BRANCH_ARRAYS = {
+    f"{preset}-sigma{sigma}": (preset, sigma)
+    for preset in ("experimental_4x4", "simulation_9x9")
+    for sigma in (0.0, 0.02)
+}
+
 NEAR_ZERO_ALIGNMENT = {
     "ideal": lambda: preset_array("ideal", 4),
     "simulation_9x9": lambda: preset_array("simulation_9x9"),
@@ -91,3 +97,17 @@ def test_forward_bias_is_added_to_forward_products():
         np.testing.assert_array_equal(
             backend.element_products(values, targets, direction), bare + bias
         )
+
+
+@pytest.mark.parametrize("name", list(BRANCH_ARRAYS))
+def test_every_lut_branch_is_strictly_increasing(name):
+    preset, sigma = BRANCH_ARRAYS[name]
+    array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
+    for i in range(array.n):
+        for j in range(array.n):
+            for direction in (FORWARD, BACKWARD):
+                mzi_p, mzi_r, mrr_p, mrr_r, _ = build_lut(array, i, j, direction=direction)._branches()
+                for powers, response in ((mzi_p, mzi_r), (mrr_p, mrr_r)):
+                    assert len(response) >= 2
+                    assert np.all(np.diff(response) > 0), (i, j, direction)
+                    assert np.all(np.diff(powers) > 0)
