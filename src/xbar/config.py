@@ -194,6 +194,8 @@ class RunConfig:
                 f"topology.variant {self.topology.variant!r} is modeled for the "
                 "experimental_4x4 preset only"
             )
+        if self.experiment == "mnist-train" and self.datasets.mnist_dir is None:
+            raise ConfigError("mnist-train requires datasets.mnist_dir pointing at the IDX files")
         if self.experiment == "mnist-train" and self.training.backend != "ideal":
             needed = max(KERNEL_COUNT, KERNEL_SIZE * KERNEL_SIZE)
             if self.devices.array_size < needed:

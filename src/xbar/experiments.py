@@ -21,7 +21,6 @@ from .config import RunConfig
 from .crossbar import BACKWARD, FORWARD, CrossbarArray, build_crossbar
 from .datasets import load_iris, load_mnist_subset
 from .devices import MziDevice, PhaseShifter, sweep_spectrum
-from .errors import ConfigError
 from .lut import build_lut, lut_to_binary, lut_to_csv
 from .nn import MlpRunner, train_iris, train_mnist
 from .noise import NoiseConfig, make_rng, perturb, time_average
@@ -242,10 +241,6 @@ def run_iris_train(config: RunConfig, out_dir: Path) -> None:
 
 
 def run_mnist_train(config: RunConfig, out_dir: Path) -> None:
-    if config.datasets.mnist_dir is None:
-        raise ConfigError(
-            "mnist-train requires datasets.mnist_dir pointing at the IDX files"
-        )
     data = load_mnist_subset(
         config.datasets.mnist_dir,
         config.datasets.mnist_train,

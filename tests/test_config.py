@@ -38,7 +38,12 @@ def test_manifest_hash_is_the_same_in_two_directories(tmp_path):
 )
 def test_mnist_train_rejects_arrays_below_9x9(devices, backend):
     config = RunConfig.from_dict(
-        {"experiment": "mnist-train", "devices": devices, "training": {"backend": backend}}
+        {
+            "experiment": "mnist-train",
+            "devices": devices,
+            "training": {"backend": backend},
+            "datasets": {"mnist_dir": "mnist"},
+        }
     )
     with pytest.raises(ConfigError, match="9x9"):
         config.validate()
@@ -50,7 +55,12 @@ def test_mnist_train_rejects_arrays_below_9x9(devices, backend):
 )
 def test_mnist_train_accepts_arrays_that_fit(devices, backend):
     config = RunConfig.from_dict(
-        {"experiment": "mnist-train", "devices": devices, "training": {"backend": backend}}
+        {
+            "experiment": "mnist-train",
+            "devices": devices,
+            "training": {"backend": backend},
+            "datasets": {"mnist_dir": "mnist"},
+        }
     )
     config.validate()
 
@@ -66,6 +76,29 @@ def test_cli_rejects_mnist_train_on_default_preset(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "9x9" in lines[0]
     assert not out.exists()  # rejected before any work
+
+
+def test_mnist_train_requires_mnist_dir():
+    config = RunConfig.from_dict(
+        {"experiment": "mnist-train", "devices": {"preset": "simulation_9x9"}}
+    )
+    with pytest.raises(ConfigError, match="datasets.mnist_dir"):
+        config.validate()
+
+
+def test_cli_rejects_mnist_train_without_mnist_dir_before_any_work(tmp_path, capsys):
+    config_path = tmp_path / "mnist.yaml"
+    config_path.write_text(
+        yaml.safe_dump({"devices": {"preset": "simulation_9x9"}, "training": {"backend": "photonic"}})
+    )
+    out = tmp_path / "out"
+    code = main(["mnist-train", "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "datasets.mnist_dir" in lines[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
