@@ -5,7 +5,18 @@ import pytest
 
 from xbar.backends import LutBackend
 from xbar.crossbar import BACKWARD, FORWARD
-from xbar.lut import LUT_RING_WINDOW_NM, build_lut, compensate_asymmetry, lut_multiply_many
+from xbar.errors import DataFormatError
+from xbar.lut import (
+    LUT_RING_WINDOW_NM,
+    LUT_VERSION,
+    build_lut,
+    compensate_asymmetry,
+    lut_from_binary,
+    lut_from_csv,
+    lut_multiply_many,
+    lut_to_binary,
+    lut_to_csv,
+)
 from xbar.presets import EXPERIMENTAL_ALIGN_MW, preset_array
 
 BRANCH_ARRAYS = {
@@ -111,3 +122,67 @@ def test_every_lut_branch_is_strictly_increasing(name):
                     assert len(response) >= 2
                     assert np.all(np.diff(response) > 0), (i, j, direction)
                     assert np.all(np.diff(powers) > 0)
+
+
+@pytest.fixture(scope="module")
+def small_lut():
+    return build_lut(preset_array("experimental_4x4"), 1, 2, steps=8, direction=BACKWARD)
+
+
+@pytest.mark.parametrize("write, read", [(lut_to_csv, lut_from_csv), (lut_to_binary, lut_from_binary)])
+def test_lut_round_trip_is_bit_equal(tmp_path, small_lut, write, read):
+    path = tmp_path / "element.lut"
+    write(small_lut, path)
+    back = read(path, direction=BACKWARD)
+    np.testing.assert_array_equal(back.mzi_powers_mw, small_lut.mzi_powers_mw)
+    np.testing.assert_array_equal(back.mrr_powers_mw, small_lut.mrr_powers_mw)
+    np.testing.assert_array_equal(back.output_power, small_lut.output_power)
+    assert back.direction == BACKWARD
+
+
+def _corrupt_csv(text: str, what: str) -> str:
+    lines = text.splitlines(keepends=True)
+    if what == "header":
+        lines[0] = "mzi,mrr,power\n"
+    else:  # a data row with a missing column
+        lines[3] = ",".join(lines[3].split(",")[:2]) + "\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("what, message", [("header", "header"), ("columns", ":4: expected 3 columns")])
+def test_corrupt_lut_csv_raises_data_format_error(tmp_path, small_lut, what, message):
+    path = tmp_path / "element.csv"
+    lut_to_csv(small_lut, path)
+    path.write_text(_corrupt_csv(path.read_text(), what))
+    with pytest.raises(DataFormatError, match=message):
+        lut_from_csv(path)
+
+
+def _corrupt_binary(raw: bytes, what: str) -> bytes:
+    header = np.frombuffer(raw[:64], dtype="<f8").copy()
+    if what == "magic":
+        header[0] += 1.0
+    elif what == "version":
+        header[1] = LUT_VERSION + 1.0
+    elif what == "truncated header":
+        return raw[:40]
+    elif what == "byte count":
+        return raw[:-8]
+    return header.tobytes() + raw[64:]
+
+
+@pytest.mark.parametrize(
+    "what, message",
+    [
+        ("magic", "bad LUT magic"),
+        ("version", "unsupported LUT version"),
+        ("truncated header", "truncated LUT header"),
+        ("byte count", "expected 576 bytes, found 568"),
+    ],
+)
+def test_corrupt_lut_binary_raises_data_format_error(tmp_path, small_lut, what, message):
+    path = tmp_path / "element.lut"
+    lut_to_binary(small_lut, path)
+    path.write_bytes(_corrupt_binary(path.read_bytes(), what))
+    with pytest.raises(DataFormatError, match=message):
+        lut_from_binary(path)
