@@ -8,12 +8,18 @@ signed products
 
 with all crossbar mechanics hidden inside: the signed matrix is transposed
 onto the ring grid (the crossbar's forward pass contracts over input rows),
-zero-padded to the array size, affine-encoded, compiled to heater settings,
-and decoded electronically on the way out. Signed backward inputs use the
-affine vector encoding plus the all-ones pass measured once per program.
+zero-padded to the array size, affine-encoded, held as heater settings
+(`photonic`) or LUT targets (`lut`), and decoded electronically on the way
+out. Signed backward inputs use the affine vector encoding plus the all-ones
+pass measured once per program. One base handle does this for both physical
+backends; each supplies only its encoding and its raw products.
 
 The `lut` backend never propagates whole vectors; every scalar product is
 fetched from calibration look-up tables, as the training experiments did.
+It calibrates one LUT pair per ring design (rings with equal fabrication
+detuning and coupling): a uniform grid is one design, a grid with a
+fabrication spread has one per ring. Each LUT is inverted on the rising
+branch of each axis (see `xbar.lut`).
 """
 
 from __future__ import annotations
@@ -220,41 +226,48 @@ class LutBackend(_NoiseMixin):
         self.array = array
         self._init_noise(noise, time_average_count)
         n = array.n
-        members: dict[tuple, list] = {}
+        designs: dict[tuple, list] = {}
         for k, ring in enumerate(r for row in array.ring_grid.rings for r in row):
-            members.setdefault((ring.fabrication_detuning_nm, ring.self_coupling_t1), []).append(k)
-        # Elements ordered by design, so that each design reads one contiguous slice.
-        self._cells = np.divmod(np.concatenate(list(members.values())), n)
+            designs.setdefault((ring.fabrication_detuning_nm, ring.self_coupling_t1), []).append(k)
+        # (rows, cols) of the elements ordered by design, so that each design
+        # reads one contiguous slice.
+        self._by_design = np.divmod(np.concatenate(list(designs.values())), n)
         self._designs = []
         start = 0
-        for elements in members.values():
-            row, col = divmod(elements[0], n)
-            luts = {d: build_lut(array, row, col, steps=steps, direction=d) for d in (FORWARD, BACKWARD)}
+        for members in designs.values():
+            row, col = divmod(members[0], n)
+            luts = {
+                d: build_lut(array, row, col, steps=steps, direction=d) for d in (FORWARD, BACKWARD)
+            }
             asymmetry = compensate_asymmetry(luts[FORWARD], luts[BACKWARD])
             bias = {FORWARD: 0.0, BACKWARD: 0.0}
             bias[asymmetry.apply_to] = asymmetry.bias
-            self._designs.append((slice(start, start + len(elements)), luts, bias))
-            start += len(elements)
+            self._designs.append((slice(start, start + len(members)), luts, bias))
+            start += len(members)
 
     def element_products(self, values, targets, direction: str) -> np.ndarray:
         """LUT product estimates values * targets for every grid element.
 
-        `values` and `targets` broadcast to (n, n, batch), indexed by ring
-        (row, col). Each ring design reads its own LUT pair; estimates are
-        clamped to the calibrated span (a LUT cannot represent levels
-        outside its windows).
+        `values` and `targets` are 3-D and broadcast to (n, n, batch),
+        indexed by ring (row, col). Each ring design reads its own LUT pair;
+        estimates are clamped to the calibrated span (a LUT cannot represent
+        levels outside its windows).
         """
-        values = np.asarray(values, dtype=float)
-        targets = np.asarray(targets, dtype=float)
-        shape = np.broadcast_shapes(values.shape, targets.shape)
-        v = np.broadcast_to(values, shape)[self._cells]
-        t = np.broadcast_to(targets, shape)[self._cells]
-        est = np.empty(v.shape)
-        for cells, luts, bias in self._designs:
-            est[cells], _ = lut_multiply_many(luts[direction], v[cells], t[cells])
-            est[cells] += bias[direction]
-        out = np.empty(shape)
-        out[self._cells] = est
+        rows, cols = self._by_design
+
+        def gather(a):
+            # (element in design order, batch); a length-1 axis broadcasts.
+            a = np.asarray(a, dtype=float)
+            return a[rows % a.shape[0], cols % a.shape[1]]
+
+        v, t = gather(values), gather(targets)
+        est = np.empty(np.broadcast_shapes(v.shape, t.shape))
+        for part, luts, bias in self._designs:
+            est[part], _ = lut_multiply_many(luts[direction], v[part], t[part])
+            est[part] += bias[direction]
+        n = self.array.n
+        out = np.empty((n, n) + est.shape[1:])
+        out[rows, cols] = est
         return self._measure(out)
 
     def program(self, matrix: np.ndarray) -> LutProgrammed:
