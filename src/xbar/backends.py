@@ -18,8 +18,11 @@ The `lut` backend never propagates whole vectors; every scalar product is
 fetched from calibration look-up tables, as the training experiments did.
 It calibrates one LUT pair per ring design (rings with equal fabrication
 detuning and coupling): a uniform grid is one design, a grid with a
-fabrication spread has one per ring. Each LUT is inverted on the rising
-branch of each axis (see `xbar.lut`).
+fabrication spread has one per ring. The designs' LUTs are stacked into one
+table per direction (`xbar.lut.LutStack`), read with an exact search keyed
+on (design, level), so each product of every element and the whole batch is
+one vectorised lookup, whatever the number of designs. Each LUT is inverted
+on the rising branch of each axis (see `xbar.lut`).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .compiler import (
 )
 from .crossbar import BACKWARD, FORWARD, CrossbarArray
 from .errors import EncodingError
-from .lut import build_lut, compensate_asymmetry, lut_multiply_many
+from .lut import LutStack, build_lut, compensate_asymmetry, lut_multiply_many
 from .noise import NoiseConfig, make_rng, perturb, time_average
 
 _INPUT_TOL = 1e-9
@@ -210,8 +213,10 @@ class LutBackend(_NoiseMixin):
     """Performs every multiplication by fetching calibration LUT entries.
 
     One LUT pair is calibrated per ring design, on the design's first
-    element; a uniform grid is one design. A forward/backward power
-    imbalance is compensated by a constant additive bias per design.
+    element; a uniform grid is one design. The designs' LUTs are stacked
+    into one table per direction, so every product is one vectorised read.
+    A forward/backward power imbalance is compensated by a constant
+    additive bias per design.
     """
 
     name = "lut"
@@ -229,46 +234,35 @@ class LutBackend(_NoiseMixin):
         designs: dict[tuple, list] = {}
         for k, ring in enumerate(r for row in array.ring_grid.rings for r in row):
             designs.setdefault((ring.fabrication_detuning_nm, ring.self_coupling_t1), []).append(k)
-        # (rows, cols) of the elements ordered by design, so that each design
-        # reads one contiguous slice.
-        self._by_design = np.divmod(np.concatenate(list(designs.values())), n)
-        self._designs = []
-        start = 0
-        for members in designs.values():
+        design = np.empty(n * n, dtype=int)
+        luts = {FORWARD: [], BACKWARD: []}
+        bias = {FORWARD: np.zeros(len(designs)), BACKWARD: np.zeros(len(designs))}
+        for d, members in enumerate(designs.values()):
+            design[members] = d
             row, col = divmod(members[0], n)
-            luts = {
-                d: build_lut(array, row, col, steps=steps, direction=d) for d in (FORWARD, BACKWARD)
+            pair = {
+                direction: build_lut(array, row, col, steps=steps, direction=direction)
+                for direction in (FORWARD, BACKWARD)
             }
-            asymmetry = compensate_asymmetry(luts[FORWARD], luts[BACKWARD])
-            bias = {FORWARD: 0.0, BACKWARD: 0.0}
-            bias[asymmetry.apply_to] = asymmetry.bias
-            self._designs.append((slice(start, start + len(members)), luts, bias))
-            start += len(members)
+            asymmetry = compensate_asymmetry(pair[FORWARD], pair[BACKWARD])
+            bias[asymmetry.apply_to][d] = asymmetry.bias
+            for direction, lut in pair.items():
+                luts[direction].append(lut)
+        # Ring design of element (row, col), broadcast over the batch axis.
+        design = design.reshape(n, n, 1)
+        self._tables = {direction: LutStack(luts[direction], design) for direction in luts}
+        self._bias = {direction: bias[direction][design] for direction in bias}
 
     def element_products(self, values, targets, direction: str) -> np.ndarray:
         """LUT product estimates values * targets for every grid element.
 
         `values` and `targets` are 3-D and broadcast to (n, n, batch),
-        indexed by ring (row, col). Each ring design reads its own LUT pair;
-        estimates are clamped to the calibrated span (a LUT cannot represent
-        levels outside its windows).
+        indexed by ring (row, col). Each ring reads its design's LUT, all in
+        one vectorised call; estimates are clamped to the calibrated span (a
+        LUT cannot represent levels outside its windows).
         """
-        rows, cols = self._by_design
-
-        def gather(a):
-            # (element in design order, batch); a length-1 axis broadcasts.
-            a = np.asarray(a, dtype=float)
-            return a[rows % a.shape[0], cols % a.shape[1]]
-
-        v, t = gather(values), gather(targets)
-        est = np.empty(np.broadcast_shapes(v.shape, t.shape))
-        for part, luts, bias in self._designs:
-            est[part], _ = lut_multiply_many(luts[direction], v[part], t[part])
-            est[part] += bias[direction]
-        n = self.array.n
-        out = np.empty((n, n) + est.shape[1:])
-        out[rows, cols] = est
-        return self._measure(out)
+        est, _ = lut_multiply_many(self._tables[direction], values, targets)
+        return self._measure(est + self._bias[direction])
 
     def program(self, matrix: np.ndarray) -> LutProgrammed:
         return LutProgrammed(self, matrix)

@@ -42,6 +42,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
+from .datasets import MNIST_FILES, find_mnist_file
 from .errors import ConfigError
 from .nn import KERNEL_COUNT, KERNEL_SIZE, Adam, Sgd
 from .presets import PRESETS
@@ -203,6 +204,15 @@ class RunConfig:
                     f"mnist-train on the {self.training.backend} backend needs an array of at "
                     f"least {needed}x{needed} for its kernel matrix; devices.preset "
                     f"{self.devices.preset!r} gives {self.devices.array_size}x{self.devices.array_size}"
+                )
+        if self.experiment == "mnist-train":
+            missing = [
+                kind for kind in MNIST_FILES if find_mnist_file(self.datasets.mnist_dir, kind) is None
+            ]
+            if missing:
+                raise ConfigError(
+                    f"datasets.mnist_dir {self.datasets.mnist_dir!r} holds no MNIST IDX file "
+                    f"for {', '.join(missing)}"
                 )
         return self
 

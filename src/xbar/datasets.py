@@ -179,7 +179,7 @@ class MnistSubset:
     test_labels: np.ndarray
 
 
-_MNIST_FILES = {
+MNIST_FILES = {
     "train_images": ("train-images-idx3-ubyte", "train-images.idx3-ubyte"),
     "train_labels": ("train-labels-idx1-ubyte", "train-labels.idx1-ubyte"),
     "test_images": ("t10k-images-idx3-ubyte", "t10k-images.idx3-ubyte"),
@@ -189,7 +189,7 @@ _MNIST_FILES = {
 
 def find_mnist_file(directory, kind: str):
     directory = Path(directory)
-    for stem in _MNIST_FILES[kind]:
+    for stem in MNIST_FILES[kind]:
         for name in (stem, stem + ".gz"):
             candidate = directory / name
             if candidate.exists():
@@ -199,7 +199,7 @@ def find_mnist_file(directory, kind: str):
 
 def load_mnist_subset(directory, train_count: int = 10000, test_count: int = 1000) -> MnistSubset:
     """The experiment subset: first `train_count`/`test_count` records."""
-    paths = {kind: find_mnist_file(directory, kind) for kind in _MNIST_FILES}
+    paths = {kind: find_mnist_file(directory, kind) for kind in MNIST_FILES}
     missing = [kind for kind, p in paths.items() if p is None]
     if missing:
         raise FileNotFoundError(

@@ -13,6 +13,15 @@ differ when per-port losses are unbalanced; a constant additive bias in
 normalized power, applied in the direction `compensate_asymmetry` names,
 compensates.
 
+There is one read, `LutStack.multiply`, and one LUT is its one-design case.
+A stack holds, per direction, every design's rising branches and grid axes
+concatenated in design order and their output grids stacked, so that the
+products of all elements and a whole batch are one vectorised read. Each
+axis is inverted with one exact search: complex keys design + 1j * level,
+which numpy orders by design first, find every level among its own design's
+knots. The result is bit-for-bit what np.interp on each branch followed by
+a bilinear lookup after a search of each grid axis gives.
+
 Serialization: CSV (`mzi_mw,mrr_mw,power`) and a compact binary layout with
 an 8-value float64 header [magic, version, n_mzi, n_mrr, mzi_min, mzi_max,
 mrr_min, mrr_max] followed by the row-major float64 grid.
@@ -63,66 +72,21 @@ class CalibrationLUT:
         object.__setattr__(self, "output_power", out)
         _check_direction(self.direction)
 
-    # -- raw reads ------------------------------------------------------------
+    def rising_branches(self):
+        """((mzi powers, response), (mrr powers, response), full scale).
 
-    def lookup(self, mzi_mw, mrr_mw):
-        """Bilinear interpolation of the output power at arbitrary settings."""
-        x = np.asarray(mzi_mw, dtype=float)
-        y = np.asarray(mrr_mw, dtype=float)
-        gx, gy, z = self.mzi_powers_mw, self.mrr_powers_mw, self.output_power
-        ix = np.clip(np.searchsorted(gx, x) - 1, 0, len(gx) - 2)
-        iy = np.clip(np.searchsorted(gy, y) - 1, 0, len(gy) - 2)
-        fx = np.clip((x - gx[ix]) / (gx[ix + 1] - gx[ix]), 0.0, 1.0)
-        fy = np.clip((y - gy[iy]) / (gy[iy + 1] - gy[iy]), 0.0, 1.0)
-        z00 = z[ix, iy]
-        z10 = z[ix + 1, iy]
-        z01 = z[ix, iy + 1]
-        z11 = z[ix + 1, iy + 1]
-        val = (
-            z00 * (1 - fx) * (1 - fy)
-            + z10 * fx * (1 - fy)
-            + z01 * (1 - fx) * fy
-            + z11 * fx * fy
-        )
-        return val if val.ndim else float(val)
-
-    # -- monotone-branch inversion ---------------------------------------------
-
-    def _branches(self):
-        """Rising-branch responses along each axis, normalized to [~0, 1].
-
-        MZI branch: the output column at the ring setting that maximizes
-        power. Ring branch: the row at the MZI setting that maximizes power.
-        Each is cut to its rising branch (see `_rising_branch`).
+        The MZI branch is the output column at the ring setting that
+        maximizes power; the ring branch is the row at the MZI setting that
+        maximizes power. Responses are normalized by the full scale (that
+        maximum) and cut to their rising branch (see `_rising_branch`).
         """
-        cached = getattr(self, "_branch_cache", None)
-        if cached is not None:
-            return cached
         i_pk, j_pk = np.unravel_index(int(np.argmax(self.output_power)), self.output_power.shape)
         full = self.output_power[i_pk, j_pk]
-        result = (
-            *_rising_branch(self.mzi_powers_mw, self.output_power[:, j_pk] / full),
-            *_rising_branch(self.mrr_powers_mw, self.output_power[i_pk, :] / full),
+        return (
+            _rising_branch(self.mzi_powers_mw, self.output_power[:, j_pk] / full),
+            _rising_branch(self.mrr_powers_mw, self.output_power[i_pk, :] / full),
             full,
         )
-        object.__setattr__(self, "_branch_cache", result)
-        return result
-
-    def invert(self, x_targets, w_targets):
-        """Heater powers realizing relative levels (x, w) on the rising branches.
-
-        Returns (mzi_mw, mrr_mw, clamped): targets outside the realizable
-        span are clamped to the branch ends and flagged.
-        """
-        mzi_p, mzi_r, mrr_p, mrr_r, _ = self._branches()
-        x = np.asarray(x_targets, dtype=float)
-        w = np.asarray(w_targets, dtype=float)
-        clamped = (
-            (x < mzi_r[0]) | (x > mzi_r[-1]) | (w < mrr_r[0]) | (w > mrr_r[-1])
-        )
-        px = np.interp(x, mzi_r, mzi_p)
-        pw = np.interp(w, mrr_r, mrr_p)
-        return px, pw, clamped
 
 
 def _rising_branch(powers: np.ndarray, response: np.ndarray):
@@ -135,15 +99,143 @@ def _rising_branch(powers: np.ndarray, response: np.ndarray):
     return powers[start:stop], response[start:stop]
 
 
-def lut_multiply_many(lut: CalibrationLUT, x_targets, w_targets):
-    """Vectorized LUT products; broadcasts x against w. Returns (values, clamped)."""
-    x = np.asarray(x_targets, dtype=float)
-    w = np.asarray(w_targets, dtype=float)
-    x, w = np.broadcast_arrays(x, w)
-    px, pw, clamped = lut.invert(x, w)
-    *_, full = lut._branches()
-    values = np.asarray(lut.lookup(px, pw)) / full
-    return values, clamped
+def _keys(design, values) -> np.ndarray:
+    """Exact complex search keys design + 1j * values (values' shape holds design's).
+
+    numpy orders complex numbers by real part, then imaginary part, and a
+    design index is an exact integer, so a search among keys sorted by
+    (design, value) finds each value inside its own design's knots.
+    """
+    keys = np.empty(values.shape, dtype=complex)
+    keys.real = design
+    keys.imag = values
+    return keys
+
+
+class _StackedAxis:
+    """One heater axis of a LUT stack, every design's knots concatenated.
+
+    For the inversion: each design's rising branch (response -> power) with
+    its per-segment slopes, computed as np.interp computes them, searched by
+    complex keys (see `_keys`). For the bilinear read: each design's grid
+    axis, and for every branch knot the grid cell that the segment starting
+    there covers. The per-design bounds a read needs are gathered once, at
+    the elements' designs.
+    """
+
+    def __init__(self, branches, grids, design: np.ndarray):
+        self.design = design
+        self.lo = np.array([r[0] for _, r in branches])[design]
+        self.hi = np.array([r[-1] for _, r in branches])[design]
+        self.power = np.concatenate([p for p, _ in branches])
+        self.response = np.concatenate([r for _, r in branches])
+        # A design's last knot gets slope 0: a value clamped to the branch
+        # end then reads the end's power, as np.interp does.
+        self.slope = np.concatenate(
+            [np.append(np.diff(p) / np.diff(r), 0.0) for p, r in branches]
+        )
+        self.knots = _keys(
+            np.repeat(np.arange(len(branches)), [len(r) for _, r in branches]), self.response
+        )
+        steps = len(grids[0])
+        self.grid = np.concatenate(grids)
+        self.width = np.diff(self.grid)  # read only inside a design
+        cells, tops = [], []
+        for d, ((powers, _), g) in enumerate(zip(branches, grids)):
+            # Branch powers are grid knots, so the segment that starts at a
+            # branch knot covers the grid cell that starts there. A power on
+            # the grid's last knot reads the last cell at fraction 1, which
+            # is where a search of the grid puts it.
+            cell = np.minimum(np.searchsorted(g, powers), steps - 2)
+            cells.append(d * steps + cell)
+            # np.interp can overshoot a segment's end by an ulp or so (never
+            # past the next knot on a grid whose knots are further apart);
+            # a power beyond the cell's top moves on to the next cell, if any.
+            tops.append(np.where(cell < steps - 2, g[np.minimum(cell + 1, steps - 1)], np.inf))
+        self.cell = np.concatenate(cells)
+        self.top = np.concatenate(tops)
+
+    def read(self, v):
+        """(i, f, clamped) for relative levels v on each element's branch.
+
+        The heater power is np.interp(v, response, power) on the branch; i
+        is the flat index of the grid knot below it and f the fraction of
+        the way to the next knot, clipped to 1, as a search of the grid
+        would give them (a power on an interior grid knot may read the cell
+        above it at fraction 0 where a search reads the one below at
+        fraction 1: both give the same bits). v outside the branch is
+        clamped to its ends and flagged.
+        """
+        clamped = (v < self.lo) | (v > self.hi)
+        v = np.minimum(np.maximum(v, self.lo), self.hi)
+        j = self.knots.searchsorted(_keys(self.design, v), side="right") - 1
+        p = v - self.response.take(j)  # slope (v - r) + power, in place
+        p *= self.slope.take(j)
+        p += self.power.take(j)
+        i = self.cell.take(j) + (self.top.take(j) < p)
+        f = (p - self.grid.take(i)) / self.width.take(i)
+        return i, np.minimum(f, 1.0), clamped
+
+
+class LutStack:
+    """Calibration LUTs of several ring designs, stacked for one vectorised read.
+
+    Holds, per heater axis, every design's rising branch and grid axis
+    concatenated in design order (no padding), and the designs' output
+    grids stacked to (designs, n_mzi, n_mrr). All LUTs must share one grid
+    shape. `design` gives the LUT each element reads (integers that
+    broadcast against the read's targets); one LUT is the 1-design case.
+    """
+
+    def __init__(self, luts, design=0):
+        luts = list(luts)
+        shape = luts[0].output_power.shape
+        if any(lut.output_power.shape != shape for lut in luts):
+            raise ShapeError("stacked LUTs must share one grid shape")
+        design = np.asarray(design)
+        branches = [lut.rising_branches() for lut in luts]
+        self._mzi = _StackedAxis([b[0] for b in branches], [lut.mzi_powers_mw for lut in luts], design)
+        self._mrr = _StackedAxis([b[1] for b in branches], [lut.mrr_powers_mw for lut in luts], design)
+        self._grid = np.concatenate([lut.output_power.ravel() for lut in luts])
+        self._full = np.array([b[2] for b in branches])[design]
+        self._n_mrr = shape[1]
+        self._design_offset = design * shape[1]
+
+    def multiply(self, x, w):
+        """(values, clamped) of the products x * w at every element.
+
+        Each axis is inverted on its design's rising branch, the output power
+        is read by bilinear interpolation in the design's grid and divided by
+        the design's full scale.
+        """
+        ix, fx, x_clamped = self._mzi.read(x)
+        iy, fy, y_clamped = self._mrr.read(w)
+        nr = self._n_mrr
+        # Flat index of knot (ix, iy) in the stacked (designs, n_mzi, n_mrr) grid.
+        k = ix * nr + (iy - self._design_offset)
+        z = self._grid
+        gx, gy = 1 - fx, 1 - fy
+        # z00 gx gy + z10 fx gy + z01 gx fy + z11 fx fy, left to right, in place.
+        val = z.take(k)
+        val *= gx
+        val *= gy
+        for offset, a, b in ((nr, fx, gy), (1, gx, fy), (nr + 1, fx, fy)):
+            term = z.take(k + offset)
+            term *= a
+            term *= b
+            val += term
+        val /= self._full
+        return val, x_clamped | y_clamped
+
+
+def lut_multiply_many(lut, x_targets, w_targets):
+    """Vectorized LUT products x * w; broadcasts x against w. Returns (values, clamped).
+
+    `lut` is a `LutStack` or one `CalibrationLUT`. Targets outside a rising
+    branch's span are clamped to its ends and flagged.
+    """
+    stack = lut if isinstance(lut, LutStack) else LutStack([lut])
+    return stack.multiply(np.asarray(x_targets, dtype=float), np.asarray(w_targets, dtype=float))
 
 
 def build_lut(
@@ -187,19 +279,14 @@ def build_lut(
     mzi = bank[port]
     t_mzi = np.asarray(mzi.transmittance(mzi_powers))
 
-    heaters = grid.parked_heaters()
     u_all = array.topology.path_transmission(direction)
     u = u_all[row, col]
     b = array.bus_budget
     # Element response summed over channels at each ring setting.
-    g = np.empty(steps)
-    for k, p in enumerate(mrr_powers):
-        h = heaters.copy()
-        h[row, col] = p
-        drop, _ = grid.drop_through_tensor(h)
-        g[k] = drop[row, col, :].sum()
+    drop, _ = ring.drop_through(grid.grid.array[None, :], mrr_powers[:, None])
+    g = drop.sum(axis=1)
     # Pedestal from the other (parked) rings on this bus, fed by the dark MZIs.
-    drop_dark, _ = grid.drop_through_tensor(heaters)
+    drop_dark, _ = grid.drop_through_tensor(grid.parked_heaters())
     floor_t = array.input_transmittances(np.zeros(n), direction)
     if direction == FORWARD:
         # output col: sum over input rows i of floor_i * G[i, col] (i != row)

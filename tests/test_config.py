@@ -53,13 +53,13 @@ def test_mnist_train_rejects_arrays_below_9x9(devices, backend):
     "devices, backend",
     [({"preset": "simulation_9x9"}, "photonic"), ({"preset": "ideal", "n": 9}, "lut"), ({}, "ideal")],
 )
-def test_mnist_train_accepts_arrays_that_fit(devices, backend):
+def test_mnist_train_accepts_arrays_that_fit(devices, backend, mnist_dir):
     config = RunConfig.from_dict(
         {
             "experiment": "mnist-train",
             "devices": devices,
             "training": {"backend": backend},
-            "datasets": {"mnist_dir": "mnist"},
+            "datasets": {"mnist_dir": str(mnist_dir)},
         }
     )
     config.validate()
@@ -98,6 +98,49 @@ def test_cli_rejects_mnist_train_without_mnist_dir_before_any_work(tmp_path, cap
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and "datasets.mnist_dir" in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "remove, missing",
+    [
+        (("train", "t10k"), "train_images, train_labels, test_images, test_labels"),
+        (("t10k",), "test_images, test_labels"),
+    ],
+)
+def test_mnist_train_requires_the_idx_files(mnist_dir, remove, missing):
+    for prefix in remove:
+        for path in mnist_dir.glob(f"{prefix}-*"):
+            path.unlink()
+    config = RunConfig.from_dict(
+        {
+            "experiment": "mnist-train",
+            "devices": {"preset": "simulation_9x9"},
+            "datasets": {"mnist_dir": str(mnist_dir)},
+        }
+    )
+    with pytest.raises(ConfigError, match=f"holds no MNIST IDX file for {missing}$"):
+        config.validate()
+
+
+def test_cli_rejects_mnist_train_on_an_empty_mnist_dir_before_any_work(tmp_path, capsys):
+    config_path = tmp_path / "mnist.yaml"
+    config_path.write_text(
+        yaml.safe_dump(
+            {
+                "devices": {"preset": "simulation_9x9"},
+                "training": {"backend": "photonic"},
+                "datasets": {"mnist_dir": str(tmp_path)},
+            }
+        )
+    )
+    out = tmp_path / "out"
+    code = main(["mnist-train", "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "MNIST IDX" in lines[0]
     assert not out.exists()
 
 

@@ -1,0 +1,62 @@
+"""IDX parser tests on synthetic MNIST files."""
+
+import numpy as np
+import pytest
+from conftest import idx_bytes, write_idx
+
+from xbar.datasets import MNIST_FILES, find_mnist_file, read_idx_images, read_idx_labels
+from xbar.errors import DataFormatError
+
+IMAGES = np.random.default_rng(1).integers(0, 256, (5, 3, 2)).astype(np.uint8)
+LABELS = np.array([0, 9, 3, 3, 7], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_idx_images_round_trip(tmp_path, suffix):
+    path = write_idx(tmp_path / f"images{suffix}", IMAGES)
+    np.testing.assert_array_equal(read_idx_images(path), IMAGES.astype(float) / 255.0)
+    np.testing.assert_array_equal(read_idx_images(path, 2), IMAGES[:2].astype(float) / 255.0)
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_idx_labels_round_trip(tmp_path, suffix):
+    path = write_idx(tmp_path / f"labels{suffix}", LABELS)
+    np.testing.assert_array_equal(read_idx_labels(path), LABELS)
+    np.testing.assert_array_equal(read_idx_labels(path, 3), LABELS[:3])
+
+
+def _other_magic(data: bytes) -> bytes:
+    return b"\x00\x00\x08\x02" + data[4:]
+
+
+# (reader, bytes of a corrupt file, count to read, message)
+CORRUPT = {
+    "images magic": (read_idx_images, _other_magic(idx_bytes(IMAGES)), None, "bad magic 0x00000802"),
+    "labels magic": (read_idx_labels, _other_magic(idx_bytes(LABELS)), None, "bad magic 0x00000802"),
+    "images header": (read_idx_images, idx_bytes(IMAGES)[:12], None, "while reading header"),
+    "labels header": (read_idx_labels, idx_bytes(LABELS)[:6], None, "while reading header"),
+    "images body": (read_idx_images, idx_bytes(IMAGES)[:-1], None, "while reading 5 images"),
+    "labels body": (read_idx_labels, idx_bytes(LABELS)[:-1], None, "while reading 5 labels"),
+    "images count": (read_idx_images, idx_bytes(IMAGES), 6, "requested 6 images, file holds 5"),
+    "labels count": (read_idx_labels, idx_bytes(LABELS), 6, "requested 6 labels, file holds 5"),
+    "label above 9": (read_idx_labels, idx_bytes(np.array([1, 10])), None, "labels outside 0..9"),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPT))
+def test_corrupt_idx_raises_data_format_error(tmp_path, case):
+    reader, data, count, message = CORRUPT[case]
+    path = tmp_path / "corrupt"
+    path.write_bytes(data)
+    with pytest.raises(DataFormatError, match=message):
+        reader(path, count)
+
+
+@pytest.mark.parametrize("kind", list(MNIST_FILES))
+@pytest.mark.parametrize("spelling", [0, 1])
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_find_mnist_file_accepts_both_spellings_and_gzip(tmp_path, kind, spelling, suffix):
+    assert find_mnist_file(tmp_path, kind) is None
+    path = tmp_path / (MNIST_FILES[kind][spelling] + suffix)
+    path.write_bytes(b"")
+    assert find_mnist_file(tmp_path, kind) == path

@@ -5,10 +5,12 @@ import pytest
 
 from xbar.backends import LutBackend
 from xbar.crossbar import BACKWARD, FORWARD
-from xbar.errors import DataFormatError
+from xbar.errors import DataFormatError, ShapeError
 from xbar.lut import (
     LUT_RING_WINDOW_NM,
     LUT_VERSION,
+    CalibrationLUT,
+    LutStack,
     build_lut,
     compensate_asymmetry,
     lut_from_binary,
@@ -18,6 +20,65 @@ from xbar.lut import (
     lut_to_csv,
 )
 from xbar.presets import EXPERIMENTAL_ALIGN_MW, preset_array
+
+
+def reference_multiply(lut, x_targets, w_targets):
+    """The per-LUT read that the stacked read replaced, kept as its oracle.
+
+    Each axis is inverted on its rising branch with np.interp; the output
+    power is read by bilinear interpolation after a search of each grid axis.
+    Returns (values, clamped).
+    """
+    (mzi_p, mzi_r), (mrr_p, mrr_r), full = lut.rising_branches()
+    x, w = np.broadcast_arrays(np.asarray(x_targets, dtype=float), np.asarray(w_targets, dtype=float))
+    clamped = (x < mzi_r[0]) | (x > mzi_r[-1]) | (w < mrr_r[0]) | (w > mrr_r[-1])
+    px = np.interp(x, mzi_r, mzi_p)
+    pw = np.interp(w, mrr_r, mrr_p)
+    gx, gy, z = lut.mzi_powers_mw, lut.mrr_powers_mw, lut.output_power
+    ix = np.clip(np.searchsorted(gx, px) - 1, 0, len(gx) - 2)
+    iy = np.clip(np.searchsorted(gy, pw) - 1, 0, len(gy) - 2)
+    fx = np.clip((px - gx[ix]) / (gx[ix + 1] - gx[ix]), 0.0, 1.0)
+    fy = np.clip((pw - gy[iy]) / (gy[iy + 1] - gy[iy]), 0.0, 1.0)
+    val = (
+        z[ix, iy] * (1 - fx) * (1 - fy)
+        + z[ix + 1, iy] * fx * (1 - fy)
+        + z[ix, iy + 1] * (1 - fx) * fy
+        + z[ix + 1, iy + 1] * fx * fy
+    )
+    return val / full, clamped
+
+
+def reference_output_power(array, row, col, lut):
+    """`lut.output_power` recomputed with the element's ring swept one
+    setting at a time through the whole grid's lineshape."""
+    direction, grid = lut.direction, array.ring_grid
+    bank = array.forward_mzis if direction == FORWARD else array.backward_mzis
+    t_mzi = np.asarray(bank[row if direction == FORWARD else col].transmittance(lut.mzi_powers_mw))
+    heaters = grid.parked_heaters()
+    u_all = array.topology.path_transmission(direction)
+    b = array.bus_budget
+    g = np.empty(len(lut.mrr_powers_mw))
+    for k, p in enumerate(lut.mrr_powers_mw):
+        h = heaters.copy()
+        h[row, col] = p
+        drop, _ = grid.drop_through_tensor(h)
+        g[k] = drop[row, col, :].sum()
+    drop_dark, _ = grid.drop_through_tensor(heaters)
+    floor_t = array.input_transmittances(np.zeros(array.n), direction)
+    if direction == FORWARD:
+        others = sum(
+            floor_t[i] * drop_dark[i, col, :].sum() * u_all[i, col] * b
+            for i in range(array.n)
+            if i != row
+        )
+    else:
+        others = sum(
+            floor_t[j] * drop_dark[row, j, :].sum() * u_all[row, j] * b
+            for j in range(array.n)
+            if j != col
+        )
+    return np.outer(t_mzi, g) * (b * u_all[row, col]) + others
+
 
 BRANCH_ARRAYS = {
     f"{preset}-sigma{sigma}": (preset, sigma)
@@ -87,7 +148,7 @@ def test_element_products_match_a_per_element_lut_loop(sigma):
                     for d in (FORWARD, BACKWARD)
                 )
                 lut = fwd if direction == FORWARD else bwd
-                want[i, j], _ = lut_multiply_many(lut, values[i, j], targets[i, j])
+                want[i, j], _ = reference_multiply(lut, values[i, j], targets[i, j])
                 asymmetry = compensate_asymmetry(fwd, bwd)
                 if asymmetry.apply_to == direction:
                     want[i, j] += asymmetry.bias
@@ -104,7 +165,7 @@ def test_forward_bias_is_added_to_forward_products():
     values = rng.uniform(0.0, 1.0, (4, 4, 2))
     targets = rng.uniform(0.0, 1.0, (4, 4, 1))
     for direction, lut, bias in ((FORWARD, fwd, asymmetry.bias), (BACKWARD, bwd, 0.0)):
-        bare, _ = lut_multiply_many(lut, values, targets)
+        bare, _ = reference_multiply(lut, values, targets)
         np.testing.assert_array_equal(
             backend.element_products(values, targets, direction), bare + bias
         )
@@ -117,8 +178,8 @@ def test_every_lut_branch_is_strictly_increasing(name):
     for i in range(array.n):
         for j in range(array.n):
             for direction in (FORWARD, BACKWARD):
-                mzi_p, mzi_r, mrr_p, mrr_r, _ = build_lut(array, i, j, direction=direction)._branches()
-                for powers, response in ((mzi_p, mzi_r), (mrr_p, mrr_r)):
+                *branches, _ = build_lut(array, i, j, direction=direction).rising_branches()
+                for powers, response in branches:
                     assert len(response) >= 2
                     assert np.all(np.diff(response) > 0), (i, j, direction)
                     assert np.all(np.diff(powers) > 0)
@@ -186,3 +247,150 @@ def test_corrupt_lut_binary_raises_data_format_error(tmp_path, small_lut, what, 
     path.write_bytes(_corrupt_binary(path.read_bytes(), what))
     with pytest.raises(DataFormatError, match=message):
         lut_from_binary(path)
+
+
+# -- the stacked read -----------------------------------------------------------
+
+_ELEMENT_LUTS = {}
+
+
+def element_luts(name, direction):
+    """The array of a BRANCH_ARRAYS grid and the LUT each element reads, row-major."""
+    if (name, direction) not in _ELEMENT_LUTS:
+        preset, sigma = BRANCH_ARRAYS[name]
+        array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
+        built = {}
+        for i in range(array.n):
+            for j in range(array.n):
+                on = CALIBRATED_ON[sigma](i, j)
+                if on not in built:
+                    built[on] = build_lut(array, *on, direction=direction)
+        _ELEMENT_LUTS[name, direction] = (
+            array,
+            [built[CALIBRATED_ON[sigma](i, j)] for i in range(array.n) for j in range(array.n)],
+        )
+    return _ELEMENT_LUTS[name, direction]
+
+
+def edge_levels(response, rng, batch):
+    """`batch` levels drawn from a branch's knots, the points between them,
+    its ends and just past them, and levels outside it."""
+    candidates = np.concatenate(
+        [
+            response,
+            (response[:-1] + response[1:]) / 2,
+            np.nextafter(response[[0, -1]], [-np.inf, np.inf]),
+            [response[0] - 0.05, response[-1] + 0.05, 0.0, 1.0],
+        ]
+    )
+    if batch >= len(candidates):
+        return np.concatenate([candidates, rng.uniform(-0.1, 1.1, batch - len(candidates))])
+    return rng.choice(candidates, batch, replace=False)
+
+
+@pytest.mark.parametrize("batch", [1, 4, 64])
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+@pytest.mark.parametrize("name", list(BRANCH_ARRAYS))
+def test_stacked_read_equals_the_per_lut_read_bit_for_bit(name, direction, batch):
+    array, luts = element_luts(name, direction)
+    n = array.n
+    rng = np.random.default_rng(batch)
+    values = np.empty((n, n, batch))
+    targets = np.empty((n, n, batch))
+    want = np.empty((n, n, batch))
+    want_clamped = np.empty((n, n, batch), dtype=bool)
+    for e, lut in enumerate(luts):
+        i, j = divmod(e, n)
+        (_, mzi_r), (_, mrr_r), _ = lut.rising_branches()
+        values[i, j] = edge_levels(mzi_r, rng, batch)
+        targets[i, j] = edge_levels(mrr_r, rng, batch)
+        want[i, j], want_clamped[i, j] = reference_multiply(lut, values[i, j], targets[i, j])
+    # Every element its own design, stacked in a shuffled order.
+    order = rng.permutation(n * n)
+    stack = LutStack([luts[e] for e in order], np.argsort(order).reshape(n, n, 1))
+    got, clamped = lut_multiply_many(stack, values, targets)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(clamped, want_clamped)
+    # The backend's read adds each design's bias.
+    fwd, bwd = (element_luts(name, d)[1] for d in (FORWARD, BACKWARD))
+    for e in range(n * n):
+        asymmetry = compensate_asymmetry(fwd[e], bwd[e])
+        if asymmetry.apply_to == direction:
+            want[divmod(e, n)] += asymmetry.bias
+    np.testing.assert_array_equal(LutBackend(array).element_products(values, targets, direction), want)
+
+
+@pytest.mark.parametrize(
+    "x_shape, w_shape",
+    [((5,), ()), ((5,), (5,)), ((3, 1), (1, 4)), ((2, 1, 3), (1, 4, 1))],
+)
+def test_one_lut_read_broadcasts_its_inputs(small_lut, x_shape, w_shape):
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-0.1, 1.1, x_shape)
+    w = rng.uniform(-0.1, 1.1, w_shape)
+    values, clamped = lut_multiply_many(small_lut, x, w)
+    want, want_clamped = reference_multiply(small_lut, x, w)
+    assert values.shape == clamped.shape == np.broadcast_shapes(x_shape, w_shape)
+    np.testing.assert_array_equal(values, want)
+    np.testing.assert_array_equal(clamped, want_clamped)
+
+
+# LUTs whose MZI axis starts at 0 mW, so that np.interp puts the power of a
+# level just below a branch knot an ulp past the knot's power: inside the
+# grid the read moves on to the next cell; on the grid's end it stays in the
+# last cell at fraction 1.
+PAST_SEGMENT_END = {
+    "next cell": ([0.0, 0.359, 2.0], [0.168, 0.499, 1.0], 0.499),
+    "grid end": ([0.0, 0.744], [0.284, 1.0], 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(PAST_SEGMENT_END))
+def test_a_power_an_ulp_past_its_segment_reads_like_a_grid_search(case):
+    mzi, column, knot = PAST_SEGMENT_END[case]
+    grid = np.zeros((len(mzi), 2))
+    grid[:, 1] = column
+    lut = CalibrationLUT(np.array(mzi), np.array([0.0, 1.0]), grid)
+    x = np.nextafter(knot, 0.0)
+    (powers, response), _, _ = lut.rising_branches()
+    assert np.interp(x, response, powers) > powers[np.searchsorted(response, knot)]
+    want, _ = reference_multiply(lut, x, 1.0)
+    assert lut_multiply_many(lut, x, 1.0)[0] == want
+
+
+def test_stacked_read_of_luts_with_unequal_axes():
+    array = preset_array("experimental_4x4", fabrication_sigma_nm=0.02, seed=0)
+    luts = []
+    for i in range(2):
+        lut = build_lut(array, i, i, steps=24)
+        luts.append(CalibrationLUT(lut.mzi_powers_mw[4:], lut.mrr_powers_mw, lut.output_power[4:]))
+    rng = np.random.default_rng(4)
+    values = rng.uniform(0.0, 1.0, (2, 1, 8))
+    targets = rng.uniform(0.0, 1.0, (2, 3, 1))
+    design = np.array([[0, 1, 1], [1, 0, 1]])
+    got, clamped = lut_multiply_many(LutStack(luts, design[:, :, None]), values, targets)
+    for (i, j), d in np.ndenumerate(design):
+        want, want_clamped = reference_multiply(luts[d], values[i, 0], targets[i, j])
+        np.testing.assert_array_equal(got[i, j], want)
+        np.testing.assert_array_equal(clamped[i, j], want_clamped)
+
+
+def test_stacked_luts_must_share_one_grid_shape():
+    array = preset_array("experimental_4x4")
+    with pytest.raises(ShapeError, match="one grid shape"):
+        LutStack([build_lut(array, 0, 0, steps=8), build_lut(array, 0, 1, steps=9)])
+
+
+@pytest.mark.parametrize(
+    "preset, sigma",
+    [("experimental_4x4", 0.0), ("experimental_4x4", 0.02), ("simulation_9x9", 0.02)],
+)
+def test_build_lut_equals_a_per_setting_sweep_of_the_grid(preset, sigma):
+    array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
+    for i in range(array.n):
+        for j in range(array.n):
+            for direction in (FORWARD, BACKWARD):
+                lut = build_lut(array, i, j, direction=direction)
+                np.testing.assert_array_equal(
+                    lut.output_power, reference_output_power(array, i, j, lut)
+                )
