@@ -29,6 +29,7 @@ from .compiler import (
 )
 from .lut import (
     CalibrationLUT,
+    LutStack,
     build_lut,
     compensate_asymmetry,
     lut_multiply_many,

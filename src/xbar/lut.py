@@ -19,8 +19,10 @@ concatenated in design order and their output grids stacked, so that the
 products of all elements and a whole batch are one vectorised read. Each
 axis is inverted with one exact search: complex keys design + 1j * level,
 which numpy orders by design first, find every level among its own design's
-knots. The result is bit-for-bit what np.interp on each branch followed by
-a bilinear lookup after a search of each grid axis gives.
+knots; the grid cell to read follows from the knot found. The result is
+bit-for-bit what np.interp on each branch followed by a bilinear lookup
+after a search of each grid axis gives, on any grid whose knots lie more
+than a few ulps apart.
 
 Serialization: CSV (`mzi_mw,mrr_mw,power`) and a compact binary layout with
 an 8-value float64 header [magic, version, n_mzi, n_mrr, mzi_min, mzi_max,

@@ -1,5 +1,7 @@
 """LUT calibration tests."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -251,25 +253,19 @@ def test_corrupt_lut_binary_raises_data_format_error(tmp_path, small_lut, what, 
 
 # -- the stacked read -----------------------------------------------------------
 
-_ELEMENT_LUTS = {}
 
-
+@functools.cache
 def element_luts(name, direction):
     """The array of a BRANCH_ARRAYS grid and the LUT each element reads, row-major."""
-    if (name, direction) not in _ELEMENT_LUTS:
-        preset, sigma = BRANCH_ARRAYS[name]
-        array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
-        built = {}
-        for i in range(array.n):
-            for j in range(array.n):
-                on = CALIBRATED_ON[sigma](i, j)
-                if on not in built:
-                    built[on] = build_lut(array, *on, direction=direction)
-        _ELEMENT_LUTS[name, direction] = (
-            array,
-            [built[CALIBRATED_ON[sigma](i, j)] for i in range(array.n) for j in range(array.n)],
-        )
-    return _ELEMENT_LUTS[name, direction]
+    preset, sigma = BRANCH_ARRAYS[name]
+    array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
+    built = {}
+    for i in range(array.n):
+        for j in range(array.n):
+            on = CALIBRATED_ON[sigma](i, j)
+            if on not in built:
+                built[on] = build_lut(array, *on, direction=direction)
+    return array, [built[CALIBRATED_ON[sigma](i, j)] for i in range(array.n) for j in range(array.n)]
 
 
 def edge_levels(response, rng, batch):
