@@ -159,8 +159,10 @@ class PhotonicProgrammed(_ProgrammedMatrix):
     def _program(self, padded):
         self.compiled = self.backend.compiler.compile_signed(padded)
         heaters, array = self.compiled.heater_settings_mw, self.backend.array
-        self._eff_fwd = array.effective_matrix(heaters, FORWARD)
-        self._eff_bwd = array.effective_matrix(heaters, BACKWARD)
+        # Both directions scale one drop tensor of the final heaters.
+        summed = array.summed_drop(heaters)
+        self._eff_fwd = array.effective_matrix(heaters, FORWARD, summed)
+        self._eff_bwd = array.effective_matrix(heaters, BACKWARD, summed)
         return self.compiled.encoding
 
     def _raw_forward(self, xp):

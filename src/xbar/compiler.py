@@ -3,7 +3,10 @@
 Maps signed matrices/vectors onto non-negative transmittances via an affine
 min-max encoding with an exact electronic decode, equalizes per-ring peak
 power, and converts transmittance targets into heater detunings from each
-ring's aligned setting (which `RingGrid` computes once). Programming works
+ring's aligned setting (which `RingGrid` computes once). The detunings of
+all n^2 rings come from one inverse-lineshape solve per pass, on the grid's
+stacked lineshape; the backends then derive both directions' effective
+matrices from one drop tensor of the final heaters. Programming works
 against the ring's measured response: a fixed-point pass subtracts the
 predicted foreign-channel leakage from each element's target, mirroring how
 a physical calibration programs each element from its measured response
@@ -13,7 +16,7 @@ below; `CompiledMatrix.transmittances` records what was actually programmed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,14 +141,6 @@ class MatrixCompiler:
             np.array([[self._drop_at(ring, park) for ring in row] for row in grid.rings])
             / self._peaks
         )
-        # The inverse lineshape does not depend on a ring's fabrication
-        # detuning (it is measured from the ring's own resonance), so rings
-        # sharing a design share one batched solve.
-        designs: dict[RingDevice, list] = {}
-        for i, row in enumerate(grid.rings):
-            for j, ring in enumerate(row):
-                designs.setdefault(replace(ring, fabrication_detuning_nm=0.0), []).append((i, j))
-        self._designs = [(design, tuple(np.array(cells).T)) for design, cells in designs.items()]
 
     @property
     def n(self) -> int:
@@ -158,10 +153,13 @@ class MatrixCompiler:
         return drop
 
     def _detunings_for(self, relative_targets: np.ndarray) -> np.ndarray:
-        det = np.empty((self.n, self.n))
-        for design, cells in self._designs:
-            det[cells] = design.detuning_for_relative_drop(relative_targets[cells])
-        return np.minimum(det, self.array.ring_grid.park_detuning_nm)
+        grid = self.array.ring_grid
+        # Any ring solves the whole grid: the stacked lineshape carries every
+        # ring's constants.
+        det = grid.rings[0][0].detuning_for_relative_drop(
+            relative_targets[:, :, None], grid.lineshape
+        )
+        return np.minimum(det[:, :, 0], grid.park_detuning_nm)
 
     def _clip(self, rel: np.ndarray):
         """(rel clipped to each ring's [floor, 1] span, mask of clipped elements)."""

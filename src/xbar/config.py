@@ -12,7 +12,7 @@ read (typos should not silently fall back to defaults, nor crash later).
       preset: experimental_4x4    # experimental_4x4 | simulation_9x9 | ideal
       n: 4                        # array size for the ideal preset
       fabrication_sigma_nm: 0.0   # per-ring resonance spread
-      random_mzi_phases: false    # sample MZI initial phases from the seed
+      random_mzi_phases: false    # sample MZI initial phases (characterize-devices only)
     topology:
       variant: symmetric          # symmetric | legacy_asymmetric
     noise:
@@ -190,6 +190,11 @@ class RunConfig:
             )
         for section in (self.devices, self.topology, self.noise, self.training, self.datasets):
             section.validate()
+        if self.devices.random_mzi_phases and self.experiment != "characterize-devices":
+            raise ConfigError(
+                "devices.random_mzi_phases is modeled by characterize-devices only; "
+                f"{self.experiment} would ignore it"
+            )
         if self.topology.variant != "symmetric" and self.devices.preset != "experimental_4x4":
             raise ConfigError(
                 f"topology.variant {self.topology.variant!r} is modeled for the "

@@ -121,10 +121,14 @@ class RingGrid:
     """n x n grid of rings; ring (i, j) carries matrix element w_ij on channel i.
 
     Everything that depends only on the rings is computed once, at
-    construction: the per-ring parameters and lineshape constants read by
-    `drop_through_tensor`, and the aligned heater matrix (checked against
-    each ring's heater range and against ALIGNMENT_TOLERANCE_NM). The rings
-    must not be replaced or mutated afterwards.
+    construction: the per-ring parameters read by `drop_through_tensor`,
+    the aligned heater matrix (checked against each ring's heater range and
+    against ALIGNMENT_TOLERANCE_NM), and `lineshape`, every ring's
+    `AddDropLineshape` stacked into fields of shape (n, n, 1). The stacked
+    lineshape is free of heater and fabrication detuning, so it serves both
+    the forward lineshape and the inverse solve of the whole grid in one
+    call (`RingDevice.detuning_for_relative_drop`). The rings must not be
+    replaced or mutated afterwards.
     """
 
     rings: list  # list of n lists of n RingDevice
@@ -157,7 +161,7 @@ class RingGrid:
             lambda r: r.shifter.initial_phase_rad / (2.0 * math.pi) * r.fsr_nm()
         )
         self._max_power = get(lambda r: r.shifter.max_power_mw)
-        self._lineshape = AddDropLineshape.stack([[r.lineshape for r in row] for row in self.rings])
+        self.lineshape = AddDropLineshape.stack([[r.lineshape for r in row] for row in self.rings])
 
     def _align(self) -> np.ndarray:
         """Heater matrix putting every ring's resonance on its row channel.
@@ -196,7 +200,7 @@ class RingGrid:
         """(T_drop, T_through) with shape (n, n, channels), vectorized over the grid."""
         h = self.check_heaters(heaters)
         shift = self._fab + self._rate * h + self._phase0  # (n, n)
-        return self._lineshape(self.grid.array[None, None, :] - shift[:, :, None])
+        return self.lineshape(self.grid.array[None, None, :] - shift[:, :, None])
 
     def aligned_heaters(self) -> np.ndarray:
         """Heater matrix putting every ring exactly on its row channel (a copy)."""
@@ -301,11 +305,18 @@ class CrossbarArray:
         bank = self._bank(direction)
         return np.array([dev.transmittance(dev.power_for(xi)) for dev, xi in zip(bank, x)])
 
-    def _gain(self, heaters: np.ndarray, direction: str) -> np.ndarray:
+    def summed_drop(self, heaters: np.ndarray) -> np.ndarray:
+        """Channel-summed drop transmittance of every ring: the part of the
+        gain that both directions share."""
+        drop, _ = self.ring_grid.drop_through_tensor(heaters)
+        return drop.sum(axis=2)
+
+    def _gain(self, heaters: np.ndarray, direction: str, summed_drop=None) -> np.ndarray:
         """Unnormalized gain matrix G of a heater program (see module docstring)."""
         _check_direction(direction)
-        drop, _ = self.ring_grid.drop_through_tensor(heaters)
-        return drop.sum(axis=2) * self._path_transmission[direction] * self.bus_budget
+        if summed_drop is None:
+            summed_drop = self.summed_drop(heaters)
+        return summed_drop * self._path_transmission[direction] * self.bus_budget
 
     def normalization_constant(self, direction: str) -> float:
         """Full-scale output power per unit input, from a one-time probe.
@@ -333,13 +344,16 @@ class CrossbarArray:
         raw = self.input_transmittances(x, FORWARD) @ self._gain(heaters, FORWARD)
         return raw / self.normalization_constant(FORWARD)
 
-    def effective_matrix(self, heaters: np.ndarray, direction: str) -> np.ndarray:
+    def effective_matrix(self, heaters: np.ndarray, direction: str, summed_drop=None) -> np.ndarray:
         """Normalized gain M = G / norm: forward y = M.T @ x, backward y = M @ s.
 
         M[i, j] ~ w_ij. Equivalent to probing with ideal unit vectors (MZIs
         without an extinction floor); used as the fast path for backends.
+        A caller that needs both directions of one program passes
+        `summed_drop(heaters)` to both calls, so the lineshape is evaluated
+        once.
         """
-        return self._gain(heaters, direction) / self.normalization_constant(direction)
+        return self._gain(heaters, direction, summed_drop) / self.normalization_constant(direction)
 
     def measure_matrix(self, heaters: np.ndarray, direction: str) -> np.ndarray:
         """Matrix measured by single-input probing, including MZI leakage.

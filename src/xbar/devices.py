@@ -130,7 +130,10 @@ class AddDropLineshape:
 
     T_drop carries the drop-port excess loss. The effective index is treated
     to first order in wavelength through the group index. The fields hold
-    the wavelength-independent factors, so a grid computes them once.
+    the wavelength-independent factors, so a grid computes them once; the
+    group index and the resonance phase serve the inverse
+    (`RingDevice.detuning_for_relative_drop`). No field depends on the
+    ring's heater or fabrication detuning.
     """
 
     n0: float  # effective index at the reference wavelength
@@ -142,6 +145,8 @@ class AddDropLineshape:
     drop_num: float  # k1^2 k2^2 a
     drop_loss: float  # drop-port excess loss as a power factor
     through_num: float  # (t2 a - t1)^2
+    group_index: float
+    resonance_phase: float  # 2 pi m for the resonance order m
 
     @classmethod
     def stack(cls, shapes: list) -> "AddDropLineshape":
@@ -161,6 +166,15 @@ class AddDropLineshape:
         denom = self.denom0 + self.four_ta * s2
         t_drop = self.drop_num / denom * self.drop_loss
         return t_drop, (self.through_num + self.four_ta * s2) / denom
+
+    def wavelength_at_phase(self, phi):
+        """Wavelength whose round-trip phase equals phi in the unshifted frame.
+
+        n_eff is linear in wavelength, so phi(lam) inverts in closed form.
+        """
+        return self.group_index / (
+            phi / (2.0 * math.pi * self.length) - self.dispersion / self.lam0
+        )
 
 
 @dataclass(frozen=True)
@@ -249,6 +263,8 @@ class RingDevice:
             drop_num=(1.0 - t1**2) * (1.0 - t2**2) * a,
             drop_loss=db_to_power(self.drop_excess_loss_db),
             through_num=(t2 * a - t1) ** 2,
+            group_index=self.group_index,
+            resonance_phase=2.0 * math.pi * self.resonance_order,
         )
 
     def drop_through(self, wavelength_nm, heater_power_mw=0.0):
@@ -272,41 +288,37 @@ class RingDevice:
     def quality_factor(self) -> float:
         return self.reference_wavelength_nm / self.fwhm_nm()
 
-    def _wavelength_at_phase(self, phi):
-        """Wavelength whose round-trip phase equals phi (zero heater/detuning).
-
-        n_eff is linear in wavelength, so phi(lam) inverts in closed form.
-        """
-        lam0 = self.reference_wavelength_nm
-        n0 = self.effective_index_at_ref
-        ng = self.group_index
-        return ng / (phi / (2.0 * math.pi * self.circumference_nm) - (n0 - ng) / lam0)
-
-    def detuning_for_relative_drop(self, relative):
+    def detuning_for_relative_drop(self, relative, shape: AddDropLineshape | None = None):
         """Detuning (nm, >= 0) at which T_drop equals `relative` times its peak.
 
         Exact inverse of the add-drop lineshape including the wavelength
         dependence of the round-trip phase; vectorized over `relative`, whose
-        values must lie in (0, 1]. A scalar input returns a float.
+        values must lie in (0, 1]. A scalar input returns a float. Beyond the
+        lineshape floor the ring parks half an FSR away.
+
+        `shape` defaults to this ring's lineshape. A stacked grid lineshape
+        (`RingGrid.lineshape`) solves every ring of the grid in one call,
+        with `relative` broadcast against its fields. The inverse does not
+        depend on fabrication detuning: it is measured from each ring's own
+        resonance.
         """
+        shape = self.lineshape if shape is None else shape
         r = np.asarray(relative, dtype=float)
         if not ((r > 0.0) & (r <= 1.0)).all():
             raise ValueError("relative drop level must lie in (0, 1]")
-        ta = self.self_coupling_t1 * self.self_coupling_t2 * self.round_trip_amplitude
-        s2 = (1.0 - ta) ** 2 * (1.0 / r - 1.0) / (4.0 * ta)
-        # Deeper than the lineshape floor (s2 >= 1): park half an FSR away.
-        deep = s2 >= 1.0
+        s2 = shape.denom0 * (1.0 / r - 1.0) / shape.four_ta
         # math.asin per value, not np.arcsin: numpy's SIMD arcsin can differ
         # from the C library's in the last bit, depending on the batch length,
         # so a batched call would not always equal one call per element.
         dphi = np.array(
             [0.0 if v >= 1.0 else 2.0 * math.asin(math.sqrt(v)) for v in s2.ravel().tolist()]
-        ).reshape(r.shape)
-        phi_res = 2.0 * math.pi * self.resonance_order
+        ).reshape(s2.shape)
+        phi_res = shape.resonance_phase
         # Red-shifting the ring moves the operating point blue of resonance,
         # where the round-trip phase is larger.
-        det = self._wavelength_at_phase(phi_res) - self._wavelength_at_phase(phi_res + dphi)
-        out = np.where(deep, self.fsr_nm() / 2.0, det)
+        det = shape.wavelength_at_phase(phi_res) - shape.wavelength_at_phase(phi_res + dphi)
+        half_fsr = shape.lam0**2 / (shape.group_index * shape.length) / 2.0
+        out = np.where(s2 >= 1.0, half_fsr, det)
         return out if out.ndim else float(out)
 
     def designed_for(self, channel_nm: float) -> "RingDevice":

@@ -179,9 +179,9 @@ def run_measure_matrix(config: RunConfig, out_dir: Path) -> None:
 def run_iris_inference(config: RunConfig, out_dir: Path) -> None:
     dataset = load_iris(config.datasets.iris_csv)
     train_x, train_y, test_x, test_y = dataset.split(config.seed)
-    # The weights are trained on a computer (ideal backend, SGD), then loaded.
+    # The weights are trained on a computer (ideal backend), then loaded.
     result = train_iris(
-        replace(config.training, optimizer="sgd"),
+        config.training,
         config.seed,
         train_x,
         train_y,
@@ -295,11 +295,11 @@ def run_sweep_scaling(config: RunConfig, out_dir: Path) -> None:
         rows.append((q, float(np.mean(errs)), float(np.max(errs))))
     write_csv(out_dir / "scaling.csv", "quality_factor,mean_rel_l2,max_rel_l2", rows)
     # Path-loss uniformity report for the configured layout.
-    topology = build_array(config).topology
-    write_matrix_csv(out_dir / "path_loss_forward_db.csv", topology.path_loss_db(FORWARD))
-    write_matrix_csv(out_dir / "path_loss_backward_db.csv", topology.path_loss_db(BACKWARD))
-    # A Fig.-7(a)-style calibration table for the (1,1) element.
-    lut = build_lut(preset_array("experimental_4x4"), 0, 0)
+    array = build_array(config)
+    write_matrix_csv(out_dir / "path_loss_forward_db.csv", array.topology.path_loss_db(FORWARD))
+    write_matrix_csv(out_dir / "path_loss_backward_db.csv", array.topology.path_loss_db(BACKWARD))
+    # A Fig.-7(a)-style calibration table for the configured array's (1,1) element.
+    lut = build_lut(array, 0, 0)
     lut_to_csv(lut, out_dir / "lut_element_1_1.csv")
     lut_to_binary(lut, out_dir / "lut_element_1_1.lut")
 

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from xbar.backends import PhotonicBackend
 from xbar.compiler import MatrixCompiler, decode_output, encode_signed, encode_signed_columns
 from xbar.config import RunConfig
-from xbar.crossbar import BACKWARD, FORWARD, build_ring_grid
+from xbar.crossbar import BACKWARD, FORWARD, LEGACY_ASYMMETRIC, SYMMETRIC, build_ring_grid
 from xbar.devices import PhaseShifter, RingDevice, WavelengthGrid
 from xbar.errors import InfeasibleError
 from xbar.experiments import run_experiment
@@ -24,6 +25,7 @@ PRESETS = {
         "experimental_4x4", fabrication_sigma_nm=0.02, seed=7
     ),
     "simulation_9x9": lambda: preset_array("simulation_9x9"),
+    "simulation_9x9_fab": lambda: preset_array("simulation_9x9", fabrication_sigma_nm=0.02, seed=7),
     "ideal": lambda: preset_array("ideal", 4),
 }
 
@@ -36,7 +38,14 @@ def scalar_inverse(ring: RingDevice, relative: float) -> float:
         return ring.fsr_nm() / 2.0
     dphi = 2.0 * math.asin(math.sqrt(s2))
     phi_res = 2.0 * math.pi * ring.resonance_order
-    return ring._wavelength_at_phase(phi_res) - ring._wavelength_at_phase(phi_res + dphi)
+
+    def wavelength_at_phase(phi):
+        ng = ring.group_index
+        dispersion = ring.effective_index_at_ref - ng
+        lam0 = ring.reference_wavelength_nm
+        return ng / (phi / (2.0 * math.pi * ring.circumference_nm) - dispersion / lam0)
+
+    return wavelength_at_phase(phi_res) - wavelength_at_phase(phi_res + dphi)
 
 
 def reference_alignment(ring_grid) -> np.ndarray:
@@ -73,7 +82,7 @@ def reference_heaters(compiler: MatrixCompiler, targets: np.ndarray):
         det = np.empty((n, n))
         for i in range(n):
             for j in range(n):
-                det[i, j] = min(rings[i][j].detuning_for_relative_drop(float(rel[i, j])), park)
+                det[i, j] = min(scalar_inverse(rings[i][j], float(rel[i, j])), park)
         return det
 
     rel = np.clip(targets * full / peaks, floor, 1.0)
@@ -164,6 +173,23 @@ def test_vectorized_detuning_equals_scalar_calls(ring):
     assert isinstance(ring.detuning_for_relative_drop(0.5), float)
 
 
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_stacked_detuning_equals_scalar_inverse_per_ring(preset):
+    grid = PRESETS[preset]().ring_grid
+    n = grid.n
+    rng = np.random.default_rng(4)
+    # Levels from deep below the lineshape floor (parked) up to the peak.
+    relative = 10.0 ** rng.uniform(-12, 0, (n, n, 50))
+    relative[:, :, 0] = 1.0
+    # The stacked lineshape, not the ring the method is called on, sets the answer.
+    stacked = grid.rings[n - 1][0].detuning_for_relative_drop(relative, grid.lineshape)
+    assert stacked.shape == relative.shape
+    for i, row in enumerate(grid.rings):
+        for j, ring in enumerate(row):
+            expected = [scalar_inverse(ring, r) for r in relative[i, j].tolist()]
+            np.testing.assert_array_equal(stacked[i, j], expected)
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0 + 1e-12, float("nan")])
 def test_detuning_rejects_levels_outside_unit_interval(bad):
     ring = RingDevice()
@@ -203,6 +229,23 @@ def test_forward_and_backward_are_transposes(preset):
         # Both directions share the drop tensor, the path losses and the
         # normalization constant exactly.
         np.testing.assert_array_equal(forward, backward)
+
+
+@pytest.mark.parametrize("variant", [SYMMETRIC, LEGACY_ASYMMETRIC])
+def test_programmed_effective_matrices_equal_per_direction_calls(variant):
+    # A program shares one drop tensor between its two directions.
+    array = preset_array("experimental_4x4", variant=variant)
+    backend = PhotonicBackend(array)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        handle = backend.program(rng.uniform(-1.0, 1.0, (3, 4)))
+        heaters = handle.compiled.heater_settings_mw
+        forward = array.effective_matrix(heaters, FORWARD)
+        backward = array.effective_matrix(heaters, BACKWARD)
+        np.testing.assert_array_equal(handle._eff_fwd, forward)
+        np.testing.assert_array_equal(handle._eff_bwd, backward)
+        # The legacy layout's path losses differ by direction.
+        assert np.array_equal(forward, backward) == (variant == SYMMETRIC)
 
 
 def test_photonic_iris_train_rerun_is_byte_identical(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 import yaml
 
 from xbar.cli import main
-from xbar.config import RunConfig
+from xbar.config import EXPERIMENTS, RunConfig
 from xbar.errors import ConfigError
 
 
@@ -201,3 +201,32 @@ def test_cli_reports_a_bad_config_in_one_line_before_any_work(tmp_path, capsys, 
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("xbar: error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "characterize-devices"])
+def test_random_mzi_phases_is_rejected_outside_characterize_devices(experiment):
+    config = RunConfig.from_dict(
+        {"experiment": experiment, "devices": {"random_mzi_phases": True}}
+    )
+    with pytest.raises(ConfigError, match="random_mzi_phases"):
+        config.validate()
+
+
+def test_random_mzi_phases_is_accepted_by_characterize_devices():
+    RunConfig.from_dict(
+        {"experiment": "characterize-devices", "devices": {"random_mzi_phases": True}}
+    ).validate()
+
+
+def test_cli_rejects_random_mzi_phases_outside_characterize_devices(tmp_path, capsys):
+    config_path = tmp_path / "phases.yaml"
+    config_path.write_text(yaml.safe_dump({"devices": {"random_mzi_phases": True}}))
+    out = tmp_path / "out"
+    code = main(["iris-train", "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("xbar: error:")
+    assert "random_mzi_phases" in lines[0]
+    assert not out.exists()  # rejected before any work

@@ -1,4 +1,5 @@
-"""Experiment-level tests: re-run byte identity and per-run noise streams."""
+"""Experiment-level tests: re-run byte identity, per-run noise streams and
+config knobs that reach the experiment."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from xbar.backends import make_backend
 from xbar.config import RunConfig
 from xbar.experiments import build_array, noise_config, run_experiment
+from xbar.lut import build_lut, lut_to_csv
 from xbar.noise import NoiseConfig
+from xbar.presets import preset_array
 
 
 @pytest.mark.parametrize(
@@ -42,3 +45,34 @@ def test_iris_train_runs_draw_independent_noise_streams():
     # Run 0 keeps the stream that every run drew from before runs had their own.
     shared = NoiseConfig(relative_sigma=config.noise.relative_sigma, seed=config.seed)
     np.testing.assert_array_equal(reading(shared), run0)
+
+
+def test_iris_inference_trains_with_the_configured_optimizer(tmp_path):
+    histories = {}
+    for optimizer in ("sgd", "adam"):
+        config = RunConfig.from_dict(
+            {
+                "experiment": "iris-inference",
+                "out_dir": str(tmp_path / optimizer),
+                "training": {"optimizer": optimizer, "epochs": 3},
+            }
+        )
+        histories[optimizer] = (run_experiment(config) / "cost_history.csv").read_bytes()
+    assert histories["sgd"] != histories["adam"]
+
+
+def test_sweep_scaling_writes_the_lut_of_the_configured_array(tmp_path):
+    config = RunConfig.from_dict(
+        {
+            "experiment": "sweep-scaling",
+            "out_dir": str(tmp_path / "run"),
+            "devices": {"preset": "simulation_9x9"},
+        }
+    )
+    written = (run_experiment(config) / "lut_element_1_1.csv").read_bytes()
+    expected = {}
+    for preset in ("simulation_9x9", "experimental_4x4"):
+        lut_to_csv(build_lut(preset_array(preset), 0, 0), tmp_path / f"{preset}.csv")
+        expected[preset] = (tmp_path / f"{preset}.csv").read_bytes()
+    assert written == expected["simulation_9x9"]
+    assert written != expected["experimental_4x4"]
