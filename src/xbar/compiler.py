@@ -5,8 +5,9 @@ min-max encoding with an exact electronic decode, equalizes per-ring peak
 power, and converts transmittance targets into heater detunings from each
 ring's aligned setting (which `RingGrid` computes once). The detunings of
 all n^2 rings come from one inverse-lineshape solve per pass, on the grid's
-stacked lineshape; the backends then derive both directions' effective
-matrices from one drop tensor of the final heaters. Programming works
+stacked lineshape, whose pass-invariant terms (resonance wavelengths, half
+FSRs) are cached with it; the backends then derive both directions'
+effective matrices from one drop tensor of the final heaters. Programming works
 against the ring's measured response: a fixed-point pass subtracts the
 predicted foreign-channel leakage from each element's target, mirroring how
 a physical calibration programs each element from its measured response
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import CrossbarArray
-from .devices import RingDevice
+from .devices import RingDevice, read_only
 from .errors import ShapeError
 
 
@@ -91,13 +92,14 @@ def decode_output(raw, matrix_encoding: AffineEncoding, scales, offsets, sums, n
     `offsets` and `sums` (sum x') describe each column and broadcast over
     the batch. `ones` is the (n, 1) response W' 1 of one all-ones pass; it
     is only read through the offsets, so inputs encoded with offset 0 (the
-    forward products) may leave it at 0.
+    forward products) may leave it at 0. The terms are added in place on
+    one new array, in the order written.
     """
     s_m, m_m = matrix_encoding.scale, matrix_encoding.offset
-    y = s_m * scales * raw
-    y = y + s_m * offsets * ones
-    y = y + m_m * scales * sums
-    y = y + m_m * offsets * n
+    y = np.multiply(s_m * scales, raw)
+    y += s_m * offsets * ones
+    y += m_m * scales * sums
+    y += m_m * offsets * n
     return y
 
 
@@ -118,7 +120,15 @@ class CompiledMatrix:
 
 
 class MatrixCompiler:
-    """Programs transmittance targets onto a crossbar's ring grid."""
+    """Programs transmittance targets onto a crossbar's ring grid.
+
+    Each ring's peak drop transmittance, the common full scale and each
+    ring's relative floor are computed once, at construction, and held in
+    read-only arrays. Within one solve, the requested drop `t * full_scale`
+    is computed once, and the clamp mask once, from the final pass's
+    request; the grid supplies the aligned heaters and the lineshape
+    constants (see `RingGrid`).
+    """
 
     def __init__(
         self,
@@ -130,14 +140,14 @@ class MatrixCompiler:
         self.compensate_leakage = compensate_leakage
         self.compensation_passes = compensation_passes
         grid = array.ring_grid
-        self._peaks = np.array(
-            [[ring.peak_drop_transmittance() for ring in row] for row in grid.rings]
+        self._peaks = read_only(
+            np.array([[ring.peak_drop_transmittance() for ring in row] for row in grid.rings])
         )
         # Common full-scale drop target: the lossiest ring binds.
         self._full_scale = float(self._peaks.min())
         # Residual relative coupling of a parked ring at its own channel.
         park = grid.park_detuning_nm
-        self._floor_rel = (
+        self._floor_rel = read_only(
             np.array([[self._drop_at(ring, park) for ring in row] for row in grid.rings])
             / self._peaks
         )
@@ -161,10 +171,6 @@ class MatrixCompiler:
         )
         return np.minimum(det[:, :, 0], grid.park_detuning_nm)
 
-    def _clip(self, rel: np.ndarray):
-        """(rel clipped to each ring's [floor, 1] span, mask of clipped elements)."""
-        return np.clip(rel, self._floor_rel, 1.0), (rel < self._floor_rel) | (rel > 1.0)
-
     def heaters_for_targets(self, unit_targets: np.ndarray):
         """Heater matrix realizing absolute drop targets unit_targets * full scale.
 
@@ -178,24 +184,29 @@ class MatrixCompiler:
         t = np.asarray(unit_targets, dtype=float)
         if t.shape != (self.n, self.n):
             raise ShapeError(f"target matrix must be {self.n}x{self.n}")
-        if np.any(t < 0) or np.any(t > 1):
+        if not ((0.0 <= t) & (t <= 1.0)).all():
             raise ValueError("unit targets must lie in [0, 1]")
         grid = self.array.ring_grid
-        # Relative-to-peak own-channel target for each ring.
-        rel, clamped = self._clip(t * self._full_scale / self._peaks)
+        floor = self._floor_rel
+        absolute = t * self._full_scale  # the drop each element must reach
+        # Relative-to-peak own-channel request for each ring, before the clamp.
+        request = absolute / self._peaks
+        rel = np.clip(request, floor, 1.0)
         det = self._detunings_for(rel)
         if self.compensate_leakage:
             rows = np.arange(self.n)[:, None]
             cols = np.arange(self.n)[None, :]
             for _ in range(self.compensation_passes):
                 heaters = grid.detuned_heaters(det)
-                drop, _ = grid.drop_through_tensor(heaters)
+                drop = grid.drop_through_tensor(heaters)
                 own = drop[rows, cols, rows]  # response on the ring's own channel
                 foreign = drop.sum(axis=2) - own
-                rel, clamped = self._clip((t * self._full_scale - foreign) / self._peaks)
+                request = (absolute - foreign) / self._peaks
+                rel = np.clip(request, floor, 1.0)
                 det = self._detunings_for(rel)
         heaters = grid.detuned_heaters(det)
         achieved = rel * self._peaks / self._full_scale
+        clamped = (request < floor) | (request > 1.0)
         return heaters, achieved, clamped
 
     def compile_unit(

@@ -25,7 +25,7 @@ read (typos should not silently fall back to defaults, nor crash later).
       learning_rate: 0.5
       epochs: 100
       batch_size: 1
-      hidden: 4                   # MLP hidden width
+      hidden: 4                   # Iris MLP hidden width (mnist-train: default only)
       runs: 4                     # independent seeded trainings
     datasets:
       iris_csv: null              # null -> packaged copy
@@ -199,6 +199,11 @@ class RunConfig:
             raise ConfigError(
                 f"topology.variant {self.topology.variant!r} is modeled for the "
                 "experimental_4x4 preset only"
+            )
+        if self.experiment == "mnist-train" and self.training.hidden != TrainingSection.hidden:
+            raise ConfigError(
+                f"training.hidden {self.training.hidden} sets the Iris MLP width; "
+                "mnist-train's CNN is fixed and would ignore it"
             )
         if self.experiment == "mnist-train" and self.datasets.mnist_dir is None:
             raise ConfigError("mnist-train requires datasets.mnist_dir pointing at the IDX files")

@@ -37,6 +37,7 @@ from .devices import (
     MziDevice,
     RingDevice,
     WavelengthGrid,
+    read_only,
 )
 from .errors import EncodingError, InfeasibleError, ShapeError
 
@@ -112,8 +113,8 @@ class CrossbarTopology:
 
 
 def _per_ring(rings: list, value) -> np.ndarray:
-    """n x n array of value(ring) over a grid of rings."""
-    return np.array([[value(ring) for ring in row] for row in rings])
+    """Read-only n x n array of value(ring) over a grid of rings."""
+    return read_only(np.array([[value(ring) for ring in row] for row in rings]))
 
 
 @dataclass
@@ -121,14 +122,19 @@ class RingGrid:
     """n x n grid of rings; ring (i, j) carries matrix element w_ij on channel i.
 
     Everything that depends only on the rings is computed once, at
-    construction: the per-ring parameters read by `drop_through_tensor`,
-    the aligned heater matrix (checked against each ring's heater range and
-    against ALIGNMENT_TOLERANCE_NM), and `lineshape`, every ring's
-    `AddDropLineshape` stacked into fields of shape (n, n, 1). The stacked
-    lineshape is free of heater and fabrication detuning, so it serves both
-    the forward lineshape and the inverse solve of the whole grid in one
-    call (`RingDevice.detuning_for_relative_drop`). The rings must not be
-    replaced or mutated afterwards.
+    construction, and held in read-only arrays:
+    - the per-ring heater rate, fabrication detuning, initial-phase shift
+      and heater range, read by `drop_through_tensor` and the range checks;
+    - the aligned heater matrix (checked against each ring's heater range
+      and against ALIGNMENT_TOLERANCE_NM);
+    - `lineshape`, every ring's `AddDropLineshape` stacked into fields of
+      shape (n, n, 1). It is free of heater and fabrication detuning, so it
+      serves the inverse solve of the whole grid in one call
+      (`RingDevice.detuning_for_relative_drop`), and it caches each ring's
+      resonance wavelength and half FSR for that solve on first use;
+    - the same lineshape broadcast to (n, n, channels), and the channel
+      array, on which `drop_through_tensor` evaluates in place.
+    The rings must not be replaced or mutated afterwards.
     """
 
     rings: list  # list of n lists of n RingDevice
@@ -162,6 +168,8 @@ class RingGrid:
         )
         self._max_power = get(lambda r: r.shifter.max_power_mw)
         self.lineshape = AddDropLineshape.stack([[r.lineshape for r in row] for row in self.rings])
+        self._channels = read_only(self.grid.array)
+        self._drop_shape = self.lineshape.broadcast_to((self.n, self.n, len(self.grid)))
 
     def _align(self) -> np.ndarray:
         """Heater matrix putting every ring's resonance on its row channel.
@@ -171,7 +179,7 @@ class RingGrid:
         """
         base = _per_ring(self.rings, lambda r: r.resonance_wavelength_nm(0.0))
         fsr = _per_ring(self.rings, lambda r: r.fsr_nm())
-        target = self.grid.array[:, None]
+        target = self._channels[:, None]
         power = ((target - base) % fsr) / self._rate
         out_of_range = np.argwhere(power > self._max_power)
         if out_of_range.size:
@@ -186,21 +194,23 @@ class RingGrid:
             raise InfeasibleError(
                 f"alignment residual {residual.max():.2e} nm exceeds tolerance"
             )
-        return power
+        return read_only(power)
 
     def check_heaters(self, heaters: np.ndarray) -> np.ndarray:
         h = np.asarray(heaters, dtype=float)
         if h.shape != (self.n, self.n):
             raise ShapeError(f"heater matrix must be {self.n}x{self.n}; got {h.shape}")
-        if (h < 0).any() or (h > self._max_power).any():
+        if not ((0.0 <= h) & (h <= self._max_power)).all():
             raise ValueError("ring heater power out of range")
         return h
 
-    def drop_through_tensor(self, heaters: np.ndarray):
-        """(T_drop, T_through) with shape (n, n, channels), vectorized over the grid."""
+    def drop_through_tensor(self, heaters: np.ndarray) -> np.ndarray:
+        """T_drop of every ring on every channel, shape (n, n, channels), as a
+        new array. The through port, which no grid caller reads, is left to
+        `RingDevice.drop_through`."""
         h = self.check_heaters(heaters)
         shift = self._fab + self._rate * h + self._phase0  # (n, n)
-        return self.lineshape(self.grid.array[None, None, :] - shift[:, :, None])
+        return self._drop_shape.drop(np.subtract(self._channels, shift[:, :, None]))
 
     def aligned_heaters(self) -> np.ndarray:
         """Heater matrix putting every ring exactly on its row channel (a copy)."""
@@ -211,7 +221,7 @@ class RingGrid:
         d = np.asarray(detunings_nm, dtype=float)
         if d.shape != (self.n, self.n):
             raise ShapeError("detuning matrix shape mismatch")
-        if np.any(d < 0):
+        if not (0.0 <= d).all():
             raise ValueError("red-shift detunings must be non-negative")
         return self._aligned + d / self._rate
 
@@ -308,8 +318,7 @@ class CrossbarArray:
     def summed_drop(self, heaters: np.ndarray) -> np.ndarray:
         """Channel-summed drop transmittance of every ring: the part of the
         gain that both directions share."""
-        drop, _ = self.ring_grid.drop_through_tensor(heaters)
-        return drop.sum(axis=2)
+        return self.ring_grid.drop_through_tensor(heaters).sum(axis=2)
 
     def _gain(self, heaters: np.ndarray, direction: str, summed_drop=None) -> np.ndarray:
         """Unnormalized gain matrix G of a heater program (see module docstring)."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,20 @@ WAVEGUIDE_LOSS_DB_PER_CM = 1.3
 # One FSR of ring tuning costs 2*P_pi of heater power by default; only the
 # ratio (nm/mW) enters any experiment.
 DEFAULT_SHIFT_NM_PER_MW = 4.4 / (2.0 * DEFAULT_POWER_PER_PI_MW)
+
+
+def read_only(value):
+    """`value`, made read-only if it is an array: for arrays computed once and
+    shared by every later call, which an in-place write must not corrupt."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
+
+
+def _out(x):
+    """`x` as a ufunc's output: in place for an array, None for a scalar,
+    which is immutable."""
+    return x if isinstance(x, np.ndarray) else None
 
 
 def db_to_power(db: float) -> float:
@@ -132,8 +147,10 @@ class AddDropLineshape:
     to first order in wavelength through the group index. The fields hold
     the wavelength-independent factors, so a grid computes them once; the
     group index and the resonance phase serve the inverse
-    (`RingDevice.detuning_for_relative_drop`). No field depends on the
-    ring's heater or fabrication detuning.
+    (`RingDevice.detuning_for_relative_drop`), whose wavelength-independent
+    terms (`resonance_wavelength`, `half_fsr`) are computed once per
+    lineshape object. No field depends on the ring's heater or fabrication
+    detuning.
     """
 
     n0: float  # effective index at the reference wavelength
@@ -150,22 +167,71 @@ class AddDropLineshape:
 
     @classmethod
     def stack(cls, shapes: list) -> "AddDropLineshape":
-        """Grid lineshape from a square list of per-ring ones; fields get shape (n, n, 1)."""
+        """Grid lineshape from a square list of per-ring ones; fields get shape
+        (n, n, 1) and are read-only."""
         return cls(
             **{
-                f.name: np.array([[getattr(s, f.name) for s in row] for row in shapes])[:, :, None]
+                f.name: read_only(
+                    np.array([[getattr(s, f.name) for s in row] for row in shapes])[:, :, None]
+                )
                 for f in fields(cls)
+            }
+        )
+
+    def broadcast_to(self, shape: tuple) -> "AddDropLineshape":
+        """This lineshape with every field a contiguous read-only array of
+        `shape`, so an evaluation at wavelengths of that shape broadcasts
+        nothing."""
+        return AddDropLineshape(
+            **{
+                f.name: read_only(np.broadcast_to(getattr(self, f.name), shape).copy())
+                for f in fields(self)
             }
         )
 
     def __call__(self, lam):
         """(T_drop, T_through) at wavelengths `lam` in the ring's unshifted frame."""
-        n_eff = self.n0 + self.dispersion * (lam - self.lam0) / self.lam0
-        phi = 2.0 * math.pi * n_eff * self.length / lam
-        s2 = np.sin(phi / 2.0) ** 2
-        denom = self.denom0 + self.four_ta * s2
-        t_drop = self.drop_num / denom * self.drop_loss
-        return t_drop, (self.through_num + self.four_ta * s2) / denom
+        q = self._four_ta_sin2(lam)
+        through = (self.through_num + q) / (self.denom0 + q)
+        return self._drop_from(q), through
+
+    def drop(self, lam):
+        """T_drop alone at wavelengths `lam`: the same values as `__call__`,
+        computed in place on one new array."""
+        return self._drop_from(self._four_ta_sin2(lam))
+
+    def _four_ta_sin2(self, lam):
+        """4 t1 t2 a sin^2(phi/2) at `lam` (broadcast against the fields), on
+        a new array where `lam` is an array; `lam` is left unchanged."""
+        x = lam - self.lam0
+        x *= self.dispersion
+        x /= self.lam0
+        x += self.n0  # n_eff
+        x *= 2.0 * math.pi
+        x *= self.length
+        x /= lam  # phi
+        x /= 2.0
+        x = np.sin(x, out=_out(x))
+        x *= x
+        x *= self.four_ta
+        return x
+
+    def _drop_from(self, q):
+        """T_drop from 4 t1 t2 a sin^2(phi/2), computed in place on `q`."""
+        q += self.denom0  # the denominator
+        q = np.divide(self.drop_num, q, out=_out(q))
+        q *= self.drop_loss
+        return q
+
+    @cached_property
+    def resonance_wavelength(self):
+        """Wavelength of the resonance order, in the unshifted frame."""
+        return read_only(self.wavelength_at_phase(self.resonance_phase))
+
+    @cached_property
+    def half_fsr(self):
+        """Half the free spectral range at the reference wavelength."""
+        return read_only(self.lam0**2 / (self.group_index * self.length) / 2.0)
 
     def wavelength_at_phase(self, phi):
         """Wavelength whose round-trip phase equals phi in the unshifted frame.
@@ -313,12 +379,10 @@ class RingDevice:
         dphi = np.array(
             [0.0 if v >= 1.0 else 2.0 * math.asin(math.sqrt(v)) for v in s2.ravel().tolist()]
         ).reshape(s2.shape)
-        phi_res = shape.resonance_phase
         # Red-shifting the ring moves the operating point blue of resonance,
         # where the round-trip phase is larger.
-        det = shape.wavelength_at_phase(phi_res) - shape.wavelength_at_phase(phi_res + dphi)
-        half_fsr = shape.lam0**2 / (shape.group_index * shape.length) / 2.0
-        out = np.where(s2 >= 1.0, half_fsr, det)
+        det = shape.resonance_wavelength - shape.wavelength_at_phase(shape.resonance_phase + dphi)
+        out = np.where(s2 >= 1.0, shape.half_fsr, det)
         return out if out.ndim else float(out)
 
     def designed_for(self, channel_nm: float) -> "RingDevice":

@@ -288,7 +288,7 @@ def build_lut(
     drop, _ = ring.drop_through(grid.grid.array[None, :], mrr_powers[:, None])
     g = drop.sum(axis=1)
     # Pedestal from the other (parked) rings on this bus, fed by the dark MZIs.
-    drop_dark, _ = grid.drop_through_tensor(grid.parked_heaters())
+    drop_dark = grid.drop_through_tensor(grid.parked_heaters())
     floor_t = array.input_transmittances(np.zeros(n), direction)
     if direction == FORWARD:
         # output col: sum over input rows i of floor_i * G[i, col] (i != row)

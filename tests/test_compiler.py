@@ -3,6 +3,7 @@ alignment cached at construction must reproduce the per-element scalar
 computation bit for bit."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ def reference_heaters(compiler: MatrixCompiler, targets: np.ndarray):
         rows = np.arange(n)[:, None]
         cols = np.arange(n)[None, :]
         for _ in range(compiler.compensation_passes):
-            drop, _ = grid.drop_through_tensor(aligned + det / rates)
+            drop = grid.drop_through_tensor(aligned + det / rates)
             own = drop[rows, cols, rows]
             foreign = drop.sum(axis=2) - own
             rel = np.clip((targets * full - foreign) / peaks, floor, 1.0)
@@ -137,12 +138,12 @@ def test_grid_lineshape_equals_device_lineshape(preset):
     channels = grid.grid.array
     for targets in seeded_targets(array.n, seed=2, count=3):
         heaters, _, _ = compiler.heaters_for_targets(targets)
-        drop, through = grid.drop_through_tensor(heaters)
+        drop = grid.drop_through_tensor(heaters)
+        assert drop.shape == (array.n, array.n, len(channels))
         for i, row in enumerate(grid.rings):
             for j, ring in enumerate(row):
-                ring_drop, ring_through = ring.drop_through(channels, heaters[i, j])
+                ring_drop, _ = ring.drop_through(channels, heaters[i, j])
                 np.testing.assert_array_equal(drop[i, j], ring_drop)
-                np.testing.assert_array_equal(through[i, j], ring_through)
 
 
 @pytest.mark.parametrize(
@@ -206,6 +207,91 @@ def test_aligned_heaters_returns_a_copy():
     first[:] = -1.0
     np.testing.assert_array_equal(grid.aligned_heaters(), expected)
     np.testing.assert_array_equal(grid.detuned_heaters(np.zeros((4, 4))), expected)
+
+
+def cached_arrays(backend: PhotonicBackend) -> dict:
+    """Every array a ring grid and its compiler compute once and share."""
+    grid = backend.array.ring_grid
+    cached = {
+        "aligned": grid._aligned,
+        "rate": grid._rate,
+        "fab": grid._fab,
+        "phase0": grid._phase0,
+        "max_power": grid._max_power,
+        "channels": grid._channels,
+        "resonance_wavelength": grid.lineshape.resonance_wavelength,
+        "half_fsr": grid.lineshape.half_fsr,
+        "peaks": backend.compiler._peaks,
+        "floor": backend.compiler._floor_rel,
+    }
+    for f in fields(grid.lineshape):
+        cached[f"lineshape.{f.name}"] = getattr(grid.lineshape, f.name)
+        cached[f"drop_shape.{f.name}"] = getattr(grid._drop_shape, f.name)
+    return cached
+
+
+def test_cached_arrays_are_read_only():
+    backend = PhotonicBackend(preset_array("experimental_4x4", fabrication_sigma_nm=0.02, seed=7))
+    backend.program(np.eye(4))
+    for name, value in cached_arrays(backend).items():
+        assert isinstance(value, np.ndarray), name
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.multiply(value, 2.0, out=value)
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_programming_a_then_b_then_a_gives_a_bits(preset):
+    backend = PhotonicBackend(PRESETS[preset]())
+    n = backend.array.n
+    rng = np.random.default_rng(8)
+    a, b = rng.uniform(-1.0, 1.0, (2, n, n))
+    x = rng.uniform(0.0, 1.0, (n, 3))
+    s = rng.normal(size=(n, 3))
+
+    def outputs(handle):
+        c = handle.compiled
+        return [
+            c.heater_settings_mw, c.transmittances, c.clamped_elements,
+            handle._eff_fwd, handle._eff_bwd, handle.forward(x), handle.backward(s),
+        ]
+
+    first = outputs(backend.program(a))
+    before = {name: value.copy() for name, value in cached_arrays(backend).items()}
+    backend.program(b).backward(s)
+    again = outputs(backend.program(a))
+    for expected, got in zip(first, again):
+        np.testing.assert_array_equal(got, expected)
+    for name, value in cached_arrays(backend).items():
+        np.testing.assert_array_equal(value, before[name], err_msg=name)
+
+
+def test_nan_heater_is_rejected_by_the_range_check():
+    grid = preset_array("experimental_4x4").ring_grid
+    heaters = grid.aligned_heaters()
+    heaters[1, 2] = np.nan
+    with pytest.raises(ValueError, match="ring heater power out of range"):
+        grid.check_heaters(heaters)
+    with pytest.raises(ValueError, match="ring heater power out of range"):
+        grid.drop_through_tensor(heaters)
+
+
+def test_nan_detuning_is_rejected_by_the_range_check():
+    grid = preset_array("experimental_4x4").ring_grid
+    detunings = np.zeros((4, 4))
+    detunings[3, 0] = np.nan
+    with pytest.raises(ValueError, match="detunings must be non-negative"):
+        grid.detuned_heaters(detunings)
+
+
+@pytest.mark.parametrize("compensate", [True, False])
+def test_nan_target_is_rejected_by_the_range_check(compensate):
+    compiler = MatrixCompiler(preset_array("experimental_4x4"), compensate_leakage=compensate)
+    targets = np.full((4, 4), 0.5)
+    targets[0, 3] = np.nan
+    with pytest.raises(ValueError, match=r"unit targets must lie in \[0, 1\]"):
+        compiler.heaters_for_targets(targets)
 
 
 def test_alignment_beyond_heater_range_is_rejected_at_construction():

@@ -230,3 +230,35 @@ def test_cli_rejects_random_mzi_phases_outside_characterize_devices(tmp_path, ca
     assert len(lines) == 1 and lines[0].startswith("xbar: error:")
     assert "random_mzi_phases" in lines[0]
     assert not out.exists()  # rejected before any work
+
+
+def test_mnist_train_rejects_a_non_default_hidden_width(mnist_dir):
+    data = {
+        "experiment": "mnist-train",
+        "devices": {"preset": "simulation_9x9"},
+        "datasets": {"mnist_dir": str(mnist_dir)},
+    }
+    RunConfig.from_dict({**data, "training": {"hidden": 4}}).validate()
+    with pytest.raises(ConfigError, match="training.hidden 8 .* fixed"):
+        RunConfig.from_dict({**data, "training": {"hidden": 8}}).validate()
+
+
+def test_cli_rejects_hidden_on_mnist_train_before_any_work(tmp_path, capsys, mnist_dir):
+    config_path = tmp_path / "mnist.yaml"
+    config_path.write_text(
+        yaml.safe_dump(
+            {
+                "devices": {"preset": "simulation_9x9"},
+                "training": {"backend": "photonic", "hidden": 8},
+                "datasets": {"mnist_dir": str(mnist_dir)},
+            }
+        )
+    )
+    out = tmp_path / "out"
+    code = main(["mnist-train", "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "training.hidden" in lines[0]
+    assert not out.exists()

@@ -63,9 +63,9 @@ def reference_output_power(array, row, col, lut):
     for k, p in enumerate(lut.mrr_powers_mw):
         h = heaters.copy()
         h[row, col] = p
-        drop, _ = grid.drop_through_tensor(h)
+        drop = grid.drop_through_tensor(h)
         g[k] = drop[row, col, :].sum()
-    drop_dark, _ = grid.drop_through_tensor(heaters)
+    drop_dark = grid.drop_through_tensor(heaters)
     floor_t = array.input_transmittances(np.zeros(array.n), direction)
     if direction == FORWARD:
         others = sum(
