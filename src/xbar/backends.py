@@ -55,8 +55,14 @@ def _as_batch(x):
 
 
 def _check_unit_interval(x):
-    if np.any(x < -_INPUT_TOL) or np.any(x > 1.0 + _INPUT_TOL):
+    """`x` clipped to [0, 1]; values further out than _INPUT_TOL, or NaN, raise.
+    Returns `x` itself when it already lies in [0, 1]."""
+    # NaN propagates into both; the initial values let an empty batch pass.
+    lo, hi = x.min(initial=np.inf), x.max(initial=-np.inf)
+    if not (lo >= -_INPUT_TOL and hi <= 1.0 + _INPUT_TOL):
         raise EncodingError("forward inputs must lie in [0, 1]")
+    if lo >= 0.0 and hi <= 1.0:
+        return x
     return np.clip(x, 0.0, 1.0)
 
 
@@ -123,8 +129,13 @@ class _ProgrammedMatrix:
         self._ones_response: np.ndarray | None = None
 
     def _padded(self, v, dim: int, what: str) -> np.ndarray:
+        """`v` zero-padded to n rows, C-ordered. It may be `v` itself, so no
+        caller writes into it. (A Fortran-ordered operand would change the
+        bits of the BLAS product, hence the copy of a transposed view.)"""
         if v.shape[0] != dim:
             raise ValueError(f"expected {what} dim {dim}, got {v.shape[0]}")
+        if dim == self.n:
+            return np.ascontiguousarray(v)
         out = np.zeros((self.n, v.shape[1]))
         out[:dim] = v
         return out

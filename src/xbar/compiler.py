@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossbar import CrossbarArray
-from .devices import RingDevice, read_only
+from .devices import read_only
 from .errors import ShapeError
 
 
@@ -140,27 +140,17 @@ class MatrixCompiler:
         self.compensate_leakage = compensate_leakage
         self.compensation_passes = compensation_passes
         grid = array.ring_grid
-        self._peaks = read_only(
-            np.array([[ring.peak_drop_transmittance() for ring in row] for row in grid.rings])
-        )
+        self._peaks = read_only(grid.lineshape.peak_drop[:, :, 0])
         # Common full-scale drop target: the lossiest ring binds.
         self._full_scale = float(self._peaks.min())
         # Residual relative coupling of a parked ring at its own channel.
-        park = grid.park_detuning_nm
         self._floor_rel = read_only(
-            np.array([[self._drop_at(ring, park) for ring in row] for row in grid.rings])
-            / self._peaks
+            grid.drop_below_resonance(grid.park_detuning_nm) / self._peaks
         )
 
     @property
     def n(self) -> int:
         return self.array.n
-
-    @staticmethod
-    def _drop_at(ring: RingDevice, detuning_nm: float) -> float:
-        res = ring.resonance_wavelength_nm(0.0)
-        drop, _ = ring.drop_through(res - detuning_nm, 0.0)
-        return drop
 
     def _detunings_for(self, relative_targets: np.ndarray) -> np.ndarray:
         grid = self.array.ring_grid

@@ -123,8 +123,9 @@ class RingGrid:
 
     Everything that depends only on the rings is computed once, at
     construction, and held in read-only arrays:
-    - the per-ring heater rate, fabrication detuning, initial-phase shift
-      and heater range, read by `drop_through_tensor` and the range checks;
+    - the per-ring heater rate, fabrication detuning, initial-phase shift,
+      heater range and zero-heater resonance, read by `drop_through_tensor`,
+      `drop_below_resonance` and the range checks;
     - the aligned heater matrix (checked against each ring's heater range
       and against ALIGNMENT_TOLERANCE_NM);
     - `lineshape`, every ring's `AddDropLineshape` stacked into fields of
@@ -167,6 +168,7 @@ class RingGrid:
             lambda r: r.shifter.initial_phase_rad / (2.0 * math.pi) * r.fsr_nm()
         )
         self._max_power = get(lambda r: r.shifter.max_power_mw)
+        self._resonance0 = get(lambda r: r.resonance_wavelength_nm(0.0))
         self.lineshape = AddDropLineshape.stack([[r.lineshape for r in row] for row in self.rings])
         self._channels = read_only(self.grid.array)
         self._drop_shape = self.lineshape.broadcast_to((self.n, self.n, len(self.grid)))
@@ -177,7 +179,7 @@ class RingGrid:
         The thermo-optic shift is linear, so the modular inversion is exact;
         the residual is verified against ALIGNMENT_TOLERANCE_NM.
         """
-        base = _per_ring(self.rings, lambda r: r.resonance_wavelength_nm(0.0))
+        base = self._resonance0
         fsr = _per_ring(self.rings, lambda r: r.fsr_nm())
         target = self._channels[:, None]
         power = ((target - base) % fsr) / self._rate
@@ -211,6 +213,13 @@ class RingGrid:
         h = self.check_heaters(heaters)
         shift = self._fab + self._rate * h + self._phase0  # (n, n)
         return self._drop_shape.drop(np.subtract(self._channels, shift[:, :, None]))
+
+    def drop_below_resonance(self, detuning_nm: float) -> np.ndarray:
+        """T_drop of every ring at zero heater power, `detuning_nm` blue of
+        its own zero-heater resonance, shape (n, n), in one evaluation of the
+        stacked lineshape."""
+        lam = self._resonance0 - detuning_nm - (self._fab + self._phase0)
+        return self.lineshape.drop(lam[:, :, None])[:, :, 0]
 
     def aligned_heaters(self) -> np.ndarray:
         """Heater matrix putting every ring exactly on its row channel (a copy)."""
@@ -304,13 +313,14 @@ class CrossbarArray:
     def input_transmittances(self, x: np.ndarray, direction: str) -> np.ndarray:
         """Transmittances of the direction's MZI bank driven to transmit x.
 
-        x must lie in [0, 1]^n; signed values must be encoded upstream. An
-        MZI driven to 0 still leaks at its extinction floor.
+        x must lie in [0, 1]^n (NaN raises EncodingError); signed values must
+        be encoded upstream. An MZI driven to 0 still leaks at its extinction
+        floor.
         """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ShapeError(f"input vector must have shape ({self.n},); got {x.shape}")
-        if np.any(x < 0) or np.any(x > 1):
+        if not ((0.0 <= x) & (x <= 1.0)).all():
             raise EncodingError("MZI-encodable inputs must lie in [0, 1]")
         bank = self._bank(direction)
         return np.array([dev.transmittance(dev.power_for(xi)) for dev, xi in zip(bank, x)])

@@ -63,9 +63,10 @@ class PhaseShifter:
             raise ValueError("max_power_mw must be non-negative")
 
     def phase(self, power_mw):
-        """Phase in radians for a heater power; raises PowerRangeError out of range."""
+        """Phase in radians for a heater power; raises PowerRangeError out of
+        range or for NaN."""
         p = np.asarray(power_mw, dtype=float)
-        if np.any(p < 0) or np.any(p > self.max_power_mw):
+        if not ((0.0 <= p) & (p <= self.max_power_mw)).all():
             raise PowerRangeError(
                 f"heater power must lie in [0, {self.max_power_mw}] mW"
             )
@@ -223,6 +224,11 @@ class AddDropLineshape:
         q *= self.drop_loss
         return q
 
+    @property
+    def peak_drop(self):
+        """T_drop exactly on resonance (includes the excess loss)."""
+        return self.drop_num / self.denom0 * self.drop_loss
+
     @cached_property
     def resonance_wavelength(self):
         """Wavelength of the resonance order, in the unshifted frame."""
@@ -307,7 +313,7 @@ class RingDevice:
             self.shifter.initial_phase_rad / (2.0 * math.pi) * self.fsr_nm()
         )
         p = np.asarray(heater_power_mw, dtype=float)
-        if (p < 0).any() or (p > self.shifter.max_power_mw).any():
+        if not ((0.0 <= p) & (p <= self.shifter.max_power_mw)).all():
             raise PowerRangeError(
                 f"ring heater power must lie in [0, {self.shifter.max_power_mw}] mW"
             )
@@ -343,8 +349,7 @@ class RingDevice:
 
     def peak_drop_transmittance(self) -> float:
         """Drop transmittance exactly on resonance (includes excess loss)."""
-        shape = self.lineshape
-        return shape.drop_num / shape.denom0 * shape.drop_loss
+        return self.lineshape.peak_drop
 
     def fwhm_nm(self) -> float:
         """Analytic full-width half-maximum of the drop resonance."""

@@ -8,6 +8,11 @@ patch. Matrix products go through the chosen backend; activations, pooling,
 loss derivatives and weight-gradient outer products stay electronic. Error
 signals propagate backward through the same programmed weights
 (handle.backward), which is the crossbar's native W^T sigma product.
+
+The CNN's 2x2 max-pool works on four strided views of the activation map,
+one per tile position, and records an int8 first-max pick that the backward
+pass unpools through the same views. `Adam` keeps its moments as one flat
+vector pair over all parameters.
 """
 
 from __future__ import annotations
@@ -74,26 +79,46 @@ class Sgd:
 
 
 class Adam:
+    """Adam over one flat moment pair for all parameters.
+
+    `m` and `v` are single vectors holding every parameter's moments end to
+    end, in the order of the `params` list, so a step is a fixed number of
+    in-place ufunc calls whatever the parameter count. Each element sees the
+    same operations as a per-parameter Adam; the two scratch vectors are
+    allocated per update, not kept.
+    """
+
     def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
         self.b1, self.b2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
     def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        g = np.concatenate(grads, axis=None)  # a new flat copy of the gradients
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m = np.zeros_like(g)
+            self.v = np.zeros_like(g)
         self.t += 1
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1**self.t)
-            vhat = v / (1 - self.b2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        b1, b2, m, v = self.b1, self.b2, self.m, self.v
+        a = np.multiply(1 - b2, g)
+        a *= g
+        v *= b2
+        v += a  # v = b2 v + (1 - b2) g g
+        g *= 1 - b1
+        m *= b1
+        m += g  # m = b1 m + (1 - b1) g
+        np.divide(m, 1 - b1**self.t, out=a)
+        a *= self.lr  # lr * mhat
+        np.divide(v, 1 - b2**self.t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        a /= g  # the step, lr * mhat / (sqrt(vhat) + eps)
+        start = 0
+        for p in params:
+            p -= a[start : start + p.size].reshape(p.shape)
+            start += p.size
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -290,8 +315,46 @@ def im2col(images: np.ndarray) -> np.ndarray:
     return windows.reshape(b, CONV_OUT * CONV_OUT, KERNEL_SIZE * KERNEL_SIZE)
 
 
+def _pool_views(maps: np.ndarray) -> list:
+    """The four strided views of the 2x2 pooling tiles of (B, 9, 26, 26) maps:
+    view k = 2r + c holds each tile's element at row r, column c, so view k
+    at [:, :, i, j] is maps[:, :, 2i + r, 2j + c]."""
+    return [maps[:, :, r::2, c::2] for r in (0, 1) for c in (0, 1)]
+
+
+def max_pool(act: np.ndarray):
+    """2x2 max-pool of (B, 9, 26, 26) maps: (pooled, pick), both (B, 9, 13, 13).
+
+    A view is picked only where it is strictly greater than the running
+    maximum of the views before it, so the int8 `pick` is the first maximum,
+    as `argmax` picks it; ReLU makes ties (all-zero tiles) common.
+    """
+    views = _pool_views(act)
+    pooled = views[0].copy()
+    pick = np.zeros(pooled.shape, dtype=np.int8)
+    for k in range(1, 4):
+        np.copyto(pick, k, where=views[k] > pooled)
+        np.maximum(views[k], pooled, out=pooled)
+    return pooled, pick
+
+
+def unpool(d_pool: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """Gradient of `max_pool`: each pooled gradient routed to its picked tile
+    position of a new zeroed (B, 9, 26, 26) array."""
+    b = d_pool.shape[0]
+    d_act = np.zeros((b, KERNEL_COUNT, CONV_OUT, CONV_OUT))
+    for k, view in enumerate(_pool_views(d_act)):
+        np.copyto(view, d_pool, where=pick == k)
+    return d_act
+
+
 class CnnRunner:
-    """Forward/backward passes with the convolution routed through a backend."""
+    """Forward/backward passes with the convolution routed through a backend.
+
+    The 2x2 max-pool (`max_pool`) reads the four strided tile views of the
+    activation map and records an int8 first-max pick; `unpool` routes each
+    pooled gradient through the same views to the picked position.
+    """
 
     def __init__(self, model: CnnModel, backend):
         self.model = model
@@ -309,12 +372,7 @@ class CnnRunner:
         conv = conv.reshape(KERNEL_COUNT, b, CONV_OUT * CONV_OUT).transpose(1, 0, 2)
         conv = conv.reshape(b, KERNEL_COUNT, CONV_OUT, CONV_OUT)
         act = relu(conv)
-        # 2x2 max pooling with argmax bookkeeping for the backward pass.
-        tiles = act.reshape(b, KERNEL_COUNT, POOL_OUT, 2, POOL_OUT, 2)
-        tiles = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(
-            b, KERNEL_COUNT, POOL_OUT, POOL_OUT, 4
-        )
-        pooled = tiles.max(axis=-1)
+        pooled, pick = max_pool(act)
         flat = pooled.reshape(b, FLAT_DIM).T  # (1521, B)
         hidden = relu(self.model.w_hidden @ flat + self.model.b_hidden[:, None])
         logits = self.model.w_out @ hidden + self.model.b_out[:, None]
@@ -324,7 +382,7 @@ class CnnRunner:
         return probs, {
             "patches": patches,
             "conv": conv,
-            "tiles_argmax": tiles.argmax(axis=-1),
+            "pick": pick,
             "flat": flat,
             "hidden": hidden,
         }
@@ -342,17 +400,9 @@ class CnnRunner:
         g_hidden = d_hidden @ cache["flat"].T
         g_b_hidden = d_hidden.sum(axis=1)
         d_flat = self.model.w_hidden.T @ d_hidden  # (1521, B)
-        # Unpool: route each pooled gradient to its argmax position.
         d_pool = d_flat.T.reshape(b, KERNEL_COUNT, POOL_OUT, POOL_OUT)
-        d_tiles = np.zeros((b, KERNEL_COUNT, POOL_OUT, POOL_OUT, 4))
-        np.put_along_axis(
-            d_tiles, cache["tiles_argmax"][..., None], d_pool[..., None], axis=-1
-        )
-        d_act = d_tiles.reshape(b, KERNEL_COUNT, POOL_OUT, POOL_OUT, 2, 2)
-        d_act = d_act.transpose(0, 1, 2, 4, 3, 5).reshape(
-            b, KERNEL_COUNT, CONV_OUT, CONV_OUT
-        )
-        d_conv = d_act * (cache["conv"] > 0)  # (B, 9, 26, 26)
+        d_conv = unpool(d_pool, cache["pick"])
+        d_conv *= cache["conv"] > 0  # (B, 9, 26, 26)
         d_cols = d_conv.reshape(b, KERNEL_COUNT, CONV_OUT * CONV_OUT)
         d_cols = d_cols.transpose(1, 0, 2).reshape(KERNEL_COUNT, b * CONV_OUT * CONV_OUT)
         # Kernel gradient is the electronic outer product; the patch error

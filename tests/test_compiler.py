@@ -16,7 +16,7 @@ from xbar.compiler import MatrixCompiler, decode_output, encode_signed, encode_s
 from xbar.config import RunConfig
 from xbar.crossbar import BACKWARD, FORWARD, LEGACY_ASYMMETRIC, SYMMETRIC, build_ring_grid
 from xbar.devices import PhaseShifter, RingDevice, WavelengthGrid
-from xbar.errors import InfeasibleError
+from xbar.errors import EncodingError, InfeasibleError
 from xbar.experiments import run_experiment
 from xbar.presets import preset_array, ring_for_q
 
@@ -62,6 +62,23 @@ def reference_alignment(ring_grid) -> np.ndarray:
     return out
 
 
+def reference_floor(grid) -> np.ndarray:
+    """Each ring's parked floor relative to its peak, one scalar
+    `drop_through` per ring at its zero-heater resonance minus the park
+    detuning."""
+    park = grid.park_detuning_nm
+    return np.array(
+        [
+            [
+                ring.drop_through(ring.resonance_wavelength_nm(0.0) - park, 0.0)[0]
+                / ring.peak_drop_transmittance()
+                for ring in row
+            ]
+            for row in grid.rings
+        ]
+    )
+
+
 def reference_heaters(compiler: MatrixCompiler, targets: np.ndarray):
     """heaters_for_targets as an element-by-element loop over scalar calls."""
     grid = compiler.array.ring_grid
@@ -72,12 +89,7 @@ def reference_heaters(compiler: MatrixCompiler, targets: np.ndarray):
     rates = np.array([[r.resonance_shift_per_mw for r in row] for row in rings])
     peaks = np.array([[r.peak_drop_transmittance() for r in row] for row in rings])
     full = float(peaks.min())
-    floor = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            ring = rings[i][j]
-            drop, _ = ring.drop_through(ring.resonance_wavelength_nm(0.0) - park, 0.0)
-            floor[i, j] = drop / ring.peak_drop_transmittance()
+    floor = reference_floor(grid)
 
     def detunings(rel):
         det = np.empty((n, n))
@@ -218,6 +230,7 @@ def cached_arrays(backend: PhotonicBackend) -> dict:
         "fab": grid._fab,
         "phase0": grid._phase0,
         "max_power": grid._max_power,
+        "resonance0": grid._resonance0,
         "channels": grid._channels,
         "resonance_wavelength": grid.lineshape.resonance_wavelength,
         "half_fsr": grid.lineshape.half_fsr,
@@ -292,6 +305,23 @@ def test_nan_target_is_rejected_by_the_range_check(compensate):
     targets[0, 3] = np.nan
     with pytest.raises(ValueError, match=r"unit targets must lie in \[0, 1\]"):
         compiler.heaters_for_targets(targets)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.02])
+@pytest.mark.parametrize("preset", ["experimental_4x4", "simulation_9x9", "ideal"])
+def test_stacked_floor_equals_the_per_ring_drop_through_loop(preset, sigma):
+    array = preset_array(preset, fabrication_sigma_nm=sigma, seed=11)
+    compiler = MatrixCompiler(array)
+    np.testing.assert_array_equal(compiler._floor_rel, reference_floor(array.ring_grid))
+    peaks = [[ring.peak_drop_transmittance() for ring in row] for row in array.ring_grid.rings]
+    np.testing.assert_array_equal(compiler._peaks, peaks)
+
+
+def test_nan_input_is_rejected_by_the_mzi_range_check():
+    array = preset_array("experimental_4x4")
+    for direction in (FORWARD, BACKWARD):
+        with pytest.raises(EncodingError, match=r"inputs must lie in \[0, 1\]"):
+            array.input_transmittances(np.array([0.2, np.nan, 0.5, 1.0]), direction)
 
 
 def test_alignment_beyond_heater_range_is_rejected_at_construction():

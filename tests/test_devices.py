@@ -42,6 +42,12 @@ class TestPhaseShifter:
         with pytest.raises(ValueError):
             PhaseShifter(power_per_pi_mw=0.0)
 
+    def test_nan_power_is_rejected(self):
+        with pytest.raises(PowerRangeError):
+            PhaseShifter().phase(np.array([1.0, math.nan]))
+        with pytest.raises(PowerRangeError):
+            MziDevice().transmittance(math.nan)
+
 
 class TestMzi:
     def test_full_transfer_at_pi(self):
@@ -89,6 +95,12 @@ class TestMzi:
 
 
 class TestRing:
+    def test_nan_heater_power_is_rejected(self):
+        with pytest.raises(PowerRangeError):
+            RingDevice().drop_through(1550.0, math.nan)
+        with pytest.raises(PowerRangeError):
+            RingDevice().resonance_wavelength_nm(math.nan)
+
     def test_critical_transfer_on_resonance(self):
         ring = RingDevice(self_coupling_t1=0.9, self_coupling_t2=0.9, round_trip_amplitude=1.0)
         t_drop, t_through = ring.drop_through(ring.resonance_wavelength_nm())

@@ -27,6 +27,24 @@ def test_rerun_at_default_config_is_byte_identical(tmp_path, experiment):
     assert outputs[0] and outputs[0] == outputs[1]
 
 
+def test_mnist_train_rerun_is_byte_identical(tmp_path, mnist_dir):
+    outputs = []
+    for name in ("a", "b"):
+        config = RunConfig.from_dict(
+            {
+                "experiment": "mnist-train",
+                "out_dir": str(tmp_path / name),
+                "devices": {"preset": "simulation_9x9"},
+                "training": {"backend": "photonic", "epochs": 1, "batch_size": 2},
+                "datasets": {"mnist_dir": str(mnist_dir), "mnist_train": 4, "mnist_test": 4},
+            }
+        )
+        out_dir = run_experiment(config)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))})
+    assert set(outputs[0]) == {"accuracy_history.csv", "confusion.csv", "cost_history.csv"}
+    assert outputs[0] == outputs[1]
+
+
 def test_iris_train_runs_draw_independent_noise_streams():
     config = RunConfig.from_dict(
         {"experiment": "iris-train", "seed": 3, "noise": {"enabled": True}}

@@ -1,0 +1,185 @@
+"""CNN pooling, the flat Adam and the backend input path, each checked bit for
+bit against the transposed-tile, per-parameter and zero-fill routes they
+replace."""
+
+import numpy as np
+import pytest
+
+from xbar.backends import make_backend
+from xbar.errors import EncodingError
+from xbar.nn import (
+    CONV_OUT,
+    FLAT_DIM,
+    HIDDEN_DIM,
+    KERNEL_COUNT,
+    POOL_OUT,
+    Adam,
+    max_pool,
+    unpool,
+)
+from xbar.presets import preset_array
+
+MAPS = (3, KERNEL_COUNT, CONV_OUT, CONV_OUT)
+POOLED = (3, KERNEL_COUNT, POOL_OUT, POOL_OUT)
+
+
+def tile_pool(act):
+    """Max-pool through a transposed (..., 4) tile copy: (max, argmax)."""
+    b = act.shape[0]
+    tiles = act.reshape(b, KERNEL_COUNT, POOL_OUT, 2, POOL_OUT, 2)
+    tiles = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(b, KERNEL_COUNT, POOL_OUT, POOL_OUT, 4)
+    return tiles.max(axis=-1), tiles.argmax(axis=-1)
+
+
+def tile_unpool(d_pool, argmax):
+    """Unpool through put_along_axis on a (..., 4) tile array."""
+    b = d_pool.shape[0]
+    d_tiles = np.zeros((b, KERNEL_COUNT, POOL_OUT, POOL_OUT, 4))
+    np.put_along_axis(d_tiles, argmax[..., None], d_pool[..., None], axis=-1)
+    d_act = d_tiles.reshape(b, KERNEL_COUNT, POOL_OUT, POOL_OUT, 2, 2)
+    return d_act.transpose(0, 1, 2, 4, 3, 5).reshape(b, KERNEL_COUNT, CONV_OUT, CONV_OUT)
+
+
+class PerParameterAdam:
+    """Adam with one moment pair per parameter, updated parameter by parameter."""
+
+    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = learning_rate
+        self.b1, self.b2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = None
+        self.v = None
+
+    def update(self, params, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.b1
+            m += (1 - self.b1) * g
+            v *= self.b2
+            v += (1 - self.b2) * g * g
+            mhat = m / (1 - self.b1**self.t)
+            vhat = v / (1 - self.b2**self.t)
+            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def relu_maps(rng):
+    return np.maximum(rng.normal(size=MAPS), 0.0)
+
+
+def tied_maps(rng):
+    """Maps whose tiles tie: all-zero tiles, and tiles with equal non-zero
+    maxima in every pair of positions."""
+    act = relu_maps(rng)
+    act[0] = 0.0
+    tiles = [act[1:, :, r::2, c::2] for r in (0, 1) for c in (0, 1)]
+    level = rng.uniform(1.0, 2.0, tiles[0].shape)
+    for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+        part = rng.random(level.shape) < 0.15
+        tiles[i][part] = level[part]
+        tiles[j][part] = level[part]
+    return act
+
+
+@pytest.mark.parametrize("maps", [relu_maps, tied_maps])
+def test_max_pool_equals_the_tile_max_and_argmax(maps):
+    rng = np.random.default_rng(1)
+    act = maps(rng)
+    pooled, pick = max_pool(act)
+    expected, argmax = tile_pool(act)
+    assert pick.dtype == np.int8 and pooled.shape == POOLED
+    np.testing.assert_array_equal(pooled, expected)
+    np.testing.assert_array_equal(pick, argmax)
+    # C-ordered, as the tile max is: the hidden layer's BLAS product reads it.
+    assert pooled.flags.c_contiguous
+
+
+def test_tied_maps_tie_where_the_pick_must_be_the_first_max():
+    act = tied_maps(np.random.default_rng(1))
+    tiles = np.stack([act[:, :, r::2, c::2] for r in (0, 1) for c in (0, 1)], axis=-1)
+    ties = (tiles == tiles.max(axis=-1, keepdims=True)).sum(axis=-1) > 1
+    assert ties[0].all() and ties[1:].mean() > 0.3
+
+
+@pytest.mark.parametrize("maps", [relu_maps, tied_maps])
+def test_unpool_equals_the_put_along_axis_route(maps):
+    rng = np.random.default_rng(2)
+    _, pick = max_pool(maps(rng))
+    d_pool = rng.normal(size=POOLED)
+    np.testing.assert_array_equal(unpool(d_pool, pick), tile_unpool(d_pool, pick))
+
+
+def iris_params(rng):
+    return [rng.normal(size=(4, 4)), rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=3)]
+
+
+def cnn_params(rng):
+    shapes = [(KERNEL_COUNT, 9), (HIDDEN_DIM, FLAT_DIM), (10, HIDDEN_DIM), (HIDDEN_DIM,), (10,)]
+    return [rng.normal(size=shape) for shape in shapes]
+
+
+@pytest.mark.parametrize("make", [iris_params, cnn_params])
+@pytest.mark.parametrize("rate", [1e-3, 0.05])
+def test_flat_adam_equals_the_per_parameter_update(make, rate):
+    rng = np.random.default_rng(3)
+    params = make(rng)
+    reference = [p.copy() for p in params]
+    flat, per_parameter = Adam(rate), PerParameterAdam(rate)
+    for _ in range(4):
+        grads = [rng.normal(scale=0.1, size=p.shape) for p in params]
+        kept = [g.copy() for g in grads]
+        flat.update(params, grads)
+        per_parameter.update(reference, [g.copy() for g in grads])
+        for got, expected in zip(params, reference):
+            np.testing.assert_array_equal(got, expected)
+        for got, expected in zip(grads, kept):  # the gradients are not written
+            np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(flat.m, np.concatenate(per_parameter.m, axis=None))
+    np.testing.assert_array_equal(flat.v, np.concatenate(per_parameter.v, axis=None))
+
+
+@pytest.mark.parametrize("backend", ["photonic", "lut"])
+@pytest.mark.parametrize("preset", ["experimental_4x4", "simulation_9x9"])
+@pytest.mark.parametrize("overshoot", [0.0, 5e-10])
+def test_forward_on_a_fortran_ordered_input_gives_the_c_ordered_bits(backend, preset, overshoot):
+    array = preset_array(preset)
+    n = array.n
+    rng = np.random.default_rng(4)
+    handle = make_backend(backend, array).program(rng.uniform(-1.0, 1.0, (n, n)))
+    x = rng.uniform(0.0, 1.0, (7, n)).T  # a transposed view, as the CNN's im2col columns
+    x[0, 0] = 1.0 + overshoot  # within the input tolerance: clipped, not rejected
+    assert x.flags.f_contiguous and not x.flags.c_contiguous
+    before = x.copy()
+    got = handle.forward(x)
+    np.testing.assert_array_equal(got, handle.forward(np.ascontiguousarray(x)))
+    np.testing.assert_array_equal(x, before)
+
+
+@pytest.mark.parametrize("backend", ["photonic", "lut"])
+def test_forward_leaves_a_c_ordered_input_unchanged(backend):
+    handle = make_backend(backend, preset_array("experimental_4x4")).program(np.eye(4))
+    x = np.random.default_rng(5).uniform(0.0, 1.0, (4, 6))
+    x[2, 3] = -5e-10  # within the input tolerance: the clip must not write into x
+    before = x.copy()
+    handle.forward(x)
+    handle.backward(x - 0.5)
+    np.testing.assert_array_equal(x, before)
+
+
+@pytest.mark.parametrize("backend", ["photonic", "lut"])
+@pytest.mark.parametrize("in_dim", [3, 4])
+def test_nan_forward_input_raises_encoding_error(backend, in_dim):
+    handle = make_backend(backend, preset_array("experimental_4x4")).program(np.eye(4)[:, :in_dim])
+    x = np.full((in_dim, 2), 0.5)
+    x[in_dim - 1, 1] = np.nan
+    with pytest.raises(EncodingError, match=r"forward inputs must lie in \[0, 1\]"):
+        handle.forward(x)
+
+
+def test_forward_beyond_the_input_tolerance_raises_encoding_error():
+    handle = make_backend("photonic", preset_array("experimental_4x4")).program(np.eye(4))
+    for bad in (-1e-6, 1.0 + 1e-6):
+        with pytest.raises(EncodingError):
+            handle.forward(np.full((4, 1), bad))
