@@ -14,6 +14,15 @@ out. Signed backward inputs use the affine vector encoding plus the all-ones
 pass measured once per program. One base handle does this for both physical
 backends; each supplies only its encoding and its raw products.
 
+`program` also takes a stack of matrices (..., out, in), programmed in the
+same calls, each with its own encoding: slice k of the stack is bit for bit
+what programming that matrix on its own gives. The handle's products then
+broadcast over the leading axes: a (dim, batch) input reaches every matrix,
+and a stacked input (..., dim, batch) gives each matrix its own. A
+physical backend's measurement noise is one stream for every reading, or
+one stream per slice of a one-axis stack (`noise` a sequence), each drawn
+in the order that slice's own program would draw it.
+
 The `lut` backend never propagates whole vectors; every scalar product is
 fetched from calibration look-up tables, as the training experiments did.
 It calibrates one LUT pair per ring design (rings with equal fabrication
@@ -26,6 +35,8 @@ on the rising branch of each axis (see `xbar.lut`).
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -46,12 +57,13 @@ _INPUT_TOL = 1e-9
 
 
 def _as_batch(x):
+    """(`x` as a batch of columns, whether it was one vector)."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return x[:, None], True
-    if x.ndim == 2:
-        return x, False
-    raise ValueError("inputs must be vectors or (dim, batch) matrices")
+    if x.ndim == 0:
+        raise ValueError("inputs must be vectors, (dim, batch) matrices or stacks of them")
+    return x, False
 
 
 def _check_unit_interval(x):
@@ -67,7 +79,7 @@ def _check_unit_interval(x):
 
 
 class IdealProgrammed:
-    """Exact electronic reference for a programmed matrix."""
+    """Exact electronic reference for a programmed matrix or stack."""
 
     def __init__(self, matrix: np.ndarray):
         self.matrix = np.asarray(matrix, dtype=float)
@@ -75,12 +87,12 @@ class IdealProgrammed:
     def forward(self, x):
         xb, squeeze = _as_batch(x)
         y = self.matrix @ xb
-        return y[:, 0] if squeeze else y
+        return y[..., 0] if squeeze else y
 
     def backward(self, s):
         sb, squeeze = _as_batch(s)
-        y = self.matrix.T @ sb
-        return y[:, 0] if squeeze else y
+        y = self.matrix.swapaxes(-1, -2) @ sb
+        return y[..., 0] if squeeze else y
 
 
 class IdealBackend:
@@ -91,26 +103,50 @@ class IdealBackend:
 
 
 class _NoiseMixin:
-    """Shared measurement-noise plumbing for physical backends."""
+    """Shared measurement-noise plumbing for physical backends.
 
-    def _init_noise(self, noise: NoiseConfig | None, time_average_count: int):
-        self.noise = noise
+    `noise` is None, one NoiseConfig, whose stream perturbs every reading
+    whole, or a sequence of them, whose stream k perturbs slice k of every
+    reading of a stack programmed with that many matrices. One stream's
+    draws for a whole one-slice reading are its draws for that slice, so a
+    one-stream sequence reads as its single NoiseConfig does.
+    """
+
+    def _init_noise(self, noise, time_average_count: int):
         self.time_average_count = max(1, int(time_average_count))
-        self._rng = make_rng(noise.seed, noise.stream) if noise is not None else None
+        self.stream_count = None
+        if noise is not None and not isinstance(noise, NoiseConfig):
+            self.stream_count = len(noise)
+            noise = noise[0] if self.stream_count == 1 else list(noise)
+        self.noise = noise
+        self._rng = self._slice_rngs = None
+        if isinstance(noise, NoiseConfig):
+            self._rng = make_rng(noise.seed, noise.stream)
+        elif noise is not None:
+            self._slice_rngs = [make_rng(cfg.seed, cfg.stream) for cfg in noise]
 
     def _measure(self, clean: np.ndarray) -> np.ndarray:
-        """One detector reading of `clean` powers (may be signed after decode
-        pre-stages, so noise acts on magnitudes)."""
-        if self.noise is None or not self.noise.enabled:
+        """One detector reading of the raw product powers `clean`, which are
+        non-negative before any decode."""
+        if self._slice_rngs is not None:
+            def one():
+                return np.stack(
+                    [
+                        perturb(powers, cfg, rng)
+                        for powers, cfg, rng in zip(clean, self.noise, self._slice_rngs)
+                    ]
+                )
+        elif self._rng is not None and self.noise.enabled:
+            def one():
+                return perturb(clean, self.noise, self._rng)
+        else:
             return clean
-        def one():
-            factors = perturb(np.ones(clean.shape), self.noise, self._rng)
-            return clean * factors
         return time_average(one, self.time_average_count)
 
 
 class _ProgrammedMatrix:
-    """A signed matrix programmed onto a crossbar-sized backend.
+    """A signed matrix, or a stack (..., out, in), programmed onto a
+    crossbar-sized backend.
 
     The base class pads, checks and encodes inputs, takes the all-ones pass
     once per program and decodes. A subclass supplies the matrix encoding
@@ -123,29 +159,34 @@ class _ProgrammedMatrix:
         self.backend = backend
         self.n = backend.array.n
         m = np.asarray(matrix, dtype=float)
+        streams = backend.stream_count
+        if streams is not None and m.shape[:-2] != (streams,):
+            raise ValueError(f"{streams} noise streams need a stack of {streams} matrices")
         # The crossbar contracts over input ports: program the transpose.
-        self.encoding: AffineEncoding = self._program(pad(m.T, self.n))
-        self.out_dim, self.in_dim = m.shape
+        self.encoding: AffineEncoding = self._program(pad(m.swapaxes(-1, -2), self.n))
+        self.out_dim, self.in_dim = m.shape[-2:]
         self._ones_response: np.ndarray | None = None
 
     def _padded(self, v, dim: int, what: str) -> np.ndarray:
-        """`v` zero-padded to n rows, C-ordered. It may be `v` itself, so no
-        caller writes into it. (A Fortran-ordered operand would change the
-        bits of the BLAS product, hence the copy of a transposed view.)"""
-        if v.shape[0] != dim:
-            raise ValueError(f"expected {what} dim {dim}, got {v.shape[0]}")
+        """`v` (..., dim, batch) zero-padded to n rows, C-ordered. It may be
+        `v` itself, so no caller writes into it. (A Fortran-ordered operand
+        would change the bits of the BLAS product, hence the copy of a
+        transposed view.)"""
+        if v.shape[-2] != dim:
+            raise ValueError(f"expected {what} dim {dim}, got {v.shape[-2]}")
         if dim == self.n:
             return np.ascontiguousarray(v)
-        out = np.zeros((self.n, v.shape[1]))
-        out[:dim] = v
+        out = np.zeros(v.shape[:-2] + (self.n, v.shape[-1]))
+        out[..., :dim, :] = v
         return out
 
     def forward(self, x):
         xb, squeeze = _as_batch(x)
         xp = _check_unit_interval(self._padded(xb, self.in_dim, "input"))
         raw = self._raw_forward(xp)
-        y = decode_output(raw, self.encoding, 1.0, 0.0, xp.sum(axis=0), self.n)[: self.out_dim]
-        return y[:, 0] if squeeze else y
+        sums = xp.sum(axis=-2, keepdims=True)
+        y = decode_output(raw, self.encoding, None, None, sums, self.n)[..., : self.out_dim, :]
+        return y[..., 0] if squeeze else y
 
     def _measured_ones_response(self) -> np.ndarray:
         """Backward all-ones pass (W' 1), measured once per program."""
@@ -158,10 +199,10 @@ class _ProgrammedMatrix:
         s_prime, scales, offsets = encode_signed_columns(self._padded(sb, self.out_dim, "error"))
         raw = self._raw_backward(s_prime)
         ones = self._measured_ones_response()
-        y = decode_output(
-            raw, self.encoding, scales, offsets, s_prime.sum(axis=0), self.n, ones
-        )[: self.in_dim]
-        return y[:, 0] if squeeze else y
+        sums = s_prime.sum(axis=-2, keepdims=True)
+        y = decode_output(raw, self.encoding, scales, offsets, sums, self.n, ones)
+        y = y[..., : self.in_dim, :]
+        return y[..., 0] if squeeze else y
 
 
 class PhotonicProgrammed(_ProgrammedMatrix):
@@ -173,11 +214,12 @@ class PhotonicProgrammed(_ProgrammedMatrix):
         # Both directions scale one drop tensor of the final heaters.
         summed = array.summed_drop(heaters)
         self._eff_fwd = array.effective_matrix(heaters, FORWARD, summed)
+        self._eff_fwd_t = self._eff_fwd.swapaxes(-1, -2)
         self._eff_bwd = array.effective_matrix(heaters, BACKWARD, summed)
         return self.compiled.encoding
 
     def _raw_forward(self, xp):
-        return self.backend._measure(self._eff_fwd.T @ xp)
+        return self.backend._measure(self._eff_fwd_t @ xp)
 
     def _raw_backward(self, s_prime):
         return self.backend._measure(self._eff_bwd @ s_prime)
@@ -191,7 +233,7 @@ class PhotonicBackend(_NoiseMixin):
     def __init__(
         self,
         array: CrossbarArray,
-        noise: NoiseConfig | None = None,
+        noise: NoiseConfig | Sequence[NoiseConfig] | None = None,
         time_average_count: int = 1,
     ):
         self.array = array
@@ -206,20 +248,21 @@ class LutProgrammed(_ProgrammedMatrix):
     """A signed matrix held as per-element LUT targets."""
 
     def _program(self, padded):
-        self.targets, encoding = encode_signed(padded)  # targets[i, j] multiplies input i
+        # targets[..., i, j] multiplies input i
+        self.targets, encoding = encode_signed(padded)
         return encoding
 
     def _raw_forward(self, xp):
         # y'[j, b] = sum_i lut_ij(x[i, b], T'[i, j])
         return self.backend.element_products(
-            xp[:, None, :], self.targets[:, :, None], FORWARD
-        ).sum(axis=0)
+            xp[..., :, None, :], self.targets[..., None], FORWARD
+        ).sum(axis=-3)
 
     def _raw_backward(self, s_prime):
         # y'[i, b] = sum_j lut_ij(s'[j, b], T'[i, j])
         return self.backend.element_products(
-            s_prime[None, :, :], self.targets[:, :, None], BACKWARD
-        ).sum(axis=1)
+            s_prime[..., None, :, :], self.targets[..., None], BACKWARD
+        ).sum(axis=-2)
 
 
 class LutBackend(_NoiseMixin):
@@ -238,7 +281,7 @@ class LutBackend(_NoiseMixin):
         self,
         array: CrossbarArray,
         steps: int = 64,
-        noise: NoiseConfig | None = None,
+        noise: NoiseConfig | Sequence[NoiseConfig] | None = None,
         time_average_count: int = 1,
     ):
         self.array = array
@@ -269,10 +312,11 @@ class LutBackend(_NoiseMixin):
     def element_products(self, values, targets, direction: str) -> np.ndarray:
         """LUT product estimates values * targets for every grid element.
 
-        `values` and `targets` are 3-D and broadcast to (n, n, batch),
-        indexed by ring (row, col). Each ring reads its design's LUT, all in
-        one vectorised call; estimates are clamped to the calibrated span (a
-        LUT cannot represent levels outside its windows).
+        `values` and `targets` broadcast to (..., n, n, batch), indexed by
+        ring (row, col) in the trailing grid axes. Each ring reads its
+        design's LUT, all in one vectorised call; estimates are clamped to
+        the calibrated span (a LUT cannot represent levels outside its
+        windows).
         """
         est, _ = lut_multiply_many(self._tables[direction], values, targets)
         return self._measure(est + self._bias[direction])
@@ -284,10 +328,10 @@ class LutBackend(_NoiseMixin):
 def make_backend(
     name: str,
     array: CrossbarArray | None = None,
-    noise: NoiseConfig | None = None,
+    noise: NoiseConfig | Sequence[NoiseConfig] | None = None,
     time_average_count: int = 1,
 ):
-    """Factory used by the experiment layer."""
+    """Factory used by the experiment layer; `noise` as in `_NoiseMixin`."""
     if name == "ideal":
         return IdealBackend()
     if array is None:

@@ -28,56 +28,66 @@ from .errors import ShapeError
 
 @dataclass(frozen=True)
 class AffineEncoding:
-    """Min-max map value -> (value - offset) / scale onto [0, 1]."""
+    """Min-max map value -> (value - offset) / scale onto [0, 1].
 
-    scale: float
-    offset: float
+    `scale` and `offset` are floats, or arrays of shape (..., 1, 1) holding
+    one map per matrix of a stack (see `encode_signed`); every scale must be
+    positive.
+    """
+
+    scale: float | np.ndarray
+    offset: float | np.ndarray
 
     def __post_init__(self):
-        if self.scale <= 0:
+        if not np.logical_and.reduce(np.greater(self.scale, 0.0), axis=None):
             raise ValueError("encoding scale must be positive")
 
-    def encode(self, values):
-        return (np.asarray(values, dtype=float) - self.offset) / self.scale
+
+def _min_and_span(a: np.ndarray, axis):
+    """(min, max - min) of `a` over `axis`, kept as length-1 axes; a span of 0
+    (constant values) is returned as 1, so the span divides as a scale."""
+    lo = np.minimum.reduce(a, axis=axis, keepdims=True)
+    span = np.maximum.reduce(a, axis=axis, keepdims=True) - lo
+    # A NaN or an infinity among the values makes their span non-finite.
+    if not np.logical_and.reduce(np.isfinite(span), axis=None):
+        raise ValueError("cannot encode non-finite values")
+    span[span == 0.0] = 1.0
+    return lo, span
 
 
 def encode_signed(values):
-    """Affine-encode a signed array onto [0, 1]; returns (encoded, encoding).
+    """Affine-encode a signed matrix, or every matrix of a stack
+    (..., rows, cols), onto [0, 1]; returns (encoded, encoding).
 
-    Degenerate all-equal input encodes to zeros with the common value carried
-    in the offset.
+    Each matrix gets its own map: the encoding's scale and offset have shape
+    (..., 1, 1). A degenerate all-equal matrix encodes to zeros with the
+    common value carried in the offset.
     """
     arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot encode non-finite values")
-    lo = float(arr.min())
-    hi = float(arr.max())
-    enc = AffineEncoding(scale=1.0 if hi == lo else hi - lo, offset=lo)
-    return enc.encode(arr), enc
+    lo, scale = _min_and_span(arr, (-2, -1))
+    return (arr - lo) / scale, AffineEncoding(scale=scale, offset=lo)
 
 
 def encode_signed_columns(arr: np.ndarray):
-    """Column-wise affine encoding for a (dim, batch) matrix of signed vectors.
+    """Column-wise affine encoding for (..., dim, batch) signed vectors.
 
-    Returns (encoded, scales, offsets) with encoded in [0, 1]; degenerate
-    constant columns get scale 1 with the value carried in the offset.
+    Returns (encoded, scales, offsets) with encoded in [0, 1] and scales and
+    offsets of shape (..., 1, batch); degenerate constant columns get scale 1
+    with the value carried in the offset.
     """
     a = np.asarray(arr, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("cannot encode non-finite values")
-    lo = a.min(axis=0)
-    hi = a.max(axis=0)
-    scales = np.where(hi > lo, hi - lo, 1.0)
+    lo, scales = _min_and_span(a, -2)
     return (a - lo) / scales, scales, lo
 
 
 def pad(matrix, n: int) -> np.ndarray:
-    """Zero-pad a (rows, cols) matrix to an n x n crossbar."""
+    """Zero-pad a (rows, cols) matrix, or each of a stack (..., rows, cols),
+    to an n x n crossbar."""
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] > n or m.shape[1] > n:
+    if m.ndim < 2 or m.shape[-2] > n or m.shape[-1] > n:
         raise ShapeError(f"matrix {m.shape} does not fit a {n}x{n} crossbar")
-    out = np.zeros((n, n))
-    out[: m.shape[0], : m.shape[1]] = m
+    out = np.zeros(m.shape[:-2] + (n, n))
+    out[..., : m.shape[-2], : m.shape[-1]] = m
     return out
 
 
@@ -88,14 +98,23 @@ def decode_output(raw, matrix_encoding: AffineEncoding, scales, offsets, sums, n
 
         y = s_M s_x y' + s_M m_x (W' 1) + m_M s_x (sum x') 1 + m_M m_x n 1
 
-    `raw` (n, B) holds the measured y' = W' x' of every column; `scales`,
-    `offsets` and `sums` (sum x') describe each column and broadcast over
-    the batch. `ones` is the (n, 1) response W' 1 of one all-ones pass; it
-    is only read through the offsets, so inputs encoded with offset 0 (the
-    forward products) may leave it at 0. The terms are added in place on
-    one new array, in the order written.
+    `raw` (..., n, B) holds the measured y' = W' x' of every column; the
+    encoding's scale and offset broadcast over it (one per matrix of a
+    stack), and `scales`, `offsets` and `sums` (sum x') describe each column.
+    `ones` is the (..., n, 1) response W' 1 of one all-ones pass; it is only
+    read through the offsets. The terms are added in place on one new array,
+    in the order written.
+
+    `scales` and `offsets` None stand for inputs that were not encoded
+    (scale 1, offset 0: the forward products). Their decode is
+    s_M y' + m_M (sum x') 1, the same bits as the four terms give, without
+    the products by 1 and the two terms of zeros; `ones` is not read.
     """
     s_m, m_m = matrix_encoding.scale, matrix_encoding.offset
+    if offsets is None:
+        y = np.multiply(s_m, raw)
+        y += m_m * sums
+        return y
     y = np.multiply(s_m * scales, raw)
     y += s_m * offsets * ones
     y += m_m * scales * sums
@@ -105,7 +124,8 @@ def decode_output(raw, matrix_encoding: AffineEncoding, scales, offsets, sums, n
 
 @dataclass(frozen=True)
 class CompiledMatrix:
-    """A signed matrix mapped onto ring transmittances and heater powers.
+    """A signed matrix, or a stack of them, mapped onto ring transmittances
+    and heater powers; every array has the stack's leading axes.
 
     `transmittances` holds the physically programmed relative targets: the
     encoded matrix clamped to each ring's realizable [floor, 1] span, where
@@ -127,7 +147,8 @@ class MatrixCompiler:
     read-only arrays. Within one solve, the requested drop `t * full_scale`
     is computed once, and the clamp mask once, from the final pass's
     request; the grid supplies the aligned heaters and the lineshape
-    constants (see `RingGrid`).
+    constants (see `RingGrid`). A stack of target matrices (..., n, n) is
+    solved in the same calls, each matrix exactly as on its own.
     """
 
     def __init__(
@@ -157,22 +178,23 @@ class MatrixCompiler:
         # Any ring solves the whole grid: the stacked lineshape carries every
         # ring's constants.
         det = grid.rings[0][0].detuning_for_relative_drop(
-            relative_targets[:, :, None], grid.lineshape
+            relative_targets[..., None], grid.lineshape
         )
-        return np.minimum(det[:, :, 0], grid.park_detuning_nm)
+        return np.minimum(det[..., 0], grid.park_detuning_nm)
 
     def heaters_for_targets(self, unit_targets: np.ndarray):
         """Heater matrix realizing absolute drop targets unit_targets * full scale.
 
-        The full scale is the smallest peak drop transmittance of the grid.
-        Returns (heaters, achieved_unit_targets, clamped). Targets are
-        clamped to each ring's realizable span, and `clamped` marks where
-        that clamp was active; with leakage compensation enabled, the
-        predicted foreign-channel pedestal is subtracted from each element's
-        own-channel target so the summed response lands on the request.
+        `unit_targets` is (n, n) or a stack (..., n, n). The full scale is
+        the smallest peak drop transmittance of the grid. Returns (heaters,
+        achieved_unit_targets, clamped). Targets are clamped to each ring's
+        realizable span, and `clamped` marks where that clamp was active;
+        with leakage compensation enabled, the predicted foreign-channel
+        pedestal is subtracted from each element's own-channel target so the
+        summed response lands on the request.
         """
         t = np.asarray(unit_targets, dtype=float)
-        if t.shape != (self.n, self.n):
+        if t.shape[-2:] != (self.n, self.n):
             raise ShapeError(f"target matrix must be {self.n}x{self.n}")
         if not ((0.0 <= t) & (t <= 1.0)).all():
             raise ValueError("unit targets must lie in [0, 1]")
@@ -189,8 +211,8 @@ class MatrixCompiler:
             for _ in range(self.compensation_passes):
                 heaters = grid.detuned_heaters(det)
                 drop = grid.drop_through_tensor(heaters)
-                own = drop[rows, cols, rows]  # response on the ring's own channel
-                foreign = drop.sum(axis=2) - own
+                own = drop[..., rows, cols, rows]  # response on the ring's own channel
+                foreign = drop.sum(axis=-1) - own
                 request = (absolute - foreign) / self._peaks
                 rel = np.clip(request, floor, 1.0)
                 det = self._detunings_for(rel)
@@ -202,7 +224,7 @@ class MatrixCompiler:
     def compile_unit(
         self, unit_matrix: np.ndarray, encoding: AffineEncoding = AffineEncoding(1.0, 0.0)
     ) -> CompiledMatrix:
-        """Compile a matrix already normalized to [0, 1]."""
+        """Compile a matrix, or a stack of them, already normalized to [0, 1]."""
         heaters, achieved, clamped = self.heaters_for_targets(unit_matrix)
         return CompiledMatrix(
             transmittances=achieved,
@@ -212,9 +234,9 @@ class MatrixCompiler:
         )
 
     def compile_signed(self, matrix: np.ndarray) -> CompiledMatrix:
-        """Affine-encode a signed matrix and compile it."""
+        """Affine-encode a signed matrix, or each of a stack, and compile it."""
         m = np.asarray(matrix, dtype=float)
-        if m.shape != (self.n, self.n):
+        if m.shape[-2:] != (self.n, self.n):
             raise ShapeError(f"matrix must be {self.n}x{self.n}; pad before compiling")
         encoded, enc = encode_signed(m)
         return self.compile_unit(encoded, encoding=enc)

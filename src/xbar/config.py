@@ -26,7 +26,7 @@ read (typos should not silently fall back to defaults, nor crash later).
       epochs: 100
       batch_size: 1
       hidden: 4                   # Iris MLP hidden width (mnist-train: default only)
-      runs: 4                     # independent seeded trainings
+      runs: 4                     # iris-train's seeded runs (others: default only)
     datasets:
       iris_csv: null              # null -> packaged copy
       mnist_dir: null             # directory holding the IDX files
@@ -204,6 +204,14 @@ class RunConfig:
             raise ConfigError(
                 f"training.hidden {self.training.hidden} sets the Iris MLP width; "
                 "mnist-train's CNN is fixed and would ignore it"
+            )
+        if (
+            self.experiment in ("mnist-train", "iris-inference")
+            and self.training.runs != TrainingSection.runs
+        ):
+            raise ConfigError(
+                f"training.runs {self.training.runs} sets the iris-train run count; "
+                f"{self.experiment} trains one model and would ignore it"
             )
         if self.experiment == "mnist-train" and self.datasets.mnist_dir is None:
             raise ConfigError("mnist-train requires datasets.mnist_dir pointing at the IDX files")

@@ -199,20 +199,22 @@ class RingGrid:
         return read_only(power)
 
     def check_heaters(self, heaters: np.ndarray) -> np.ndarray:
+        """`heaters`, (n, n) or a stack (..., n, n), checked against every
+        ring's heater range."""
         h = np.asarray(heaters, dtype=float)
-        if h.shape != (self.n, self.n):
+        if h.shape[-2:] != (self.n, self.n):
             raise ShapeError(f"heater matrix must be {self.n}x{self.n}; got {h.shape}")
         if not ((0.0 <= h) & (h <= self._max_power)).all():
             raise ValueError("ring heater power out of range")
         return h
 
     def drop_through_tensor(self, heaters: np.ndarray) -> np.ndarray:
-        """T_drop of every ring on every channel, shape (n, n, channels), as a
-        new array. The through port, which no grid caller reads, is left to
-        `RingDevice.drop_through`."""
+        """T_drop of every ring on every channel, shape (..., n, n, channels)
+        for heaters (..., n, n), as a new array. The through port, which no
+        grid caller reads, is left to `RingDevice.drop_through`."""
         h = self.check_heaters(heaters)
-        shift = self._fab + self._rate * h + self._phase0  # (n, n)
-        return self._drop_shape.drop(np.subtract(self._channels, shift[:, :, None]))
+        shift = self._fab + self._rate * h + self._phase0  # (..., n, n)
+        return self._drop_shape.drop(np.subtract(self._channels, shift[..., None]))
 
     def drop_below_resonance(self, detuning_nm: float) -> np.ndarray:
         """T_drop of every ring at zero heater power, `detuning_nm` blue of
@@ -226,9 +228,10 @@ class RingGrid:
         return self._aligned.copy()
 
     def detuned_heaters(self, detunings_nm: np.ndarray) -> np.ndarray:
-        """Heaters putting each ring `detunings_nm[i,j]` red of its row channel."""
+        """Heaters putting each ring `detunings_nm[..., i, j]` red of its row
+        channel, for one detuning matrix or a stack (..., n, n)."""
         d = np.asarray(detunings_nm, dtype=float)
-        if d.shape != (self.n, self.n):
+        if d.shape[-2:] != (self.n, self.n):
             raise ShapeError("detuning matrix shape mismatch")
         if not (0.0 <= d).all():
             raise ValueError("red-shift detunings must be non-negative")
@@ -327,8 +330,8 @@ class CrossbarArray:
 
     def summed_drop(self, heaters: np.ndarray) -> np.ndarray:
         """Channel-summed drop transmittance of every ring: the part of the
-        gain that both directions share."""
-        return self.ring_grid.drop_through_tensor(heaters).sum(axis=2)
+        gain that both directions share. Heaters (..., n, n) give (..., n, n)."""
+        return self.ring_grid.drop_through_tensor(heaters).sum(axis=-1)
 
     def _gain(self, heaters: np.ndarray, direction: str, summed_drop=None) -> np.ndarray:
         """Unnormalized gain matrix G of a heater program (see module docstring)."""
@@ -366,7 +369,8 @@ class CrossbarArray:
     def effective_matrix(self, heaters: np.ndarray, direction: str, summed_drop=None) -> np.ndarray:
         """Normalized gain M = G / norm: forward y = M.T @ x, backward y = M @ s.
 
-        M[i, j] ~ w_ij. Equivalent to probing with ideal unit vectors (MZIs
+        M[i, j] ~ w_ij; heaters (..., n, n) give a stack of matrices.
+        Equivalent to probing with ideal unit vectors (MZIs
         without an extinction floor); used as the fast path for backends.
         A caller that needs both directions of one program passes
         `summed_drop(heaters)` to both calls, so the lineshape is evaluated

@@ -179,10 +179,11 @@ def run_measure_matrix(config: RunConfig, out_dir: Path) -> None:
 def run_iris_inference(config: RunConfig, out_dir: Path) -> None:
     dataset = load_iris(config.datasets.iris_csv)
     train_x, train_y, test_x, test_y = dataset.split(config.seed)
-    # The weights are trained on a computer (ideal backend), then loaded.
+    # The weights are trained on a computer (ideal backend), then loaded:
+    # one run, whose results are slice 0.
     result = train_iris(
         config.training,
-        config.seed,
+        (config.seed,),
         train_x,
         train_y,
         test_x,
@@ -196,13 +197,13 @@ def run_iris_inference(config: RunConfig, out_dir: Path) -> None:
         time_average_count=config.noise.time_average,
     )
     runner = MlpRunner(result.model, backend)
-    outputs = runner.forward(test_x.T)
+    outputs = runner.forward(test_x.T)[0]
     predictions = outputs.argmax(axis=0)
     circuit_acc = float((predictions == test_y).mean())
     write_csv(
         out_dir / "accuracies.csv",
         "backend,accuracy",
-        [("ideal", result.final_accuracy), ("photonic", circuit_acc)],
+        [("ideal", result.final_accuracy[0]), ("photonic", circuit_acc)],
     )
     write_csv(
         out_dir / "test_outputs.csv",
@@ -213,30 +214,31 @@ def run_iris_inference(config: RunConfig, out_dir: Path) -> None:
         ],
     )
     write_csv(out_dir / "cost_history.csv", "epoch,value",
-              list(enumerate(result.cost_history, start=1)))
+              list(enumerate(result.cost_history[0], start=1)))
 
 
 def run_iris_train(config: RunConfig, out_dir: Path) -> None:
+    """All runs train in lockstep on one backend (one LUT calibration); run k
+    has seed `config.seed + k` and its own noise stream."""
     dataset = load_iris(config.datasets.iris_csv)
     train_x, train_y, test_x, test_y = dataset.split(config.seed)
     array = build_array(config)
-    accs = []
-    for run in range(config.training.runs):
-        backend = make_backend(
-            config.training.backend,
-            array,
-            noise=noise_config(config, run),
-            time_average_count=config.noise.time_average,
-        )
-        result = train_iris(
-            config.training, config.seed + run, train_x, train_y, test_x, test_y, backend
-        )
+    runs = range(config.training.runs)
+    backend = make_backend(
+        config.training.backend,
+        array,
+        noise=[noise_config(config, run) for run in runs] if config.noise.enabled else None,
+        time_average_count=config.noise.time_average,
+    )
+    seeds = [config.seed + run for run in runs]
+    result = train_iris(config.training, seeds, train_x, train_y, test_x, test_y, backend)
+    for run in runs:
         write_csv(
             out_dir / f"cost_history_run{run + 1}.csv",
             "epoch,value",
-            list(enumerate(result.cost_history, start=1)),
+            list(enumerate(result.cost_history[run], start=1)),
         )
-        accs.append((f"run{run + 1}", result.final_accuracy))
+    accs = [(f"run{run + 1}", result.final_accuracy[run]) for run in runs]
     write_csv(out_dir / "final_accuracies.csv", "run,accuracy", accs)
 
 

@@ -9,6 +9,12 @@ loss derivatives and weight-gradient outer products stay electronic. Error
 signals propagate backward through the same programmed weights
 (handle.backward), which is the crossbar's native W^T sigma product.
 
+`train_iris` trains all of its runs in lockstep: every weight and bias
+carries a leading run axis, one runner programs each layer's stack of
+matrices in one backend call, and one optimizer steps them all. Every
+operation acts on each run's slice as a one-run training would, so each
+run's costs and accuracy are bit for bit those of training it alone.
+
 The CNN's 2x2 max-pool works on four strided views of the activation map,
 one per tile position, and records an int8 first-max pick that the backward
 pass unpools through the same views. `Adam` keeps its moments as one flat
@@ -56,9 +62,10 @@ def one_hot(labels, classes: int) -> np.ndarray:
 
 
 def mse_cost(outputs, targets):
-    """0.5 * sum of squared errors, averaged over the batch."""
+    """0.5 * sum of squared errors of (..., classes, batch) outputs, averaged
+    over the batch; one cost per leading index."""
     d = outputs - targets
-    return 0.5 * float((d * d).sum()) / outputs.shape[1]
+    return 0.5 * np.add.reduce(d * d, axis=(-2, -1)) / outputs.shape[-1]
 
 
 def cross_entropy_cost(probs, targets):
@@ -132,28 +139,31 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 @dataclass
 class MlpModel:
-    """Sigmoid MLP; weights[l] maps layer l activations to layer l+1 inputs.
+    """Sigmoid MLPs of independent runs, stacked on a leading run axis.
 
-    Matrix products run on the crossbar backend; biases ride with the
-    electronic activation stage (zero-initialized).
+    weights[l] (runs, out, in) maps layer l activations to layer l+1 inputs
+    and biases[l] is (runs, out). Matrix products run on the crossbar
+    backend; biases ride with the electronic activation stage
+    (zero-initialized).
     """
 
     weights: list
     biases: list
 
     @classmethod
-    def init(cls, sizes=(4, 4, 3), seed: int = 0) -> "MlpModel":
-        rng = np.random.default_rng(seed)
+    def init(cls, sizes=(4, 4, 3), seeds=(0,)) -> "MlpModel":
+        """Run k draws its weights, layer by layer, from default_rng(seeds[k])."""
+        rngs = [np.random.default_rng(seed) for seed in seeds]
         ws = [
-            glorot_uniform(rng, (sizes[l + 1], sizes[l]))
+            np.stack([glorot_uniform(rng, (sizes[l + 1], sizes[l])) for rng in rngs])
             for l in range(len(sizes) - 1)
         ]
-        bs = [np.zeros(sizes[l + 1]) for l in range(len(sizes) - 1)]
+        bs = [np.zeros((len(rngs), sizes[l + 1])) for l in range(len(sizes) - 1)]
         return cls(weights=ws, biases=bs)
 
     @property
     def sizes(self) -> tuple:
-        return tuple([self.weights[0].shape[1]] + [w.shape[0] for w in self.weights])
+        return tuple([self.weights[0].shape[-1]] + [w.shape[-2] for w in self.weights])
 
     @property
     def params(self) -> list:
@@ -173,7 +183,11 @@ class BackpropTrace:
 
 
 class MlpRunner:
-    """Holds the programmed handles for the current weights."""
+    """Holds the programmed handles for the current weights.
+
+    Inputs are (features, batch), reaching every run, or (runs, features,
+    batch), one batch per run; outputs carry the run axis.
+    """
 
     def __init__(self, model: MlpModel, backend):
         self.model = model
@@ -189,23 +203,22 @@ class MlpRunner:
         if squeeze:
             a = a[:, None]
         for h, b in zip(self.handles, self.model.biases):
-            a = sigmoid(h.forward(a) + b[:, None])
-        return a[:, 0] if squeeze else a
+            a = sigmoid(h.forward(a) + b[..., None])
+        return a[..., 0] if squeeze else a
 
     def forward_trace(self, x):
         a = np.asarray(x, dtype=float)
         acts = [a]
         for h, b in zip(self.handles, self.model.biases):
-            a = sigmoid(h.forward(a) + b[:, None])
+            a = sigmoid(h.forward(a) + b[..., None])
             acts.append(a)
         return acts
 
-    def backprop(self, x, target) -> BackpropTrace:
-        """MSE loss gradients; error signals travel through handle.backward."""
-        xb = x if np.ndim(x) == 2 else np.asarray(x, dtype=float)[:, None]
-        tb = target if np.ndim(target) == 2 else np.asarray(target, dtype=float)[:, None]
+    def backprop(self, xb, tb) -> BackpropTrace:
+        """MSE loss gradients of (runs, features, batch) inputs and (runs,
+        classes, batch) targets; error signals travel through handle.backward."""
         acts = self.forward_trace(xb)
-        batch = xb.shape[1]
+        batch = xb.shape[-1]
         out = acts[-1]
         delta = (out - tb) * dsigmoid_from_output(out)
         deltas = [delta]
@@ -213,8 +226,8 @@ class MlpRunner:
             back = self.handles[layer].backward(delta)
             delta = back * dsigmoid_from_output(acts[layer])
             deltas.insert(0, delta)
-        grads = [deltas[l] @ acts[l].T / batch for l in range(len(self.handles))]
-        bias_grads = [deltas[l].sum(axis=1) / batch for l in range(len(self.handles))]
+        grads = [deltas[l] @ acts[l].swapaxes(-1, -2) / batch for l in range(len(self.handles))]
+        bias_grads = [deltas[l].sum(axis=-1) / batch for l in range(len(self.handles))]
         return BackpropTrace(
             activations=acts, deltas=deltas, gradients=grads, bias_gradients=bias_grads
         )
@@ -222,43 +235,56 @@ class MlpRunner:
 
 @dataclass
 class IrisTrainResult:
-    cost_history: np.ndarray
-    final_accuracy: float
+    cost_history: np.ndarray  # (runs, epochs)
+    final_accuracy: np.ndarray  # (runs,)
     model: MlpModel
 
 
-def mlp_accuracy(model: MlpModel, backend, features, labels) -> float:
+def mlp_accuracy(model: MlpModel, backend, features, labels) -> np.ndarray:
+    """Test accuracy of every run of `model`, shape (runs,)."""
     runner = MlpRunner(model, backend)
     out = runner.forward(features.T)
-    return float((out.argmax(axis=0) == labels).mean())
+    return (out.argmax(axis=-2) == labels).mean(axis=-1)
 
 
 def train_iris(
-    config: TrainingSection, seed: int, train_x, train_y, test_x, test_y, backend
+    config: TrainingSection, seeds, train_x, train_y, test_x, test_y, backend
 ) -> IrisTrainResult:
-    """Training with on-chip-style backprop; MSE cost per the experiments."""
+    """Training with on-chip-style backprop; MSE cost per the experiments.
+
+    Trains one run per seed, all in lockstep; run k draws its initial
+    weights and, from a second default_rng(seeds[k]), its sample order of
+    every epoch, as training it alone would. A backend with per-run noise
+    streams needs one stream per seed.
+    """
     sizes = (4, config.hidden, 3)
-    model = MlpModel.init(sizes, seed=seed)
+    model = MlpModel.init(sizes, seeds)
     runner = MlpRunner(model, backend)
     optimizer = config.make_optimizer()
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     targets = one_hot(train_y, 3)
-    costs = np.zeros(config.epochs)
+    class_rows = np.arange(3)[:, None]  # gathers (runs, 3, batch) target blocks
+    costs = np.zeros((len(rngs), config.epochs))
     n_train = train_x.shape[0]
+    order = np.empty((len(rngs), n_train), dtype=int)
     for epoch in range(config.epochs):
-        order = rng.permutation(n_train)
-        epoch_cost = 0.0
+        for run, rng in enumerate(rngs):
+            order[run] = rng.permutation(n_train)
+        epoch_cost = costs[:, epoch]  # summed in place, then averaged
         for start in range(0, n_train, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb = train_x[idx].T
-            tb = targets[:, idx]
+            idx = order[:, start : start + config.batch_size]  # (runs, batch)
+            # Each run's (4, batch) slice is a transposed view, as train_x[idx].T
+            # is in a one-run training, so the gradient products see the same
+            # operand layout.
+            xb = train_x[idx].swapaxes(-1, -2)
+            tb = targets[class_rows, idx[:, None, :]]
             trace = runner.backprop(xb, tb)
-            epoch_cost += mse_cost(trace.activations[-1], tb) * len(idx)
-            if not np.isfinite(epoch_cost):
+            epoch_cost += mse_cost(trace.activations[-1], tb) * idx.shape[-1]
+            if not np.logical_and.reduce(np.isfinite(epoch_cost)):
                 raise XbarError("training aborted: non-finite loss")
             optimizer.update(model.params, trace.all_gradients)
             runner.refresh()
-        costs[epoch] = epoch_cost / n_train
+        epoch_cost /= n_train
     acc = mlp_accuracy(model, backend, test_x, test_y)
     return IrisTrainResult(cost_history=costs, final_accuracy=acc, model=model)
 
@@ -412,12 +438,14 @@ class CnnRunner:
         d_patches = self.conv_handle.backward(d_cols)
         return cost, [g_kernel, g_hidden, g_out, g_b_hidden, g_b_out], d_patches
 
-    def accuracy(self, images: np.ndarray, labels: np.ndarray, batch: int = 200) -> float:
-        correct = 0
-        for start in range(0, images.shape[0], batch):
-            probs = self.forward(images[start : start + batch])
-            correct += int((probs.argmax(axis=0) == labels[start : start + batch]).sum())
-        return correct / images.shape[0]
+    def predict(self, images: np.ndarray, batch: int = 200) -> np.ndarray:
+        """Predicted class of every image, forwarded `batch` images at a time."""
+        return np.concatenate(
+            [
+                self.forward(images[start : start + batch]).argmax(axis=0)
+                for start in range(0, images.shape[0], batch)
+            ]
+        )
 
 
 @dataclass
@@ -464,11 +492,9 @@ def train_mnist(
             optimizer.update(model.params, grads)
             runner.refresh()
         cost_history[epoch] = epoch_cost / n_train
-        acc_history[epoch] = runner.accuracy(test_images, test_labels)
-    probs = []
-    for start in range(0, test_images.shape[0], 200):
-        probs.append(runner.forward(test_images[start : start + 200]).argmax(axis=0))
-    predictions = np.concatenate(probs)
+        predictions = runner.predict(test_images)
+        acc_history[epoch] = int((predictions == test_labels).sum()) / test_images.shape[0]
+    # The last epoch's test pass gives the confusion matrix too.
     confusion = confusion_matrix(predictions, test_labels)
     return MnistTrainResult(
         accuracy_history=acc_history,

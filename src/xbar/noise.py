@@ -34,12 +34,12 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
 def perturb(powers, cfg: NoiseConfig, rng: np.random.Generator):
     """Multiply each power by max(0, 1 + eps), eps ~ N(0, relative_sigma^2)."""
     p = np.asarray(powers, dtype=float)
-    if np.any(p < 0):
+    if (p < 0).any():
         raise ValueError("powers must be non-negative")
     if not cfg.enabled or cfg.relative_sigma == 0.0:
         return p.copy()
-    eps = rng.normal(0.0, cfg.relative_sigma, size=p.shape)
-    return p * np.clip(1.0 + eps, 0.0, None)
+    factors = 1.0 + rng.normal(0.0, cfg.relative_sigma, size=p.shape)
+    return p * np.maximum(factors, 0.0, out=factors)
 
 
 def time_average(measurement_fn, repeats: int):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from xbar.backends import PhotonicBackend
+from xbar.backends import PhotonicBackend, make_backend
 from xbar.compiler import MatrixCompiler, decode_output, encode_signed, encode_signed_columns
 from xbar.config import RunConfig
 from xbar.crossbar import BACKWARD, FORWARD, LEGACY_ASYMMETRIC, SYMMETRIC, build_ring_grid
@@ -364,6 +364,50 @@ def test_programmed_effective_matrices_equal_per_direction_calls(variant):
         assert np.array_equal(forward, backward) == (variant == SYMMETRIC)
 
 
+@pytest.mark.parametrize("backend", ["ideal", "photonic", "lut"])
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_stacked_program_equals_per_matrix_program(preset, backend):
+    array = PRESETS[preset]()
+    made = make_backend(backend, array)
+    n = array.n
+    rng = np.random.default_rng(12)
+    # A padded Iris-like stack at batch 1, and a full-size one at batch 4
+    # whose middle matrix is degenerate (all elements equal).
+    for count, out_dim, batch in ((3, n - 1, 1), (3, n, 4)):
+        stack = rng.uniform(-1.0, 1.0, (count, out_dim, n))
+        stack[1] = 0.25 if out_dim == n else stack[1]
+        x = rng.uniform(0.0, 1.0, (count, n, batch))
+        shared = rng.uniform(0.0, 1.0, (n, batch))
+        s = rng.normal(size=(count, out_dim, batch))
+        stacked = made.program(stack)
+        got = {
+            "forward": stacked.forward(x),
+            "shared forward": stacked.forward(shared),
+            "vector forward": stacked.forward(shared[:, 0]),
+            "backward": stacked.backward(s),
+        }
+        for k, matrix in enumerate(stack):
+            alone = made.program(matrix)
+            want = {
+                "forward": alone.forward(x[k]),
+                "shared forward": alone.forward(shared),
+                "vector forward": alone.forward(shared[:, 0]),
+                "backward": alone.backward(s[k]),
+            }
+            pairs = [(got[name][k], want[name], name) for name in want]
+            if backend != "ideal":
+                pairs.append(
+                    (stacked._measured_ones_response()[k], alone._measured_ones_response(), "ones")
+                )
+            if backend == "photonic":
+                for name in ("heater_settings_mw", "clamped_elements"):
+                    pairs.append(
+                        (getattr(stacked.compiled, name)[k], getattr(alone.compiled, name), name)
+                    )
+            for stacked_value, alone_value, name in pairs:
+                assert np.array_equal(stacked_value, alone_value), f"{name}, matrix {k}"
+
+
 def test_photonic_iris_train_rerun_is_byte_identical(tmp_path):
     outputs = []
     for name in ("a", "b"):
@@ -416,7 +460,8 @@ def test_decode_inverts_the_encodings_of_exact_products(case):
     assert np.all((w_prime >= 0.0) & (w_prime <= 1.0))
     tol = 1e-12 * n * (1.0 + np.abs(w).max()) * (1.0 + np.abs(s).max())
     # Forward inputs are non-negative and pass unencoded (scale 1, offset 0).
-    forward = decode_output(w_prime @ x, encoding, 1.0, 0.0, x.sum(axis=0), n)
+    forward = decode_output(w_prime @ x, encoding, None, None, x.sum(axis=0), n)
+    assert np.array_equal(forward, decode_output(w_prime @ x, encoding, 1.0, 0.0, x.sum(axis=0), n))
     np.testing.assert_allclose(forward, w @ x, rtol=1e-12, atol=tol)
     s_prime, scales, offsets = encode_signed_columns(s)
     ones = w_prime.T @ np.ones((n, 1))

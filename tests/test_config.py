@@ -262,3 +262,32 @@ def test_cli_rejects_hidden_on_mnist_train_before_any_work(tmp_path, capsys, mni
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "training.hidden" in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", ["mnist-train", "iris-inference"])
+def test_runs_is_rejected_where_the_experiment_trains_one_model(experiment, mnist_dir):
+    data = {
+        "experiment": experiment,
+        "devices": {"preset": "simulation_9x9"},
+        "datasets": {"mnist_dir": str(mnist_dir)},
+    }
+    RunConfig.from_dict({**data, "training": {"runs": 4}}).validate()
+    with pytest.raises(ConfigError, match=f"training.runs 2 .*{experiment}"):
+        RunConfig.from_dict({**data, "training": {"runs": 2}}).validate()
+
+
+def test_iris_train_accepts_any_run_count():
+    RunConfig.from_dict({"experiment": "iris-train", "training": {"runs": 2}}).validate()
+
+
+def test_cli_rejects_runs_on_iris_inference_before_any_work(tmp_path, capsys):
+    config_path = tmp_path / "inference.yaml"
+    config_path.write_text(yaml.safe_dump({"training": {"runs": 1}}))
+    out = tmp_path / "out"
+    code = main(["iris-inference", "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "training.runs" in lines[0]
+    assert not out.exists()

@@ -1,12 +1,15 @@
-"""CNN pooling, the flat Adam and the backend input path, each checked bit for
-bit against the transposed-tile, per-parameter and zero-fill routes they
-replace."""
+"""CNN pooling, the flat Adam, the backend input path and lockstep Iris
+training, each checked bit for bit against the transposed-tile,
+per-parameter, zero-fill and one-run routes they replace."""
 
 import numpy as np
 import pytest
 
 from xbar.backends import make_backend
+from xbar.config import RunConfig
+from xbar.datasets import load_iris
 from xbar.errors import EncodingError
+from xbar.experiments import build_array, noise_config
 from xbar.nn import (
     CONV_OUT,
     FLAT_DIM,
@@ -15,6 +18,7 @@ from xbar.nn import (
     POOL_OUT,
     Adam,
     max_pool,
+    train_iris,
     unpool,
 )
 from xbar.presets import preset_array
@@ -183,3 +187,48 @@ def test_forward_beyond_the_input_tolerance_raises_encoding_error():
     for bad in (-1e-6, 1.0 + 1e-6):
         with pytest.raises(EncodingError):
             handle.forward(np.full((4, 1), bad))
+
+
+ADAM = {"optimizer": "adam", "learning_rate": 0.05}
+LOCKSTEP = {
+    "lut": {"training": {**ADAM, "epochs": 2, "runs": 3}},
+    "photonic, batch 4": {
+        "training": {"backend": "photonic", "epochs": 2, "runs": 3, "batch_size": 4}
+    },
+    "ideal, sgd, batch 8, hidden 3": {
+        "training": {"backend": "ideal", "epochs": 3, "runs": 3, "batch_size": 8, "hidden": 3}
+    },
+    # Per-run noise streams, with one LUT per ring of a fabrication spread.
+    "lut, noise, fabrication spread": {
+        "devices": {"fabrication_sigma_nm": 0.02},
+        "noise": {"enabled": True, "time_average": 2},
+        "training": {**ADAM, "epochs": 2, "runs": 2, "batch_size": 4},
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(LOCKSTEP))
+def test_lockstep_training_equals_one_run_training(case):
+    config = RunConfig.from_dict({"experiment": "iris-train", "seed": 6, **LOCKSTEP[case]})
+    train_x, train_y, test_x, test_y = load_iris(None).split(config.seed)
+    array = build_array(config)
+    runs = range(config.training.runs)
+    seeds = [config.seed + run for run in runs]
+
+    def train(seeds, noise):
+        backend = make_backend(
+            config.training.backend,
+            array,
+            noise=noise,
+            time_average_count=config.noise.time_average,
+        )
+        return train_iris(config.training, seeds, train_x, train_y, test_x, test_y, backend)
+
+    noisy = config.noise.enabled
+    together = train(seeds, [noise_config(config, run) for run in runs] if noisy else None)
+    for run, seed in zip(runs, seeds):
+        alone = train((seed,), noise_config(config, run))
+        assert np.array_equal(together.cost_history[run], alone.cost_history[0]), f"run {run}"
+        assert together.final_accuracy[run] == alone.final_accuracy[0], f"run {run}"
+        for stacked, single in zip(together.model.params, alone.model.params):
+            assert np.array_equal(stacked[run], single[0]), f"run {run}"
