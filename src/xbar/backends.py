@@ -136,7 +136,7 @@ class _NoiseMixin:
                         for powers, cfg, rng in zip(clean, self.noise, self._slice_rngs)
                     ]
                 )
-        elif self._rng is not None and self.noise.enabled:
+        elif self._rng is not None:
             def one():
                 return perturb(clean, self.noise, self._rng)
         else:

@@ -8,11 +8,13 @@ all n^2 rings come from one inverse-lineshape solve per pass, on the grid's
 stacked lineshape, whose pass-invariant terms (resonance wavelengths, half
 FSRs) are cached with it; the backends then derive both directions'
 effective matrices from one drop tensor of the final heaters. Programming works
-against the ring's measured response: a fixed-point pass subtracts the
-predicted foreign-channel leakage from each element's target, mirroring how
-a physical calibration programs each element from its measured response
-curve. A parked ring still leaks at its floor, so targets are clamped from
-below; `CompiledMatrix.transmittances` records what was actually programmed.
+against the ring's measured response: leakage compensation is always on,
+and every solve runs COMPENSATION_PASSES fixed-point passes, each
+subtracting the predicted foreign-channel leakage from each element's
+target, mirroring how a physical calibration programs each element from its
+measured response curve. A parked ring still leaks at its floor, so targets
+are clamped from below; `CompiledMatrix.transmittances` records what was
+actually programmed.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ import numpy as np
 from .crossbar import CrossbarArray
 from .devices import read_only
 from .errors import ShapeError
+
+# Leakage-compensation passes of every heater solve.
+COMPENSATION_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -151,15 +156,8 @@ class MatrixCompiler:
     solved in the same calls, each matrix exactly as on its own.
     """
 
-    def __init__(
-        self,
-        array: CrossbarArray,
-        compensate_leakage: bool = True,
-        compensation_passes: int = 2,
-    ):
+    def __init__(self, array: CrossbarArray):
         self.array = array
-        self.compensate_leakage = compensate_leakage
-        self.compensation_passes = compensation_passes
         grid = array.ring_grid
         self._peaks = read_only(grid.lineshape.peak_drop[:, :, 0])
         # Common full-scale drop target: the lossiest ring binds.
@@ -188,10 +186,10 @@ class MatrixCompiler:
         `unit_targets` is (n, n) or a stack (..., n, n). The full scale is
         the smallest peak drop transmittance of the grid. Returns (heaters,
         achieved_unit_targets, clamped). Targets are clamped to each ring's
-        realizable span, and `clamped` marks where that clamp was active;
-        with leakage compensation enabled, the predicted foreign-channel
-        pedestal is subtracted from each element's own-channel target so the
-        summed response lands on the request.
+        realizable span, and `clamped` marks where that clamp was active.
+        Each compensation pass subtracts the predicted foreign-channel
+        pedestal from each element's own-channel target, so the summed
+        response lands on the request.
         """
         t = np.asarray(unit_targets, dtype=float)
         if t.shape[-2:] != (self.n, self.n):
@@ -205,17 +203,16 @@ class MatrixCompiler:
         request = absolute / self._peaks
         rel = np.clip(request, floor, 1.0)
         det = self._detunings_for(rel)
-        if self.compensate_leakage:
-            rows = np.arange(self.n)[:, None]
-            cols = np.arange(self.n)[None, :]
-            for _ in range(self.compensation_passes):
-                heaters = grid.detuned_heaters(det)
-                drop = grid.drop_through_tensor(heaters)
-                own = drop[..., rows, cols, rows]  # response on the ring's own channel
-                foreign = drop.sum(axis=-1) - own
-                request = (absolute - foreign) / self._peaks
-                rel = np.clip(request, floor, 1.0)
-                det = self._detunings_for(rel)
+        rows = np.arange(self.n)[:, None]
+        cols = np.arange(self.n)[None, :]
+        for _ in range(COMPENSATION_PASSES):
+            heaters = grid.detuned_heaters(det)
+            drop = grid.drop_through_tensor(heaters)
+            own = drop[..., rows, cols, rows]  # response on the ring's own channel
+            foreign = drop.sum(axis=-1) - own
+            request = (absolute - foreign) / self._peaks
+            rel = np.clip(request, floor, 1.0)
+            det = self._detunings_for(rel)
         heaters = grid.detuned_heaters(det)
         achieved = rel * self._peaks / self._full_scale
         clamped = (request < floor) | (request > 1.0)

@@ -10,7 +10,7 @@ read (typos should not silently fall back to defaults, nor crash later).
     out_dir: results
     devices:
       preset: experimental_4x4    # experimental_4x4 | simulation_9x9 | ideal
-      n: 4                        # array size for the ideal preset
+      n: 4                        # array size for the ideal preset (others: default or own size)
       fabrication_sigma_nm: 0.0   # per-ring resonance spread
       random_mzi_phases: false    # sample MZI initial phases (characterize-devices only)
     topology:
@@ -20,7 +20,7 @@ read (typos should not silently fall back to defaults, nor crash later).
       relative_sigma: 0.02
       time_average: 1
     training:
-      backend: lut                # ideal | photonic | lut
+      backend: lut                # ideal | photonic | lut (iris-inference: default only)
       optimizer: sgd              # sgd | adam
       learning_rate: 0.5
       epochs: 100
@@ -45,7 +45,7 @@ import yaml
 from .datasets import MNIST_FILES, find_mnist_file
 from .errors import ConfigError
 from .nn import KERNEL_COUNT, KERNEL_SIZE, Adam, Sgd
-from .presets import PRESETS
+from .presets import PRESET_SIZES, PRESETS
 
 EXPERIMENTS = (
     "characterize-devices",
@@ -102,13 +102,18 @@ class DeviceSection:
     @property
     def array_size(self) -> int:
         """Crossbar size n that the preset builds."""
-        return {"experimental_4x4": 4, "simulation_9x9": 9}.get(self.preset, self.n)
+        return PRESET_SIZES.get(self.preset, self.n)
 
     def validate(self):
         if self.preset not in PRESETS:
             raise ConfigError(f"devices.preset: unknown preset {self.preset!r}")
         if self.n < 1:
             raise ConfigError("devices.n must be >= 1")
+        if self.n not in (DeviceSection.n, self.array_size):
+            raise ConfigError(
+                f"devices.n {self.n} sizes the ideal preset only; devices.preset "
+                f"{self.preset!r} is {self.array_size}x{self.array_size}"
+            )
         if self.fabrication_sigma_nm < 0:
             raise ConfigError("devices.fabrication_sigma_nm must be >= 0")
 
@@ -212,6 +217,11 @@ class RunConfig:
             raise ConfigError(
                 f"training.runs {self.training.runs} sets the iris-train run count; "
                 f"{self.experiment} trains one model and would ignore it"
+            )
+        if self.experiment == "iris-inference" and self.training.backend != TrainingSection.backend:
+            raise ConfigError(
+                f"training.backend {self.training.backend!r} is ignored by iris-inference, "
+                "which trains on the ideal backend and infers on the photonic one"
             )
         if self.experiment == "mnist-train" and self.datasets.mnist_dir is None:
             raise ConfigError("mnist-train requires datasets.mnist_dir pointing at the IDX files")

@@ -21,13 +21,15 @@ output normalization.
 
 Crosstalk enters through two physical channels: off-resonance leakage of the
 ring lineshape (foreign wavelengths and parked rings) and the finite
-extinction ratio of the input MZIs.
+extinction ratio of the input MZIs. Every input port, in both directions,
+carries the same MZI design, so one `MziDevice` models the whole array's
+input modulators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -134,13 +136,15 @@ class RingGrid:
       (`RingDevice.detuning_for_relative_drop`), and it caches each ring's
       resonance wavelength and half FSR for that solve on first use;
     - the same lineshape broadcast to (n, n, channels), and the channel
-      array, on which `drop_through_tensor` evaluates in place.
+      array, on which `drop_through_tensor` evaluates in place;
+    - `park_detuning_nm`, the red detuning of a parked ring: half the
+      channel spacing, or an eighth of the FSR for a single channel.
     The rings must not be replaced or mutated afterwards.
     """
 
     rings: list  # list of n lists of n RingDevice
     grid: WavelengthGrid
-    park_detuning_nm: float | None = None  # default: half the channel spacing
+    park_detuning_nm: float = field(init=False)
 
     def __post_init__(self):
         n = len(self.rings)
@@ -148,11 +152,10 @@ class RingGrid:
             raise ShapeError("ring grid must be square")
         if len(self.grid) != n:
             raise ShapeError("one wavelength channel per row is required")
-        if self.park_detuning_nm is None:
-            spacing = self.grid.spacing_nm
-            self.park_detuning_nm = (
-                spacing / 2.0 if math.isfinite(spacing) else self.rings[0][0].fsr_nm() / 8.0
-            )
+        spacing = self.grid.spacing_nm
+        self.park_detuning_nm = (
+            spacing / 2.0 if math.isfinite(spacing) else self.rings[0][0].fsr_nm() / 8.0
+        )
         self._build_param_cache()
         self._aligned = self._align()
 
@@ -278,24 +281,17 @@ def build_ring_grid(
 
 
 class CrossbarArray:
-    """An assembled crossbar: topology + ring grid + two MZI input banks."""
+    """An assembled crossbar: topology + ring grid + the MZI design of its
+    2n input ports (n per direction)."""
 
-    def __init__(
-        self,
-        topology: CrossbarTopology,
-        ring_grid: RingGrid,
-        forward_mzis: list[MziDevice],
-        backward_mzis: list[MziDevice],
-    ):
-        n = topology.n
-        if ring_grid.n != n or len(forward_mzis) != n or len(backward_mzis) != n:
-            raise ShapeError("topology, ring grid and MZI banks must share the same n")
+    def __init__(self, topology: CrossbarTopology, ring_grid: RingGrid, mzi: MziDevice):
+        if ring_grid.n != topology.n:
+            raise ShapeError("topology and ring grid must share the same n")
         self.topology = topology
         self.ring_grid = ring_grid
-        self.forward_mzis = list(forward_mzis)
-        self.backward_mzis = list(backward_mzis)
+        self.mzi = mzi
         # Each ring is allotted 1/n of its bus power; see module docstring.
-        self.bus_budget = 1.0 / n
+        self.bus_budget = 1.0 / topology.n
         self._norm_cache: dict[str, float] = {}
         self._path_transmission = {
             direction: topology.path_transmission(direction) for direction in (FORWARD, BACKWARD)
@@ -309,12 +305,9 @@ class CrossbarArray:
     def channels(self) -> WavelengthGrid:
         return self.ring_grid.grid
 
-    def _bank(self, direction: str) -> list[MziDevice]:
-        _check_direction(direction)
-        return self.forward_mzis if direction == FORWARD else self.backward_mzis
-
-    def input_transmittances(self, x: np.ndarray, direction: str) -> np.ndarray:
-        """Transmittances of the direction's MZI bank driven to transmit x.
+    def input_transmittances(self, x: np.ndarray) -> np.ndarray:
+        """Transmittances of n input MZIs driven to transmit x, in either
+        direction (every port carries the same MZI design).
 
         x must lie in [0, 1]^n (NaN raises EncodingError); signed values must
         be encoded upstream. An MZI driven to 0 still leaks at its extinction
@@ -325,8 +318,8 @@ class CrossbarArray:
             raise ShapeError(f"input vector must have shape ({self.n},); got {x.shape}")
         if not ((0.0 <= x) & (x <= 1.0)).all():
             raise EncodingError("MZI-encodable inputs must lie in [0, 1]")
-        bank = self._bank(direction)
-        return np.array([dev.transmittance(dev.power_for(xi)) for dev, xi in zip(bank, x)])
+        mzi = self.mzi
+        return np.array([mzi.transmittance(mzi.power_for(xi)) for xi in x])
 
     def summed_drop(self, heaters: np.ndarray) -> np.ndarray:
         """Channel-summed drop transmittance of every ring: the part of the
@@ -349,10 +342,10 @@ class CrossbarArray:
         parked-ring leakage pedestal from the full-scale reference. The
         constant is the per-output mean, summed over the whole weighted
         matrix in one order for both directions, so it is bit-identical for
-        the two directions when their gains and MZI banks are.
+        the two directions when their gains are.
         """
         if direction not in self._norm_cache:
-            t = self.input_transmittances(np.ones(self.n), direction)
+            t = self.input_transmittances(np.ones(self.n))
             grid = self.ring_grid
             diff = self._gain(grid.identity_probe_heaters(), direction) - self._gain(
                 grid.parked_heaters(), direction
@@ -363,7 +356,7 @@ class CrossbarArray:
 
     def forward_mvm(self, x: np.ndarray, heaters: np.ndarray) -> np.ndarray:
         """Normalized forward product: approximates T.T @ x for the programmed T."""
-        raw = self.input_transmittances(x, FORWARD) @ self._gain(heaters, FORWARD)
+        raw = self.input_transmittances(x) @ self._gain(heaters, FORWARD)
         return raw / self.normalization_constant(FORWARD)
 
     def effective_matrix(self, heaters: np.ndarray, direction: str, summed_drop=None) -> np.ndarray:
@@ -386,7 +379,7 @@ class CrossbarArray:
         extinction floor.
         """
         gain = self._gain(heaters, direction)
-        t = np.array([self.input_transmittances(row, direction) for row in np.eye(self.n)])
+        t = np.array([self.input_transmittances(row) for row in np.eye(self.n)])
         raw = t @ (gain if direction == FORWARD else gain.T)
         return raw / self.normalization_constant(direction)
 
@@ -399,7 +392,7 @@ def build_crossbar(
     fabrication_sigma_nm: float = 0.0,
     seed: int | None = None,
 ) -> CrossbarArray:
-    """Crossbar of n^2 rings and 2n MZIs with the given waveguide layout.
+    """Crossbar of n^2 rings and 2n MZIs of one design with the given waveguide layout.
 
     The symmetric variant has 2n crossings on every path; the legacy one
     has the prior generation's position-dependent losses. Four channels
@@ -408,4 +401,4 @@ def build_crossbar(
     grid = WavelengthGrid.c_band_4() if n == 4 else WavelengthGrid.evenly_spaced(n)
     ring_grid = build_ring_grid(n, grid, ring_template, fabrication_sigma_nm, seed)
     mzi = mzi_template or MziDevice()
-    return CrossbarArray(CrossbarTopology(n=n, variant=variant), ring_grid, [mzi] * n, [mzi] * n)
+    return CrossbarArray(CrossbarTopology(n=n, variant=variant), ring_grid, mzi)

@@ -347,10 +347,6 @@ class RingDevice:
             return t_drop, t_through
         return float(t_drop), float(t_through)
 
-    def peak_drop_transmittance(self) -> float:
-        """Drop transmittance exactly on resonance (includes excess loss)."""
-        return self.lineshape.peak_drop
-
     def fwhm_nm(self) -> float:
         """Analytic full-width half-maximum of the drop resonance."""
         ta = self.self_coupling_t1 * self.self_coupling_t2 * self.round_trip_amplitude

@@ -20,7 +20,7 @@ from .compiler import MatrixCompiler
 from .config import RunConfig
 from .crossbar import BACKWARD, FORWARD, CrossbarArray, build_crossbar
 from .datasets import load_iris, load_mnist_subset
-from .devices import MziDevice, PhaseShifter, sweep_spectrum
+from .devices import sweep_spectrum
 from .lut import build_lut, lut_to_binary, lut_to_csv
 from .nn import MlpRunner, train_iris, train_mnist
 from .noise import NoiseConfig, make_rng, perturb, time_average
@@ -88,20 +88,15 @@ def run_characterize_devices(config: RunConfig, out_dir: Path) -> None:
     array = build_array(config)
     n = array.n
     rng = make_rng(config.seed, stream=7)
-    # MZI fringes for both banks, optionally with fabricated random phases.
-    for direction, bank in ((FORWARD, array.forward_mzis), (BACKWARD, array.backward_mzis)):
-        for port, dev in enumerate(bank):
+    # MZI fringes of every input port in both directions, optionally with
+    # fabricated random phases drawn port by port.
+    mzi = array.mzi
+    for direction in (FORWARD, BACKWARD):
+        for port in range(n):
+            dev = mzi
             if config.devices.random_mzi_phases:
-                shifter = PhaseShifter(
-                    power_per_pi_mw=dev.shifter.power_per_pi_mw,
-                    initial_phase_rad=float(rng.uniform(0.0, 2.0 * np.pi)),
-                    max_power_mw=dev.shifter.max_power_mw,
-                )
-                dev = MziDevice(
-                    shifter=shifter,
-                    extinction_ratio_db=dev.extinction_ratio_db,
-                    excess_loss_db=dev.excess_loss_db,
-                )
+                phase = float(rng.uniform(0.0, 2.0 * np.pi))
+                dev = replace(mzi, shifter=replace(mzi.shifter, initial_phase_rad=phase))
             powers = np.linspace(0.0, 2.0 * dev.shifter.power_per_pi_mw, 401)
             t = dev.transmittance(powers)
             write_csv(
@@ -197,7 +192,7 @@ def run_iris_inference(config: RunConfig, out_dir: Path) -> None:
         time_average_count=config.noise.time_average,
     )
     runner = MlpRunner(result.model, backend)
-    outputs = runner.forward(test_x.T)[0]
+    outputs = runner.forward(test_x.T)[-1][0]
     predictions = outputs.argmax(axis=0)
     circuit_acc = float((predictions == test_y).mean())
     write_csv(

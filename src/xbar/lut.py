@@ -31,8 +31,7 @@ mrr_min, mrr_max] followed by the row-major float64 grid.
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +54,6 @@ class CalibrationLUT:
     mzi_powers_mw: np.ndarray
     mrr_powers_mw: np.ndarray
     output_power: np.ndarray  # shape (n_mzi, n_mrr)
-    direction: str = FORWARD
 
     def __post_init__(self):
         mzi = np.asarray(self.mzi_powers_mw, dtype=float)
@@ -72,7 +70,6 @@ class CalibrationLUT:
         object.__setattr__(self, "mzi_powers_mw", mzi)
         object.__setattr__(self, "mrr_powers_mw", mrr)
         object.__setattr__(self, "output_power", out)
-        _check_direction(self.direction)
 
     def rising_branches(self):
         """((mzi powers, response), (mrr powers, response), full scale).
@@ -275,10 +272,8 @@ def build_lut(
     mzi_powers = np.linspace(DEFAULT_MZI_WINDOW_MW[0], DEFAULT_MZI_WINDOW_MW[1], steps)
     mrr_powers = np.linspace(p_align - span, p_align, steps)
 
-    # Input port: the driven MZI for this element's bus in this direction.
-    port = row if direction == FORWARD else col
-    bank = array.forward_mzis if direction == FORWARD else array.backward_mzis
-    mzi = bank[port]
+    # The driven input MZI of this element's bus (one design on every port).
+    mzi = array.mzi
     t_mzi = np.asarray(mzi.transmittance(mzi_powers))
 
     u_all = array.topology.path_transmission(direction)
@@ -289,7 +284,7 @@ def build_lut(
     g = drop.sum(axis=1)
     # Pedestal from the other (parked) rings on this bus, fed by the dark MZIs.
     drop_dark = grid.drop_through_tensor(grid.parked_heaters())
-    floor_t = array.input_transmittances(np.zeros(n), direction)
+    floor_t = array.input_transmittances(np.zeros(n))
     if direction == FORWARD:
         # output col: sum over input rows i of floor_i * G[i, col] (i != row)
         others = sum(
@@ -308,7 +303,6 @@ def build_lut(
         mzi_powers_mw=mzi_powers,
         mrr_powers_mw=mrr_powers,
         output_power=output,
-        direction=direction,
     )
 
 
@@ -354,7 +348,7 @@ def lut_to_csv(lut: CalibrationLUT, path) -> None:
                 )
 
 
-def lut_from_csv(path, direction: str = FORWARD) -> CalibrationLUT:
+def lut_from_csv(path) -> CalibrationLUT:
     mzi, mrr, power = [], [], []
     with open(path) as fh:
         header = fh.readline().strip()
@@ -370,7 +364,7 @@ def lut_from_csv(path, direction: str = FORWARD) -> CalibrationLUT:
     mzi_axis = np.unique(np.asarray(mzi))
     mrr_axis = np.unique(np.asarray(mrr))
     grid = np.asarray(power).reshape(len(mzi_axis), len(mrr_axis))
-    return CalibrationLUT(mzi_axis, mrr_axis, grid, direction=direction)
+    return CalibrationLUT(mzi_axis, mrr_axis, grid)
 
 
 def lut_to_binary(lut: CalibrationLUT, path) -> None:
@@ -392,7 +386,7 @@ def lut_to_binary(lut: CalibrationLUT, path) -> None:
         fh.write(lut.output_power.astype("<f8").tobytes())
 
 
-def lut_from_binary(path, direction: str = FORWARD) -> CalibrationLUT:
+def lut_from_binary(path) -> CalibrationLUT:
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 64:
@@ -411,5 +405,4 @@ def lut_from_binary(path, direction: str = FORWARD) -> CalibrationLUT:
         np.linspace(header[4], header[5], n_mzi),
         np.linspace(header[6], header[7], n_mrr),
         grid.copy(),
-        direction=direction,
     )

@@ -162,24 +162,8 @@ class MlpModel:
         return cls(weights=ws, biases=bs)
 
     @property
-    def sizes(self) -> tuple:
-        return tuple([self.weights[0].shape[-1]] + [w.shape[-2] for w in self.weights])
-
-    @property
     def params(self) -> list:
         return self.weights + self.biases
-
-
-@dataclass
-class BackpropTrace:
-    activations: list  # per layer, including the input
-    deltas: list  # per weight layer, at the pre-activation
-    gradients: list  # per weight layer
-    bias_gradients: list
-
-    @property
-    def all_gradients(self) -> list:
-        return self.gradients + self.bias_gradients
 
 
 class MlpRunner:
@@ -197,27 +181,21 @@ class MlpRunner:
     def refresh(self) -> None:
         self.handles = [self.backend.program(w) for w in self.model.weights]
 
-    def forward(self, x):
-        a = np.asarray(x, dtype=float)
-        squeeze = a.ndim == 1
-        if squeeze:
-            a = a[:, None]
+    def forward(self, x) -> list:
+        """Activations of every layer, the input first and the output last."""
+        acts = [np.asarray(x, dtype=float)]
         for h, b in zip(self.handles, self.model.biases):
-            a = sigmoid(h.forward(a) + b[..., None])
-        return a[..., 0] if squeeze else a
-
-    def forward_trace(self, x):
-        a = np.asarray(x, dtype=float)
-        acts = [a]
-        for h, b in zip(self.handles, self.model.biases):
-            a = sigmoid(h.forward(a) + b[..., None])
-            acts.append(a)
+            acts.append(sigmoid(h.forward(acts[-1]) + b[..., None]))
         return acts
 
-    def backprop(self, xb, tb) -> BackpropTrace:
+    def backprop(self, xb, tb):
         """MSE loss gradients of (runs, features, batch) inputs and (runs,
-        classes, batch) targets; error signals travel through handle.backward."""
-        acts = self.forward_trace(xb)
+        classes, batch) targets; error signals travel through handle.backward.
+
+        Returns (outputs, gradients): the output activations, and the weight
+        then bias gradients of every layer, in `MlpModel.params` order.
+        """
+        acts = self.forward(xb)
         batch = xb.shape[-1]
         out = acts[-1]
         delta = (out - tb) * dsigmoid_from_output(out)
@@ -228,9 +206,7 @@ class MlpRunner:
             deltas.insert(0, delta)
         grads = [deltas[l] @ acts[l].swapaxes(-1, -2) / batch for l in range(len(self.handles))]
         bias_grads = [deltas[l].sum(axis=-1) / batch for l in range(len(self.handles))]
-        return BackpropTrace(
-            activations=acts, deltas=deltas, gradients=grads, bias_gradients=bias_grads
-        )
+        return out, grads + bias_grads
 
 
 @dataclass
@@ -238,13 +214,6 @@ class IrisTrainResult:
     cost_history: np.ndarray  # (runs, epochs)
     final_accuracy: np.ndarray  # (runs,)
     model: MlpModel
-
-
-def mlp_accuracy(model: MlpModel, backend, features, labels) -> np.ndarray:
-    """Test accuracy of every run of `model`, shape (runs,)."""
-    runner = MlpRunner(model, backend)
-    out = runner.forward(features.T)
-    return (out.argmax(axis=-2) == labels).mean(axis=-1)
 
 
 def train_iris(
@@ -278,14 +247,16 @@ def train_iris(
             # operand layout.
             xb = train_x[idx].swapaxes(-1, -2)
             tb = targets[class_rows, idx[:, None, :]]
-            trace = runner.backprop(xb, tb)
-            epoch_cost += mse_cost(trace.activations[-1], tb) * idx.shape[-1]
+            out, grads = runner.backprop(xb, tb)
+            epoch_cost += mse_cost(out, tb) * idx.shape[-1]
             if not np.logical_and.reduce(np.isfinite(epoch_cost)):
                 raise XbarError("training aborted: non-finite loss")
-            optimizer.update(model.params, trace.all_gradients)
+            optimizer.update(model.params, grads)
             runner.refresh()
         epoch_cost /= n_train
-    acc = mlp_accuracy(model, backend, test_x, test_y)
+    # The runner holds the final weights' programs: test every run on them.
+    out = runner.forward(test_x.T)[-1]
+    acc = (out.argmax(axis=-2) == test_y).mean(axis=-1)
     return IrisTrainResult(cost_history=costs, final_accuracy=acc, model=model)
 
 
@@ -298,6 +269,7 @@ POOL_OUT = 13
 FLAT_DIM = KERNEL_COUNT * POOL_OUT * POOL_OUT  # 1521
 HIDDEN_DIM = 100
 CLASSES = 10
+PREDICT_BATCH = 200  # test images forwarded at a time by `CnnRunner.predict`
 
 
 @dataclass
@@ -438,12 +410,12 @@ class CnnRunner:
         d_patches = self.conv_handle.backward(d_cols)
         return cost, [g_kernel, g_hidden, g_out, g_b_hidden, g_b_out], d_patches
 
-    def predict(self, images: np.ndarray, batch: int = 200) -> np.ndarray:
-        """Predicted class of every image, forwarded `batch` images at a time."""
+    def predict(self, images: np.ndarray) -> np.ndarray:
+        """Predicted class of every image, forwarded PREDICT_BATCH images at a time."""
         return np.concatenate(
             [
-                self.forward(images[start : start + batch]).argmax(axis=0)
-                for start in range(0, images.shape[0], batch)
+                self.forward(images[start : start + PREDICT_BATCH]).argmax(axis=0)
+                for start in range(0, images.shape[0], PREDICT_BATCH)
             ]
         )
 
@@ -453,7 +425,6 @@ class MnistTrainResult:
     accuracy_history: np.ndarray
     confusion: np.ndarray
     cost_history: np.ndarray
-    model: CnnModel
 
 
 def confusion_matrix(predicted, actual, classes: int = CLASSES) -> np.ndarray:
@@ -500,5 +471,4 @@ def train_mnist(
         accuracy_history=acc_history,
         confusion=confusion,
         cost_history=cost_history,
-        model=model,
     )

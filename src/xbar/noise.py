@@ -18,7 +18,6 @@ import numpy as np
 class NoiseConfig:
     relative_sigma: float = 0.02
     seed: int = 0
-    enabled: bool = True
     stream: int = 0  # independent stream of `seed`, one per parallel run
 
     def __post_init__(self):
@@ -36,7 +35,7 @@ def perturb(powers, cfg: NoiseConfig, rng: np.random.Generator):
     p = np.asarray(powers, dtype=float)
     if (p < 0).any():
         raise ValueError("powers must be non-negative")
-    if not cfg.enabled or cfg.relative_sigma == 0.0:
+    if cfg.relative_sigma == 0.0:
         return p.copy()
     factors = 1.0 + rng.normal(0.0, cfg.relative_sigma, size=p.shape)
     return p * np.maximum(factors, 0.0, out=factors)

@@ -69,7 +69,9 @@ def experimental_ring() -> RingDevice:
     )
 
 
-PRESETS = ("experimental_4x4", "simulation_9x9", "ideal")
+# Array size of every fixed-size preset; `ideal` is built at any size n.
+PRESET_SIZES = {"experimental_4x4": 4, "simulation_9x9": 9}
+PRESETS = (*PRESET_SIZES, "ideal")
 
 
 def preset_array(
@@ -80,10 +82,11 @@ def preset_array(
     seed: int | None = None,
 ) -> CrossbarArray:
     """Crossbar of a named preset; `n` sizes the `ideal` preset only."""
+    n = PRESET_SIZES.get(preset, n)
     if preset == "experimental_4x4":
-        n, ring, mzi = 4, experimental_ring(), MziDevice(extinction_ratio_db=EXPERIMENTAL_MZI_ER_DB)
+        ring, mzi = experimental_ring(), MziDevice(extinction_ratio_db=EXPERIMENTAL_MZI_ER_DB)
     elif preset == "simulation_9x9":
-        n, ring, mzi = 9, ring_for_q(SIMULATION_Q, lossless=True), MziDevice()
+        ring, mzi = ring_for_q(SIMULATION_Q, lossless=True), MziDevice()
     elif preset == "ideal":
         ring, mzi = ring_for_q(IDEAL_Q, lossless=True), MziDevice()
     else:

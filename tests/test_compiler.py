@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from xbar.backends import PhotonicBackend, make_backend
-from xbar.compiler import MatrixCompiler, decode_output, encode_signed, encode_signed_columns
+from xbar.compiler import (
+    COMPENSATION_PASSES,
+    MatrixCompiler,
+    decode_output,
+    encode_signed,
+    encode_signed_columns,
+)
 from xbar.config import RunConfig
 from xbar.crossbar import BACKWARD, FORWARD, LEGACY_ASYMMETRIC, SYMMETRIC, build_ring_grid
 from xbar.devices import PhaseShifter, RingDevice, WavelengthGrid
@@ -71,7 +77,7 @@ def reference_floor(grid) -> np.ndarray:
         [
             [
                 ring.drop_through(ring.resonance_wavelength_nm(0.0) - park, 0.0)[0]
-                / ring.peak_drop_transmittance()
+                / ring.lineshape.peak_drop
                 for ring in row
             ]
             for row in grid.rings
@@ -87,7 +93,7 @@ def reference_heaters(compiler: MatrixCompiler, targets: np.ndarray):
     park = grid.park_detuning_nm
     aligned = reference_alignment(grid)
     rates = np.array([[r.resonance_shift_per_mw for r in row] for row in rings])
-    peaks = np.array([[r.peak_drop_transmittance() for r in row] for row in rings])
+    peaks = np.array([[r.lineshape.peak_drop for r in row] for row in rings])
     full = float(peaks.min())
     floor = reference_floor(grid)
 
@@ -100,15 +106,14 @@ def reference_heaters(compiler: MatrixCompiler, targets: np.ndarray):
 
     rel = np.clip(targets * full / peaks, floor, 1.0)
     det = detunings(rel)
-    if compiler.compensate_leakage:
-        rows = np.arange(n)[:, None]
-        cols = np.arange(n)[None, :]
-        for _ in range(compiler.compensation_passes):
-            drop = grid.drop_through_tensor(aligned + det / rates)
-            own = drop[rows, cols, rows]
-            foreign = drop.sum(axis=2) - own
-            rel = np.clip((targets * full - foreign) / peaks, floor, 1.0)
-            det = detunings(rel)
+    rows = np.arange(n)[:, None]
+    cols = np.arange(n)[None, :]
+    for _ in range(COMPENSATION_PASSES):
+        drop = grid.drop_through_tensor(aligned + det / rates)
+        own = drop[rows, cols, rows]
+        foreign = drop.sum(axis=2) - own
+        rel = np.clip((targets * full - foreign) / peaks, floor, 1.0)
+        det = detunings(rel)
     return aligned + det / rates, rel * peaks / full
 
 
@@ -124,11 +129,10 @@ def seeded_targets(n: int, seed: int, count: int = 12):
         yield t
 
 
-@pytest.mark.parametrize("compensate", [True, False])
 @pytest.mark.parametrize("preset", list(PRESETS))
-def test_heaters_match_elementwise_reference(preset, compensate):
+def test_heaters_match_elementwise_reference(preset):
     array = PRESETS[preset]()
-    compiler = MatrixCompiler(array, compensate_leakage=compensate)
+    compiler = MatrixCompiler(array)
     for targets in seeded_targets(array.n, seed=11):
         heaters, achieved, _ = compiler.heaters_for_targets(targets)
         ref_heaters, ref_achieved = reference_heaters(compiler, targets)
@@ -298,9 +302,8 @@ def test_nan_detuning_is_rejected_by_the_range_check():
         grid.detuned_heaters(detunings)
 
 
-@pytest.mark.parametrize("compensate", [True, False])
-def test_nan_target_is_rejected_by_the_range_check(compensate):
-    compiler = MatrixCompiler(preset_array("experimental_4x4"), compensate_leakage=compensate)
+def test_nan_target_is_rejected_by_the_range_check():
+    compiler = MatrixCompiler(preset_array("experimental_4x4"))
     targets = np.full((4, 4), 0.5)
     targets[0, 3] = np.nan
     with pytest.raises(ValueError, match=r"unit targets must lie in \[0, 1\]"):
@@ -313,15 +316,14 @@ def test_stacked_floor_equals_the_per_ring_drop_through_loop(preset, sigma):
     array = preset_array(preset, fabrication_sigma_nm=sigma, seed=11)
     compiler = MatrixCompiler(array)
     np.testing.assert_array_equal(compiler._floor_rel, reference_floor(array.ring_grid))
-    peaks = [[ring.peak_drop_transmittance() for ring in row] for row in array.ring_grid.rings]
+    peaks = [[ring.lineshape.peak_drop for ring in row] for row in array.ring_grid.rings]
     np.testing.assert_array_equal(compiler._peaks, peaks)
 
 
 def test_nan_input_is_rejected_by_the_mzi_range_check():
     array = preset_array("experimental_4x4")
-    for direction in (FORWARD, BACKWARD):
-        with pytest.raises(EncodingError, match=r"inputs must lie in \[0, 1\]"):
-            array.input_transmittances(np.array([0.2, np.nan, 0.5, 1.0]), direction)
+    with pytest.raises(EncodingError, match=r"inputs must lie in \[0, 1\]"):
+        array.input_transmittances(np.array([0.2, np.nan, 0.5, 1.0]))
 
 
 def test_alignment_beyond_heater_range_is_rejected_at_construction():
@@ -424,11 +426,10 @@ def test_photonic_iris_train_rerun_is_byte_identical(tmp_path):
     assert outputs[0] and outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("compensate", [True, False])
 @pytest.mark.parametrize("preset", list(PRESETS))
-def test_clamped_elements_mark_where_the_span_clip_was_active(preset, compensate):
+def test_clamped_elements_mark_where_the_span_clip_was_active(preset):
     array = PRESETS[preset]()
-    compiler = MatrixCompiler(array, compensate_leakage=compensate)
+    compiler = MatrixCompiler(array)
     n = array.n
     rng = np.random.default_rng(9)
     targets = rng.uniform(0.2, 0.8, (n, n))

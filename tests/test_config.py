@@ -291,3 +291,46 @@ def test_cli_rejects_runs_on_iris_inference_before_any_work(tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "training.runs" in lines[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "devices, ok",
+    [
+        ({"preset": "experimental_4x4", "n": 4}, True),
+        ({"preset": "experimental_4x4", "n": 9}, False),
+        ({"preset": "simulation_9x9"}, True),
+        ({"preset": "simulation_9x9", "n": 9}, True),
+        ({"preset": "simulation_9x9", "n": 5}, False),
+        ({"preset": "ideal", "n": 7}, True),
+    ],
+)
+def test_n_is_rejected_where_the_preset_fixes_another_size(devices, ok):
+    config = RunConfig.from_dict({"experiment": "measure-matrix", "devices": devices})
+    if ok:
+        config.validate()
+    else:
+        with pytest.raises(ConfigError, match=f"devices.n {devices['n']} .*{devices['preset']}"):
+            config.validate()
+
+
+def test_cli_rejects_n_on_a_fixed_size_preset_before_any_work(tmp_path, capsys):
+    config_path = tmp_path / "preset.yaml"
+    config_path.write_text(yaml.safe_dump({"devices": {"preset": "experimental_4x4", "n": 9}}))
+    out = tmp_path / "out"
+    code = main(["measure-matrix", "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "devices.n" in lines[0]
+    assert not out.exists()
+
+
+def test_iris_inference_rejects_a_non_default_backend():
+    data = {"experiment": "iris-inference"}
+    RunConfig.from_dict({**data, "training": {"backend": "lut"}}).validate()
+    for backend in ("ideal", "photonic"):
+        with pytest.raises(ConfigError, match=f"training.backend '{backend}' .*iris-inference"):
+            RunConfig.from_dict({**data, "training": {"backend": backend}}).validate()
+    # iris-train reads the backend.
+    RunConfig.from_dict({"experiment": "iris-train", "training": {"backend": "photonic"}}).validate()

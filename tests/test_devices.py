@@ -181,7 +181,7 @@ class TestRing:
     def test_detuning_inversion_exact(self):
         rng = np.random.default_rng(5)
         ring = RingDevice().designed_for(1549.0)
-        peak = ring.peak_drop_transmittance()
+        peak = ring.lineshape.peak_drop
         for rel in rng.uniform(0.01, 1.0, 25):
             det = ring.detuning_for_relative_drop(rel)
             heater = det / ring.resonance_shift_per_mw

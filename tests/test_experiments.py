@@ -94,3 +94,27 @@ def test_sweep_scaling_writes_the_lut_of_the_configured_array(tmp_path):
         expected[preset] = (tmp_path / f"{preset}.csv").read_bytes()
     assert written == expected["simulation_9x9"]
     assert written != expected["experimental_4x4"]
+
+
+def test_characterize_devices_with_random_mzi_phases(tmp_path):
+    outputs = []
+    for name in ("a", "b"):
+        config = RunConfig.from_dict(
+            {
+                "experiment": "characterize-devices",
+                "out_dir": str(tmp_path / name),
+                "devices": {"random_mzi_phases": True},
+            }
+        )
+        out_dir = run_experiment(config)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.glob("mzi_*.csv"))})
+    n = build_array(config).n
+    expected = {
+        f"mzi_{direction}_in{port}.csv"
+        for direction in ("forward", "backward")
+        for port in range(1, n + 1)
+    }
+    assert set(outputs[0]) == expected
+    # Every port draws its own phase, so the fringes differ between ports.
+    assert len(set(outputs[0].values())) > 1
+    assert outputs[0] == outputs[1]
