@@ -6,8 +6,9 @@ import pytest
 import yaml
 
 from xbar.cli import main
-from xbar.config import EXPERIMENTS, RunConfig
+from xbar.config import EXPERIMENTS, DeviceSection, RunConfig
 from xbar.errors import ConfigError
+from xbar.presets import PRESETS, preset_array
 
 
 def test_config_hash_ignores_out_dir(tmp_path):
@@ -334,3 +335,23 @@ def test_iris_inference_rejects_a_non_default_backend():
             RunConfig.from_dict({**data, "training": {"backend": backend}}).validate()
     # iris-train reads the backend.
     RunConfig.from_dict({"experiment": "iris-train", "training": {"backend": "photonic"}}).validate()
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_array_size_is_the_size_the_preset_builds(preset):
+    devices = DeviceSection(preset=preset, n=DeviceSection.n if preset != "ideal" else 6)
+    devices.validate()
+    assert preset_array(preset, n=devices.n).n == devices.array_size
+
+
+def test_cli_rejects_a_backend_on_iris_inference_before_any_work(tmp_path, capsys):
+    config_path = tmp_path / "inference.yaml"
+    config_path.write_text(yaml.safe_dump({"training": {"backend": "photonic"}}))
+    out = tmp_path / "out"
+    code = main(["iris-inference", "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "training.backend" in lines[0]
+    assert not out.exists()
