@@ -14,10 +14,12 @@ The model is linear in the input powers, so one gain matrix
 
 describes a heater program, and every reading is the MZI-transmittance
 vector times G: forward, output column j reads sum_i t_i G[i, j]; backward,
-output row i reads sum_j G[i, j] t_j. The symmetric layout gives both
-directions the same path losses, so the forward and backward readings are
-exact transposes; the uniform allocation constant is divided out by the
-output normalization.
+output row i reads sum_j G[i, j] t_j. `CrossbarArray.read` is that one
+reading; the MVM, the probed matrix and the LUT calibration sweep all take
+their output powers from it. The symmetric layout gives both directions the
+same path losses, so the forward and backward readings are exact
+transposes; the uniform allocation constant is divided out by the output
+normalization.
 
 Crosstalk enters through two physical channels: off-resonance leakage of the
 ring lineshape (foreign wavelengths and parked rings) and the finite
@@ -128,6 +130,10 @@ class RingGrid:
     - the per-ring heater rate, fabrication detuning, initial-phase shift,
       heater range and zero-heater resonance, read by `drop_through_tensor`,
       `drop_below_resonance` and the range checks;
+    - `order_spacing_nm`, each ring's spacing from its resonance order to
+      the next (bluer) one, from its own lineshape; the alignment wraps a
+      channel blue of the resonance onto that order, and the LUT ring
+      window wraps by it too;
     - the aligned heater matrix (checked against each ring's heater range
       and against ALIGNMENT_TOLERANCE_NM);
     - `lineshape`, every ring's `AddDropLineshape` stacked into fields of
@@ -175,17 +181,23 @@ class RingGrid:
         self.lineshape = AddDropLineshape.stack([[r.lineshape for r in row] for row in self.rings])
         self._channels = read_only(self.grid.array)
         self._drop_shape = self.lineshape.broadcast_to((self.n, self.n, len(self.grid)))
+        shape = self.lineshape
+        next_order = shape.wavelength_at_phase(shape.resonance_phase + 2.0 * math.pi)
+        self.order_spacing_nm = read_only((shape.resonance_wavelength - next_order)[:, :, 0])
 
     def _align(self) -> np.ndarray:
         """Heater matrix putting every ring's resonance on its row channel.
 
-        The thermo-optic shift is linear, so the modular inversion is exact;
-        the residual is verified against ALIGNMENT_TOLERANCE_NM.
+        A channel red of a ring's zero-heater resonance is reached by heating
+        that order; a channel blue of it by heating the next order, one
+        `order_spacing_nm` bluer. The thermo-optic shift is linear, so the
+        inversion is exact; the residual against the chosen order is
+        verified against ALIGNMENT_TOLERANCE_NM.
         """
         base = self._resonance0
-        fsr = _per_ring(self.rings, lambda r: r.fsr_nm())
         target = self._channels[:, None]
-        power = ((target - base) % fsr) / self._rate
+        order = np.where(target < base, base - self.order_spacing_nm, base)
+        power = (target - order) / self._rate
         out_of_range = np.argwhere(power > self._max_power)
         if out_of_range.size:
             i, j = out_of_range[0]
@@ -193,8 +205,7 @@ class RingGrid:
                 f"ring ({i},{j}) cannot reach channel {self.grid.channels_nm[i]} nm "
                 "within its heater range"
             )
-        shifted = base + self._rate * power
-        residual = np.abs((shifted - target + fsr / 2.0) % fsr - fsr / 2.0)
+        residual = np.abs(order + self._rate * power - target)
         if np.any(residual > ALIGNMENT_TOLERANCE_NM):
             raise InfeasibleError(
                 f"alignment residual {residual.max():.2e} nm exceeds tolerance"
@@ -326,12 +337,19 @@ class CrossbarArray:
         gain that both directions share. Heaters (..., n, n) give (..., n, n)."""
         return self.ring_grid.drop_through_tensor(heaters).sum(axis=-1)
 
-    def _gain(self, heaters: np.ndarray, direction: str, summed_drop=None) -> np.ndarray:
-        """Unnormalized gain matrix G of a heater program (see module docstring)."""
+    def _gain(self, summed_drop: np.ndarray, direction: str) -> np.ndarray:
+        """Unnormalized gain matrix G of a program, from its channel-summed
+        drop (see module docstring)."""
         _check_direction(direction)
-        if summed_drop is None:
-            summed_drop = self.summed_drop(heaters)
         return summed_drop * self._path_transmission[direction] * self.bus_budget
+
+    def read(self, t: np.ndarray, summed_drop: np.ndarray, direction: str) -> np.ndarray:
+        """Raw output powers for input-port transmittances `t` (..., n) through
+        the program whose channel-summed drop is `summed_drop` (..., n, n):
+        t @ G going forward, t @ G^T going backward. This is the array's one
+        reading; operands broadcast as in np.matmul."""
+        gain = self._gain(summed_drop, direction)
+        return t @ (gain if direction == FORWARD else np.swapaxes(gain, -1, -2))
 
     def normalization_constant(self, direction: str) -> float:
         """Full-scale output power per unit input, from a one-time probe.
@@ -347,16 +365,20 @@ class CrossbarArray:
         if direction not in self._norm_cache:
             t = self.input_transmittances(np.ones(self.n))
             grid = self.ring_grid
-            diff = self._gain(grid.identity_probe_heaters(), direction) - self._gain(
-                grid.parked_heaters(), direction
-            )
+            probe = self.summed_drop(grid.identity_probe_heaters())
+            dark = self.summed_drop(grid.parked_heaters())
+            diff = self._gain(probe, direction) - self._gain(dark, direction)
+            # Not `read`: summing its per-output readings would add the
+            # forward matrix by columns and the backward one by rows, and the
+            # two directions' constants would differ in the last bits. The
+            # whole-matrix sum adds both in one order.
             weighted = t[:, None] * diff if direction == FORWARD else diff * t
             self._norm_cache[direction] = float(weighted.sum() / self.n)
         return self._norm_cache[direction]
 
     def forward_mvm(self, x: np.ndarray, heaters: np.ndarray) -> np.ndarray:
         """Normalized forward product: approximates T.T @ x for the programmed T."""
-        raw = self.input_transmittances(x) @ self._gain(heaters, FORWARD)
+        raw = self.read(self.input_transmittances(x), self.summed_drop(heaters), FORWARD)
         return raw / self.normalization_constant(FORWARD)
 
     def effective_matrix(self, heaters: np.ndarray, direction: str, summed_drop=None) -> np.ndarray:
@@ -369,7 +391,9 @@ class CrossbarArray:
         `summed_drop(heaters)` to both calls, so the lineshape is evaluated
         once.
         """
-        return self._gain(heaters, direction, summed_drop) / self.normalization_constant(direction)
+        if summed_drop is None:
+            summed_drop = self.summed_drop(heaters)
+        return self._gain(summed_drop, direction) / self.normalization_constant(direction)
 
     def measure_matrix(self, heaters: np.ndarray, direction: str) -> np.ndarray:
         """Matrix measured by single-input probing, including MZI leakage.
@@ -378,9 +402,8 @@ class CrossbarArray:
         port p is driven high and the remaining MZIs sit at their
         extinction floor.
         """
-        gain = self._gain(heaters, direction)
         t = np.array([self.input_transmittances(row) for row in np.eye(self.n)])
-        raw = t @ (gain if direction == FORWARD else gain.T)
+        raw = self.read(t, self.summed_drop(heaters), direction)
         return raw / self.normalization_constant(direction)
 
 

@@ -447,41 +447,6 @@ def sweep_spectrum(
     return wl, t_drop, t_through
 
 
-def find_drop_peaks(wavelength_nm: np.ndarray, t_drop: np.ndarray) -> list[float]:
-    """Wavelengths of local maxima of a sampled drop spectrum above half scale."""
-    t = np.asarray(t_drop)
-    wl = np.asarray(wavelength_nm)
-    thresh = t.max() / 2.0
-    peaks = []
-    for i in range(1, len(t) - 1):
-        if t[i] >= t[i - 1] and t[i] > t[i + 1] and t[i] > thresh:
-            # Parabolic refinement around the sample peak.
-            denom = t[i - 1] - 2 * t[i] + t[i + 1]
-            offset = 0.5 * (t[i - 1] - t[i + 1]) / denom if denom != 0 else 0.0
-            peaks.append(float(wl[i] + offset * (wl[1] - wl[0])))
-    return peaks
-
-
-def measure_fwhm(wavelength_nm: np.ndarray, t_drop: np.ndarray) -> float:
-    """FWHM of the tallest drop peak, via interpolated half-max crossings."""
-    t = np.asarray(t_drop, dtype=float)
-    wl = np.asarray(wavelength_nm, dtype=float)
-    i_pk = int(np.argmax(t))
-    half = t[i_pk] / 2.0
-
-    def crossing(side: int) -> float:
-        j = i_pk
-        while 0 < j < len(t) - 1 and t[j + side] > half:
-            j += side
-        j2 = j + side
-        if j2 < 0 or j2 >= len(t):
-            raise ValueError("half-max crossing outside the scanned window")
-        frac = (t[j] - half) / (t[j] - t[j2])
-        return wl[j] + frac * (wl[j2] - wl[j])
-
-    return abs(crossing(+1) - crossing(-1))
-
-
 @dataclass(frozen=True)
 class WavelengthGrid:
     """Ordered WDM channel plan, all channels within one FSR of the design."""

@@ -251,7 +251,7 @@ def run_mnist_train(config: RunConfig, out_dir: Path) -> None:
         time_average_count=config.noise.time_average,
     )
     result = train_mnist(
-        replace(config.training, optimizer="adam"),
+        config.training,
         config.seed,
         data.train_images,
         data.train_labels,

@@ -2,7 +2,10 @@
 
 A LUT records the detected output power of one crossbar element while its
 input MZI and its ring heater sweep a rectangular window, the way a
-hardware-in-the-loop calibration would measure it. Multiplications are then
+hardware-in-the-loop calibration would measure it: `build_lut` takes every
+entry from the crossbar's own reading (`CrossbarArray.read`) of a
+calibration program, so the LUTs share the array's one propagation model
+and its ring alignment. Multiplications are then
 performed by inverting the two axes on their rising branches and reading the
 stored power by bilinear interpolation. An axis's rising branch is the
 strictly increasing run of its response that ends at the response's maximum:
@@ -246,9 +249,12 @@ def build_lut(
 ) -> CalibrationLUT:
     """Simulated calibration sweep for element (row, col) of a crossbar.
 
-    The element's input MZI sweeps DEFAULT_MZI_WINDOW_MW while its ring
-    approaches its aligned resonance from LUT_RING_WINDOW_NM below; all
-    other MZIs sit at their extinction floor and all other rings are parked.
+    The crossbar's own reading (`CrossbarArray.read`) of one calibration
+    program per setting, taken at output port `col` going forward and at
+    port `row` going backward. The element's input MZI sweeps
+    DEFAULT_MZI_WINDOW_MW while its ring approaches its aligned resonance
+    from LUT_RING_WINDOW_NM below; all other MZIs sit at their extinction
+    floor and all other rings are parked, as in the dark program.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2 per axis")
@@ -262,8 +268,8 @@ def build_lut(
     span = LUT_RING_WINDOW_NM / ring.resonance_shift_per_mw
     if p_align < span:
         # The window would run below zero power: approach the next
-        # resonance order instead, one FSR of heater power higher.
-        p_align += ring.fsr_nm() / ring.resonance_shift_per_mw
+        # resonance order instead, one order spacing of heater power higher.
+        p_align += grid.order_spacing_nm[row, col] / ring.resonance_shift_per_mw
         if p_align > ring.shifter.max_power_mw:
             raise InfeasibleError(
                 f"element ({row},{col}): the LUT ring window needs {p_align:.4g} mW, "
@@ -272,33 +278,20 @@ def build_lut(
     mzi_powers = np.linspace(DEFAULT_MZI_WINDOW_MW[0], DEFAULT_MZI_WINDOW_MW[1], steps)
     mrr_powers = np.linspace(p_align - span, p_align, steps)
 
-    # The driven input MZI of this element's bus (one design on every port).
-    mzi = array.mzi
-    t_mzi = np.asarray(mzi.transmittance(mzi_powers))
-
-    u_all = array.topology.path_transmission(direction)
-    u = u_all[row, col]
-    b = array.bus_budget
-    # Element response summed over channels at each ring setting.
+    # One calibration program per ring setting: the dark program's summed
+    # drop, with this element's ring swept over the window.
+    program = np.repeat(array.summed_drop(grid.parked_heaters())[None], steps, axis=0)
     drop, _ = ring.drop_through(grid.grid.array[None, :], mrr_powers[:, None])
-    g = drop.sum(axis=1)
-    # Pedestal from the other (parked) rings on this bus, fed by the dark MZIs.
-    drop_dark = grid.drop_through_tensor(grid.parked_heaters())
-    floor_t = array.input_transmittances(np.zeros(n))
-    if direction == FORWARD:
-        # output col: sum over input rows i of floor_i * G[i, col] (i != row)
-        others = sum(
-            floor_t[i] * drop_dark[i, col, :].sum() * u_all[i, col] * b
-            for i in range(n)
-            if i != row
-        )
-    else:
-        others = sum(
-            floor_t[j] * drop_dark[row, j, :].sum() * u_all[row, j] * b
-            for j in range(n)
-            if j != col
-        )
-    output = np.outer(t_mzi, g) * (b * u) + others
+    program[:, row, col] = drop.sum(axis=1)
+    # Input ports at the extinction floor (one MZI design on every port),
+    # but the element's own, which sweeps the MZI window.
+    mzi = array.mzi
+    t = np.full((steps, n), mzi.transmittance(mzi.power_for(0.0)))
+    driven, port = (row, col) if direction == FORWARD else (col, row)
+    t[:, driven] = mzi.transmittance(mzi_powers)
+    # (ring setting, MZI setting, port) -> (MZI setting, ring setting), copied
+    # so that the LUT does not hold every port's reading.
+    output = array.read(t, program, direction)[:, :, port].T.copy()
     return CalibrationLUT(
         mzi_powers_mw=mzi_powers,
         mrr_powers_mw=mrr_powers,

@@ -56,7 +56,9 @@ def scalar_inverse(ring: RingDevice, relative: float) -> float:
 
 
 def reference_alignment(ring_grid) -> np.ndarray:
-    """Per-ring modular inversion of the resonance onto the row channel."""
+    """Per-ring inversion of the resonance onto the row channel: a channel
+    blue of the resonance is reached by heating the next order, one spacing
+    of the ring's own orders bluer."""
     n = ring_grid.n
     out = np.empty((n, n))
     for i in range(n):
@@ -64,7 +66,12 @@ def reference_alignment(ring_grid) -> np.ndarray:
             ring = ring_grid.rings[i][j]
             base = ring.resonance_wavelength_nm(0.0)
             target = ring_grid.grid.channels_nm[i]
-            out[i, j] = ((target - base) % ring.fsr_nm()) / ring.resonance_shift_per_mw
+            shape = ring.lineshape
+            spacing = shape.resonance_wavelength - shape.wavelength_at_phase(
+                shape.resonance_phase + 2.0 * math.pi
+            )
+            order = base - spacing if target < base else base
+            out[i, j] = (target - order) / ring.resonance_shift_per_mw
     return out
 
 
@@ -144,6 +151,35 @@ def test_heaters_match_elementwise_reference(preset):
 def test_cached_alignment_matches_per_ring_inversion(preset):
     grid = PRESETS[preset]().ring_grid
     np.testing.assert_array_equal(grid.aligned_heaters(), reference_alignment(grid))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("sigma", [0.0, 0.02])
+@pytest.mark.parametrize("preset", ["experimental_4x4", "simulation_9x9", "ideal"])
+def test_aligned_rings_sit_on_their_peak(preset, sigma, seed):
+    # A ring whose channel lies blue of its resonance is aligned on the
+    # next order; an error in that order's spacing leaves it off its peak.
+    grid = preset_array(preset, fabrication_sigma_nm=sigma, seed=seed).ring_grid
+    drop = grid.drop_through_tensor(grid.aligned_heaters())
+    rows, cols = np.arange(grid.n)[:, None], np.arange(grid.n)[None, :]
+    own = drop[rows, cols, rows]
+    np.testing.assert_allclose(own / grid.lineshape.peak_drop[:, :, 0], 1.0, rtol=0, atol=1e-9)
+
+
+def test_photonic_products_are_accurate_under_fabrication_spread():
+    array = preset_array("simulation_9x9", fabrication_sigma_nm=0.02, seed=0)
+    backend = PhotonicBackend(array)
+    rng = np.random.default_rng(3)
+    err = ref = 0.0
+    for _ in range(4):
+        w = rng.uniform(-1.0, 1.0, (9, 9))
+        x = rng.uniform(0.0, 1.0, (9, 16))
+        s = rng.uniform(-1.0, 1.0, (9, 16))
+        handle = backend.program(w)
+        for got, exact in ((handle.forward(x), w @ x), (handle.backward(s), w.T @ s)):
+            err += float(((got - exact) ** 2).sum())
+            ref += float((exact**2).sum())
+    assert math.sqrt(err / ref) < 0.05
 
 
 @pytest.mark.parametrize("preset", list(PRESETS))

@@ -45,6 +45,22 @@ def test_mnist_train_rerun_is_byte_identical(tmp_path, mnist_dir):
     assert outputs[0] == outputs[1]
 
 
+def test_mnist_train_honours_the_configured_optimizer(tmp_path, mnist_dir):
+    outputs = {}
+    for optimizer in ("sgd", "adam"):
+        config = RunConfig.from_dict(
+            {
+                "experiment": "mnist-train",
+                "out_dir": str(tmp_path / optimizer),
+                "training": {"backend": "ideal", "epochs": 1, "batch_size": 2, "optimizer": optimizer},
+                "datasets": {"mnist_dir": str(mnist_dir), "mnist_train": 4, "mnist_test": 4},
+            }
+        )
+        out_dir = run_experiment(config)
+        outputs[optimizer] = (out_dir / "cost_history.csv").read_bytes()
+    assert outputs["sgd"] != outputs["adam"]
+
+
 def test_iris_train_runs_draw_independent_noise_streams():
     config = RunConfig.from_dict(
         {"experiment": "iris-train", "seed": 3, "noise": {"enabled": True}}

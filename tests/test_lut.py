@@ -1,6 +1,7 @@
 """LUT calibration tests."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -50,38 +51,6 @@ def reference_multiply(lut, x_targets, w_targets):
     return val / full, clamped
 
 
-def reference_output_power(array, row, col, lut, direction):
-    """`lut.output_power` of a `direction` calibration recomputed with the
-    element's ring swept one setting at a time through the whole grid's
-    lineshape."""
-    grid = array.ring_grid
-    t_mzi = np.asarray(array.mzi.transmittance(lut.mzi_powers_mw))
-    heaters = grid.parked_heaters()
-    u_all = array.topology.path_transmission(direction)
-    b = array.bus_budget
-    g = np.empty(len(lut.mrr_powers_mw))
-    for k, p in enumerate(lut.mrr_powers_mw):
-        h = heaters.copy()
-        h[row, col] = p
-        drop = grid.drop_through_tensor(h)
-        g[k] = drop[row, col, :].sum()
-    drop_dark = grid.drop_through_tensor(heaters)
-    floor_t = array.input_transmittances(np.zeros(array.n))
-    if direction == FORWARD:
-        others = sum(
-            floor_t[i] * drop_dark[i, col, :].sum() * u_all[i, col] * b
-            for i in range(array.n)
-            if i != row
-        )
-    else:
-        others = sum(
-            floor_t[j] * drop_dark[row, j, :].sum() * u_all[row, j] * b
-            for j in range(array.n)
-            if j != col
-        )
-    return np.outer(t_mzi, g) * (b * u_all[row, col]) + others
-
-
 BRANCH_ARRAYS = {
     f"{preset}-sigma{sigma}": (preset, sigma)
     for preset in ("experimental_4x4", "simulation_9x9")
@@ -104,7 +73,11 @@ def test_ring_window_moves_up_one_fsr_when_alignment_is_near_zero(preset, direct
     assert p_align < span
     mrr = build_lut(array, 0, 0, steps=16, direction=direction).mrr_powers_mw
     assert np.all(np.diff(mrr) > 0)
-    assert mrr[-1] == p_align + ring.fsr_nm() / ring.resonance_shift_per_mw
+    shape = ring.lineshape
+    spacing = shape.resonance_wavelength - shape.wavelength_at_phase(
+        shape.resonance_phase + 2.0 * math.pi
+    )
+    assert mrr[-1] == p_align + spacing / ring.resonance_shift_per_mw
     assert mrr[-1] - mrr[0] == pytest.approx(span)
     assert 0.0 < mrr[0] and mrr[-1] <= ring.shifter.max_power_mw
 
@@ -378,14 +351,29 @@ def test_stacked_luts_must_share_one_grid_shape():
 
 @pytest.mark.parametrize(
     "preset, sigma",
-    [("experimental_4x4", 0.0), ("experimental_4x4", 0.02), ("simulation_9x9", 0.02)],
+    [
+        ("experimental_4x4", 0.0),
+        ("experimental_4x4", 0.02),
+        ("simulation_9x9", 0.0),
+        ("simulation_9x9", 0.02),
+    ],
 )
 def test_build_lut_equals_a_per_setting_sweep_of_the_grid(preset, sigma):
+    """Every LUT column is the crossbar's reading of its own calibration
+    program: the element's ring at that setting and every other ring parked,
+    its MZI sweeping and every other MZI at its extinction floor."""
     array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
+    grid = array.ring_grid
+    floor = array.input_transmittances(np.zeros(array.n))
     for i in range(array.n):
         for j in range(array.n):
             for direction in (FORWARD, BACKWARD):
                 lut = build_lut(array, i, j, direction=direction)
-                np.testing.assert_array_equal(
-                    lut.output_power, reference_output_power(array, i, j, lut, direction)
-                )
+                driven, port = (i, j) if direction == FORWARD else (j, i)
+                t = np.tile(floor, (len(lut.mzi_powers_mw), 1))
+                t[:, driven] = array.mzi.transmittance(lut.mzi_powers_mw)
+                for k, power in enumerate(lut.mrr_powers_mw):
+                    heaters = grid.parked_heaters()
+                    heaters[i, j] = power
+                    reading = array.read(t, array.summed_drop(heaters), direction)
+                    np.testing.assert_array_equal(lut.output_power[:, k], reading[:, port])
