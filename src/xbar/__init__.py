@@ -31,7 +31,6 @@ from .lut import (
     CalibrationLUT,
     LutStack,
     build_lut,
-    compensate_asymmetry,
     lut_multiply_many,
 )
 from .noise import NoiseConfig, make_rng, perturb, time_average

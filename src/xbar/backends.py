@@ -50,7 +50,7 @@ from .compiler import (
 )
 from .crossbar import BACKWARD, FORWARD, CrossbarArray
 from .errors import EncodingError
-from .lut import LutStack, build_lut, compensate_asymmetry, lut_multiply_many
+from .lut import LutStack, build_lut, lut_multiply_many
 from .noise import NoiseConfig, make_rng, perturb, time_average
 
 _INPUT_TOL = 1e-9
@@ -271,8 +271,6 @@ class LutBackend(_NoiseMixin):
     One LUT pair is calibrated per ring design, on the design's first
     element; a uniform grid is one design. The designs' LUTs are stacked
     into one table per direction, so every product is one vectorised read.
-    A forward/backward power imbalance is compensated by a constant
-    additive bias per design.
     """
 
     name = "lut"
@@ -292,22 +290,14 @@ class LutBackend(_NoiseMixin):
             designs.setdefault((ring.fabrication_detuning_nm, ring.self_coupling_t1), []).append(k)
         design = np.empty(n * n, dtype=int)
         luts = {FORWARD: [], BACKWARD: []}
-        bias = {FORWARD: np.zeros(len(designs)), BACKWARD: np.zeros(len(designs))}
         for d, members in enumerate(designs.values()):
             design[members] = d
             row, col = divmod(members[0], n)
-            pair = {
-                direction: build_lut(array, row, col, steps=steps, direction=direction)
-                for direction in (FORWARD, BACKWARD)
-            }
-            asymmetry = compensate_asymmetry(pair[FORWARD], pair[BACKWARD])
-            bias[asymmetry.apply_to][d] = asymmetry.bias
-            for direction, lut in pair.items():
-                luts[direction].append(lut)
+            for direction in luts:
+                luts[direction].append(build_lut(array, row, col, steps=steps, direction=direction))
         # Ring design of element (row, col), broadcast over the batch axis.
         design = design.reshape(n, n, 1)
         self._tables = {direction: LutStack(luts[direction], design) for direction in luts}
-        self._bias = {direction: bias[direction][design] for direction in bias}
 
     def element_products(self, values, targets, direction: str) -> np.ndarray:
         """LUT product estimates values * targets for every grid element.
@@ -319,7 +309,7 @@ class LutBackend(_NoiseMixin):
         windows).
         """
         est, _ = lut_multiply_many(self._tables[direction], values, targets)
-        return self._measure(est + self._bias[direction])
+        return self._measure(est)
 
     def program(self, matrix: np.ndarray) -> LutProgrammed:
         return LutProgrammed(self, matrix)

@@ -4,6 +4,8 @@ A run config is a small YAML document with five optional sections; every
 field has a default so a bare `experiment:` line is a valid file. Unknown
 keys and values of the wrong type fail with a ConfigError when the config is
 read (typos should not silently fall back to defaults, nor crash later).
+Each experiment reads a known set of fields (`READS`); `validate` rejects a
+field that the run does not read unless it keeps its default.
 
     experiment: iris-train        # required (or given on the command line)
     seed: 0
@@ -12,7 +14,7 @@ read (typos should not silently fall back to defaults, nor crash later).
       preset: experimental_4x4    # experimental_4x4 | simulation_9x9 | ideal
       n: 4                        # array size for the ideal preset (others: default or own size)
       fabrication_sigma_nm: 0.0   # per-ring resonance spread
-      random_mzi_phases: false    # sample MZI initial phases (characterize-devices only)
+      random_mzi_phases: false    # sample MZI initial phases
     topology:
       variant: symmetric          # symmetric | legacy_asymmetric
     noise:
@@ -20,13 +22,13 @@ read (typos should not silently fall back to defaults, nor crash later).
       relative_sigma: 0.02
       time_average: 1
     training:
-      backend: lut                # ideal | photonic | lut (iris-inference: default only)
+      backend: lut                # ideal | photonic | lut
       optimizer: sgd              # sgd | adam
       learning_rate: 0.5
       epochs: 100
       batch_size: 1
-      hidden: 4                   # Iris MLP hidden width (mnist-train: default only)
-      runs: 4                     # iris-train's seeded runs (others: default only)
+      hidden: 4                   # Iris MLP hidden width
+      runs: 4                     # iris-train's seeded runs
     datasets:
       iris_csv: null              # null -> packaged copy
       mnist_dir: null             # directory holding the IDX files
@@ -47,14 +49,35 @@ from .errors import ConfigError
 from .nn import KERNEL_COUNT, KERNEL_SIZE, Adam, Sgd
 from .presets import PRESET_SIZES, PRESETS
 
-EXPERIMENTS = (
-    "characterize-devices",
-    "measure-matrix",
-    "iris-inference",
-    "iris-train",
-    "mnist-train",
-    "sweep-scaling",
+# The fields each experiment reads, by dotted name; a section name stands for
+# every field of that section. Two conditions narrow it (`RunConfig._unread_by`):
+# training on the ideal backend reads no crossbar section, and noise that is
+# off reads neither its sigma nor its averaging count.
+_ARRAY = ("devices.preset", "devices.n", "devices.fabrication_sigma_nm", "topology")
+_TRAINING = (
+    "training.optimizer",
+    "training.learning_rate",
+    "training.epochs",
+    "training.batch_size",
 )
+READS = {
+    "characterize-devices": ("devices",),
+    "measure-matrix": (*_ARRAY, "noise"),
+    # Trains one model on the ideal backend, then infers on the photonic one.
+    "iris-inference": ("datasets.iris_csv", *_TRAINING, "training.hidden", *_ARRAY, "noise"),
+    "iris-train": ("datasets.iris_csv", "training", *_ARRAY, "noise"),
+    "mnist-train": (
+        "datasets.mnist_dir",
+        "datasets.mnist_train",
+        "datasets.mnist_test",
+        "training.backend",
+        *_TRAINING,
+        *_ARRAY,
+        "noise",
+    ),
+    "sweep-scaling": _ARRAY,
+}
+EXPERIMENTS = tuple(READS)
 
 
 # Value types a field accepts, by its annotation. An int is a valid float;
@@ -193,35 +216,22 @@ class RunConfig:
             raise ConfigError(
                 f"experiment must be one of {', '.join(EXPERIMENTS)}; got {self.experiment!r}"
             )
-        for section in (self.devices, self.topology, self.noise, self.training, self.datasets):
+        for part in fields(self):
+            if part.type not in _SECTIONS:
+                continue
+            section = getattr(self, part.name)
             section.validate()
-        if self.devices.random_mzi_phases and self.experiment != "characterize-devices":
-            raise ConfigError(
-                "devices.random_mzi_phases is modeled by characterize-devices only; "
-                f"{self.experiment} would ignore it"
-            )
+            for knob in fields(section):
+                name, value = f"{part.name}.{knob.name}", getattr(section, knob.name)
+                if value != knob.default and (run := self._unread_by(name)):
+                    raise ConfigError(
+                        f"{name} {value!r} is not read by {run}; "
+                        f"leave it at its default {knob.default!r}"
+                    )
         if self.topology.variant != "symmetric" and self.devices.preset != "experimental_4x4":
             raise ConfigError(
                 f"topology.variant {self.topology.variant!r} is modeled for the "
                 "experimental_4x4 preset only"
-            )
-        if self.experiment == "mnist-train" and self.training.hidden != TrainingSection.hidden:
-            raise ConfigError(
-                f"training.hidden {self.training.hidden} sets the Iris MLP width; "
-                "mnist-train's CNN is fixed and would ignore it"
-            )
-        if (
-            self.experiment in ("mnist-train", "iris-inference")
-            and self.training.runs != TrainingSection.runs
-        ):
-            raise ConfigError(
-                f"training.runs {self.training.runs} sets the iris-train run count; "
-                f"{self.experiment} trains one model and would ignore it"
-            )
-        if self.experiment == "iris-inference" and self.training.backend != TrainingSection.backend:
-            raise ConfigError(
-                f"training.backend {self.training.backend!r} is ignored by iris-inference, "
-                "which trains on the ideal backend and infers on the photonic one"
             )
         if self.experiment == "mnist-train" and self.datasets.mnist_dir is None:
             raise ConfigError("mnist-train requires datasets.mnist_dir pointing at the IDX files")
@@ -243,6 +253,21 @@ class RunConfig:
                     f"for {', '.join(missing)}"
                 )
         return self
+
+    def _unread_by(self, name: str) -> str | None:
+        """The run, as an error names it, that does not read field `name`; None if it is read."""
+        run, section = self.experiment, name.partition(".")[0]
+        if not {name, section} & set(READS[run]):
+            return run
+        if (
+            section in ("devices", "topology", "noise")
+            and run in ("iris-train", "mnist-train")
+            and self.training.backend == "ideal"
+        ):
+            return f"{run} on the ideal backend"
+        if name in ("noise.relative_sigma", "noise.time_average") and not self.noise.enabled:
+            return f"{run} with noise.enabled false"
+        return None
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":

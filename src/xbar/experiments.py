@@ -217,7 +217,7 @@ def run_iris_train(config: RunConfig, out_dir: Path) -> None:
     has seed `config.seed + k` and its own noise stream."""
     dataset = load_iris(config.datasets.iris_csv)
     train_x, train_y, test_x, test_y = dataset.split(config.seed)
-    array = build_array(config)
+    array = build_array(config) if config.training.backend != "ideal" else None
     runs = range(config.training.runs)
     backend = make_backend(
         config.training.backend,

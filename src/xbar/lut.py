@@ -11,10 +11,8 @@ stored power by bilinear interpolation. An axis's rising branch is the
 strictly increasing run of its response that ends at the response's maximum:
 it starts after the last non-increase before the peak, so a falling run or a
 neighbouring resonance inside the window is never inverted. The `lut`
-backend calibrates one forward/backward pair per ring design. The pair may
-differ when per-port losses are unbalanced; a constant additive bias in
-normalized power, applied in the direction `compensate_asymmetry` names,
-compensates.
+backend calibrates one forward/backward pair per ring design, and each
+direction reads its own LUT, normalized by that LUT's own full scale.
 
 There is one read, `LutStack.multiply`, and one LUT is its one-design case.
 A stack holds, per direction, every design's rising branches and grid axes
@@ -38,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossbar import BACKWARD, FORWARD, CrossbarArray, _check_direction
+from .crossbar import FORWARD, CrossbarArray, _check_direction
 from .errors import DataFormatError, InfeasibleError, ShapeError
 
 LUT_MAGIC = float(0x4C555431)  # 'LUT1'
@@ -297,33 +295,6 @@ def build_lut(
         mrr_powers_mw=mrr_powers,
         output_power=output,
     )
-
-
-@dataclass(frozen=True)
-class AsymmetryBias:
-    """Constant additive bias (normalized power) applied to the weaker port."""
-
-    bias: float
-    apply_to: str  # direction whose readings receive the bias
-
-
-def compensate_asymmetry(forward_lut: CalibrationLUT, backward_lut: CalibrationLUT) -> AsymmetryBias:
-    """Least-squares constant bias between forward and backward LUTs.
-
-    Both LUTs are normalized by the same (forward) full scale; the bias is
-    the mean discrepancy and is assigned to the direction with lower power.
-    """
-    if (
-        forward_lut.output_power.shape != backward_lut.output_power.shape
-        or not np.allclose(forward_lut.mzi_powers_mw, backward_lut.mzi_powers_mw)
-        or not np.allclose(forward_lut.mrr_powers_mw, backward_lut.mrr_powers_mw)
-    ):
-        raise ShapeError("forward and backward LUTs must share the same grid")
-    full = forward_lut.output_power.max()
-    diff = float(np.mean(forward_lut.output_power - backward_lut.output_power) / full)
-    if diff >= 0:
-        return AsymmetryBias(bias=diff, apply_to=BACKWARD)
-    return AsymmetryBias(bias=-diff, apply_to=FORWARD)
 
 
 # -- serialization -------------------------------------------------------------

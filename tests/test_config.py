@@ -1,6 +1,9 @@
 """Run-config validation and manifest tests."""
 
 import json
+import re
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -8,7 +11,12 @@ import yaml
 from xbar.cli import main
 from xbar.config import EXPERIMENTS, DeviceSection, RunConfig
 from xbar.errors import ConfigError
+from xbar.experiments import RUNNERS
 from xbar.presets import PRESETS, preset_array
+
+# The benchmark's workload table, imported read-only.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+import workloads  # noqa: E402
 
 
 def test_config_hash_ignores_out_dir(tmp_path):
@@ -240,7 +248,7 @@ def test_mnist_train_rejects_a_non_default_hidden_width(mnist_dir):
         "datasets": {"mnist_dir": str(mnist_dir)},
     }
     RunConfig.from_dict({**data, "training": {"hidden": 4}}).validate()
-    with pytest.raises(ConfigError, match="training.hidden 8 .* fixed"):
+    with pytest.raises(ConfigError, match="^training.hidden 8 is not read by mnist-train;"):
         RunConfig.from_dict({**data, "training": {"hidden": 8}}).validate()
 
 
@@ -267,13 +275,11 @@ def test_cli_rejects_hidden_on_mnist_train_before_any_work(tmp_path, capsys, mni
 
 @pytest.mark.parametrize("experiment", ["mnist-train", "iris-inference"])
 def test_runs_is_rejected_where_the_experiment_trains_one_model(experiment, mnist_dir):
-    data = {
-        "experiment": experiment,
-        "devices": {"preset": "simulation_9x9"},
-        "datasets": {"mnist_dir": str(mnist_dir)},
-    }
+    data = {"experiment": experiment, "devices": {"preset": "simulation_9x9"}}
+    if experiment == "mnist-train":
+        data["datasets"] = {"mnist_dir": str(mnist_dir)}
     RunConfig.from_dict({**data, "training": {"runs": 4}}).validate()
-    with pytest.raises(ConfigError, match=f"training.runs 2 .*{experiment}"):
+    with pytest.raises(ConfigError, match=f"^training.runs 2 is not read by {experiment};"):
         RunConfig.from_dict({**data, "training": {"runs": 2}}).validate()
 
 
@@ -355,3 +361,188 @@ def test_cli_rejects_a_backend_on_iris_inference_before_any_work(tmp_path, capsy
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "training.backend" in lines[0]
     assert not out.exists()
+
+
+# (experiment, config sections, the error's "<field> <value> is not read by <run>"),
+# written out by hand rather than derived from config.READS.
+CHARACTERIZE = "is not read by characterize-devices"
+IDEAL_IRIS = "is not read by iris-train on the ideal backend"
+IDEAL_MNIST = "is not read by mnist-train on the ideal backend"
+NOISE_OFF = "with noise.enabled false"
+UNREAD = [
+    ("characterize-devices", {"noise": {"enabled": True}}, f"noise.enabled True {CHARACTERIZE}"),
+    ("characterize-devices", {"training": {"epochs": 3}}, f"training.epochs 3 {CHARACTERIZE}"),
+    (
+        "characterize-devices",
+        {"topology": {"variant": "legacy_asymmetric"}},
+        f"topology.variant 'legacy_asymmetric' {CHARACTERIZE}",
+    ),
+    (
+        "characterize-devices",
+        {"datasets": {"mnist_train": 64}},
+        f"datasets.mnist_train 64 {CHARACTERIZE}",
+    ),
+    (
+        "measure-matrix",
+        {"training": {"hidden": 8}},
+        "training.hidden 8 is not read by measure-matrix",
+    ),
+    (
+        "measure-matrix",
+        {"datasets": {"iris_csv": "iris.csv"}},
+        "datasets.iris_csv 'iris.csv' is not read by measure-matrix",
+    ),
+    (
+        "measure-matrix",
+        {"devices": {"random_mzi_phases": True}},
+        "devices.random_mzi_phases True is not read by measure-matrix",
+    ),
+    (
+        "sweep-scaling",
+        {"noise": {"enabled": True}},
+        "noise.enabled True is not read by sweep-scaling",
+    ),
+    (
+        "sweep-scaling",
+        {"training": {"backend": "photonic"}},
+        "training.backend 'photonic' is not read by sweep-scaling",
+    ),
+    (
+        "iris-inference",
+        {"datasets": {"mnist_test": 10}},
+        "datasets.mnist_test 10 is not read by iris-inference",
+    ),
+    ("iris-inference", {"training": {"runs": 2}}, "training.runs 2 is not read by iris-inference"),
+    (
+        "iris-inference",
+        {"training": {"backend": "ideal"}},
+        "training.backend 'ideal' is not read by iris-inference",
+    ),
+    (
+        "iris-train",
+        {"datasets": {"mnist_dir": "mnist"}},
+        "datasets.mnist_dir 'mnist' is not read by iris-train",
+    ),
+    (
+        "iris-train",
+        {"training": {"backend": "ideal"}, "datasets": {"mnist_train": 64}},
+        "datasets.mnist_train 64 is not read by iris-train",
+    ),
+    ("mnist-train", {"training": {"hidden": 8}}, "training.hidden 8 is not read by mnist-train"),
+    (
+        "mnist-train",
+        {"training": {"backend": "ideal"}, "datasets": {"iris_csv": "missing.csv"}},
+        "datasets.iris_csv 'missing.csv' is not read by mnist-train",
+    ),
+    # Training on the ideal backend reads no crossbar section.
+    (
+        "iris-train",
+        {"training": {"backend": "ideal"}, "devices": {"preset": "simulation_9x9"}},
+        f"devices.preset 'simulation_9x9' {IDEAL_IRIS}",
+    ),
+    (
+        "iris-train",
+        {"training": {"backend": "ideal"}, "topology": {"variant": "legacy_asymmetric"}},
+        f"topology.variant 'legacy_asymmetric' {IDEAL_IRIS}",
+    ),
+    (
+        "iris-train",
+        {"training": {"backend": "ideal"}, "noise": {"enabled": True}},
+        f"noise.enabled True {IDEAL_IRIS}",
+    ),
+    (
+        "mnist-train",
+        {"training": {"backend": "ideal"}, "devices": {"fabrication_sigma_nm": 0.02}},
+        f"devices.fabrication_sigma_nm 0.02 {IDEAL_MNIST}",
+    ),
+    (
+        "mnist-train",
+        {"training": {"backend": "ideal"}, "noise": {"enabled": True}},
+        f"noise.enabled True {IDEAL_MNIST}",
+    ),
+    # Noise that is off reads neither its sigma nor its averaging count.
+    (
+        "iris-train",
+        {"training": {"backend": "photonic"}, "noise": {"relative_sigma": 0.3}},
+        f"noise.relative_sigma 0.3 is not read by iris-train {NOISE_OFF}",
+    ),
+    (
+        "iris-train",
+        {"training": {"backend": "photonic"}, "noise": {"time_average": 4}},
+        f"noise.time_average 4 is not read by iris-train {NOISE_OFF}",
+    ),
+    (
+        "measure-matrix",
+        {"noise": {"time_average": 3}},
+        f"noise.time_average 3 is not read by measure-matrix {NOISE_OFF}",
+    ),
+    (
+        "mnist-train",
+        {"devices": {"preset": "simulation_9x9"}, "noise": {"relative_sigma": 0.1}},
+        f"noise.relative_sigma 0.1 is not read by mnist-train {NOISE_OFF}",
+    ),
+]
+
+
+def _with_mnist_dir(experiment, data, mnist_dir):
+    """Config mapping of `data`; mnist-train gets IDX files, and a 9x9 array off `ideal`."""
+    config = {"experiment": experiment, **data}
+    if experiment == "mnist-train":
+        config["datasets"] = {"mnist_dir": str(mnist_dir), **data.get("datasets", {})}
+        if data.get("training", {}).get("backend") != "ideal":
+            config["devices"] = {"preset": "simulation_9x9", **data.get("devices", {})}
+    return config
+
+
+@pytest.mark.parametrize("experiment, data, message", UNREAD)
+def test_a_field_the_run_does_not_read_must_keep_its_default(experiment, data, message, mnist_dir):
+    config = RunConfig.from_dict(_with_mnist_dir(experiment, data, mnist_dir))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}; leave it at its default "):
+        config.validate()
+
+
+@pytest.mark.parametrize(
+    "experiment, data",
+    [
+        ("characterize-devices", {"devices": {"preset": "ideal", "fabrication_sigma_nm": 0.02}}),
+        ("measure-matrix", {"noise": {"enabled": True, "relative_sigma": 0.1, "time_average": 3}}),
+        ("sweep-scaling", {"devices": {"preset": "ideal", "n": 5}}),
+        ("sweep-scaling", {"topology": {"variant": "legacy_asymmetric"}}),
+        ("iris-inference", {"noise": {"enabled": True}, "training": {"hidden": 3, "epochs": 3}}),
+        ("iris-inference", {"datasets": {"iris_csv": "iris.csv"}, "devices": {"preset": "ideal"}}),
+        ("iris-inference", {"topology": {"variant": "legacy_asymmetric"}}),
+        ("iris-train", {"training": {"backend": "photonic", "runs": 2}, "noise": {"enabled": True}}),
+        ("iris-train", {"training": {"backend": "ideal", "hidden": 8, "optimizer": "adam"}}),
+        ("mnist-train", {"training": {"backend": "ideal", "batch_size": 16}}),
+        ("mnist-train", {"noise": {"enabled": True}, "devices": {"fabrication_sigma_nm": 0.02}}),
+    ],
+)
+def test_fields_the_run_reads_may_differ_from_their_defaults(experiment, data, mnist_dir):
+    RunConfig.from_dict(_with_mnist_dir(experiment, data, mnist_dir)).validate()
+
+
+def test_cli_rejects_an_unread_field_in_one_line_before_any_work(tmp_path, capsys):
+    config_path = tmp_path / "unread.yaml"
+    config_path.write_text(yaml.safe_dump({"noise": {"enabled": True}}))
+    out = tmp_path / "out"
+    code = main(["characterize-devices", "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("xbar: error: noise.enabled True is not read by characterize-devices")
+    assert not out.exists()
+
+
+def test_every_experiment_has_a_runner():
+    assert set(RUNNERS) == set(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("smoke", [False, True])
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_every_benchmark_workload_config_validates(name, smoke, tmp_path, mnist_dir):
+    workload = workloads.WORKLOADS[name]
+    mnist = str(mnist_dir) if workload.is_mnist else None
+    data = workload.run_config(0, str(tmp_path), mnist, smoke)
+    RunConfig.from_dict(data).validate()

@@ -15,7 +15,6 @@ from xbar.lut import (
     CalibrationLUT,
     LutStack,
     build_lut,
-    compensate_asymmetry,
     lut_from_binary,
     lut_from_csv,
     lut_multiply_many,
@@ -118,32 +117,23 @@ def test_element_products_match_a_per_element_lut_loop(sigma):
         want = np.empty((4, 4, 3))
         for i in range(4):
             for j in range(4):
-                fwd, bwd = (
-                    build_lut(array, *CALIBRATED_ON[sigma](i, j), steps=16, direction=d)
-                    for d in (FORWARD, BACKWARD)
-                )
-                lut = fwd if direction == FORWARD else bwd
+                lut = build_lut(array, *CALIBRATED_ON[sigma](i, j), steps=16, direction=direction)
                 want[i, j], _ = reference_multiply(lut, values[i, j], targets[i, j])
-                asymmetry = compensate_asymmetry(fwd, bwd)
-                if asymmetry.apply_to == direction:
-                    want[i, j] += asymmetry.bias
         np.testing.assert_array_equal(backend.element_products(values, targets, direction), want)
 
 
-def test_forward_bias_is_added_to_forward_products():
-    array = preset_array("experimental_4x4")
-    fwd, bwd = (build_lut(array, 0, 0, direction=d) for d in (FORWARD, BACKWARD))
-    asymmetry = compensate_asymmetry(fwd, bwd)
-    assert asymmetry.apply_to == FORWARD and asymmetry.bias > 0.0
+@pytest.mark.parametrize("variant", ["symmetric", "legacy_asymmetric"])
+def test_element_products_equal_their_own_direction_lut_read(variant):
+    # Each direction's LUT is normalized by its own full scale, so unequal
+    # forward and backward port losses need no correction between the two.
+    array = preset_array("experimental_4x4", variant=variant)
     backend = LutBackend(array)
     rng = np.random.default_rng(2)
     values = rng.uniform(0.0, 1.0, (4, 4, 2))
     targets = rng.uniform(0.0, 1.0, (4, 4, 1))
-    for direction, lut, bias in ((FORWARD, fwd, asymmetry.bias), (BACKWARD, bwd, 0.0)):
-        bare, _ = reference_multiply(lut, values, targets)
-        np.testing.assert_array_equal(
-            backend.element_products(values, targets, direction), bare + bias
-        )
+    for direction in (FORWARD, BACKWARD):
+        want, _ = reference_multiply(build_lut(array, 0, 0, direction=direction), values, targets)
+        np.testing.assert_array_equal(backend.element_products(values, targets, direction), want)
 
 
 @pytest.mark.parametrize("name", list(BRANCH_ARRAYS))
@@ -279,12 +269,7 @@ def test_stacked_read_equals_the_per_lut_read_bit_for_bit(name, direction, batch
     got, clamped = lut_multiply_many(stack, values, targets)
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(clamped, want_clamped)
-    # The backend's read adds each design's bias.
-    fwd, bwd = (element_luts(name, d)[1] for d in (FORWARD, BACKWARD))
-    for e in range(n * n):
-        asymmetry = compensate_asymmetry(fwd[e], bwd[e])
-        if asymmetry.apply_to == direction:
-            want[divmod(e, n)] += asymmetry.bias
+    # The backend reads the same stack.
     np.testing.assert_array_equal(LutBackend(array).element_products(values, targets, direction), want)
 
 
