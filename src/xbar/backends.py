@@ -20,8 +20,15 @@ what programming that matrix on its own gives. The handle's products then
 broadcast over the leading axes: a (dim, batch) input reaches every matrix,
 and a stacked input (..., dim, batch) gives each matrix its own. A
 physical backend's measurement noise is one stream for every reading, or
-one stream per slice of a one-axis stack (`noise` a sequence), each drawn
-in the order that slice's own program would draw it.
+one stream per slice of the stack's last leading axis (`noise` a
+sequence), each drawn in the order that slice's own program would draw it.
+
+`handle.view(k, out, in)` is matrix k of a stack's leading axis, held
+zero-padded, as the program of its own (out, in) matrix: it shares the
+stack's operands, measures its own all-ones pass, and reads bit for bit
+what programming that matrix alone reads. The MLP programs all its layers,
+each padded to the widest, in one call per training step (a (layers, runs,
+out, in) stack) and reads each layer through its view.
 
 The `lut` backend never propagates whole vectors; every scalar product is
 fetched from calibration look-up tables, as the training experiments did.
@@ -94,6 +101,11 @@ class IdealProgrammed:
         y = self.matrix.swapaxes(-1, -2) @ sb
         return y[..., 0] if squeeze else y
 
+    def view(self, index: int, out_dim: int, in_dim: int) -> "IdealProgrammed":
+        """Matrix `index` of the stack's leading axis, cut to (out_dim, in_dim).
+        A C-ordered copy, so its products have the bits of its own program."""
+        return IdealProgrammed(np.ascontiguousarray(self.matrix[index, ..., :out_dim, :in_dim]))
+
 
 class IdealBackend:
     name = "ideal"
@@ -106,10 +118,10 @@ class _NoiseMixin:
     """Shared measurement-noise plumbing for physical backends.
 
     `noise` is None, one NoiseConfig, whose stream perturbs every reading
-    whole, or a sequence of them, whose stream k perturbs slice k of every
-    reading of a stack programmed with that many matrices. One stream's
-    draws for a whole one-slice reading are its draws for that slice, so a
-    one-stream sequence reads as its single NoiseConfig does.
+    whole, or a sequence of them, one per matrix on the stack's last leading
+    axis: stream k perturbs slice k of that axis in every reading. One
+    stream's draws for a whole one-slice reading are its draws for that
+    slice, so a one-stream sequence reads as its single NoiseConfig does.
     """
 
     def _init_noise(self, noise, time_average_count: int):
@@ -125,16 +137,19 @@ class _NoiseMixin:
         elif noise is not None:
             self._slice_rngs = [make_rng(cfg.seed, cfg.stream) for cfg in noise]
 
-    def _measure(self, clean: np.ndarray) -> np.ndarray:
+    def _measure(self, clean: np.ndarray, axis: int) -> np.ndarray:
         """One detector reading of the raw product powers `clean`, which are
-        non-negative before any decode."""
+        non-negative before any decode; `axis` is the stack's last leading
+        axis, the one that per-slice streams zip over."""
         if self._slice_rngs is not None:
             def one():
+                slices = np.moveaxis(clean, axis, 0)
                 return np.stack(
                     [
                         perturb(powers, cfg, rng)
-                        for powers, cfg, rng in zip(clean, self.noise, self._slice_rngs)
-                    ]
+                        for powers, cfg, rng in zip(slices, self.noise, self._slice_rngs)
+                    ],
+                    axis=axis,
                 )
         elif self._rng is not None:
             def one():
@@ -150,9 +165,10 @@ class _ProgrammedMatrix:
 
     The base class pads, checks and encodes inputs, takes the all-ones pass
     once per program and decodes. A subclass supplies the matrix encoding
-    (`_program`) and the measured raw products of encoded inputs:
-    `_raw_forward(x')` ~ W'^T x' and `_raw_backward(s')` ~ W' s', where W'
-    is the encoded, padded transpose held on the grid.
+    (`_program`), the names of the operands it holds per matrix of the
+    stack (`_stacked`, which a `view` slices) and the measured raw products
+    of encoded inputs: `_raw_forward(x')` ~ W'^T x' and `_raw_backward(s')`
+    ~ W' s', where W' is the encoded, padded transpose held on the grid.
     """
 
     def __init__(self, backend, matrix: np.ndarray):
@@ -160,12 +176,27 @@ class _ProgrammedMatrix:
         self.n = backend.array.n
         m = np.asarray(matrix, dtype=float)
         streams = backend.stream_count
-        if streams is not None and m.shape[:-2] != (streams,):
-            raise ValueError(f"{streams} noise streams need a stack of {streams} matrices")
+        if streams is not None and m.shape[-3:-2] != (streams,):
+            raise ValueError(f"{streams} noise streams need {streams} matrices on the last stack axis")
         # The crossbar contracts over input ports: program the transpose.
         self.encoding: AffineEncoding = self._program(pad(m.swapaxes(-1, -2), self.n))
         self.out_dim, self.in_dim = m.shape[-2:]
         self._ones_response: np.ndarray | None = None
+
+    def view(self, index: int, out_dim: int, in_dim: int):
+        """Matrix `index` of the stack's leading axis as the program of its
+        own (out_dim, in_dim) matrix, which the stack holds zero-padded.
+        Zeros padded before `pad` give the padded transpose that programming
+        the matrix alone gives, so the view's encoding and operands are bit
+        for bit that program's. It shares the stack's operands (slices of
+        `_stacked`) and measures its own all-ones response."""
+        # Copied attribute by attribute: a copy through `__dict__` would slow
+        # every later attribute read.
+        view = object.__new__(type(self))
+        for name, value in vars(self).items():
+            setattr(view, name, value[index] if name in self._stacked else value)
+        view.out_dim, view.in_dim, view._ones_response = out_dim, in_dim, None
+        return view
 
     def _padded(self, v, dim: int, what: str) -> np.ndarray:
         """`v` (..., dim, batch) zero-padded to n rows, C-ordered. It may be
@@ -208,6 +239,8 @@ class _ProgrammedMatrix:
 class PhotonicProgrammed(_ProgrammedMatrix):
     """A signed matrix held as heater settings on a crossbar."""
 
+    _stacked = ("encoding", "compiled", "_eff_fwd", "_eff_fwd_t", "_eff_bwd")
+
     def _program(self, padded):
         self.compiled = self.backend.compiler.compile_signed(padded)
         heaters, array = self.compiled.heater_settings_mw, self.backend.array
@@ -219,10 +252,10 @@ class PhotonicProgrammed(_ProgrammedMatrix):
         return self.compiled.encoding
 
     def _raw_forward(self, xp):
-        return self.backend._measure(self._eff_fwd_t @ xp)
+        return self.backend._measure(self._eff_fwd_t @ xp, -3)
 
     def _raw_backward(self, s_prime):
-        return self.backend._measure(self._eff_bwd @ s_prime)
+        return self.backend._measure(self._eff_bwd @ s_prime, -3)
 
 
 class PhotonicBackend(_NoiseMixin):
@@ -246,6 +279,8 @@ class PhotonicBackend(_NoiseMixin):
 
 class LutProgrammed(_ProgrammedMatrix):
     """A signed matrix held as per-element LUT targets."""
+
+    _stacked = ("encoding", "targets")
 
     def _program(self, padded):
         # targets[..., i, j] multiplies input i
@@ -309,7 +344,7 @@ class LutBackend(_NoiseMixin):
         windows).
         """
         est, _ = lut_multiply_many(self._tables[direction], values, targets)
-        return self._measure(est)
+        return self._measure(est, -4)
 
     def program(self, matrix: np.ndarray) -> LutProgrammed:
         return LutProgrammed(self, matrix)

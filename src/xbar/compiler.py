@@ -19,7 +19,7 @@ actually programmed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -46,6 +46,13 @@ class AffineEncoding:
     def __post_init__(self):
         if not np.logical_and.reduce(np.greater(self.scale, 0.0), axis=None):
             raise ValueError("encoding scale must be positive")
+
+    def __getitem__(self, index) -> "AffineEncoding":
+        """The encoding of matrix `index` of the stack's leading axis. Its
+        scales are a slice of checked ones, so they are not checked again."""
+        part = object.__new__(AffineEncoding)
+        part.__dict__.update(scale=self.scale[index], offset=self.offset[index])
+        return part
 
 
 def _min_and_span(a: np.ndarray, axis):
@@ -142,6 +149,10 @@ class CompiledMatrix:
     encoding: AffineEncoding
     heater_settings_mw: np.ndarray
     clamped_elements: np.ndarray
+
+    def __getitem__(self, index) -> "CompiledMatrix":
+        """Matrix `index` of the stack's leading axis."""
+        return CompiledMatrix(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
 class MatrixCompiler:

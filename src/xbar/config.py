@@ -46,7 +46,7 @@ import yaml
 
 from .datasets import MNIST_FILES, find_mnist_file
 from .errors import ConfigError
-from .nn import KERNEL_COUNT, KERNEL_SIZE, Adam, Sgd
+from .nn import KERNEL_COUNT, KERNEL_SIZE, Adam, Sgd, iris_mlp_sizes
 from .presets import PRESET_SIZES, PRESETS
 
 # The fields each experiment reads, by dotted name; a section name stands for
@@ -235,12 +235,18 @@ class RunConfig:
             )
         if self.experiment == "mnist-train" and self.datasets.mnist_dir is None:
             raise ConfigError("mnist-train requires datasets.mnist_dir pointing at the IDX files")
-        if self.experiment == "mnist-train" and self.training.backend != "ideal":
-            needed = max(KERNEL_COUNT, KERNEL_SIZE * KERNEL_SIZE)
+        # The widest matrix that the run programs onto the crossbar must fit it.
+        backend = "photonic" if self.experiment == "iris-inference" else self.training.backend
+        if self.experiment in ("iris-train", "iris-inference", "mnist-train") and backend != "ideal":
+            if self.experiment == "mnist-train":
+                what, needed = "its kernel matrix", max(KERNEL_COUNT, KERNEL_SIZE * KERNEL_SIZE)
+            else:
+                widths = iris_mlp_sizes(self.training.hidden)
+                what, needed = f"its MLP widths {widths}", max(widths)
             if self.devices.array_size < needed:
                 raise ConfigError(
-                    f"mnist-train on the {self.training.backend} backend needs an array of at "
-                    f"least {needed}x{needed} for its kernel matrix; devices.preset "
+                    f"{self.experiment} on the {backend} backend needs an array of at "
+                    f"least {needed}x{needed} for {what}; devices.preset "
                     f"{self.devices.preset!r} gives {self.devices.array_size}x{self.devices.array_size}"
                 )
         if self.experiment == "mnist-train":

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -293,7 +294,11 @@ def build_ring_grid(
 
 class CrossbarArray:
     """An assembled crossbar: topology + ring grid + the MZI design of its
-    2n input ports (n per direction)."""
+    2n input ports (n per direction).
+
+    The MZI extinction floor and the dark program's summed drop depend on
+    the array alone; each is computed on first use and kept.
+    """
 
     def __init__(self, topology: CrossbarTopology, ring_grid: RingGrid, mzi: MziDevice):
         if ring_grid.n != topology.n:
@@ -332,6 +337,16 @@ class CrossbarArray:
         mzi = self.mzi
         return np.array([mzi.transmittance(mzi.power_for(xi)) for xi in x])
 
+    @cached_property
+    def mzi_floor(self) -> float:
+        """Transmittance of an input MZI driven to 0: its extinction floor."""
+        return self.mzi.transmittance(self.mzi.power_for(0.0))
+
+    @cached_property
+    def dark_summed_drop(self) -> np.ndarray:
+        """Channel-summed drop of the dark program, every ring parked (read-only)."""
+        return read_only(self.summed_drop(self.ring_grid.parked_heaters()))
+
     def summed_drop(self, heaters: np.ndarray) -> np.ndarray:
         """Channel-summed drop transmittance of every ring: the part of the
         gain that both directions share. Heaters (..., n, n) give (..., n, n)."""
@@ -364,10 +379,8 @@ class CrossbarArray:
         """
         if direction not in self._norm_cache:
             t = self.input_transmittances(np.ones(self.n))
-            grid = self.ring_grid
-            probe = self.summed_drop(grid.identity_probe_heaters())
-            dark = self.summed_drop(grid.parked_heaters())
-            diff = self._gain(probe, direction) - self._gain(dark, direction)
+            probe = self.summed_drop(self.ring_grid.identity_probe_heaters())
+            diff = self._gain(probe, direction) - self._gain(self.dark_summed_drop, direction)
             # Not `read`: summing its per-output readings would add the
             # forward matrix by columns and the backward one by rows, and the
             # two directions' constants would differ in the last bits. The

@@ -278,15 +278,14 @@ def build_lut(
 
     # One calibration program per ring setting: the dark program's summed
     # drop, with this element's ring swept over the window.
-    program = np.repeat(array.summed_drop(grid.parked_heaters())[None], steps, axis=0)
+    program = np.repeat(array.dark_summed_drop[None], steps, axis=0)
     drop, _ = ring.drop_through(grid.grid.array[None, :], mrr_powers[:, None])
     program[:, row, col] = drop.sum(axis=1)
     # Input ports at the extinction floor (one MZI design on every port),
     # but the element's own, which sweeps the MZI window.
-    mzi = array.mzi
-    t = np.full((steps, n), mzi.transmittance(mzi.power_for(0.0)))
+    t = np.full((steps, n), array.mzi_floor)
     driven, port = (row, col) if direction == FORWARD else (col, row)
-    t[:, driven] = mzi.transmittance(mzi_powers)
+    t[:, driven] = array.mzi.transmittance(mzi_powers)
     # (ring setting, MZI setting, port) -> (MZI setting, ring setting), copied
     # so that the LUT does not hold every port's reading.
     output = array.read(t, program, direction)[:, :, port].T.copy()

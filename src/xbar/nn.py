@@ -10,10 +10,12 @@ signals propagate backward through the same programmed weights
 (handle.backward), which is the crossbar's native W^T sigma product.
 
 `train_iris` trains all of its runs in lockstep: every weight and bias
-carries a leading run axis, one runner programs each layer's stack of
-matrices in one backend call, and one optimizer steps them all. Every
-operation acts on each run's slice as a one-run training would, so each
-run's costs and accuracy are bit for bit those of training it alone.
+carries a leading run axis, one runner programs every layer of every run
+in one backend call per step, as the crossbar runs a step's forward and
+backward products from one heater program, and one optimizer steps them
+all. Every operation acts on each run's slice of each layer as a one-run,
+per-layer program would, so each run's costs and accuracy are bit for bit
+those of training it alone.
 
 The CNN's 2x2 max-pool works on four strided views of the activation map,
 one per tile position, and records an int8 first-max pick that the backward
@@ -137,6 +139,11 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 # -- MLP -------------------------------------------------------------------------
 
 
+def iris_mlp_sizes(hidden: int) -> tuple:
+    """Layer widths of the Iris MLP: 4 features, `hidden`, 3 classes."""
+    return (4, hidden, 3)
+
+
 @dataclass
 class MlpModel:
     """Sigmoid MLPs of independent runs, stacked on a leading run axis.
@@ -169,8 +176,12 @@ class MlpModel:
 class MlpRunner:
     """Holds the programmed handles for the current weights.
 
-    Inputs are (features, batch), reaching every run, or (runs, features,
-    batch), one batch per run; outputs carry the run axis.
+    `refresh` programs all layers in one backend call: a (layers, runs, out,
+    in) stack in which each layer is zero-padded to the widest layer's (out,
+    in). Each handle is one layer's view of that program (`view`), bit for
+    bit the program of that layer alone. Inputs are (features, batch),
+    reaching every run, or (runs, features, batch), one batch per run;
+    outputs carry the run axis.
     """
 
     def __init__(self, model: MlpModel, backend):
@@ -179,7 +190,14 @@ class MlpRunner:
         self.refresh()
 
     def refresh(self) -> None:
-        self.handles = [self.backend.program(w) for w in self.model.weights]
+        weights = self.model.weights
+        out_dim = max(w.shape[-2] for w in weights)
+        in_dim = max(w.shape[-1] for w in weights)
+        stack = np.zeros((len(weights), *weights[0].shape[:-2], out_dim, in_dim))
+        for l, w in enumerate(weights):
+            stack[l, ..., : w.shape[-2], : w.shape[-1]] = w
+        handle = self.backend.program(stack)
+        self.handles = [handle.view(l, *w.shape[-2:]) for l, w in enumerate(weights)]
 
     def forward(self, x) -> list:
         """Activations of every layer, the input first and the output last."""
@@ -226,7 +244,7 @@ def train_iris(
     every epoch, as training it alone would. A backend with per-run noise
     streams needs one stream per seed.
     """
-    sizes = (4, config.hidden, 3)
+    sizes = iris_mlp_sizes(config.hidden)
     model = MlpModel.init(sizes, seeds)
     runner = MlpRunner(model, backend)
     optimizer = config.make_optimizer()

@@ -87,6 +87,52 @@ def test_cli_rejects_mnist_train_on_default_preset(tmp_path, capsys):
     assert not out.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize(
+    "experiment, devices, training, ok",
+    [
+        ("iris-train", {}, {"hidden": 8}, False),
+        ("iris-train", {}, {"backend": "photonic", "hidden": 5}, False),
+        ("iris-inference", {}, {"hidden": 8}, False),
+        # The ideal backend has no crossbar.
+        ("iris-train", {}, {"backend": "ideal", "hidden": 8}, True),
+        ("iris-train", {"preset": "simulation_9x9"}, {"hidden": 9}, True),
+        ("iris-inference", {"preset": "simulation_9x9"}, {"hidden": 8}, True),
+        ("iris-train", {"preset": "simulation_9x9"}, {"backend": "photonic", "hidden": 10}, False),
+        # The 4 input features set the width when the hidden layer is narrower.
+        ("iris-train", {"preset": "ideal", "n": 3}, {"hidden": 2}, False),
+    ],
+)
+def test_iris_mlp_widths_must_fit_the_crossbar(experiment, devices, training, ok):
+    config = RunConfig.from_dict({"experiment": experiment, "devices": devices, "training": training})
+    if ok:
+        config.validate()
+        return
+    hidden = training["hidden"]
+    needed = max(4, hidden)
+    with pytest.raises(
+        ConfigError,
+        match=rf"^{experiment} on the \w+ backend needs an array of at least {needed}x{needed} "
+        rf"for its MLP widths \(4, {hidden}, 3\);",
+    ):
+        config.validate()
+
+
+@pytest.mark.parametrize("experiment", ["iris-train", "iris-inference"])
+def test_cli_rejects_a_hidden_layer_wider_than_the_crossbar_before_any_work(
+    experiment, tmp_path, capsys
+):
+    config_path = tmp_path / "wide.yaml"
+    config_path.write_text(yaml.safe_dump({"training": {"hidden": 8}}))
+    out = tmp_path / "out"
+    code = main([experiment, "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "8x8" in lines[0]
+    assert not out.exists()  # rejected before any work
+
+
 def test_mnist_train_requires_mnist_dir():
     config = RunConfig.from_dict(
         {"experiment": "mnist-train", "devices": {"preset": "simulation_9x9"}}

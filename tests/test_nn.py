@@ -1,6 +1,7 @@
-"""CNN pooling, the flat Adam, the backend input path and lockstep Iris
-training, each checked bit for bit against the transposed-tile,
-per-parameter, zero-fill and one-run routes they replace."""
+"""CNN pooling, the flat Adam, the backend input path, lockstep Iris
+training and the one-program MLP step, each checked bit for bit against
+the transposed-tile, per-parameter, zero-fill, one-run and per-layer
+routes they replace."""
 
 import numpy as np
 import pytest
@@ -17,11 +18,15 @@ from xbar.nn import (
     KERNEL_COUNT,
     POOL_OUT,
     Adam,
+    MlpModel,
+    MlpRunner,
+    iris_mlp_sizes,
     max_pool,
     train_iris,
     unpool,
 )
-from xbar.presets import preset_array
+from xbar.noise import NoiseConfig
+from xbar.presets import PRESETS, preset_array
 
 MAPS = (3, KERNEL_COUNT, CONV_OUT, CONV_OUT)
 POOLED = (3, KERNEL_COUNT, POOL_OUT, POOL_OUT)
@@ -232,3 +237,115 @@ def test_lockstep_training_equals_one_run_training(case):
         assert together.final_accuracy[run] == alone.final_accuracy[0], f"run {run}"
         for stacked, single in zip(together.model.params, alone.model.params):
             assert np.array_equal(stacked[run], single[0]), f"run {run}"
+
+
+def layer_readings(handle, x, s):
+    """Everything a layer's handle reads or holds, by name: its products,
+    its all-ones response and its programmed heaters, clamps or targets."""
+    readings = {"forward": handle.forward(x), "backward": handle.backward(s)}
+    if hasattr(handle, "_measured_ones_response"):
+        readings["ones"] = handle._measured_ones_response()
+    if hasattr(handle, "compiled"):
+        readings["heaters"] = handle.compiled.heater_settings_mw
+        readings["clamped"] = handle.compiled.clamped_elements
+    if hasattr(handle, "targets"):
+        readings["targets"] = handle.targets
+    return readings
+
+
+STEP_CASES = [
+    (preset, backend, hidden, None)
+    for preset in PRESETS
+    for backend in ("ideal", "photonic", "lut")
+    for hidden in (3, 4)
+] + [
+    # One noise stream per run, on a fabrication spread (one LUT per ring).
+    ("experimental_4x4", backend, hidden, 0.02)
+    for backend in ("photonic", "lut")
+    for hidden in (3, 4)
+]
+
+
+@pytest.mark.parametrize("preset, backend, hidden, sigma", STEP_CASES)
+def test_one_program_per_step_equals_per_layer_programs(preset, backend, hidden, sigma):
+    """The runner's layer views of its one stacked program read, bit for
+    bit, what programming each layer on its own reads, the 3x4 output layer
+    included; with per-run noise streams, in the same draw order."""
+    runs = 2
+    noisy = sigma is not None
+    array = preset_array(preset, fabrication_sigma_nm=sigma or 0.0, seed=7)
+
+    def make():
+        noise = [NoiseConfig(seed=8, stream=run) for run in range(runs)] if noisy else None
+        return make_backend(backend, array, noise=noise, time_average_count=2)
+
+    model = MlpModel.init(iris_mlp_sizes(hidden), seeds=tuple(range(runs)))
+    runner = MlpRunner(model, make())
+    alone_backend = make()
+    rng = np.random.default_rng(9)
+    assert len(runner.handles) == len(model.weights) == 2
+    for layer, (view, w) in enumerate(zip(runner.handles, model.weights)):
+        out_dim, in_dim = w.shape[-2:]
+        x = rng.uniform(0.0, 1.0, (runs, in_dim, 3))
+        s = rng.normal(size=(runs, out_dim, 3))
+        got = layer_readings(view, x, s)
+        expected = layer_readings(alone_backend.program(w), x, s)
+        assert got.keys() == expected.keys()
+        assert {"ideal": 2, "photonic": 5, "lut": 4}[backend] == len(got)
+        for name in expected:
+            assert np.array_equal(got[name], expected[name]), f"layer {layer}, {name}"
+
+
+@pytest.mark.parametrize("backend", ["ideal", "photonic", "lut"])
+def test_train_iris_programs_the_crossbar_once_per_step(backend, monkeypatch):
+    config = RunConfig.from_dict(
+        {
+            "experiment": "iris-train",
+            "training": {"backend": backend, "epochs": 2, "batch_size": 16, "runs": 2, "hidden": 3},
+        }
+    )
+    train_x, train_y, test_x, test_y = load_iris(None).split(config.seed)
+    made = make_backend(backend, preset_array("experimental_4x4"))
+    shapes = []
+    program = made.program
+
+    def counted(matrix):
+        shapes.append(matrix.shape)
+        return program(matrix)
+
+    monkeypatch.setattr(made, "program", counted)
+    train_iris(config.training, (0, 1), train_x, train_y, test_x, test_y, made)
+    steps = config.training.epochs * -(-train_x.shape[0] // config.training.batch_size)
+    # One program per step, and the first one: both runs' 3x4 hidden layer
+    # and 3x3 output layer, padded to 3x4.
+    assert shapes == [(2, 2, 3, 4)] * (steps + 1)
+
+
+def test_noise_streams_zip_over_the_last_leading_axis():
+    array = preset_array("experimental_4x4")
+    noise = [NoiseConfig(seed=1, stream=run) for run in range(2)]
+    backend = make_backend("photonic", array, noise=noise)
+    for shape in [(4, 4), (3, 4, 4), (2, 3, 4, 4)]:
+        with pytest.raises(ValueError, match="2 noise streams"):
+            backend.program(np.zeros(shape))
+    x = np.random.default_rng(2).uniform(0.0, 1.0, (4, 5))
+    stack = np.random.default_rng(3).normal(size=(3, 2, 4, 4))
+    whole = backend.program(stack).forward(x)
+    # Reading the (layers, runs) stack whole draws each run's stream over
+    # all layers, as a one-run backend reading that run's layers does.
+    for run in range(2):
+        alone = make_backend("photonic", array, noise=noise[run])
+        np.testing.assert_array_equal(whole[:, run], alone.program(stack[:, run]).forward(x))
+
+
+@pytest.mark.parametrize("backend", ["photonic", "lut"])
+def test_a_view_measures_its_own_ones_response(backend):
+    made = make_backend(backend, preset_array("experimental_4x4"))
+    stack = np.random.default_rng(4).normal(size=(2, 3, 4))
+    handle = made.program(stack)
+    handle._measured_ones_response()  # the whole stack's, measured before the views
+    for k in range(2):
+        np.testing.assert_array_equal(
+            handle.view(k, 3, 4)._measured_ones_response(),
+            made.program(stack[k])._measured_ones_response(),
+        )
