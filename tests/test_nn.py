@@ -17,7 +17,10 @@ from xbar.nn import (
     HIDDEN_DIM,
     KERNEL_COUNT,
     POOL_OUT,
+    PREDICT_BATCH,
     Adam,
+    CnnModel,
+    CnnRunner,
     MlpModel,
     MlpRunner,
     iris_mlp_sizes,
@@ -241,15 +244,18 @@ def test_lockstep_training_equals_one_run_training(case):
 
 def layer_readings(handle, x, s):
     """Everything a layer's handle reads or holds, by name: its products,
-    its all-ones response and its programmed heaters, clamps or targets."""
+    its all-ones response and its programmed heaters, clamps or ring
+    settings."""
     readings = {"forward": handle.forward(x), "backward": handle.backward(s)}
     if hasattr(handle, "_measured_ones_response"):
         readings["ones"] = handle._measured_ones_response()
     if hasattr(handle, "compiled"):
         readings["heaters"] = handle.compiled.heater_settings_mw
         readings["clamped"] = handle.compiled.clamped_elements
-    if hasattr(handle, "targets"):
-        readings["targets"] = handle.targets
+    for name in ("_rings_fwd", "_rings_bwd"):
+        if hasattr(handle, name):
+            for field, value in vars(getattr(handle, name)).items():
+                readings[f"{name}.{field}"] = value
     return readings
 
 
@@ -291,7 +297,7 @@ def test_one_program_per_step_equals_per_layer_programs(preset, backend, hidden,
         got = layer_readings(view, x, s)
         expected = layer_readings(alone_backend.program(w), x, s)
         assert got.keys() == expected.keys()
-        assert {"ideal": 2, "photonic": 5, "lut": 4}[backend] == len(got)
+        assert {"ideal": 2, "photonic": 5, "lut": 11}[backend] == len(got)
         for name in expected:
             assert np.array_equal(got[name], expected[name]), f"layer {layer}, {name}"
 
@@ -349,3 +355,12 @@ def test_a_view_measures_its_own_ones_response(backend):
             handle.view(k, 3, 4)._measured_ones_response(),
             made.program(stack[k])._measured_ones_response(),
         )
+
+
+def test_cnn_predictions_do_not_depend_on_the_predict_chunk():
+    """`CnnRunner.predict` forwards PREDICT_BATCH images at a time and
+    predicts what one forward of all the images predicts."""
+    runner = CnnRunner(CnnModel.init(0), make_backend("photonic", preset_array("simulation_9x9")))
+    images = np.random.default_rng(10).uniform(0.0, 1.0, (3 * PREDICT_BATCH + 5, 28, 28))
+    probs = runner.forward(images)
+    np.testing.assert_array_equal(runner.predict(images), probs.argmax(axis=0))

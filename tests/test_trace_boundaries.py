@@ -1,14 +1,14 @@
 """The benchmark tracer patches simulator functions by name
 (`benchmarks/tracing.py`), and a traced run fails when an expected span
-never fires. These tests catch a rename, or a photonic path that stops
-calling a traced boundary, without running the benchmark."""
+never fires. These tests catch a rename, or a photonic or LUT path that
+stops calling a traced boundary, without running the benchmark."""
 
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from xbar.backends import PhotonicBackend
+from xbar.backends import LutBackend, PhotonicBackend
 from xbar.presets import preset_array
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -16,7 +16,7 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 # Span prefixes of the device layers; the other spans need a training run.
-DEVICE_LAYERS = ("backends.", "crossbar.", "compiler.", "devices.")
+DEVICE_LAYERS = ("backends.", "crossbar.", "compiler.", "devices.", "lut.")
 
 
 def test_every_layer_boundary_resolves():
@@ -24,14 +24,26 @@ def test_every_layer_boundary_resolves():
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} is gone"
 
 
-def test_one_program_fires_every_photonic_span():
-    expected = {s for s in workloads.PHOTONIC_SPANS if s.startswith(DEVICE_LAYERS)}
+def fired_spans(make_backend):
+    """Span names fired by one program of a 3x4 matrix, its forward and its backward."""
     rng = np.random.default_rng(0)
     tracer = tracing.Tracer()
     with tracer.installed():
-        backend = PhotonicBackend(preset_array("experimental_4x4"))
+        backend = make_backend(preset_array("experimental_4x4"))
         handle = backend.program(rng.uniform(-1.0, 1.0, (3, 4)))
         handle.forward(rng.uniform(0.0, 1.0, (4, 2)))
         handle.backward(rng.normal(size=(3, 2)))
-    fired = set(tracer.summary())
+    return set(tracer.summary())
+
+
+def test_one_program_fires_every_photonic_span():
+    expected = {s for s in workloads.PHOTONIC_SPANS if s.startswith(DEVICE_LAYERS)}
+    fired = fired_spans(PhotonicBackend)
+    assert expected <= fired, f"never fired: {sorted(expected - fired)}"
+
+
+def test_one_program_fires_every_lut_span():
+    expected = {s for s in workloads.LUT_SPANS if s.startswith(DEVICE_LAYERS)}
+    assert {"lut.build_lut", "lut.lut_multiply_many", "backends.element_products"} <= expected
+    fired = fired_spans(lambda array: LutBackend(array, steps=16))
     assert expected <= fired, f"never fired: {sorted(expected - fired)}"
