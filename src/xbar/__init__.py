@@ -34,7 +34,7 @@ from .lut import (
     build_lut,
     lut_multiply_many,
 )
-from .noise import NoiseConfig, make_rng, perturb, time_average
+from .noise import NoiseConfig, make_rng, perturb
 from .backends import IdealBackend, LutBackend, PhotonicBackend, make_backend
 from .nn import (
     CnnModel,

@@ -11,8 +11,9 @@ onto the ring grid (the crossbar's forward pass contracts over input rows),
 zero-padded to the array size, affine-encoded, held as heater settings
 (`photonic`) or LUT ring settings (`lut`), and decoded electronically on the way
 out. Signed backward inputs use the affine vector encoding plus the all-ones
-pass measured once per program. One base handle does this for both physical
-backends; each supplies only its encoding and its raw products.
+pass measured once per program, with its first backward product. One base
+handle does this for both physical backends; each supplies only its
+encoding and its raw products.
 
 `program` also takes a stack of matrices (..., out, in), programmed in the
 same calls, each with its own encoding: slice k of the stack is bit for bit
@@ -22,6 +23,7 @@ and a stacked input (..., dim, batch) gives each matrix its own. A
 physical backend's measurement noise is one stream for every reading, or
 one stream per slice of the stack's last leading axis (`noise` a
 sequence), each drawn in the order that slice's own program would draw it.
+A time-averaged reading draws all its repeats in one `perturb` per stream.
 
 `handle.view(k, out, in)` is matrix k of a stack's leading axis, held
 zero-padded, as the program of its own (out, in) matrix: it shares the
@@ -41,7 +43,10 @@ one vectorised lookup, whatever the number of designs. Each LUT is inverted
 on the rising branch of each axis (see `xbar.lut`). The read has a
 program-time half: `program` sets every element's ring to its target once
 per direction (`LutBackend.set_rings`), and each product inverts only its
-inputs' MZI axis against those ring settings.
+inputs' MZI axis against those ring settings. A program's first backward
+appends the all-ones column to its error columns and reads both in one
+LUT read; the two parts are measured apart, the product first, each at the
+shape it has read alone.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ from .compiler import (
 from .crossbar import BACKWARD, FORWARD, CrossbarArray
 from .errors import EncodingError
 from .lut import LutStack, RingSetting, build_lut, lut_multiply_many
-from .noise import NoiseConfig, make_rng, perturb, time_average
+from .noise import NoiseConfig, make_rng, perturb
 
 _INPUT_TOL = 1e-9
 
@@ -125,10 +130,14 @@ class _NoiseMixin:
     axis: stream k perturbs slice k of that axis in every reading. One
     stream's draws for a whole one-slice reading are its draws for that
     slice, so a one-stream sequence reads as its single NoiseConfig does.
+    Every reading is the mean of `time_average_count` (at least 1) repeats,
+    which each stream draws in one call, as consecutive draws.
     """
 
     def _init_noise(self, noise, time_average_count: int):
-        self.time_average_count = max(1, int(time_average_count))
+        self.time_average_count = int(time_average_count)
+        if self.time_average_count < 1:
+            raise ValueError(f"time_average_count must be >= 1, got {time_average_count}")
         self.stream_count = None
         if noise is not None and not isinstance(noise, NoiseConfig):
             self.stream_count = len(noise)
@@ -143,23 +152,21 @@ class _NoiseMixin:
     def _measure(self, clean: np.ndarray, axis: int) -> np.ndarray:
         """One detector reading of the raw product powers `clean`, which are
         non-negative before any decode; `axis` is the stack's last leading
-        axis, the one that per-slice streams zip over."""
+        axis, the one that per-slice streams zip over. Each stream draws
+        all `time_average_count` repeats of its part in one `perturb`."""
+        repeats = self.time_average_count
         if self._slice_rngs is not None:
-            def one():
-                slices = np.moveaxis(clean, axis, 0)
-                return np.stack(
-                    [
-                        perturb(powers, cfg, rng)
-                        for powers, cfg, rng in zip(slices, self.noise, self._slice_rngs)
-                    ],
-                    axis=axis,
-                )
-        elif self._rng is not None:
-            def one():
-                return perturb(clean, self.noise, self._rng)
-        else:
-            return clean
-        return time_average(one, self.time_average_count)
+            slices = np.moveaxis(clean, axis, 0)
+            return np.stack(
+                [
+                    perturb(powers, cfg, rng, repeats)
+                    for powers, cfg, rng in zip(slices, self.noise, self._slice_rngs)
+                ],
+                axis=axis,
+            )
+        if self._rng is not None:
+            return perturb(clean, self.noise, self._rng, repeats)
+        return clean
 
 
 class _ProgrammedMatrix:
@@ -170,8 +177,11 @@ class _ProgrammedMatrix:
     once per program and decodes. A subclass supplies the matrix encoding
     (`_program`), the names of the operands it holds per matrix of the
     stack (`_stacked`, which a `view` slices) and the measured raw products
-    of encoded inputs: `_raw_forward(x')` ~ W'^T x' and `_raw_backward(s')`
-    ~ W' s', where W' is the encoded, padded transpose held on the grid.
+    of encoded inputs: `_raw_forward(x')` ~ W'^T x' and `_raw_backward(s',
+    with_ones)` ~ (W' s', W' 1 or None), where W' is the encoded, padded
+    transpose held on the grid. The all-ones response is read with the
+    program's first backward product; each is measured at the shape it has
+    read alone, the product first.
     """
 
     def __init__(self, backend, matrix: np.ndarray):
@@ -223,18 +233,20 @@ class _ProgrammedMatrix:
         return y[..., 0] if squeeze else y
 
     def _measured_ones_response(self) -> np.ndarray:
-        """Backward all-ones pass (W' 1), measured once per program."""
+        """Backward all-ones pass (W' 1), measured once per program; before
+        the first backward, with a product of no columns."""
         if self._ones_response is None:
-            self._ones_response = self._raw_backward(np.ones((self.n, 1)))
+            _, self._ones_response = self._raw_backward(np.zeros((self.n, 0)), True)
         return self._ones_response
 
     def backward(self, s):
         sb, squeeze = _as_batch(s)
         s_prime, scales, offsets = encode_signed_columns(self._padded(sb, self.out_dim, "error"))
-        raw = self._raw_backward(s_prime)
-        ones = self._measured_ones_response()
+        raw, ones = self._raw_backward(s_prime, self._ones_response is None)
+        if ones is not None:
+            self._ones_response = ones
         sums = s_prime.sum(axis=-2, keepdims=True)
-        y = decode_output(raw, self.encoding, scales, offsets, sums, self.n, ones)
+        y = decode_output(raw, self.encoding, scales, offsets, sums, self.n, self._ones_response)
         y = y[..., : self.in_dim, :]
         return y[..., 0] if squeeze else y
 
@@ -257,8 +269,10 @@ class PhotonicProgrammed(_ProgrammedMatrix):
     def _raw_forward(self, xp):
         return self.backend._measure(self._eff_fwd_t @ xp, -3)
 
-    def _raw_backward(self, s_prime):
-        return self.backend._measure(self._eff_bwd @ s_prime, -3)
+    def _raw_backward(self, s_prime, with_ones):
+        measure = self.backend._measure
+        raw = measure(self._eff_bwd @ s_prime, -3)
+        return raw, measure(self._eff_bwd @ np.ones((self.n, 1)), -3) if with_ones else None
 
 
 class PhotonicBackend(_NoiseMixin):
@@ -300,11 +314,20 @@ class LutProgrammed(_ProgrammedMatrix):
             xp[..., :, None, :], self._rings_fwd, FORWARD
         ).sum(axis=-3)
 
-    def _raw_backward(self, s_prime):
-        # y'[i, b] = sum_j lut_ij(s'[j, b], T'[i, j])
-        return self.backend.element_products(
-            s_prime[..., None, :, :], self._rings_bwd, BACKWARD
-        ).sum(axis=-2)
+    def _raw_backward(self, s_prime, with_ones):
+        # y'[i, b] = sum_j lut_ij(s'[j, b], T'[i, j]). The all-ones pass is a
+        # column of ones after s', in the same LUT read.
+        products, rings = self.backend.element_products, self._rings_bwd
+        program = rings.index.shape[:-3]
+        if with_ones and np.broadcast_shapes(s_prime.shape[:-2], program) == program:
+            batch = s_prime.shape[-1]
+            s_prime = np.concatenate((s_prime, np.ones(s_prime.shape[:-1] + (1,))), axis=-1)
+            raw, ones = products(s_prime[..., None, :, :], rings, BACKWARD, split=batch)
+            return raw.sum(axis=-2), ones.sum(axis=-2)
+        raw = products(s_prime[..., None, :, :], rings, BACKWARD).sum(axis=-2)
+        # An s' with leading axes that the program lacks reads the ones
+        # alone, at the program's shape.
+        return raw, self._measured_ones_response() if with_ones else None
 
 
 class LutBackend(_NoiseMixin):
@@ -347,17 +370,26 @@ class LutBackend(_NoiseMixin):
         by ring (row, col) in the trailing grid axes."""
         return self._tables[direction].set_rings(targets)
 
-    def element_products(self, values, rings: RingSetting, direction: str) -> np.ndarray:
+    def element_products(
+        self, values, rings: RingSetting, direction: str, split: int | None = None
+    ):
         """LUT product estimates values * targets for every grid element,
         for the targets that `rings` holds (`set_rings`).
 
         `values` broadcast against the ring setting to (..., n, n, batch).
         Each ring reads its design's LUT, all in one vectorised call;
         estimates are clamped to the calibrated span (a LUT cannot represent
-        levels outside its windows).
+        levels outside its windows). With `split`, the batch axis is cut
+        there into two readings of the one read, measured in order and
+        returned as a pair.
         """
         est, _ = lut_multiply_many(self._tables[direction], values, rings)
-        return self._measure(est, -4)
+        if split is None:
+            return self._measure(est, -4)
+        # Each part C-ordered: a sum over a strided part can differ in its
+        # last bits from the sum over the part read alone.
+        parts = np.split(est, [split], axis=-1)
+        return [self._measure(np.ascontiguousarray(part), -4) for part in parts]
 
     def program(self, matrix: np.ndarray) -> LutProgrammed:
         return LutProgrammed(self, matrix)

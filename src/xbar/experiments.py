@@ -23,7 +23,7 @@ from .datasets import load_iris, load_mnist_subset
 from .devices import sweep_spectrum
 from .lut import build_lut, lut_to_binary, lut_to_csv
 from .nn import MlpRunner, train_iris, train_mnist
-from .noise import NoiseConfig, make_rng, perturb, time_average
+from .noise import NoiseConfig, make_rng, perturb
 from .presets import preset_array, ring_for_q
 
 FLOAT_FMT = ".17g"
@@ -151,8 +151,8 @@ def run_measure_matrix(config: RunConfig, out_dir: Path) -> None:
         bwd = array.measure_matrix(compiled.heater_settings_mw, BACKWARD)
         if cfg_noise is not None:
             reps = config.noise.time_average
-            fwd = time_average(lambda: perturb(fwd, cfg_noise, rng), reps)
-            bwd = time_average(lambda: perturb(bwd, cfg_noise, rng), reps)
+            fwd = perturb(fwd, cfg_noise, rng, reps)
+            bwd = perturb(bwd, cfg_noise, rng, reps)
         write_matrix_csv(out_dir / f"{name}_forward.csv", fwd)
         write_matrix_csv(out_dir / f"{name}_backward.csv", bwd)
         dark = fwd[target < 0.5]

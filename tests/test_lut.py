@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from xbar import backends
 from xbar.backends import LutBackend
+from xbar.compiler import decode_output, encode_signed_columns
 from xbar.crossbar import BACKWARD, FORWARD
 from xbar.errors import DataFormatError, ShapeError
 from xbar.lut import (
@@ -21,6 +23,7 @@ from xbar.lut import (
     lut_to_binary,
     lut_to_csv,
 )
+from xbar.noise import NoiseConfig
 from xbar.presets import EXPERIMENTAL_ALIGN_MW, preset_array
 
 
@@ -394,3 +397,93 @@ def test_rings_are_set_twice_per_program_and_never_per_product(monkeypatch):
         read.forward(rng.uniform(0.0, 1.0, (4, 5)))
         read.backward(rng.normal(size=(3, 5)))
     assert len(calls) == 2
+
+
+FUSED_ARRAYS = {
+    "experimental_4x4": lambda: preset_array("experimental_4x4"),
+    "experimental_4x4_fab": lambda: preset_array(
+        "experimental_4x4", fabrication_sigma_nm=0.02, seed=7
+    ),
+    "simulation_9x9": lambda: preset_array("simulation_9x9"),
+}
+FUSED_NOISE = {
+    "off": lambda: None,
+    "one stream": lambda: NoiseConfig(seed=3),
+    "per-run streams": lambda: [NoiseConfig(seed=3, stream=run) for run in range(2)],
+}
+
+
+def product_then_ones(handle, s_prime):
+    """The raw backward product of s', then the all-ones pass: two LUT
+    reads, each measured as it is read."""
+    raw, _ = handle._raw_backward(s_prime, False)
+    ones, _ = handle._raw_backward(np.ones((handle.n, 1)), False)
+    return raw, ones
+
+
+@pytest.mark.parametrize("time_average", [1, 2, 3])
+@pytest.mark.parametrize("noise", list(FUSED_NOISE))
+@pytest.mark.parametrize("preset", list(FUSED_ARRAYS))
+def test_one_backward_read_equals_a_product_read_then_an_all_ones_read(preset, noise, time_average):
+    """A backward with its all-ones pass in one LUT read reads, bit for bit
+    and in the same noise draws, what a product read and then an all-ones
+    read give on an identically seeded backend: for a (layers, runs) stack
+    and its views, for s' with the program's leading axes, fewer or more."""
+    array = FUSED_ARRAYS[preset]()
+    n = array.n
+    fused, reference = (
+        LutBackend(array, noise=FUSED_NOISE[noise](), time_average_count=time_average)
+        for _ in range(2)
+    )
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(2, 2, n - 1, n))  # (layers, runs, out, in)
+    for batch in (1, 5):
+        a, b = fused.program(stack), reference.program(stack)
+        # Through `backward`, against the decode of the two readings.
+        s = rng.normal(size=(2, 2, n - 1, batch))
+        got = a.backward(s)
+        s_prime, scales, offsets = encode_signed_columns(b._padded(s, n - 1, "error"))
+        raw, ones = product_then_ones(b, s_prime)
+        sums = s_prime.sum(axis=-2, keepdims=True)
+        np.testing.assert_array_equal(
+            got, decode_output(raw, b.encoding, scales, offsets, sums, n, ones)
+        )
+        np.testing.assert_array_equal(a._measured_ones_response(), ones)
+        # The raw read of fresh views, and of a fresh stack program.
+        pairs = [(a.view(k, n - 1, n), b.view(k, n - 1, n), (2,)) for k in range(2)]
+        pairs.append((fused.program(stack), reference.program(stack), (2, 2)))
+        for a, b, lead in pairs:
+            for shape in (lead, (), (3, *lead)):
+                s_prime = rng.uniform(0.0, 1.0, (*shape, n, batch))
+                got = a._raw_backward(s_prime, True)
+                want = product_then_ones(b, s_prime)
+                for got_part, want_part in zip(got, want):
+                    np.testing.assert_array_equal(got_part, want_part)
+                assert got[1].shape == (*lead, n, 1)
+        # An all-ones response asked for before any backward.
+        for k in range(2):
+            np.testing.assert_array_equal(
+                fused.program(stack).view(k, n - 1, n)._measured_ones_response(),
+                reference.program(stack).view(k, n - 1, n)._raw_backward(np.ones((n, 1)), False)[0],
+            )
+
+
+def test_a_backward_and_its_all_ones_pass_are_one_lut_read(monkeypatch):
+    """A program's first backward reads its all-ones pass as one more column
+    of its one LUT read; a later backward reads its own columns only."""
+    columns = []
+    read = backends.lut_multiply_many
+
+    def counted(stack, x, rings):
+        columns.append(np.shape(x)[-1])
+        return read(stack, x, rings)
+
+    monkeypatch.setattr(backends, "lut_multiply_many", counted)
+    backend = LutBackend(preset_array("experimental_4x4"), steps=16)
+    rng = np.random.default_rng(13)
+    handle = backend.program(rng.normal(size=(2, 3, 4)))
+    for program in (handle, handle.view(0, 3, 4), handle.view(1, 3, 4)):
+        columns.clear()
+        program.backward(rng.normal(size=(3, 5)))
+        program.backward(rng.normal(size=(3, 5)))
+        assert columns == [6, 5]
