@@ -11,9 +11,8 @@ onto the ring grid (the crossbar's forward pass contracts over input rows),
 zero-padded to the array size, affine-encoded, held as heater settings
 (`photonic`) or LUT ring settings (`lut`), and decoded electronically on the way
 out. Signed backward inputs use the affine vector encoding plus the all-ones
-pass measured once per program, with its first backward product. One base
-handle does this for both physical backends; each supplies only its
-encoding and its raw products.
+pass that every backward reads with its product. One base handle, which
+holds only its program, does this for both physical backends.
 
 `program` also takes a stack of matrices (..., out, in), programmed in the
 same calls, each with its own encoding: slice k of the stack is bit for bit
@@ -27,10 +26,10 @@ A time-averaged reading draws all its repeats in one `perturb` per stream.
 
 `handle.view(k, out, in)` is matrix k of a stack's leading axis, held
 zero-padded, as the program of its own (out, in) matrix: it shares the
-stack's operands, measures its own all-ones pass, and reads bit for bit
-what programming that matrix alone reads. The MLP programs all its layers,
-each padded to the widest, in one call per training step (a (layers, runs,
-out, in) stack) and reads each layer through its view.
+stack's operands and reads bit for bit what programming that matrix alone
+reads. The MLP programs all its layers, each padded to the widest, in one
+call per training step (a (layers, runs, out, in) stack) and reads each
+layer through its view.
 
 The `lut` backend never propagates whole vectors; every scalar product is
 fetched from calibration look-up tables, as the training experiments did.
@@ -43,10 +42,10 @@ one vectorised lookup, whatever the number of designs. Each LUT is inverted
 on the rising branch of each axis (see `xbar.lut`). The read has a
 program-time half: `program` sets every element's ring to its target once
 per direction (`LutBackend.set_rings`), and each product inverts only its
-inputs' MZI axis against those ring settings. A program's first backward
-appends the all-ones column to its error columns and reads both in one
-LUT read; the two parts are measured apart, the product first, each at the
-shape it has read alone.
+inputs' MZI axis against those ring settings. A backward appends the
+all-ones column to its error columns and reads both in one LUT read; the
+two parts are measured apart, the product first, each at the shape it has
+read alone.
 """
 
 from __future__ import annotations
@@ -173,15 +172,15 @@ class _ProgrammedMatrix:
     """A signed matrix, or a stack (..., out, in), programmed onto a
     crossbar-sized backend.
 
-    The base class pads, checks and encodes inputs, takes the all-ones pass
-    once per program and decodes. A subclass supplies the matrix encoding
-    (`_program`), the names of the operands it holds per matrix of the
-    stack (`_stacked`, which a `view` slices) and the measured raw products
-    of encoded inputs: `_raw_forward(x')` ~ W'^T x' and `_raw_backward(s',
-    with_ones)` ~ (W' s', W' 1 or None), where W' is the encoded, padded
-    transpose held on the grid. The all-ones response is read with the
-    program's first backward product; each is measured at the shape it has
-    read alone, the product first.
+    The base class pads, checks and encodes inputs and decodes. A subclass
+    supplies the matrix encoding (`_program`), the names of the operands it
+    holds per matrix of the stack (`_stacked`, which a `view` slices) and
+    the measured raw products of encoded inputs: `_raw_forward(x')` ~
+    W'^T x' and `_raw_backward(s')` ~ (W' s', W' 1), where W' is the
+    encoded, padded transpose held on the grid. Every backward reads its
+    own all-ones response with its product; each is measured at the shape
+    it has read alone, the product first. The handle holds only its
+    program, so no product changes it.
     """
 
     def __init__(self, backend, matrix: np.ndarray):
@@ -194,7 +193,6 @@ class _ProgrammedMatrix:
         # The crossbar contracts over input ports: program the transpose.
         self.encoding: AffineEncoding = self._program(pad(m.swapaxes(-1, -2), self.n))
         self.out_dim, self.in_dim = m.shape[-2:]
-        self._ones_response: np.ndarray | None = None
 
     def view(self, index: int, out_dim: int, in_dim: int):
         """Matrix `index` of the stack's leading axis as the program of its
@@ -202,13 +200,13 @@ class _ProgrammedMatrix:
         Zeros padded before `pad` give the padded transpose that programming
         the matrix alone gives, so the view's encoding and operands are bit
         for bit that program's. It shares the stack's operands (slices of
-        `_stacked`) and measures its own all-ones response."""
+        `_stacked`)."""
         # Copied attribute by attribute: a copy through `__dict__` would slow
         # every later attribute read.
         view = object.__new__(type(self))
         for name, value in vars(self).items():
             setattr(view, name, value[index] if name in self._stacked else value)
-        view.out_dim, view.in_dim, view._ones_response = out_dim, in_dim, None
+        view.out_dim, view.in_dim = out_dim, in_dim
         return view
 
     def _padded(self, v, dim: int, what: str) -> np.ndarray:
@@ -232,21 +230,12 @@ class _ProgrammedMatrix:
         y = decode_output(raw, self.encoding, None, None, sums, self.n)[..., : self.out_dim, :]
         return y[..., 0] if squeeze else y
 
-    def _measured_ones_response(self) -> np.ndarray:
-        """Backward all-ones pass (W' 1), measured once per program; before
-        the first backward, with a product of no columns."""
-        if self._ones_response is None:
-            _, self._ones_response = self._raw_backward(np.zeros((self.n, 0)), True)
-        return self._ones_response
-
     def backward(self, s):
         sb, squeeze = _as_batch(s)
         s_prime, scales, offsets = encode_signed_columns(self._padded(sb, self.out_dim, "error"))
-        raw, ones = self._raw_backward(s_prime, self._ones_response is None)
-        if ones is not None:
-            self._ones_response = ones
+        raw, ones = self._raw_backward(s_prime)
         sums = s_prime.sum(axis=-2, keepdims=True)
-        y = decode_output(raw, self.encoding, scales, offsets, sums, self.n, self._ones_response)
+        y = decode_output(raw, self.encoding, scales, offsets, sums, self.n, ones)
         y = y[..., : self.in_dim, :]
         return y[..., 0] if squeeze else y
 
@@ -269,10 +258,11 @@ class PhotonicProgrammed(_ProgrammedMatrix):
     def _raw_forward(self, xp):
         return self.backend._measure(self._eff_fwd_t @ xp, -3)
 
-    def _raw_backward(self, s_prime, with_ones):
+    def _raw_backward(self, s_prime):
+        # Two products: BLAS may read one column apart from several.
         measure = self.backend._measure
         raw = measure(self._eff_bwd @ s_prime, -3)
-        return raw, measure(self._eff_bwd @ np.ones((self.n, 1)), -3) if with_ones else None
+        return raw, measure(self._eff_bwd @ np.ones((self.n, 1)), -3)
 
 
 class PhotonicBackend(_NoiseMixin):
@@ -314,20 +304,15 @@ class LutProgrammed(_ProgrammedMatrix):
             xp[..., :, None, :], self._rings_fwd, FORWARD
         ).sum(axis=-3)
 
-    def _raw_backward(self, s_prime, with_ones):
+    def _raw_backward(self, s_prime):
         # y'[i, b] = sum_j lut_ij(s'[j, b], T'[i, j]). The all-ones pass is a
         # column of ones after s', in the same LUT read.
-        products, rings = self.backend.element_products, self._rings_bwd
-        program = rings.index.shape[:-3]
-        if with_ones and np.broadcast_shapes(s_prime.shape[:-2], program) == program:
-            batch = s_prime.shape[-1]
-            s_prime = np.concatenate((s_prime, np.ones(s_prime.shape[:-1] + (1,))), axis=-1)
-            raw, ones = products(s_prime[..., None, :, :], rings, BACKWARD, split=batch)
-            return raw.sum(axis=-2), ones.sum(axis=-2)
-        raw = products(s_prime[..., None, :, :], rings, BACKWARD).sum(axis=-2)
-        # An s' with leading axes that the program lacks reads the ones
-        # alone, at the program's shape.
-        return raw, self._measured_ones_response() if with_ones else None
+        batch = s_prime.shape[-1]
+        s_prime = np.concatenate((s_prime, np.ones(s_prime.shape[:-1] + (1,))), axis=-1)
+        raw, ones = self.backend.element_products(
+            s_prime[..., None, :, :], self._rings_bwd, BACKWARD, split=batch
+        )
+        return raw.sum(axis=-2), ones.sum(axis=-2)
 
 
 class LutBackend(_NoiseMixin):

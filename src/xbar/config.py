@@ -44,9 +44,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
-from .datasets import MNIST_FILES, find_mnist_file
+from .datasets import MNIST_FILES, find_mnist_file, read_idx
 from .errors import ConfigError
-from .nn import KERNEL_COUNT, KERNEL_SIZE, Adam, Sgd, iris_mlp_sizes
+from .nn import IMAGE_SIZE, KERNEL_COUNT, KERNEL_SIZE, Adam, Sgd, iris_mlp_sizes
 from .presets import PRESET_SIZES, PRESETS
 
 # The fields each experiment reads, by dotted name; a section name stands for
@@ -250,14 +250,24 @@ class RunConfig:
                     f"{self.devices.preset!r} gives {self.devices.array_size}x{self.devices.array_size}"
                 )
         if self.experiment == "mnist-train":
-            missing = [
-                kind for kind in MNIST_FILES if find_mnist_file(self.datasets.mnist_dir, kind) is None
-            ]
+            paths = {kind: find_mnist_file(self.datasets.mnist_dir, kind) for kind in MNIST_FILES}
+            missing = [kind for kind, path in paths.items() if path is None]
             if missing:
                 raise ConfigError(
                     f"datasets.mnist_dir {self.datasets.mnist_dir!r} holds no MNIST IDX file "
                     f"for {', '.join(missing)}"
                 )
+            for kind, path in paths.items():
+                split, what = kind.split("_")
+                count, head = read_idx(path, what, 0)
+                if count < (wanted := getattr(self.datasets, f"mnist_{split}")):
+                    raise ConfigError(
+                        f"datasets.mnist_{split} {wanted} asks for more {what} than {path} "
+                        f"holds ({count})"
+                    )
+                if what == "images" and head.shape[1:] != (IMAGE_SIZE, IMAGE_SIZE):
+                    rows, cols = head.shape[1:]
+                    raise ConfigError(f"{path} holds {rows}x{cols} images; the CNN reads 28x28")
         return self
 
     def _unread_by(self, name: str) -> str | None:

@@ -10,6 +10,7 @@ gzip-compressed.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from importlib import resources
@@ -26,6 +27,7 @@ IRIS_TRAIN_PER_CLASS = 35
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+IDX_MAGIC = {"images": IDX_IMAGES_MAGIC, "labels": IDX_LABELS_MAGIC}
 
 
 @dataclass(frozen=True)
@@ -131,34 +133,31 @@ def _read_exact(fh, count: int, path, what: str) -> bytes:
     return data
 
 
-def read_idx_images(path, count: int | None = None) -> np.ndarray:
-    """First `count` images of an IDX3 file as float arrays in [0, 1]."""
+def read_idx(path, what: str, count: int | None = None) -> tuple[int, np.ndarray]:
+    """The record count in the header of an IDX file of `what` ("images" or
+    "labels"), and its first `count` records (every one when None) as uint8,
+    shaped as the header says. `count` 0 reads the header alone."""
+    magic = IDX_MAGIC[what]
     with _open_maybe_gzip(path) as fh:
-        magic, total, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, path, "header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(
-                f"{path}: bad magic 0x{magic:08x} (expected 0x{IDX_IMAGES_MAGIC:08x})"
-            )
+        (found,) = struct.unpack(">I", _read_exact(fh, 4, path, "header"))
+        if found != magic:
+            raise DataFormatError(f"{path}: bad magic 0x{found:08x} (expected 0x{magic:08x})")
+        ndim = magic & 0xFF  # an IDX magic's low byte counts the dimensions
+        total, *record = struct.unpack(f">{ndim}I", _read_exact(fh, 4 * ndim, path, "header"))
         count = total if count is None else count
         if count > total:
-            raise DataFormatError(f"{path}: requested {count} images, file holds {total}")
-        raw = _read_exact(fh, count * rows * cols, path, f"{count} images")
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-    return images.astype(float) / 255.0
+            raise DataFormatError(f"{path}: requested {count} {what}, file holds {total}")
+        raw = _read_exact(fh, count * math.prod(record), path, f"{count} {what}")
+    return total, np.frombuffer(raw, dtype=np.uint8).reshape(count, *record)
+
+
+def read_idx_images(path, count: int | None = None) -> np.ndarray:
+    """First `count` images of an IDX3 file as float arrays in [0, 1]."""
+    return read_idx(path, "images", count)[1].astype(float) / 255.0
 
 
 def read_idx_labels(path, count: int | None = None) -> np.ndarray:
-    with _open_maybe_gzip(path) as fh:
-        magic, total = struct.unpack(">II", _read_exact(fh, 8, path, "header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(
-                f"{path}: bad magic 0x{magic:08x} (expected 0x{IDX_LABELS_MAGIC:08x})"
-            )
-        count = total if count is None else count
-        if count > total:
-            raise DataFormatError(f"{path}: requested {count} labels, file holds {total}")
-        raw = _read_exact(fh, count, path, f"{count} labels")
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(int)
+    labels = read_idx(path, "labels", count)[1].astype(int)
     if np.any(labels > 9):
         raise DataFormatError(f"{path}: labels outside 0..9")
     return labels

@@ -38,6 +38,7 @@ mrr_min, mrr_max] followed by the row-major float64 grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -351,7 +352,7 @@ def lut_to_csv(lut: CalibrationLUT, path) -> None:
 
 
 def lut_from_csv(path) -> CalibrationLUT:
-    mzi, mrr, power = [], [], []
+    values = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "mzi_mw,mrr_mw,power":
@@ -360,13 +361,15 @@ def lut_from_csv(path) -> CalibrationLUT:
             parts = line.strip().split(",")
             if len(parts) != 3:
                 raise DataFormatError(f"{path}:{lineno}: expected 3 columns")
-            mzi.append(float(parts[0]))
-            mrr.append(float(parts[1]))
-            power.append(float(parts[2]))
-    mzi_axis = np.unique(np.asarray(mzi))
-    mrr_axis = np.unique(np.asarray(mrr))
-    grid = np.asarray(power).reshape(len(mzi_axis), len(mrr_axis))
-    return CalibrationLUT(mzi_axis, mrr_axis, grid)
+            values.append([float(v) for v in parts])
+    mzi, mrr, power = np.reshape(values, (-1, 3)).T
+    mzi_axis, mrr_axis = np.unique(mzi), np.unique(mrr)
+    grid = [(a, b) for a in mzi_axis.tolist() for b in mrr_axis.tolist()]
+    for k, (row, point) in enumerate(zip_longest(zip(mzi, mrr), grid)):
+        if row != point:
+            want = f"mzi {point[0]:.17g}, mrr {point[1]:.17g}" if point else "the end"
+            raise DataFormatError(f"{path}:{k + 2}: expected {want} (row-major grid of LUT points)")
+    return CalibrationLUT(mzi_axis, mrr_axis, power.reshape(len(mzi_axis), len(mrr_axis)))
 
 
 def lut_to_binary(lut: CalibrationLUT, path) -> None:

@@ -280,9 +280,10 @@ def train_iris(
 
 # -- CNN -------------------------------------------------------------------------
 
+IMAGE_SIZE = 28
 KERNEL_COUNT = 9
 KERNEL_SIZE = 3
-CONV_OUT = 26  # 28 - 3 + 1, valid padding, stride 1
+CONV_OUT = IMAGE_SIZE - KERNEL_SIZE + 1  # 26: valid padding, stride 1
 POOL_OUT = 13
 FLAT_DIM = KERNEL_COUNT * POOL_OUT * POOL_OUT  # 1521
 HIDDEN_DIM = 100

@@ -5,8 +5,10 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from conftest import write_idx
 
 from xbar.cli import main
 from xbar.config import EXPERIMENTS, DeviceSection, RunConfig
@@ -196,6 +198,78 @@ def test_cli_rejects_mnist_train_on_an_empty_mnist_dir_before_any_work(tmp_path,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "MNIST IDX" in lines[0]
+    assert not out.exists()
+
+
+def write_mnist_pair(directory, prefix, images, labels, suffix=""):
+    """Overwrite one split of an MNIST directory with an IDX pair."""
+    for path in directory.glob(f"{prefix}-*"):
+        path.unlink()
+    write_idx(directory / f"{prefix}-images-idx3-ubyte{suffix}", images)
+    write_idx(directory / f"{prefix}-labels-idx1-ubyte{suffix}", labels)
+
+
+def mnist_config(mnist_dir, **counts):
+    return RunConfig.from_dict(
+        {
+            "experiment": "mnist-train",
+            "devices": {"preset": "simulation_9x9"},
+            "datasets": {"mnist_dir": str(mnist_dir), **counts},
+        }
+    )
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_mnist_train_rejects_more_digits_than_the_idx_files_hold(mnist_dir, suffix):
+    # 6 test images, but only 5 test labels.
+    write_mnist_pair(mnist_dir, "t10k", np.zeros((6, 28, 28)), np.zeros(5), suffix)
+    mnist_config(mnist_dir, mnist_test=5).validate()
+    labels = r"^datasets.mnist_test 6 asks for more labels than .*t10k-labels.* holds \(5\)$"
+    with pytest.raises(ConfigError, match=labels):
+        mnist_config(mnist_dir, mnist_test=6).validate()
+    images = r"^datasets.mnist_test 7 asks for more images than .*t10k-images.* holds \(6\)$"
+    with pytest.raises(ConfigError, match=images):
+        mnist_config(mnist_dir, mnist_test=7).validate()
+    with pytest.raises(ConfigError, match=r"^datasets.mnist_train 10001 asks for more images "):
+        mnist_config(mnist_dir, mnist_train=10001, mnist_test=5).validate()
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_mnist_train_rejects_images_that_are_not_28x28(mnist_dir, suffix):
+    write_mnist_pair(mnist_dir, "t10k", np.zeros((1000, 32, 32)), np.zeros(1000), suffix)
+    message = r"t10k-images-idx3-ubyte.* holds 32x32 images; the CNN reads 28x28$"
+    with pytest.raises(ConfigError, match=message):
+        mnist_config(mnist_dir).validate()
+
+
+@pytest.mark.parametrize(
+    "images, labels, message",
+    [
+        ((10000, 28, 28), 9999, "datasets.mnist_train 10000 asks for more labels"),
+        ((10000, 32, 32), 10000, "holds 32x32 images"),
+    ],
+)
+def test_cli_rejects_unusable_mnist_files_before_any_work(
+    tmp_path, capsys, mnist_dir, images, labels, message
+):
+    write_mnist_pair(mnist_dir, "train", np.zeros(images), np.zeros(labels), ".gz")
+    config_path = tmp_path / "mnist.yaml"
+    config_path.write_text(
+        yaml.safe_dump(
+            {
+                "devices": {"preset": "simulation_9x9"},
+                "training": {"backend": "photonic"},
+                "datasets": {"mnist_dir": str(mnist_dir)},
+            }
+        )
+    )
+    out = tmp_path / "out"
+    code = main(["mnist-train", "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and message in lines[0]
     assert not out.exists()
 
 

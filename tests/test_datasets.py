@@ -1,10 +1,12 @@
 """IDX parser tests on synthetic MNIST files."""
 
+import gzip
+
 import numpy as np
 import pytest
 from conftest import idx_bytes, write_idx
 
-from xbar.datasets import MNIST_FILES, find_mnist_file, read_idx_images, read_idx_labels
+from xbar.datasets import MNIST_FILES, find_mnist_file, read_idx, read_idx_images, read_idx_labels
 from xbar.errors import DataFormatError
 
 IMAGES = np.random.default_rng(1).integers(0, 256, (5, 3, 2)).astype(np.uint8)
@@ -23,6 +25,20 @@ def test_idx_labels_round_trip(tmp_path, suffix):
     path = write_idx(tmp_path / f"labels{suffix}", LABELS)
     np.testing.assert_array_equal(read_idx_labels(path), LABELS)
     np.testing.assert_array_equal(read_idx_labels(path, 3), LABELS[:3])
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+def test_an_idx_header_is_read_alone(tmp_path, suffix):
+    """`read_idx` of no records gives the header's count and record shape,
+    whatever follows the header: here a body cut short."""
+    for what, array in (("images", IMAGES), ("labels", LABELS)):
+        path = write_idx(tmp_path / f"{what}{suffix}", array)
+        cut = idx_bytes(array)[:-1]
+        path.write_bytes(gzip.compress(cut) if suffix else cut)
+        total, head = read_idx(path, what, 0)
+        assert (total, head.shape) == (array.shape[0], (0, *array.shape[1:]))
+        with pytest.raises(DataFormatError, match="bad magic"):
+            read_idx(path, "labels" if what == "images" else "images", 0)
 
 
 def _other_magic(data: bytes) -> bytes:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,17 +181,46 @@ def _corrupt_csv(text: str, what: str) -> str:
     lines = text.splitlines(keepends=True)
     if what == "header":
         lines[0] = "mzi,mrr,power\n"
-    else:  # a data row with a missing column
+    elif what == "columns":  # a data row with a missing column
         lines[3] = ",".join(lines[3].split(",")[:2]) + "\n"
+    elif what == "swapped rows":  # file lines 3 and 4
+        lines[2], lines[3] = lines[3], lines[2]
+    elif what == "missing row":  # file line 6
+        del lines[5]
+    elif what == "repeated row":  # the last one, again
+        lines.append(lines[-1])
     return "".join(lines)
 
 
-@pytest.mark.parametrize("what, message", [("header", "header"), ("columns", ":4: expected 3 columns")])
+@pytest.mark.parametrize(
+    "what, message",
+    [
+        ("header", "header"),
+        ("columns", ":4: expected 3 columns"),
+        ("repeated row", ":66: expected the end "),  # 64 data rows
+    ],
+)
 def test_corrupt_lut_csv_raises_data_format_error(tmp_path, small_lut, what, message):
     path = tmp_path / "element.csv"
     lut_to_csv(small_lut, path)
     path.write_text(_corrupt_csv(path.read_text(), what))
     with pytest.raises(DataFormatError, match=message):
+        lut_from_csv(path)
+
+
+@pytest.mark.parametrize("what, line, k", [("swapped rows", 3, 1), ("missing row", 6, 4)])
+def test_lut_csv_rows_off_the_row_major_grid_raise_data_format_error(
+    tmp_path, small_lut, what, line, k
+):
+    """The error names the first line out of place and the grid point,
+    row-major index `k`, that belongs there."""
+    path = tmp_path / "element.csv"
+    lut_to_csv(small_lut, path)
+    path.write_text(_corrupt_csv(path.read_text(), what))
+    i, j = divmod(k, len(small_lut.mrr_powers_mw))
+    mzi, mrr = small_lut.mzi_powers_mw[i], small_lut.mrr_powers_mw[j]
+    message = f":{line}: expected mzi {mzi:.17g}, mrr {mrr:.17g} "
+    with pytest.raises(DataFormatError, match=re.escape(message)):
         lut_from_csv(path)
 
 
@@ -414,11 +444,12 @@ FUSED_NOISE = {
 
 
 def product_then_ones(handle, s_prime):
-    """The raw backward product of s', then the all-ones pass: two LUT
-    reads, each measured as it is read."""
-    raw, _ = handle._raw_backward(s_prime, False)
-    ones, _ = handle._raw_backward(np.ones((handle.n, 1)), False)
-    return raw, ones
+    """The raw backward product of s', then the all-ones pass at the shape
+    of s': two LUT reads, each measured as it is read."""
+    products, rings = handle.backend.element_products, handle._rings_bwd
+    raw = products(s_prime[..., None, :, :], rings, BACKWARD).sum(axis=-2)
+    ones = np.ones(s_prime.shape[:-1] + (1,))
+    return raw, products(ones[..., None, :, :], rings, BACKWARD).sum(axis=-2)
 
 
 @pytest.mark.parametrize("time_average", [1, 2, 3])
@@ -448,29 +479,31 @@ def test_one_backward_read_equals_a_product_read_then_an_all_ones_read(preset, n
         np.testing.assert_array_equal(
             got, decode_output(raw, b.encoding, scales, offsets, sums, n, ones)
         )
-        np.testing.assert_array_equal(a._measured_ones_response(), ones)
+        np.testing.assert_array_equal(
+            a._raw_backward(np.zeros((n, 0)))[1], product_then_ones(b, np.zeros((n, 0)))[1]
+        )
         # The raw read of fresh views, and of a fresh stack program.
         pairs = [(a.view(k, n - 1, n), b.view(k, n - 1, n), (2,)) for k in range(2)]
         pairs.append((fused.program(stack), reference.program(stack), (2, 2)))
         for a, b, lead in pairs:
             for shape in (lead, (), (3, *lead)):
                 s_prime = rng.uniform(0.0, 1.0, (*shape, n, batch))
-                got = a._raw_backward(s_prime, True)
+                got = a._raw_backward(s_prime)
                 want = product_then_ones(b, s_prime)
                 for got_part, want_part in zip(got, want):
                     np.testing.assert_array_equal(got_part, want_part)
-                assert got[1].shape == (*lead, n, 1)
-        # An all-ones response asked for before any backward.
+                assert got[1].shape == (*np.broadcast_shapes(shape, lead), n, 1)
+        # An all-ones response read with a product of no columns.
         for k in range(2):
             np.testing.assert_array_equal(
-                fused.program(stack).view(k, n - 1, n)._measured_ones_response(),
-                reference.program(stack).view(k, n - 1, n)._raw_backward(np.ones((n, 1)), False)[0],
+                fused.program(stack).view(k, n - 1, n)._raw_backward(np.zeros((n, 0)))[1],
+                product_then_ones(reference.program(stack).view(k, n - 1, n), np.zeros((n, 0)))[1],
             )
 
 
 def test_a_backward_and_its_all_ones_pass_are_one_lut_read(monkeypatch):
-    """A program's first backward reads its all-ones pass as one more column
-    of its one LUT read; a later backward reads its own columns only."""
+    """Every backward, a program's first or a later one, reads its all-ones
+    pass as one more column of its one LUT read."""
     columns = []
     read = backends.lut_multiply_many
 
@@ -486,4 +519,4 @@ def test_a_backward_and_its_all_ones_pass_are_one_lut_read(monkeypatch):
         columns.clear()
         program.backward(rng.normal(size=(3, 5)))
         program.backward(rng.normal(size=(3, 5)))
-        assert columns == [6, 5]
+        assert columns == [6, 6]

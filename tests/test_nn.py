@@ -247,8 +247,8 @@ def layer_readings(handle, x, s):
     its all-ones response and its programmed heaters, clamps or ring
     settings."""
     readings = {"forward": handle.forward(x), "backward": handle.backward(s)}
-    if hasattr(handle, "_measured_ones_response"):
-        readings["ones"] = handle._measured_ones_response()
+    if hasattr(handle, "_raw_backward"):
+        readings["ones"] = handle._raw_backward(np.zeros((handle.n, 0)))[1]
     if hasattr(handle, "compiled"):
         readings["heaters"] = handle.compiled.heater_settings_mw
         readings["clamped"] = handle.compiled.clamped_elements
@@ -349,12 +349,72 @@ def test_a_view_measures_its_own_ones_response(backend):
     made = make_backend(backend, preset_array("experimental_4x4"))
     stack = np.random.default_rng(4).normal(size=(2, 3, 4))
     handle = made.program(stack)
-    handle._measured_ones_response()  # the whole stack's, measured before the views
+    handle.backward(np.zeros((3, 1)))  # the whole stack's, read before the views
     for k in range(2):
         np.testing.assert_array_equal(
-            handle.view(k, 3, 4)._measured_ones_response(),
-            made.program(stack[k])._measured_ones_response(),
+            handle.view(k, 3, 4)._raw_backward(np.zeros((4, 0)))[1],
+            made.program(stack[k])._raw_backward(np.zeros((4, 0)))[1],
         )
+
+
+HANDLE_CASES = [(backend, sigma) for backend in ("photonic", "lut") for sigma in (0.0, 0.02)]
+
+
+def program_maker(backend, sigma, noise=None):
+    """A maker of fresh (stack, view 1) pairs: a (2, 3, 4) stack programmed
+    on one backend on the 4x4 preset, with or without a fabrication spread,
+    and its view of matrix 1."""
+    made = make_backend(
+        backend, preset_array("experimental_4x4", fabrication_sigma_nm=sigma, seed=7), noise=noise
+    )
+    stack = np.random.default_rng(6).normal(size=(2, 3, 4))
+
+    def fresh():
+        handle = made.program(stack)
+        return handle, handle.view(1, 3, 4)
+
+    return fresh
+
+
+@pytest.mark.parametrize("backend, sigma", HANDLE_CASES)
+def test_a_backward_leaves_its_handle_unchanged(backend, sigma):
+    """A programmed handle holds only its program: a backward, first or
+    later, of a batch or a vector, adds, drops and replaces no attribute."""
+    rng = np.random.default_rng(14)
+    for read in program_maker(backend, sigma, noise=NoiseConfig(seed=2))():
+        before = dict(vars(read))
+        for s in (rng.normal(size=(3, 5)), rng.normal(size=(3, 5)), rng.normal(size=3)):
+            read.backward(s)
+            assert vars(read).keys() == before.keys()
+            assert all(vars(read)[name] is value for name, value in before.items())
+
+
+@pytest.mark.parametrize("backend, sigma", HANDLE_CASES)
+def test_a_later_backward_reads_what_a_first_backward_reads(backend, sigma):
+    """Without noise, a handle's later backward of s is bit for bit the
+    first backward of s on a fresh program, for a stack and for its view."""
+    fresh = program_maker(backend, sigma)
+    rng = np.random.default_rng(15)
+    reads = fresh()
+    for read in reads:
+        read.backward(rng.normal(size=(3, 5)))
+    for shape in ((3, 1), (3, 5), (2, 3, 4)):
+        s = rng.normal(size=shape)
+        for read, first in zip(reads, fresh()):
+            np.testing.assert_array_equal(read.backward(s), first.backward(s))
+
+
+@pytest.mark.parametrize("backend, sigma", HANDLE_CASES)
+def test_extra_leading_axes_of_s_read_what_each_slice_reads(backend, sigma):
+    """Without noise, a backward of an s with more leading axes than the
+    program reads, slice by slice, what each slice of s reads alone."""
+    rng = np.random.default_rng(16)
+    handle, view = program_maker(backend, sigma)()
+    for read, extra, program in ((handle, (3,), (2,)), (view, (3,), ()), (view, (2, 3), ())):
+        s = rng.normal(size=(*extra, *program, 3, 4))
+        got = read.backward(s)
+        for index in np.ndindex(*extra):
+            np.testing.assert_array_equal(got[index], read.backward(s[index]))
 
 
 def test_cnn_predictions_do_not_depend_on_the_predict_chunk():
