@@ -1,20 +1,19 @@
 """Weight compilation and heater calibration for the crossbar.
 
 Maps signed matrices/vectors onto non-negative transmittances via an affine
-min-max encoding with an exact electronic decode, equalizes per-ring peak
-power, and converts transmittance targets into heater detunings from each
-ring's aligned setting (which `RingGrid` computes once). The detunings of
-all n^2 rings come from one inverse-lineshape solve per pass, on the grid's
-stacked lineshape, whose pass-invariant terms (resonance wavelengths, half
-FSRs) are cached with it; the backends then derive both directions'
-effective matrices from one drop tensor of the final heaters. Programming works
-against the ring's measured response: leakage compensation is always on,
-and every solve runs COMPENSATION_PASSES fixed-point passes, each
-subtracting the predicted foreign-channel leakage from each element's
-target, mirroring how a physical calibration programs each element from its
-measured response curve. A parked ring still leaks at its floor, so targets
-are clamped from below; `CompiledMatrix.transmittances` records what was
-actually programmed.
+min-max encoding with an exact electronic decode, and programs a unit target
+t as the drop t x `CrossbarArray.full_scale`: a heater detuning from each
+ring's aligned setting, on the resonance order it is aligned on (`RingGrid`
+holds both). The detunings of all n^2 rings come from one inverse-lineshape
+solve per pass, on the grid's stacked lineshape; the backends then derive
+both directions' effective matrices from one drop tensor of the final
+heaters. Programming works against the ring's measured response: leakage
+compensation is always on, and every solve runs COMPENSATION_PASSES
+fixed-point passes, each subtracting the predicted foreign-channel leakage
+from each element's target, mirroring how a physical calibration programs
+each element from its measured response curve. A parked ring still leaks at
+its floor, so targets are clamped from below;
+`CompiledMatrix.transmittances` records what was actually programmed.
 """
 
 from __future__ import annotations
@@ -158,21 +157,19 @@ class CompiledMatrix:
 class MatrixCompiler:
     """Programs transmittance targets onto a crossbar's ring grid.
 
-    Each ring's peak drop transmittance, the common full scale and each
-    ring's relative floor are computed once, at construction, and held in
-    read-only arrays. Within one solve, the requested drop `t * full_scale`
-    is computed once, and the clamp mask once, from the final pass's
-    request; the grid supplies the aligned heaters and the lineshape
-    constants (see `RingGrid`). A stack of target matrices (..., n, n) is
-    solved in the same calls, each matrix exactly as on its own.
+    Each ring's peak drop transmittance and relative floor are computed
+    once, at construction, and held in read-only arrays. Within one solve,
+    the requested drop `t * CrossbarArray.full_scale` is computed once, and
+    the clamp mask once, from the final pass's request; the grid supplies
+    the aligned heaters and the lineshape constants (see `RingGrid`). A
+    stack of target matrices (..., n, n) is solved in the same calls, each
+    matrix exactly as on its own.
     """
 
     def __init__(self, array: CrossbarArray):
         self.array = array
         grid = array.ring_grid
         self._peaks = read_only(grid.lineshape.peak_drop[:, :, 0])
-        # Common full-scale drop target: the lossiest ring binds.
-        self._full_scale = float(self._peaks.min())
         # Residual relative coupling of a parked ring at its own channel.
         self._floor_rel = read_only(
             grid.drop_below_resonance(grid.park_detuning_nm) / self._peaks
@@ -195,7 +192,7 @@ class MatrixCompiler:
         """Heater matrix realizing absolute drop targets unit_targets * full scale.
 
         `unit_targets` is (n, n) or a stack (..., n, n). The full scale is
-        the smallest peak drop transmittance of the grid. Returns (heaters,
+        the array's (`CrossbarArray.full_scale`). Returns (heaters,
         achieved_unit_targets, clamped). Targets are clamped to each ring's
         realizable span, and `clamped` marks where that clamp was active.
         Each compensation pass subtracts the predicted foreign-channel
@@ -209,23 +206,21 @@ class MatrixCompiler:
             raise ValueError("unit targets must lie in [0, 1]")
         grid = self.array.ring_grid
         floor = self._floor_rel
-        absolute = t * self._full_scale  # the drop each element must reach
-        # Relative-to-peak own-channel request for each ring, before the clamp.
-        request = absolute / self._peaks
-        rel = np.clip(request, floor, 1.0)
-        det = self._detunings_for(rel)
+        absolute = t * self.array.full_scale  # the drop each element must reach
         rows = np.arange(self.n)[:, None]
         cols = np.arange(self.n)[None, :]
-        for _ in range(COMPENSATION_PASSES):
-            heaters = grid.detuned_heaters(det)
-            drop = grid.drop_through_tensor(heaters)
-            own = drop[..., rows, cols, rows]  # response on the ring's own channel
-            foreign = drop.sum(axis=-1) - own
+        foreign = 0.0  # the first solve predicts no pedestal
+        for compensation in range(COMPENSATION_PASSES + 1):
+            if compensation:
+                drop = grid.drop_through_tensor(grid.detuned_heaters(det))
+                own = drop[..., rows, cols, rows]  # response on the ring's own channel
+                foreign = drop.sum(axis=-1) - own
+            # Relative-to-peak own-channel request for each ring, before the clamp.
             request = (absolute - foreign) / self._peaks
             rel = np.clip(request, floor, 1.0)
             det = self._detunings_for(rel)
         heaters = grid.detuned_heaters(det)
-        achieved = rel * self._peaks / self._full_scale
+        achieved = rel * self._peaks / self.array.full_scale
         clamped = (request < floor) | (request > 1.0)
         return heaters, achieved, clamped
 

@@ -18,8 +18,9 @@ output row i reads sum_j G[i, j] t_j. `CrossbarArray.read` is that one
 reading; the MVM, the probed matrix and the LUT calibration sweep all take
 their output powers from it. The symmetric layout gives both directions the
 same path losses, so the forward and backward readings are exact
-transposes; the uniform allocation constant is divided out by the output
-normalization.
+transposes. One calibration serves a program and its read-back: `RingGrid`
+holds each ring's aligned resonance order, and `CrossbarArray.full_scale`
+the drop that a unit target is programmed to and the decode divides out.
 
 Crosstalk enters through two physical channels: off-resonance leakage of the
 ring lineshape (foreign wavelengths and parked rings) and the finite
@@ -93,7 +94,6 @@ class CrossbarTopology:
         if direction == FORWARD:
             return np.broadcast_to(j + (n - 1 - i), (n, n)).copy()
         counts = i + (n - 1 - j) + 2
-        counts = counts.copy()
         counts[0, n - 1] = 0
         return counts
 
@@ -129,8 +129,9 @@ class RingGrid:
     Everything that depends only on the rings is computed once, at
     construction, and held in read-only arrays:
     - the per-ring heater rate, fabrication detuning, initial-phase shift,
-      heater range and zero-heater resonance, read by `drop_through_tensor`,
-      `drop_below_resonance` and the range checks;
+      heater range and the zero-heater resonance of the order it is aligned
+      on, read by `drop_through_tensor`, `drop_below_resonance` and the
+      range checks;
     - `order_spacing_nm`, each ring's spacing from its resonance order to
       the next (bluer) one, from its own lineshape; the alignment wraps a
       channel blue of the resonance onto that order, and the LUT ring
@@ -138,10 +139,11 @@ class RingGrid:
     - the aligned heater matrix (checked against each ring's heater range
       and against ALIGNMENT_TOLERANCE_NM);
     - `lineshape`, every ring's `AddDropLineshape` stacked into fields of
-      shape (n, n, 1). It is free of heater and fabrication detuning, so it
+      shape (n, n, 1), with each ring's `resonance_phase` that of the order
+      it is aligned on. It is free of heater and fabrication detuning, so it
       serves the inverse solve of the whole grid in one call
       (`RingDevice.detuning_for_relative_drop`), and it caches each ring's
-      resonance wavelength and half FSR for that solve on first use;
+      aligned resonance wavelength and half FSR for that solve on first use;
     - the same lineshape broadcast to (n, n, channels), and the channel
       array, on which `drop_through_tensor` evaluates in place;
     - `park_detuning_nm`, the red detuning of a parked ring: half the
@@ -163,41 +165,34 @@ class RingGrid:
         self.park_detuning_nm = (
             spacing / 2.0 if math.isfinite(spacing) else self.rings[0][0].fsr_nm() / 8.0
         )
-        self._build_param_cache()
+        get = lambda value: _per_ring(self.rings, value)
+        self._rate = get(lambda r: r.resonance_shift_per_mw)
+        self._fab = get(lambda r: r.fabrication_detuning_nm)
+        self._phase0 = get(lambda r: r.shifter.initial_phase_rad / (2.0 * math.pi) * r.fsr_nm())
+        self._max_power = get(lambda r: r.shifter.max_power_mw)
+        base = get(lambda r: r.resonance_wavelength_nm(0.0))  # zero-heater resonance
+        self._channels = read_only(self.grid.array)
+        shape = AddDropLineshape.stack([[r.lineshape for r in row] for row in self.rings])
+        next_order = shape.wavelength_at_phase(shape.resonance_phase + 2.0 * math.pi)
+        self.order_spacing_nm = read_only((shape.resonance_wavelength - next_order)[:, :, 0])
+        # A channel blue of a ring's resonance is reached on the next order:
+        # one `order_spacing_nm` bluer, 2 pi more round-trip phase.
+        wrapped = self._channels[:, None] < base
+        self._aligned_resonance = read_only(np.where(wrapped, base - self.order_spacing_nm, base))
+        phase = shape.resonance_phase + 2.0 * math.pi * wrapped[:, :, None]
+        self.lineshape = replace(shape, resonance_phase=read_only(phase))
+        self._drop_shape = self.lineshape.broadcast_to((self.n, self.n, len(self.grid)))
         self._aligned = self._align()
 
     @property
     def n(self) -> int:
         return len(self.rings)
 
-    def _build_param_cache(self):
-        get = lambda value: _per_ring(self.rings, value)
-        self._rate = get(lambda r: r.resonance_shift_per_mw)
-        self._fab = get(lambda r: r.fabrication_detuning_nm)
-        self._phase0 = get(
-            lambda r: r.shifter.initial_phase_rad / (2.0 * math.pi) * r.fsr_nm()
-        )
-        self._max_power = get(lambda r: r.shifter.max_power_mw)
-        self._resonance0 = get(lambda r: r.resonance_wavelength_nm(0.0))
-        self.lineshape = AddDropLineshape.stack([[r.lineshape for r in row] for row in self.rings])
-        self._channels = read_only(self.grid.array)
-        self._drop_shape = self.lineshape.broadcast_to((self.n, self.n, len(self.grid)))
-        shape = self.lineshape
-        next_order = shape.wavelength_at_phase(shape.resonance_phase + 2.0 * math.pi)
-        self.order_spacing_nm = read_only((shape.resonance_wavelength - next_order)[:, :, 0])
-
     def _align(self) -> np.ndarray:
-        """Heater matrix putting every ring's resonance on its row channel.
-
-        A channel red of a ring's zero-heater resonance is reached by heating
-        that order; a channel blue of it by heating the next order, one
-        `order_spacing_nm` bluer. The thermo-optic shift is linear, so the
-        inversion is exact; the residual against the chosen order is
-        verified against ALIGNMENT_TOLERANCE_NM.
-        """
-        base = self._resonance0
-        target = self._channels[:, None]
-        order = np.where(target < base, base - self.order_spacing_nm, base)
+        """Heater matrix putting every ring's aligned order on its row channel.
+        The shift is linear, so the inversion is exact; its residual is
+        checked against ALIGNMENT_TOLERANCE_NM."""
+        order, target = self._aligned_resonance, self._channels[:, None]
         power = (target - order) / self._rate
         out_of_range = np.argwhere(power > self._max_power)
         if out_of_range.size:
@@ -233,9 +228,9 @@ class RingGrid:
 
     def drop_below_resonance(self, detuning_nm: float) -> np.ndarray:
         """T_drop of every ring at zero heater power, `detuning_nm` blue of
-        its own zero-heater resonance, shape (n, n), in one evaluation of the
-        stacked lineshape."""
-        lam = self._resonance0 - detuning_nm - (self._fab + self._phase0)
+        the zero-heater resonance of its aligned order, shape (n, n), in one
+        evaluation of the stacked lineshape."""
+        lam = self._aligned_resonance - detuning_nm - (self._fab + self._phase0)
         return self.lineshape.drop(lam[:, :, None])[:, :, 0]
 
     def aligned_heaters(self) -> np.ndarray:
@@ -255,14 +250,6 @@ class RingGrid:
     def parked_heaters(self) -> np.ndarray:
         """All rings parked midway between channels (dark program)."""
         return self.detuned_heaters(np.full((self.n, self.n), self.park_detuning_nm))
-
-    def identity_probe_heaters(self) -> np.ndarray:
-        """Diagonal rings aligned, all others parked (full-scale probe program)."""
-        h = self.parked_heaters()
-        aligned = self.aligned_heaters()
-        for k in range(self.n):
-            h[k, k] = aligned[k, k]
-        return h
 
 
 def build_ring_grid(
@@ -296,8 +283,9 @@ class CrossbarArray:
     """An assembled crossbar: topology + ring grid + the MZI design of its
     2n input ports (n per direction).
 
-    The MZI extinction floor and the dark program's summed drop depend on
-    the array alone; each is computed on first use and kept.
+    Its calibration (full scale, normalization, MZI extinction floor, dark
+    program's summed drop) depends on the array alone; each part is computed
+    on first use and kept.
     """
 
     def __init__(self, topology: CrossbarTopology, ring_grid: RingGrid, mzi: MziDevice):
@@ -308,7 +296,6 @@ class CrossbarArray:
         self.mzi = mzi
         # Each ring is allotted 1/n of its bus power; see module docstring.
         self.bus_budget = 1.0 / topology.n
-        self._norm_cache: dict[str, float] = {}
         self._path_transmission = {
             direction: topology.path_transmission(direction) for direction in (FORWARD, BACKWARD)
         }
@@ -322,20 +309,35 @@ class CrossbarArray:
         return self.ring_grid.grid
 
     def input_transmittances(self, x: np.ndarray) -> np.ndarray:
-        """Transmittances of n input MZIs driven to transmit x, in either
-        direction (every port carries the same MZI design).
+        """Transmittances of n input MZIs driven to transmit x (..., n), in
+        either direction (every port carries the same MZI design).
 
-        x must lie in [0, 1]^n (NaN raises EncodingError); signed values must
+        x must lie in [0, 1] (NaN raises EncodingError); signed values must
         be encoded upstream. An MZI driven to 0 still leaks at its extinction
         floor.
         """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ShapeError(f"input vector must have shape ({self.n},); got {x.shape}")
+        if x.shape[-1:] != (self.n,):
+            raise ShapeError(f"input vectors must have shape (..., {self.n}); got {x.shape}")
         if not ((0.0 <= x) & (x <= 1.0)).all():
             raise EncodingError("MZI-encodable inputs must lie in [0, 1]")
-        mzi = self.mzi
-        return np.array([mzi.transmittance(mzi.power_for(xi)) for xi in x])
+        return self.mzi.transmittance(self.mzi.power_for(x))
+
+    @cached_property
+    def full_scale(self) -> float:
+        """The drop a unit target is programmed to: the smallest own-channel
+        drop of the aligned program, which a calibration measures by aligning
+        each ring and reading its drop port. The lossiest ring binds."""
+        grid = self.ring_grid
+        drop = grid.drop_through_tensor(grid.aligned_heaters())
+        k = np.arange(self.n)
+        return float(drop[k[:, None], k, k[:, None]].min())
+
+    @cached_property
+    def _normalization(self) -> dict[str, float]:
+        full_drive = self.mzi.transmittance(self.mzi.power_for(1.0))
+        scale = self.full_scale * self.bus_budget * full_drive
+        return {d: scale * float(np.diagonal(u).mean()) for d, u in self._path_transmission.items()}
 
     @cached_property
     def mzi_floor(self) -> float:
@@ -367,27 +369,12 @@ class CrossbarArray:
         return t @ (gain if direction == FORWARD else np.swapaxes(gain, -1, -2))
 
     def normalization_constant(self, direction: str) -> float:
-        """Full-scale output power per unit input, from a one-time probe.
-
-        Probe: all MZIs at maximum with an identity-like ring program
-        (diagonal aligned, off-diagonal parked), minus the dark baseline
-        measured with every ring parked. The baseline subtraction removes the
-        parked-ring leakage pedestal from the full-scale reference. The
-        constant is the per-output mean, summed over the whole weighted
-        matrix in one order for both directions, so it is bit-identical for
-        the two directions when their gains are.
-        """
-        if direction not in self._norm_cache:
-            t = self.input_transmittances(np.ones(self.n))
-            probe = self.summed_drop(self.ring_grid.identity_probe_heaters())
-            diff = self._gain(probe, direction) - self._gain(self.dark_summed_drop, direction)
-            # Not `read`: summing its per-output readings would add the
-            # forward matrix by columns and the backward one by rows, and the
-            # two directions' constants would differ in the last bits. The
-            # whole-matrix sum adds both in one order.
-            weighted = t[:, None] * diff if direction == FORWARD else diff * t
-            self._norm_cache[direction] = float(weighted.sum() / self.n)
-        return self._norm_cache[direction]
+        """Output power of a unit-target element through a fully driven port:
+        `full_scale` x bus budget x full-drive MZI transmittance x the mean
+        path transmission of the diagonal, which is exact on the symmetric
+        layout: there every path, in both directions, has one transmission."""
+        _check_direction(direction)
+        return self._normalization[direction]
 
     def forward_mvm(self, x: np.ndarray, heaters: np.ndarray) -> np.ndarray:
         """Normalized forward product: approximates T.T @ x for the programmed T."""
@@ -415,7 +402,7 @@ class CrossbarArray:
         port p is driven high and the remaining MZIs sit at their
         extinction floor.
         """
-        t = np.array([self.input_transmittances(row) for row in np.eye(self.n)])
+        t = self.input_transmittances(np.eye(self.n))
         raw = self.read(t, self.summed_drop(heaters), direction)
         return raw / self.normalization_constant(direction)
 

@@ -124,7 +124,10 @@ def _open_maybe_gzip(path):
 
 
 def _read_exact(fh, count: int, path, what: str) -> bytes:
-    data = fh.read(count)
+    try:
+        data = fh.read(count)
+    except EOFError as exc:  # a gzip stream that ends early
+        raise DataFormatError(f"{path}: truncated file while reading {what} ({exc})") from None
     if len(data) != count:
         raise DataFormatError(
             f"{path}: truncated file while reading {what} "

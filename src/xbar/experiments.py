@@ -8,6 +8,7 @@ the full config, its hash, and library versions.
 from __future__ import annotations
 
 import json
+import shutil
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -312,10 +313,17 @@ RUNNERS = {
 
 
 def run_experiment(config: RunConfig) -> Path:
-    """Execute one experiment; returns the artifact directory."""
+    """Execute one experiment; returns the artifact directory. A run that
+    raises removes the directories it made."""
     config.validate()
     out_dir = Path(config.out_dir) / config.experiment
+    created = next((p for p in reversed((out_dir, *out_dir.parents)) if not p.exists()), None)
     out_dir.mkdir(parents=True, exist_ok=True)
-    RUNNERS[config.experiment](config, out_dir)
-    write_manifest(out_dir, config)
+    try:
+        RUNNERS[config.experiment](config, out_dir)
+        write_manifest(out_dir, config)
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created)
+        raise
     return out_dir

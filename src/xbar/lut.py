@@ -361,7 +361,12 @@ def lut_from_csv(path) -> CalibrationLUT:
             parts = line.strip().split(",")
             if len(parts) != 3:
                 raise DataFormatError(f"{path}:{lineno}: expected 3 columns")
-            values.append([float(v) for v in parts])
+            try:
+                values.append([float(v) for v in parts])
+            except ValueError:
+                raise DataFormatError(f"{path}:{lineno}: non-numeric field") from None
+    if not values:
+        raise DataFormatError(f"{path}: no LUT data rows")
     mzi, mrr, power = np.reshape(values, (-1, 3)).T
     mzi_axis, mrr_axis = np.unique(mzi), np.unique(mrr)
     grid = [(a, b) for a in mzi_axis.tolist() for b in mrr_axis.tolist()]

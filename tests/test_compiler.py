@@ -22,7 +22,7 @@ from xbar.compiler import (
 from xbar.config import RunConfig
 from xbar.crossbar import BACKWARD, FORWARD, LEGACY_ASYMMETRIC, SYMMETRIC, build_ring_grid
 from xbar.devices import PhaseShifter, RingDevice, WavelengthGrid
-from xbar.errors import EncodingError, InfeasibleError
+from xbar.errors import EncodingError, InfeasibleError, ShapeError
 from xbar.experiments import run_experiment
 from xbar.presets import preset_array, ring_for_q
 
@@ -37,14 +37,15 @@ PRESETS = {
 }
 
 
-def scalar_inverse(ring: RingDevice, relative: float) -> float:
-    """The inverse add-drop lineshape on Python floats, one value at a time."""
+def scalar_inverse(ring: RingDevice, relative: float, order: int = 0) -> float:
+    """The inverse add-drop lineshape on Python floats, one value at a time,
+    measured from the resonance `order` orders bluer than the ring's base one."""
     ta = ring.self_coupling_t1 * ring.self_coupling_t2 * ring.round_trip_amplitude
     s2 = (1.0 - ta) ** 2 * (1.0 / relative - 1.0) / (4.0 * ta)
     if s2 >= 1.0:
         return ring.fsr_nm() / 2.0
     dphi = 2.0 * math.asin(math.sqrt(s2))
-    phi_res = 2.0 * math.pi * ring.resonance_order
+    phi_res = 2.0 * math.pi * ring.resonance_order + 2.0 * math.pi * order
 
     def wavelength_at_phase(phi):
         ng = ring.group_index
@@ -55,40 +56,57 @@ def scalar_inverse(ring: RingDevice, relative: float) -> float:
     return wavelength_at_phase(phi_res) - wavelength_at_phase(phi_res + dphi)
 
 
+def reference_order(ring: RingDevice, channel_nm: float) -> tuple[int, float]:
+    """(order, zero-heater resonance) of the order a ring is aligned on: its
+    base order, or, for a channel blue of that resonance, the next order,
+    one spacing of the ring's own orders bluer."""
+    base = ring.resonance_wavelength_nm(0.0)
+    if not channel_nm < base:
+        return 0, base
+    shape = ring.lineshape
+    spacing = shape.resonance_wavelength - shape.wavelength_at_phase(
+        shape.resonance_phase + 2.0 * math.pi
+    )
+    return 1, base - spacing
+
+
+def per_ring(ring_grid, value) -> np.ndarray:
+    """(n, n) array of value(ring, its row channel) over a ring grid."""
+    channels = ring_grid.grid.channels_nm
+    rows = enumerate(ring_grid.rings)
+    return np.array([[value(ring, channels[i]) for ring in row] for i, row in rows])
+
+
 def reference_alignment(ring_grid) -> np.ndarray:
-    """Per-ring inversion of the resonance onto the row channel: a channel
-    blue of the resonance is reached by heating the next order, one spacing
-    of the ring's own orders bluer."""
-    n = ring_grid.n
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            ring = ring_grid.rings[i][j]
-            base = ring.resonance_wavelength_nm(0.0)
-            target = ring_grid.grid.channels_nm[i]
-            shape = ring.lineshape
-            spacing = shape.resonance_wavelength - shape.wavelength_at_phase(
-                shape.resonance_phase + 2.0 * math.pi
-            )
-            order = base - spacing if target < base else base
-            out[i, j] = (target - order) / ring.resonance_shift_per_mw
-    return out
+    """Per-ring inversion of the aligned order's resonance onto the row channel."""
+    return per_ring(
+        ring_grid,
+        lambda ring, channel: (channel - reference_order(ring, channel)[1])
+        / ring.resonance_shift_per_mw,
+    )
 
 
 def reference_floor(grid) -> np.ndarray:
     """Each ring's parked floor relative to its peak, one scalar
-    `drop_through` per ring at its zero-heater resonance minus the park
-    detuning."""
+    `drop_through` per ring at its aligned order's zero-heater resonance
+    minus the park detuning."""
     park = grid.park_detuning_nm
-    return np.array(
-        [
-            [
-                ring.drop_through(ring.resonance_wavelength_nm(0.0) - park, 0.0)[0]
-                / ring.lineshape.peak_drop
-                for ring in row
-            ]
-            for row in grid.rings
-        ]
+    return per_ring(
+        grid,
+        lambda ring, channel: ring.drop_through(reference_order(ring, channel)[1] - park, 0.0)[0]
+        / ring.lineshape.peak_drop,
+    )
+
+
+def reference_full_scale(grid) -> float:
+    """The smallest own-channel drop at `reference_alignment`, one scalar
+    `drop_through` per ring."""
+    aligned = reference_alignment(grid)
+    channels = grid.grid.array
+    return min(
+        ring.drop_through(channels, aligned[i, j])[0][i]
+        for i, row in enumerate(grid.rings)
+        for j, ring in enumerate(row)
     )
 
 
@@ -99,16 +117,17 @@ def reference_heaters(compiler: MatrixCompiler, targets: np.ndarray):
     rings = grid.rings
     park = grid.park_detuning_nm
     aligned = reference_alignment(grid)
+    orders = per_ring(grid, lambda ring, channel: reference_order(ring, channel)[0])
     rates = np.array([[r.resonance_shift_per_mw for r in row] for row in rings])
     peaks = np.array([[r.lineshape.peak_drop for r in row] for row in rings])
-    full = float(peaks.min())
+    full = reference_full_scale(grid)
     floor = reference_floor(grid)
 
     def detunings(rel):
         det = np.empty((n, n))
         for i in range(n):
             for j in range(n):
-                det[i, j] = min(scalar_inverse(rings[i][j], float(rel[i, j])), park)
+                det[i, j] = min(scalar_inverse(rings[i][j], float(rel[i, j]), orders[i, j]), park)
         return det
 
     rel = np.clip(targets * full / peaks, floor, 1.0)
@@ -179,7 +198,46 @@ def test_photonic_products_are_accurate_under_fabrication_spread():
         for got, exact in ((handle.forward(x), w @ x), (handle.backward(s), w.T @ s)):
             err += float(((got - exact) ** 2).sum())
             ref += float((exact**2).sum())
-    assert math.sqrt(err / ref) < 0.05
+    assert math.sqrt(err / ref) < 1e-3
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.02])
+@pytest.mark.parametrize("preset", ["experimental_4x4", "simulation_9x9", "ideal"])
+def test_compiled_targets_read_back_through_the_effective_matrix(preset, sigma):
+    # The compiler and the decode share one full scale, and the compiler
+    # solves each ring on its aligned order, so what is programmed reads
+    # back. Targets stay above every parked floor, so none is clamped.
+    array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
+    compiler = MatrixCompiler(array)
+    targets = np.random.default_rng(5).uniform(0.05, 1.0, (20, array.n, array.n))
+    compiled = compiler.compile_unit(targets)
+    assert not compiled.clamped_elements.any()
+    for direction in (FORWARD, BACKWARD):
+        read = array.effective_matrix(compiled.heater_settings_mw, direction)
+        np.testing.assert_allclose(read, targets, rtol=2e-5, atol=0)
+
+
+@pytest.mark.parametrize("preset", ["experimental_4x4", "simulation_9x9"])
+def test_full_scale_is_the_smallest_peak_drop(preset):
+    # Aligned on its channel, every physical ring reads its own peak.
+    array = preset_array(preset)
+    assert array.full_scale == float(array.ring_grid.lineshape.peak_drop.min())
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.02])
+@pytest.mark.parametrize("preset", ["experimental_4x4", "simulation_9x9", "ideal"])
+def test_grid_lineshape_carries_each_rings_aligned_order(preset, sigma):
+    grid = preset_array(preset, fabrication_sigma_nm=sigma, seed=0).ring_grid
+    orders = per_ring(grid, lambda ring, channel: reference_order(ring, channel)[0])
+    # A spread puts some channels blue of their ring's resonance, except on
+    # experimental_4x4, whose rings are made well blue of their channels.
+    assert orders.any() == (sigma > 0 and preset != "experimental_4x4")
+    phases = per_ring(
+        grid,
+        lambda ring, channel: ring.lineshape.resonance_phase
+        + 2.0 * math.pi * reference_order(ring, channel)[0],
+    )
+    np.testing.assert_array_equal(grid.lineshape.resonance_phase[:, :, 0], phases)
 
 
 @pytest.mark.parametrize("preset", list(PRESETS))
@@ -239,7 +297,8 @@ def test_stacked_detuning_equals_scalar_inverse_per_ring(preset):
     assert stacked.shape == relative.shape
     for i, row in enumerate(grid.rings):
         for j, ring in enumerate(row):
-            expected = [scalar_inverse(ring, r) for r in relative[i, j].tolist()]
+            order, _ = reference_order(ring, grid.grid.channels_nm[i])
+            expected = [scalar_inverse(ring, r, order) for r in relative[i, j].tolist()]
             np.testing.assert_array_equal(stacked[i, j], expected)
 
 
@@ -270,7 +329,7 @@ def cached_arrays(backend: PhotonicBackend) -> dict:
         "fab": grid._fab,
         "phase0": grid._phase0,
         "max_power": grid._max_power,
-        "resonance0": grid._resonance0,
+        "aligned_resonance": grid._aligned_resonance,
         "channels": grid._channels,
         "resonance_wavelength": grid.lineshape.resonance_wavelength,
         "half_fsr": grid.lineshape.half_fsr,
@@ -360,6 +419,24 @@ def test_nan_input_is_rejected_by_the_mzi_range_check():
     array = preset_array("experimental_4x4")
     with pytest.raises(EncodingError, match=r"inputs must lie in \[0, 1\]"):
         array.input_transmittances(np.array([0.2, np.nan, 0.5, 1.0]))
+
+
+def test_input_transmittances_of_a_stack_equal_each_vector_alone():
+    array = preset_array("experimental_4x4")
+    x = np.random.default_rng(2).uniform(0.0, 1.0, (2, 3, 4))
+    x[0, 0] = [0.0, 1.0, 0.0, 1.0]
+    stacked = array.input_transmittances(x)
+    assert stacked.shape == x.shape
+    for index in np.ndindex(x.shape[:-1]):
+        np.testing.assert_array_equal(stacked[index], array.input_transmittances(x[index]))
+    np.testing.assert_array_equal(stacked[0, 0, [0, 2]], array.mzi_floor)
+    # Scalar calls per value: the same formula, up to the last bits of
+    # numpy's vectorised arcsine.
+    mzi = array.mzi
+    loop = [[mzi.transmittance(mzi.power_for(v)) for v in row] for row in x.reshape(-1, 4).tolist()]
+    np.testing.assert_allclose(stacked.reshape(-1, 4), loop, rtol=4 * np.finfo(float).eps, atol=0)
+    with pytest.raises(ShapeError):
+        array.input_transmittances(np.ones((4, 3)))
 
 
 def test_alignment_beyond_heater_range_is_rejected_at_construction():

@@ -12,8 +12,8 @@ from conftest import write_idx
 
 from xbar.cli import main
 from xbar.config import EXPERIMENTS, DeviceSection, RunConfig
-from xbar.errors import ConfigError
-from xbar.experiments import RUNNERS
+from xbar.errors import ConfigError, DataFormatError
+from xbar.experiments import RUNNERS, run_experiment
 from xbar.presets import PRESETS, preset_array
 
 # The benchmark's workload table, imported read-only.
@@ -271,6 +271,45 @@ def test_cli_rejects_unusable_mnist_files_before_any_work(
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("xbar: error:") and message in lines[0]
     assert not out.exists()
+
+
+def test_cli_run_that_fails_after_validation_leaves_no_output(tmp_path, capsys, mnist_dir):
+    # The header promises 64 digits, so validation passes; the body is cut
+    # short, so reading the digits fails once the run has started.
+    write_mnist_pair(mnist_dir, "train", np.zeros((64, 28, 28)), np.zeros(64))
+    images = mnist_dir / "train-images-idx3-ubyte"
+    images.write_bytes(images.read_bytes()[:-100])
+    config_path = tmp_path / "mnist.yaml"
+    config_path.write_text(
+        yaml.safe_dump(
+            {
+                "devices": {"preset": "simulation_9x9"},
+                "training": {"backend": "photonic"},
+                "datasets": {"mnist_dir": str(mnist_dir), "mnist_train": 64, "mnist_test": 32},
+            }
+        )
+    )
+    out = tmp_path / "out"
+    code = main(["mnist-train", "--config", str(config_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "truncated" in lines[0]
+    assert not out.exists()
+
+
+def test_a_failed_run_keeps_an_output_directory_that_was_there(tmp_path, mnist_dir):
+    write_mnist_pair(mnist_dir, "train", np.zeros((64, 28, 28)), np.zeros(64))
+    images = mnist_dir / "train-images-idx3-ubyte"
+    images.write_bytes(images.read_bytes()[:-100])
+    config = mnist_config(mnist_dir, mnist_train=64, mnist_test=32)
+    out = tmp_path / "out"
+    (out / "kept").mkdir(parents=True)
+    config.out_dir = str(out)
+    with pytest.raises(DataFormatError):
+        run_experiment(config)
+    assert sorted(p.name for p in out.iterdir()) == ["kept"]
 
 
 @pytest.mark.parametrize(

@@ -41,6 +41,13 @@ def test_an_idx_header_is_read_alone(tmp_path, suffix):
             read_idx(path, "labels" if what == "images" else "images", 0)
 
 
+def test_a_gzip_stream_cut_short_raises_data_format_error(tmp_path):
+    path = tmp_path / "images.gz"
+    path.write_bytes(gzip.compress(idx_bytes(IMAGES))[:-10])
+    with pytest.raises(DataFormatError, match="images.gz: truncated file while reading 5 images"):
+        read_idx_images(path)
+
+
 def _other_magic(data: bytes) -> bytes:
     return b"\x00\x00\x08\x02" + data[4:]
 

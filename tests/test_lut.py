@@ -183,6 +183,10 @@ def _corrupt_csv(text: str, what: str) -> str:
         lines[0] = "mzi,mrr,power\n"
     elif what == "columns":  # a data row with a missing column
         lines[3] = ",".join(lines[3].split(",")[:2]) + "\n"
+    elif what == "non-numeric":  # file line 5's power
+        lines[4] = ",".join(lines[4].split(",")[:2] + ["x"]) + "\n"
+    elif what == "header only":
+        del lines[1:]
     elif what == "swapped rows":  # file lines 3 and 4
         lines[2], lines[3] = lines[3], lines[2]
     elif what == "missing row":  # file line 6
@@ -197,6 +201,8 @@ def _corrupt_csv(text: str, what: str) -> str:
     [
         ("header", "header"),
         ("columns", ":4: expected 3 columns"),
+        ("non-numeric", ":5: non-numeric field"),
+        ("header only", r"element\.csv: no LUT data rows"),
         ("repeated row", ":66: expected the end "),  # 64 data rows
     ],
 )
