@@ -6,13 +6,17 @@ signed products
     handle.forward(X)  ~ W @ X     (X non-negative, in [0, 1])
     handle.backward(S) ~ W.T @ S   (S signed)
 
-with all crossbar mechanics hidden inside: the signed matrix is transposed
-onto the ring grid (the crossbar's forward pass contracts over input rows),
-zero-padded to the array size, affine-encoded, held as heater settings
-(`photonic`) or LUT ring settings (`lut`), and decoded electronically on the way
-out. Signed backward inputs use the affine vector encoding plus the all-ones
-pass that every backward reads with its product. One base handle, which
-holds only its program, does this for both physical backends.
+with all crossbar mechanics hidden inside. Both physical backends program
+through one path. The handle (`_ProgrammedMatrix`) encodes: it transposes
+the signed matrix onto the ring grid (the crossbar's forward pass contracts
+over input rows), zero-pads it to the array size and affine-encodes it,
+once per program. Its subclass only sets the hardware to those unit
+targets, heater settings (`photonic`) or LUT ring settings (`lut`), and
+returns clean raw products. The handle measures them through the backend
+and decodes them electronically. Signed backward inputs use the affine
+vector encoding plus the all-ones pass that every backward reads with its
+product. `_PhysicalBackend` owns the array, the noise streams, the
+measurement and `program`.
 
 `program` also takes a stack of matrices (..., out, in), programmed in the
 same calls, each with its own encoding: slice k of the stack is bit for bit
@@ -43,9 +47,7 @@ on the rising branch of each axis (see `xbar.lut`). The read has a
 program-time half: `program` sets every element's ring to its target once
 per direction (`LutBackend.set_rings`), and each product inverts only its
 inputs' MZI axis against those ring settings. A backward appends the
-all-ones column to its error columns and reads both in one LUT read; the
-two parts are measured apart, the product first, each at the shape it has
-read alone.
+all-ones column to its error columns and reads both in one LUT read.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from .compiler import (
-    AffineEncoding,
     MatrixCompiler,
     decode_output,
     encode_signed,
@@ -115,14 +116,13 @@ class IdealProgrammed:
 
 
 class IdealBackend:
-    name = "ideal"
-
     def program(self, matrix: np.ndarray) -> IdealProgrammed:
         return IdealProgrammed(matrix)
 
 
-class _NoiseMixin:
-    """Shared measurement-noise plumbing for physical backends.
+class _PhysicalBackend:
+    """The crossbar array, its measurement noise and `program`, shared by
+    the physical backends; `programmed` is the backend's handle type.
 
     `noise` is None, one NoiseConfig, whose stream perturbs every reading
     whole, or a sequence of them, one per matrix on the stack's last leading
@@ -133,7 +133,15 @@ class _NoiseMixin:
     which each stream draws in one call, as consecutive draws.
     """
 
-    def _init_noise(self, noise, time_average_count: int):
+    programmed: type
+
+    def __init__(
+        self,
+        array: CrossbarArray,
+        noise: NoiseConfig | Sequence[NoiseConfig] | None,
+        time_average_count: int,
+    ):
+        self.array = array
         self.time_average_count = int(time_average_count)
         if self.time_average_count < 1:
             raise ValueError(f"time_average_count must be >= 1, got {time_average_count}")
@@ -147,6 +155,9 @@ class _NoiseMixin:
             self._rng = make_rng(noise.seed, noise.stream)
         elif noise is not None:
             self._slice_rngs = [make_rng(cfg.seed, cfg.stream) for cfg in noise]
+
+    def program(self, matrix: np.ndarray):
+        return self.programmed(self, matrix)
 
     def _measure(self, clean: np.ndarray, axis: int) -> np.ndarray:
         """One detector reading of the raw product powers `clean`, which are
@@ -172,14 +183,17 @@ class _ProgrammedMatrix:
     """A signed matrix, or a stack (..., out, in), programmed onto a
     crossbar-sized backend.
 
-    The base class pads, checks and encodes inputs and decodes. A subclass
-    supplies the matrix encoding (`_program`), the names of the operands it
-    holds per matrix of the stack (`_stacked`, which a `view` slices) and
-    the measured raw products of encoded inputs: `_raw_forward(x')` ~
-    W'^T x' and `_raw_backward(s')` ~ (W' s', W' 1), where W' is the
-    encoded, padded transpose held on the grid. Every backward reads its
-    own all-ones response with its product; each is measured at the shape
-    it has read alone, the product first. The handle holds only its
+    The handle does the whole product but the hardware. It encodes the
+    matrix once, here: the padded transpose W' (the crossbar contracts over
+    input rows) goes through `encode_signed`, and `_program` sets the
+    backend's hardware to the unit targets. Each product pads, checks and
+    encodes its inputs, asks the subclass for the clean raw products of the
+    encoded inputs, measures them through the backend (`_measure`) and
+    decodes. `_raw_forward(x')` ~ W'^T x' and `_raw_backward(s')` ~
+    (W' s', W' 1): every backward reads its own all-ones response with its
+    product, and each is measured at the shape it has read alone, the
+    product first. The subclass names the operands it holds per matrix of
+    the stack (`_stacked`, which a `view` slices). The handle holds only its
     program, so no product changes it.
     """
 
@@ -190,8 +204,8 @@ class _ProgrammedMatrix:
         streams = backend.stream_count
         if streams is not None and m.shape[-3:-2] != (streams,):
             raise ValueError(f"{streams} noise streams need {streams} matrices on the last stack axis")
-        # The crossbar contracts over input ports: program the transpose.
-        self.encoding: AffineEncoding = self._program(pad(m.swapaxes(-1, -2), self.n))
+        targets, self.encoding = encode_signed(pad(m.swapaxes(-1, -2), self.n))
+        self._program(targets)
         self.out_dim, self.in_dim = m.shape[-2:]
 
     def view(self, index: int, out_dim: int, in_dim: int):
@@ -245,15 +259,14 @@ class PhotonicProgrammed(_ProgrammedMatrix):
 
     _stacked = ("encoding", "compiled", "_eff_fwd", "_eff_fwd_t", "_eff_bwd")
 
-    def _program(self, padded):
-        self.compiled = self.backend.compiler.compile_signed(padded)
+    def _program(self, targets):
+        self.compiled = self.backend.compiler.compile_unit(targets)
         heaters, array = self.compiled.heater_settings_mw, self.backend.array
         # Both directions scale one drop tensor of the final heaters.
         summed = array.summed_drop(heaters)
         self._eff_fwd = array.effective_matrix(heaters, FORWARD, summed)
         self._eff_fwd_t = self._eff_fwd.swapaxes(-1, -2)
         self._eff_bwd = array.effective_matrix(heaters, BACKWARD, summed)
-        return self.compiled.encoding
 
     def _raw_forward(self, xp):
         return self.backend._measure(self._eff_fwd_t @ xp, -3)
@@ -265,10 +278,10 @@ class PhotonicProgrammed(_ProgrammedMatrix):
         return raw, measure(self._eff_bwd @ np.ones((self.n, 1)), -3)
 
 
-class PhotonicBackend(_NoiseMixin):
+class PhotonicBackend(_PhysicalBackend):
     """Routes products through the crossbar propagation model."""
 
-    name = "photonic"
+    programmed = PhotonicProgrammed
 
     def __init__(
         self,
@@ -276,12 +289,8 @@ class PhotonicBackend(_NoiseMixin):
         noise: NoiseConfig | Sequence[NoiseConfig] | None = None,
         time_average_count: int = 1,
     ):
-        self.array = array
+        super().__init__(array, noise, time_average_count)
         self.compiler = MatrixCompiler(array)
-        self._init_noise(noise, time_average_count)
-
-    def program(self, matrix: np.ndarray) -> PhotonicProgrammed:
-        return PhotonicProgrammed(self, matrix)
 
 
 class LutProgrammed(_ProgrammedMatrix):
@@ -289,33 +298,33 @@ class LutProgrammed(_ProgrammedMatrix):
 
     _stacked = ("encoding", "_rings_fwd", "_rings_bwd")
 
-    def _program(self, padded):
+    def _program(self, targets):
         # targets[..., i, j] multiplies input i. The rings hold their targets
         # for the program's life: each direction's ring axis is set here,
         # once, for every element and any batch.
-        targets, encoding = encode_signed(padded)
         self._rings_fwd = self.backend.set_rings(targets[..., None], FORWARD)
         self._rings_bwd = self.backend.set_rings(targets[..., None], BACKWARD)
-        return encoding
 
     def _raw_forward(self, xp):
-        # y'[j, b] = sum_i lut_ij(x[i, b], T'[i, j])
-        return self.backend.element_products(
-            xp[..., :, None, :], self._rings_fwd, FORWARD
-        ).sum(axis=-3)
+        # y'[j, b] = sum_i lut_ij(x[i, b], T'[i, j]), each product measured.
+        est = self.backend.element_products(xp[..., :, None, :], self._rings_fwd, FORWARD)
+        return self.backend._measure(est, -4).sum(axis=-3)
 
     def _raw_backward(self, s_prime):
         # y'[i, b] = sum_j lut_ij(s'[j, b], T'[i, j]). The all-ones pass is a
-        # column of ones after s', in the same LUT read.
+        # column of ones after s', in the same LUT read; the two parts are
+        # measured apart, each C-ordered (a sum over a strided part can
+        # differ in its last bits from the sum over the part read alone).
         batch = s_prime.shape[-1]
         s_prime = np.concatenate((s_prime, np.ones(s_prime.shape[:-1] + (1,))), axis=-1)
-        raw, ones = self.backend.element_products(
-            s_prime[..., None, :, :], self._rings_bwd, BACKWARD, split=batch
+        est = self.backend.element_products(s_prime[..., None, :, :], self._rings_bwd, BACKWARD)
+        return tuple(
+            self.backend._measure(np.ascontiguousarray(part), -4).sum(axis=-2)
+            for part in np.split(est, [batch], axis=-1)
         )
-        return raw.sum(axis=-2), ones.sum(axis=-2)
 
 
-class LutBackend(_NoiseMixin):
+class LutBackend(_PhysicalBackend):
     """Performs every multiplication by fetching calibration LUT entries.
 
     One LUT pair is calibrated per ring design, on the design's first
@@ -323,7 +332,7 @@ class LutBackend(_NoiseMixin):
     into one table per direction, so every product is one vectorised read.
     """
 
-    name = "lut"
+    programmed = LutProgrammed
 
     def __init__(
         self,
@@ -332,8 +341,7 @@ class LutBackend(_NoiseMixin):
         noise: NoiseConfig | Sequence[NoiseConfig] | None = None,
         time_average_count: int = 1,
     ):
-        self.array = array
-        self._init_noise(noise, time_average_count)
+        super().__init__(array, noise, time_average_count)
         n = array.n
         designs: dict[tuple, list] = {}
         for k, ring in enumerate(r for row in array.ring_grid.rings for r in row):
@@ -355,29 +363,18 @@ class LutBackend(_NoiseMixin):
         by ring (row, col) in the trailing grid axes."""
         return self._tables[direction].set_rings(targets)
 
-    def element_products(
-        self, values, rings: RingSetting, direction: str, split: int | None = None
-    ):
-        """LUT product estimates values * targets for every grid element,
-        for the targets that `rings` holds (`set_rings`).
+    def element_products(self, values, rings: RingSetting, direction: str) -> np.ndarray:
+        """Clean LUT product estimates values * targets for every grid
+        element, for the targets that `rings` holds (`set_rings`); the
+        handle measures them.
 
         `values` broadcast against the ring setting to (..., n, n, batch).
         Each ring reads its design's LUT, all in one vectorised call;
         estimates are clamped to the calibrated span (a LUT cannot represent
-        levels outside its windows). With `split`, the batch axis is cut
-        there into two readings of the one read, measured in order and
-        returned as a pair.
+        levels outside its windows).
         """
         est, _ = lut_multiply_many(self._tables[direction], values, rings)
-        if split is None:
-            return self._measure(est, -4)
-        # Each part C-ordered: a sum over a strided part can differ in its
-        # last bits from the sum over the part read alone.
-        parts = np.split(est, [split], axis=-1)
-        return [self._measure(np.ascontiguousarray(part), -4) for part in parts]
-
-    def program(self, matrix: np.ndarray) -> LutProgrammed:
-        return LutProgrammed(self, matrix)
+        return est
 
 
 def make_backend(
@@ -386,7 +383,7 @@ def make_backend(
     noise: NoiseConfig | Sequence[NoiseConfig] | None = None,
     time_average_count: int = 1,
 ):
-    """Factory used by the experiment layer; `noise` as in `_NoiseMixin`."""
+    """Factory used by the experiment layer; `noise` as in `_PhysicalBackend`."""
     if name == "ideal":
         return IdealBackend()
     if array is None:

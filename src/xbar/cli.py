@@ -36,7 +36,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             config.out_dir = args.out
         out_dir = run_experiment(config)
-    except (XbarError, FileNotFoundError) as exc:
+    except (XbarError, OSError) as exc:
         print(f"xbar: error: {exc}", file=sys.stderr)
         return 1
     print(out_dir)

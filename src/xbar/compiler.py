@@ -1,19 +1,19 @@
-"""Weight compilation and heater calibration for the crossbar.
+"""Affine encoding and heater calibration for the crossbar.
 
-Maps signed matrices/vectors onto non-negative transmittances via an affine
-min-max encoding with an exact electronic decode, and programs a unit target
-t as the drop t x `CrossbarArray.full_scale`: a heater detuning from each
-ring's aligned setting, on the resonance order it is aligned on (`RingGrid`
-holds both). The detunings of all n^2 rings come from one inverse-lineshape
-solve per pass, on the grid's stacked lineshape; the backends then derive
-both directions' effective matrices from one drop tensor of the final
-heaters. Programming works against the ring's measured response: leakage
-compensation is always on, and every solve runs COMPENSATION_PASSES
-fixed-point passes, each subtracting the predicted foreign-channel leakage
-from each element's target, mirroring how a physical calibration programs
-each element from its measured response curve. A parked ring still leaks at
-its floor, so targets are clamped from below;
-`CompiledMatrix.transmittances` records what was actually programmed.
+The affine min-max encoding maps signed matrices and vectors onto [0, 1],
+and `decode_output` is its exact electronic inverse; the backend handle
+encodes each program with them (`xbar.backends`). `compile_unit` takes the
+unit targets and programs each target t as the drop t x
+`CrossbarArray.full_scale`: a heater detuning from each ring's aligned
+setting, on the resonance order it is aligned on (`RingGrid` holds both).
+The detunings of all n^2 rings come from one inverse-lineshape solve per
+pass, on the grid's stacked lineshape. Programming works against the
+ring's measured response: every solve runs COMPENSATION_PASSES fixed-point
+passes, each subtracting the predicted foreign-channel leakage from each
+element's target, as a physical calibration programs each element from its
+measured response curve. A parked ring still leaks at its floor, so targets
+are clamped from below; `CompiledMatrix.transmittances` records what was
+actually programmed.
 """
 
 from __future__ import annotations
@@ -135,17 +135,17 @@ def decode_output(raw, matrix_encoding: AffineEncoding, scales, offsets, sums, n
 
 @dataclass(frozen=True)
 class CompiledMatrix:
-    """A signed matrix, or a stack of them, mapped onto ring transmittances
-    and heater powers; every array has the stack's leading axes.
+    """Unit targets, (n, n) or a stack of them, mapped onto ring
+    transmittances and heater powers; every array has the stack's leading
+    axes.
 
     `transmittances` holds the physically programmed relative targets: the
-    encoded matrix clamped to each ring's realizable [floor, 1] span, where
+    unit targets clamped to each ring's realizable [floor, 1] span, where
     the floor is the parked ring's residual coupling at its own channel.
     `clamped_elements` marks the elements where that clamp was active.
     """
 
     transmittances: np.ndarray
-    encoding: AffineEncoding
     heater_settings_mw: np.ndarray
     clamped_elements: np.ndarray
 
@@ -224,22 +224,11 @@ class MatrixCompiler:
         clamped = (request < floor) | (request > 1.0)
         return heaters, achieved, clamped
 
-    def compile_unit(
-        self, unit_matrix: np.ndarray, encoding: AffineEncoding = AffineEncoding(1.0, 0.0)
-    ) -> CompiledMatrix:
-        """Compile a matrix, or a stack of them, already normalized to [0, 1]."""
-        heaters, achieved, clamped = self.heaters_for_targets(unit_matrix)
+    def compile_unit(self, unit_targets: np.ndarray) -> CompiledMatrix:
+        """Compile unit targets in [0, 1], (n, n) or a stack (..., n, n)."""
+        heaters, achieved, clamped = self.heaters_for_targets(unit_targets)
         return CompiledMatrix(
             transmittances=achieved,
-            encoding=encoding,
             heater_settings_mw=heaters,
             clamped_elements=clamped,
         )
-
-    def compile_signed(self, matrix: np.ndarray) -> CompiledMatrix:
-        """Affine-encode a signed matrix, or each of a stack, and compile it."""
-        m = np.asarray(matrix, dtype=float)
-        if m.shape[-2:] != (self.n, self.n):
-            raise ShapeError(f"matrix must be {self.n}x{self.n}; pad before compiling")
-        encoded, enc = encode_signed(m)
-        return self.compile_unit(encoded, encoding=enc)

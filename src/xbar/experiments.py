@@ -270,9 +270,7 @@ def run_mnist_train(config: RunConfig, out_dir: Path) -> None:
         "epoch,value",
         list(enumerate(result.cost_history, start=1)),
     )
-    with open(out_dir / "confusion.csv", "w") as fh:
-        for row in result.confusion:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+    write_matrix_csv(out_dir / "confusion.csv", result.confusion)
 
 
 def run_sweep_scaling(config: RunConfig, out_dir: Path) -> None:

@@ -68,11 +68,12 @@ class CalibrationLUT:
         out = np.asarray(self.output_power, dtype=float)
         if mzi.ndim != 1 or mrr.ndim != 1 or len(mzi) < 2 or len(mrr) < 2:
             raise ValueError("LUT axes must be 1-D with at least two points")
-        if np.any(np.diff(mzi) <= 0) or np.any(np.diff(mrr) <= 0):
+        # Written so that a NaN fails each check.
+        if not ((np.diff(mzi) > 0).all() and (np.diff(mrr) > 0).all()):
             raise ValueError("LUT axes must be strictly increasing")
         if out.shape != (len(mzi), len(mrr)):
             raise ShapeError(f"output grid must be {(len(mzi), len(mrr))}; got {out.shape}")
-        if np.any(out < 0):
+        if not (out >= 0).all():
             raise ValueError("output powers must be non-negative")
         object.__setattr__(self, "mzi_powers_mw", mzi)
         object.__setattr__(self, "mrr_powers_mw", mrr)
@@ -374,7 +375,7 @@ def lut_from_csv(path) -> CalibrationLUT:
         if row != point:
             want = f"mzi {point[0]:.17g}, mrr {point[1]:.17g}" if point else "the end"
             raise DataFormatError(f"{path}:{k + 2}: expected {want} (row-major grid of LUT points)")
-    return CalibrationLUT(mzi_axis, mrr_axis, power.reshape(len(mzi_axis), len(mrr_axis)))
+    return _checked_lut(path, mzi_axis, mrr_axis, power.reshape(len(mzi_axis), len(mrr_axis)))
 
 
 def lut_to_binary(lut: CalibrationLUT, path) -> None:
@@ -406,13 +407,27 @@ def lut_from_binary(path) -> CalibrationLUT:
         raise DataFormatError(f"{path}: bad LUT magic {header[0]!r}")
     if header[1] != LUT_VERSION:
         raise DataFormatError(f"{path}: unsupported LUT version {header[1]}")
-    n_mzi, n_mrr = int(header[2]), int(header[3])
+    counts = [float(c) for c in header[2:4]]
+    # NaN and infinite counts fail too.
+    if not all(c >= 2 and c % 1 == 0 for c in counts):
+        raise DataFormatError(f"{path}: grid counts must be integers >= 2, got {counts}")
+    n_mzi, n_mrr = map(int, counts)
     expected = 64 + 8 * n_mzi * n_mrr
     if len(raw) != expected:
         raise DataFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
     grid = np.frombuffer(raw[64:], dtype="<f8").reshape(n_mzi, n_mrr)
-    return CalibrationLUT(
+    return _checked_lut(
+        path,
         np.linspace(header[4], header[5], n_mzi),
         np.linspace(header[6], header[7], n_mrr),
         grid.copy(),
     )
+
+
+def _checked_lut(path, *fields) -> CalibrationLUT:
+    """The CalibrationLUT read from `path`; a table it rejects is a
+    DataFormatError that names the file."""
+    try:
+        return CalibrationLUT(*fields)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None

@@ -299,6 +299,40 @@ def test_cli_run_that_fails_after_validation_leaves_no_output(tmp_path, capsys, 
     assert not out.exists()
 
 
+# A config that cannot be read, or an output path below a regular file:
+# (what is written at "config", the --out path under tmp_path, what the one
+# error line must name).
+UNREADABLE_RUNS = {
+    "config is a directory": (None, "out", "Is a directory"),
+    "config not UTF-8": (b"seed: 1\ntraining:\n  epochs: \xff\xfe\n", "out", "not UTF-8"),
+    "config invalid YAML": (b"training: [a\n  b: }\n", "out", "invalid YAML"),
+    "out below a file": (b"{}\n", "config/out", "Not a directory"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE_RUNS))
+def test_an_unreadable_config_or_output_path_is_one_error_line(case, tmp_path, capsys):
+    content, out, message = UNREADABLE_RUNS[case]
+    config_path = tmp_path / "config"
+    if content is None:
+        config_path.mkdir()
+    else:
+        config_path.write_bytes(content)
+    code = main(["iris-train", "--config", str(config_path), "--out", str(tmp_path / out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and message in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config"]
+
+
+def test_a_config_that_cannot_be_read_raises_config_error_naming_it(tmp_path):
+    for path in (tmp_path, tmp_path / "missing.yaml"):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: cannot read the run config"):
+            RunConfig.from_yaml(path)
+
+
 def test_a_failed_run_keeps_an_output_directory_that_was_there(tmp_path, mnist_dir):
     write_mnist_pair(mnist_dir, "train", np.zeros((64, 28, 28)), np.zeros(64))
     images = mnist_dir / "train-images-idx3-ubyte"

@@ -133,6 +133,25 @@ def test_element_products_match_a_per_element_lut_loop(sigma):
         np.testing.assert_array_equal(backend.element_products(values, rings, direction), want)
 
 
+def test_element_products_are_clean_estimates_that_draw_no_noise():
+    """The backend's LUT read draws nothing: with noise on, two reads of the
+    same inputs are equal, and equal to a noise-free backend's read (the
+    handle measures them)."""
+    array = preset_array("experimental_4x4")
+    noisy = LutBackend(array, steps=16, noise=NoiseConfig(seed=3), time_average_count=2)
+    clean = LutBackend(array, steps=16)
+    rng = np.random.default_rng(6)
+    values = rng.uniform(0.0, 1.0, (4, 4, 3))
+    targets = rng.uniform(0.0, 1.0, (4, 4, 1))
+    for direction in (FORWARD, BACKWARD):
+        first, *others = (
+            backend.element_products(values, backend.set_rings(targets, direction), direction)
+            for backend in (noisy, noisy, clean)
+        )
+        for other in others:
+            np.testing.assert_array_equal(first, other)
+
+
 @pytest.mark.parametrize("variant", ["symmetric", "legacy_asymmetric"])
 def test_element_products_equal_their_own_direction_lut_read(variant):
     # Each direction's LUT is normalized by its own full scale, so unequal
@@ -193,6 +212,8 @@ def _corrupt_csv(text: str, what: str) -> str:
         del lines[5]
     elif what == "repeated row":  # the last one, again
         lines.append(lines[-1])
+    elif what == "nan power":  # file line 5's power
+        lines[4] = ",".join(lines[4].split(",")[:2] + ["nan"]) + "\n"
     return "".join(lines)
 
 
@@ -204,6 +225,7 @@ def _corrupt_csv(text: str, what: str) -> str:
         ("non-numeric", ":5: non-numeric field"),
         ("header only", r"element\.csv: no LUT data rows"),
         ("repeated row", ":66: expected the end "),  # 64 data rows
+        ("nan power", r"element\.csv: output powers must be non-negative"),
     ],
 )
 def test_corrupt_lut_csv_raises_data_format_error(tmp_path, small_lut, what, message):
@@ -240,6 +262,21 @@ def _corrupt_binary(raw: bytes, what: str) -> bytes:
         return raw[:40]
     elif what == "byte count":
         return raw[:-8]
+    elif what == "nan bound":
+        header[5] = np.nan
+    elif what == "reversed bounds":
+        header[[6, 7]] = header[[7, 6]]
+    elif what == "fractional count":  # read as 8 before
+        header[2] += 0.5
+    elif what == "nan count":
+        header[3] = np.nan
+    elif what == "1x1 grid":
+        header[2:4] = 1.0
+        return header.tobytes() + raw[64:72]
+    elif what in ("nan power", "negative power"):
+        grid = np.frombuffer(raw[64:], dtype="<f8").copy()
+        grid[5] = np.nan if what == "nan power" else -1.0
+        return header.tobytes() + grid.tobytes()
     return header.tobytes() + raw[64:]
 
 
@@ -250,6 +287,13 @@ def _corrupt_binary(raw: bytes, what: str) -> bytes:
         ("version", "unsupported LUT version"),
         ("truncated header", "truncated LUT header"),
         ("byte count", "expected 576 bytes, found 568"),
+        ("nan bound", r"element\.lut: LUT axes must be strictly increasing"),
+        ("reversed bounds", r"element\.lut: LUT axes must be strictly increasing"),
+        ("fractional count", r"element\.lut: grid counts must be integers >= 2"),
+        ("nan count", r"element\.lut: grid counts must be integers >= 2"),
+        ("1x1 grid", r"element\.lut: grid counts must be integers >= 2"),
+        ("nan power", r"element\.lut: output powers must be non-negative"),
+        ("negative power", r"element\.lut: output powers must be non-negative"),
     ],
 )
 def test_corrupt_lut_binary_raises_data_format_error(tmp_path, small_lut, what, message):
@@ -452,10 +496,13 @@ FUSED_NOISE = {
 def product_then_ones(handle, s_prime):
     """The raw backward product of s', then the all-ones pass at the shape
     of s': two LUT reads, each measured as it is read."""
-    products, rings = handle.backend.element_products, handle._rings_bwd
-    raw = products(s_prime[..., None, :, :], rings, BACKWARD).sum(axis=-2)
-    ones = np.ones(s_prime.shape[:-1] + (1,))
-    return raw, products(ones[..., None, :, :], rings, BACKWARD).sum(axis=-2)
+    backend = handle.backend
+
+    def read(values):
+        est = backend.element_products(values[..., None, :, :], handle._rings_bwd, BACKWARD)
+        return backend._measure(est, -4).sum(axis=-2)
+
+    return read(s_prime), read(np.ones(s_prime.shape[:-1] + (1,)))
 
 
 @pytest.mark.parametrize("time_average", [1, 2, 3])

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from xbar.backends import make_backend
+from xbar.compiler import encode_signed, pad
+from xbar.crossbar import FORWARD
 from xbar.config import RunConfig
 from xbar.datasets import load_iris
 from xbar.errors import EncodingError
@@ -355,6 +357,28 @@ def test_a_view_measures_its_own_ones_response(backend):
             handle.view(k, 3, 4)._raw_backward(np.zeros((4, 0)))[1],
             made.program(stack[k])._raw_backward(np.zeros((4, 0)))[1],
         )
+
+
+@pytest.mark.parametrize("backend", ["photonic", "lut"])
+def test_a_handle_encodes_its_padded_transpose(backend):
+    """The handle encodes its program, and the backend's hardware holds
+    the unit targets: the encoding is `encode_signed` of the padded
+    transpose, for a stack and for each of its views."""
+    made = make_backend(backend, preset_array("experimental_4x4"))
+    stack = np.random.default_rng(17).normal(size=(2, 3, 4))
+    handle = made.program(stack)
+    targets, _ = encode_signed(pad(stack.swapaxes(-1, -2), 4))
+    if backend == "photonic":
+        np.testing.assert_array_equal(
+            handle.compiled.heater_settings_mw, made.compiler.compile_unit(targets).heater_settings_mw
+        )
+    else:
+        for name, value in vars(made.set_rings(targets[..., None], FORWARD)).items():
+            np.testing.assert_array_equal(getattr(handle._rings_fwd, name), value)
+    for read, matrix in [(handle, stack)] + [(handle.view(k, 3, 4), stack[k]) for k in range(2)]:
+        _, want = encode_signed(pad(matrix.swapaxes(-1, -2), 4))
+        np.testing.assert_array_equal(read.encoding.scale, want.scale)
+        np.testing.assert_array_equal(read.encoding.offset, want.offset)
 
 
 HANDLE_CASES = [(backend, sigma) for backend in ("photonic", "lut") for sigma in (0.0, 0.02)]
