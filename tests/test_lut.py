@@ -266,7 +266,7 @@ def _corrupt_binary(raw: bytes, what: str) -> bytes:
         header[5] = np.nan
     elif what == "reversed bounds":
         header[[6, 7]] = header[[7, 6]]
-    elif what == "fractional count":  # read as 8 before
+    elif what == "fractional count":
         header[2] += 0.5
     elif what == "nan count":
         header[3] = np.nan

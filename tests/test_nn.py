@@ -8,8 +8,8 @@ import pytest
 
 from xbar.backends import make_backend
 from xbar.compiler import encode_signed, pad
-from xbar.crossbar import FORWARD
 from xbar.config import RunConfig
+from xbar.crossbar import FORWARD
 from xbar.datasets import load_iris
 from xbar.errors import EncodingError
 from xbar.experiments import build_array, noise_config
