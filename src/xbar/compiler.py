@@ -88,7 +88,9 @@ def encode_signed_columns(arr: np.ndarray):
     """
     a = np.asarray(arr, dtype=float)
     lo, scales = _min_and_span(a, -2)
-    return (a - lo) / scales, scales, lo
+    encoded = a - lo
+    encoded /= scales
+    return encoded, scales, lo
 
 
 def pad(matrix, n: int) -> np.ndarray:

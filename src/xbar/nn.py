@@ -17,8 +17,11 @@ all. Every operation acts on each run's slice of each layer as a one-run,
 per-layer program would, so each run's costs and accuracy are bit for bit
 those of training it alone.
 
-The CNN's 2x2 max-pool works on four strided views of the activation map,
-one per tile position, and records an int8 first-max pick that the backward
+The CNN builds the crossbar's C-ordered (9, B*676) operand directly from
+nine shifted slices of the images (`im2col`), and keeps its conv maps
+channel-major, as the crossbar returns them and takes its error signal.
+Its 2x2 max-pool works on four strided views of the activation map, one
+per tile position, and records an int8 first-max pick that the backward
 pass unpools through the same views. `Adam` keeps its moments as one flat
 vector pair over all parameters.
 """
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import XbarError
+from .errors import ShapeError, XbarError
 
 if TYPE_CHECKING:
     from .config import TrainingSection
@@ -288,10 +291,11 @@ POOL_OUT = 13
 FLAT_DIM = KERNEL_COUNT * POOL_OUT * POOL_OUT  # 1521
 HIDDEN_DIM = 100
 CLASSES = 10
-# Test images forwarded at a time by `CnnRunner.predict`: a chunk's im2col
-# columns and feature maps are its peak memory. The chunk size can move a
-# probability in its last bits (BLAS blocks the batch axis), but no
-# prediction short of a tie to those bits.
+# Test images forwarded at a time by `CnnRunner.predict`: a chunk's
+# crossbar columns (9 x 676 per image, no patch matrix) and its feature maps
+# are its peak memory. The chunk size can move a probability in its last
+# bits (BLAS blocks the batch axis), but no prediction short of a tie to
+# those bits.
 PREDICT_BATCH = 32
 
 
@@ -326,14 +330,17 @@ class CnnModel:
 
 
 def im2col(images: np.ndarray) -> np.ndarray:
-    """(B, 28, 28) -> (B, 676, 9): every 3x3 patch flattened row-wise."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
-    if images.ndim == 2:
-        images = images[None]
-    windows = sliding_window_view(images, (KERNEL_SIZE, KERNEL_SIZE), axis=(1, 2))
+    """(B, 28, 28) images -> the crossbar operand, C-ordered (9, B*676):
+    column b*676 + 26i + j is the 3x3 patch at (i, j) of image b, flattened
+    row-wise, so row k = 3di + dj holds every patch's element (i + di, j + dj)."""
+    if images.ndim != 3 or images.shape[1:] != (IMAGE_SIZE, IMAGE_SIZE):
+        raise ShapeError(f"expected (batch, {IMAGE_SIZE}, {IMAGE_SIZE}) images, got {images.shape}")
     b = images.shape[0]
-    return windows.reshape(b, CONV_OUT * CONV_OUT, KERNEL_SIZE * KERNEL_SIZE)
+    cols = np.empty((KERNEL_SIZE * KERNEL_SIZE, b, CONV_OUT, CONV_OUT))
+    for k in range(KERNEL_SIZE * KERNEL_SIZE):
+        di, dj = divmod(k, KERNEL_SIZE)
+        cols[k] = images[:, di : di + CONV_OUT, dj : dj + CONV_OUT]
+    return cols.reshape(KERNEL_SIZE * KERNEL_SIZE, b * CONV_OUT * CONV_OUT)
 
 
 def _pool_views(maps: np.ndarray) -> list:
@@ -344,37 +351,50 @@ def _pool_views(maps: np.ndarray) -> list:
 
 
 def max_pool(act: np.ndarray):
-    """2x2 max-pool of (B, 9, 26, 26) maps: (pooled, pick), both (B, 9, 13, 13).
+    """2x2 max-pool of (B, 9, 26, 26) maps, in any memory order: (pooled,
+    pick), both C-ordered (B, 9, 13, 13).
 
-    A view is picked only where it is strictly greater than the running
-    maximum of the views before it, so the int8 `pick` is the first maximum,
-    as `argmax` picks it; ReLU makes ties (all-zero tiles) common.
+    The int8 `pick` is the first view that equals the maximum, as `argmax`
+    picks it (ReLU makes ties, all-zero tiles, common). With n_k = views[k]
+    != pooled it is n_0 (1 + n_1 (1 + n_2)), in int8 arithmetic on the masks.
     """
     views = _pool_views(act)
     pooled = views[0].copy()
-    pick = np.zeros(pooled.shape, dtype=np.int8)
     for k in range(1, 4):
-        np.copyto(pick, k, where=views[k] > pooled)
         np.maximum(views[k], pooled, out=pooled)
+    pick = np.empty(pooled.shape, dtype=np.int8)
+    np.not_equal(views[2], pooled, out=pick.view(bool))
+    mask = np.empty(pooled.shape, dtype=bool)
+    for k in (1, 0):
+        pick += 1
+        np.not_equal(views[k], pooled, out=mask)
+        pick *= mask
     return pooled, pick
 
 
 def unpool(d_pool: np.ndarray, pick: np.ndarray) -> np.ndarray:
     """Gradient of `max_pool`: each pooled gradient routed to its picked tile
-    position of a new zeroed (B, 9, 26, 26) array."""
+    position, zeros elsewhere. The (B, 9, 26, 26) result is the transposed
+    view of a new channel-major (9, B, 26, 26) array, so the crossbar's
+    (9, B*676) error columns are a reshape of it, without a copy."""
     b = d_pool.shape[0]
-    d_act = np.zeros((b, KERNEL_COUNT, CONV_OUT, CONV_OUT))
+    d_act = np.empty((KERNEL_COUNT, b, CONV_OUT, CONV_OUT)).transpose(1, 0, 2, 3)
     for k, view in enumerate(_pool_views(d_act)):
-        np.copyto(view, d_pool, where=pick == k)
+        np.multiply(d_pool, pick == k, out=view)
     return d_act
 
 
 class CnnRunner:
     """Forward/backward passes with the convolution routed through a backend.
 
-    The 2x2 max-pool (`max_pool`) reads the four strided tile views of the
-    activation map and records an int8 first-max pick; `unpool` routes each
-    pooled gradient through the same views to the picked position.
+    `im2col` builds the crossbar's C-ordered (9, B*676) operand, and the
+    conv map stays channel-major: the (9, B*676) product, seen as
+    (B, 9, 26, 26) through a transposed view. The 2x2 max-pool (`max_pool`)
+    reads the four strided tile views of the activation map and records an
+    int8 first-max pick; `unpool` routes each pooled gradient through the
+    same views to the picked position. The ReLU's gradient mask is taken on
+    the pooled map: a picked element is positive exactly where its tile
+    maximum is.
     """
 
     def __init__(self, model: CnnModel, backend):
@@ -386,13 +406,10 @@ class CnnRunner:
         self.conv_handle = self.backend.program(self.model.kernel_matrix)
 
     def forward(self, images: np.ndarray, trace: bool = False):
+        cols = im2col(images)  # (9, 676B)
         b = images.shape[0]
-        patches = im2col(images)  # (B, 676, 9)
-        cols = patches.reshape(b * CONV_OUT * CONV_OUT, 9).T  # (9, 676B)
         conv = self.conv_handle.forward(cols)  # (9, 676B)
-        conv = conv.reshape(KERNEL_COUNT, b, CONV_OUT * CONV_OUT).transpose(1, 0, 2)
-        conv = conv.reshape(b, KERNEL_COUNT, CONV_OUT, CONV_OUT)
-        act = relu(conv)
+        act = relu(conv).reshape(KERNEL_COUNT, b, CONV_OUT, CONV_OUT).transpose(1, 0, 2, 3)
         pooled, pick = max_pool(act)
         flat = pooled.reshape(b, FLAT_DIM).T  # (1521, B)
         hidden = relu(self.model.w_hidden @ flat + self.model.b_hidden[:, None])
@@ -401,8 +418,7 @@ class CnnRunner:
         if not trace:
             return probs
         return probs, {
-            "patches": patches,
-            "conv": conv,
+            "cols": cols,
             "pick": pick,
             "flat": flat,
             "hidden": hidden,
@@ -421,15 +437,15 @@ class CnnRunner:
         g_hidden = d_hidden @ cache["flat"].T
         g_b_hidden = d_hidden.sum(axis=1)
         d_flat = self.model.w_hidden.T @ d_hidden  # (1521, B)
+        d_flat *= cache["flat"] > 0  # the ReLU's mask, taken on the pooled map
         d_pool = d_flat.T.reshape(b, KERNEL_COUNT, POOL_OUT, POOL_OUT)
-        d_conv = unpool(d_pool, cache["pick"])
-        d_conv *= cache["conv"] > 0  # (B, 9, 26, 26)
-        d_cols = d_conv.reshape(b, KERNEL_COUNT, CONV_OUT * CONV_OUT)
-        d_cols = d_cols.transpose(1, 0, 2).reshape(KERNEL_COUNT, b * CONV_OUT * CONV_OUT)
-        # Kernel gradient is the electronic outer product; the patch error
-        # signal is the crossbar's backward (transpose) product.
-        patches_mat = cache["patches"].reshape(b * CONV_OUT * CONV_OUT, 9)
-        g_kernel = d_cols @ patches_mat
+        d_conv = unpool(d_pool, cache["pick"])  # (B, 9, 26, 26), channel-major
+        d_cols = d_conv.transpose(1, 0, 2, 3).reshape(KERNEL_COUNT, b * CONV_OUT * CONV_OUT)
+        # Kernel gradient is the electronic outer product, on a C-ordered
+        # (676B, 9) copy of the columns (a transposed view would change the
+        # bits of the BLAS product); the patch error signal is the
+        # crossbar's backward (transpose) product.
+        g_kernel = d_cols @ np.ascontiguousarray(cache["cols"].T)
         d_patches = self.conv_handle.backward(d_cols)
         return cost, [g_kernel, g_hidden, g_out, g_b_hidden, g_b_out], d_patches
 
@@ -452,8 +468,7 @@ class MnistTrainResult:
 
 def confusion_matrix(predicted, actual, classes: int = CLASSES) -> np.ndarray:
     m = np.zeros((classes, classes), dtype=int)
-    for p, a in zip(predicted, actual):
-        m[int(a), int(p)] += 1
+    np.add.at(m, (actual, predicted), 1)
     return m
 
 

@@ -1,19 +1,21 @@
-"""CNN pooling, the flat Adam, the backend input path, lockstep Iris
-training and the one-program MLP step, each checked bit for bit against
-the transposed-tile, per-parameter, zero-fill, one-run and per-layer
-routes they replace."""
+"""CNN pooling and the CNN step, the flat Adam, the backend input path,
+lockstep Iris training and the one-program MLP step, each checked bit for
+bit against the transposed-tile, patch-matrix, per-parameter, zero-fill,
+one-run and per-layer routes they replace."""
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from xbar.backends import make_backend
-from xbar.compiler import encode_signed, pad
+from xbar.compiler import encode_signed, encode_signed_columns, pad
 from xbar.config import RunConfig
 from xbar.crossbar import FORWARD
 from xbar.datasets import load_iris
-from xbar.errors import EncodingError
+from xbar.errors import EncodingError, ShapeError
 from xbar.experiments import build_array, noise_config
 from xbar.nn import (
+    CLASSES,
     CONV_OUT,
     FLAT_DIM,
     HIDDEN_DIM,
@@ -25,8 +27,13 @@ from xbar.nn import (
     CnnRunner,
     MlpModel,
     MlpRunner,
+    confusion_matrix,
+    cross_entropy_cost,
+    im2col,
     iris_mlp_sizes,
     max_pool,
+    one_hot,
+    softmax,
     train_iris,
     unpool,
 )
@@ -162,7 +169,7 @@ def test_forward_on_a_fortran_ordered_input_gives_the_c_ordered_bits(backend, pr
     n = array.n
     rng = np.random.default_rng(4)
     handle = make_backend(backend, array).program(rng.uniform(-1.0, 1.0, (n, n)))
-    x = rng.uniform(0.0, 1.0, (7, n)).T  # a transposed view, as the CNN's im2col columns
+    x = rng.uniform(0.0, 1.0, (7, n)).T  # a transposed view
     x[0, 0] = 1.0 + overshoot  # within the input tolerance: clipped, not rejected
     assert x.flags.f_contiguous and not x.flags.c_contiguous
     before = x.copy()
@@ -448,3 +455,132 @@ def test_cnn_predictions_do_not_depend_on_the_predict_chunk():
     images = np.random.default_rng(10).uniform(0.0, 1.0, (3 * PREDICT_BATCH + 5, 28, 28))
     probs = runner.forward(images)
     np.testing.assert_array_equal(runner.predict(images), probs.argmax(axis=0))
+
+
+def patch_matrix(images):
+    """(B, 28, 28) images -> (B*676, 9): every 3x3 patch flattened row-wise,
+    a C-ordered copy of the sliding windows."""
+    windows = sliding_window_view(images, (3, 3), axis=(1, 2))
+    return windows.reshape(images.shape[0] * CONV_OUT * CONV_OUT, 9)
+
+
+def reference_step(runner, images, labels):
+    """The CNN step on a (B*676, 9) patch matrix: its transposed view as the
+    crossbar operand, a batch-major conv map, masked-copy pooling and
+    unpooling, and the ReLU mask on the full map.
+    Returns (probs, cost, gradients, d_patches)."""
+    model, handle = runner.model, runner.conv_handle
+    b = images.shape[0]
+    patches = patch_matrix(images)
+    conv = handle.forward(patches.T).reshape(KERNEL_COUNT, b, CONV_OUT * CONV_OUT)
+    conv = conv.transpose(1, 0, 2).reshape(b, KERNEL_COUNT, CONV_OUT, CONV_OUT)
+    act = np.maximum(conv, 0.0)
+    views = [act[:, :, r::2, c::2] for r in (0, 1) for c in (0, 1)]
+    pooled = views[0].copy()
+    pick = np.zeros(pooled.shape, dtype=np.int8)
+    for k in range(1, 4):
+        np.copyto(pick, k, where=views[k] > pooled)
+        np.maximum(views[k], pooled, out=pooled)
+    flat = pooled.reshape(b, FLAT_DIM).T
+    hidden = np.maximum(model.w_hidden @ flat + model.b_hidden[:, None], 0.0)
+    probs = softmax(model.w_out @ hidden + model.b_out[:, None], axis=0)
+    targets = one_hot(labels, CLASSES)
+    cost = cross_entropy_cost(probs, targets)
+    d_logits = (probs - targets) / b
+    d_hidden = (model.w_out.T @ d_logits) * (hidden > 0)
+    d_flat = model.w_hidden.T @ d_hidden
+    d_pool = d_flat.T.reshape(b, KERNEL_COUNT, POOL_OUT, POOL_OUT)
+    d_conv = np.zeros((b, KERNEL_COUNT, CONV_OUT, CONV_OUT))
+    for k, r, c in [(0, 0, 0), (1, 0, 1), (2, 1, 0), (3, 1, 1)]:
+        np.copyto(d_conv[:, :, r::2, c::2], d_pool, where=pick == k)
+    d_conv *= conv > 0
+    d_cols = d_conv.reshape(b, KERNEL_COUNT, CONV_OUT * CONV_OUT).transpose(1, 0, 2)
+    d_cols = d_cols.reshape(KERNEL_COUNT, b * CONV_OUT * CONV_OUT)
+    grads = [
+        d_cols @ patches,
+        d_hidden @ flat.T,
+        d_logits @ hidden.T,
+        d_hidden.sum(axis=1),
+        d_logits.sum(axis=1),
+    ]
+    return probs, cost, grads, handle.backward(d_cols)
+
+
+@pytest.fixture(scope="module")
+def cnn_backends():
+    array = preset_array("simulation_9x9")
+    return {name: make_backend(name, array) for name in ("photonic", "lut")}
+
+
+@pytest.mark.parametrize("backend", ["photonic", "lut"])
+@pytest.mark.parametrize("batch", [1, 5, 16, 32])
+def test_cnn_step_equals_the_patch_matrix_step(cnn_backends, backend, batch):
+    """The step on im2col columns, channel-major maps and the pooled ReLU
+    mask gives the probabilities, cost, gradients and crossbar error signal
+    of the step on a patch matrix."""
+    runner = CnnRunner(CnnModel.init(batch), cnn_backends[backend])
+    rng = np.random.default_rng(batch)
+    images = rng.uniform(0.0, 1.0, (batch, 28, 28))
+    labels = rng.integers(0, CLASSES, batch)
+    probs, cost, grads, d_patches = reference_step(runner, images, labels)
+    np.testing.assert_array_equal(runner.forward(images), probs)
+    got_cost, got_grads, got_d_patches = runner.backprop(images, labels)
+    assert got_cost == cost
+    assert len(got_grads) == len(grads)
+    for got, expected in zip(got_grads, grads):
+        np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(got_d_patches, d_patches)
+
+
+def test_im2col_columns_are_the_patches_transposed():
+    images = np.random.default_rng(11).uniform(0.0, 1.0, (5, 28, 28))
+    cols = im2col(images)
+    assert cols.shape == (9, 5 * CONV_OUT * CONV_OUT) and cols.flags.c_contiguous
+    np.testing.assert_array_equal(cols, patch_matrix(images).T)
+
+
+@pytest.mark.parametrize("shape", [(28, 28), (2, 28, 27), (1, 1, 28, 28)])
+def test_cnn_forward_of_other_than_a_batch_of_28x28_images_raises_shape_error(shape):
+    runner = CnnRunner(CnnModel.init(0), make_backend("ideal"))
+    with pytest.raises(ShapeError, match=r"expected \(batch, 28, 28\) images"):
+        runner.forward(np.zeros(shape))
+
+
+def test_unpool_is_channel_major_so_the_error_columns_are_a_view():
+    rng = np.random.default_rng(12)
+    _, pick = max_pool(relu_maps(rng))
+    d_act = unpool(rng.normal(size=POOLED), pick)
+    channel_major = d_act.transpose(1, 0, 2, 3)
+    assert channel_major.flags.c_contiguous
+    d_cols = channel_major.reshape(KERNEL_COUNT, -1)
+    assert np.shares_memory(d_cols, d_act)
+
+
+def test_max_pool_of_a_channel_major_map_is_c_ordered():
+    act = relu_maps(np.random.default_rng(13))
+    channel_major = np.ascontiguousarray(act.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    pooled, pick = max_pool(channel_major)
+    assert pooled.flags.c_contiguous and pick.flags.c_contiguous
+    expected, argmax = tile_pool(act)
+    np.testing.assert_array_equal(pooled, expected)
+    np.testing.assert_array_equal(pick, argmax)
+
+
+def test_encode_signed_columns_leaves_its_input_unchanged():
+    s = np.random.default_rng(14).normal(size=(9, 40))
+    before = s.copy()
+    encoded, scales, offsets = encode_signed_columns(s)
+    np.testing.assert_array_equal(s, before)
+    np.testing.assert_array_equal(encoded, (before - offsets) / scales)
+
+
+def test_confusion_matrix_counts_what_a_loop_counts():
+    rng = np.random.default_rng(15)
+    predicted = rng.integers(0, CLASSES, 500)
+    actual = rng.integers(0, CLASSES, 500).astype(np.uint8)
+    expected = np.zeros((CLASSES, CLASSES), dtype=int)
+    for p, a in zip(predicted, actual):
+        expected[int(a), int(p)] += 1
+    got = confusion_matrix(predicted, actual)
+    assert got.dtype == expected.dtype
+    np.testing.assert_array_equal(got, expected)
