@@ -6,7 +6,8 @@ signed products
     handle.forward(X)  ~ W @ X     (X non-negative, in [0, 1])
     handle.backward(S) ~ W.T @ S   (S signed)
 
-with all crossbar mechanics hidden inside. Both physical backends program
+of (dim, batch) column operands, with all crossbar mechanics hidden inside;
+a scalar or a lone vector raises ShapeError. Both physical backends program
 through one path. The handle (`_ProgrammedMatrix`) encodes: it transposes
 the signed matrix onto the ring grid (the crossbar's forward pass contracts
 over input rows), zero-pads it to the array size and affine-encodes it,
@@ -45,9 +46,10 @@ on (design, level), so each product of every element and the whole batch is
 one vectorised lookup, whatever the number of designs. Each LUT is inverted
 on the rising branch of each axis (see `xbar.lut`). The read has a
 program-time half: `program` sets every element's ring to its target once
-per direction (`LutBackend.set_rings`), and each product inverts only its
-inputs' MZI axis against those ring settings. A backward appends the
-all-ones column to its error columns and reads both in one LUT read.
+per direction (`LutStack.set_rings` of `LutBackend.tables`), and each
+product inverts only its inputs' MZI axis against those ring settings. A
+backward appends the all-ones column to its error columns and reads both in
+one LUT read.
 """
 
 from __future__ import annotations
@@ -64,21 +66,19 @@ from .compiler import (
     pad,
 )
 from .crossbar import BACKWARD, FORWARD, CrossbarArray
-from .errors import EncodingError
+from .errors import EncodingError, ShapeError
 from .lut import LutStack, RingSetting, build_lut, lut_multiply_many
 from .noise import NoiseConfig, make_rng, perturb
 
 _INPUT_TOL = 1e-9
 
 
-def _as_batch(x):
-    """(`x` as a batch of columns, whether it was one vector)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[:, None], True
-    if x.ndim == 0:
-        raise ValueError("inputs must be vectors, (dim, batch) matrices or stacks of them")
-    return x, False
+def _columns(v) -> np.ndarray:
+    """`v` as float (..., dim, batch) columns; a scalar or a lone vector raises."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim < 2:
+        raise ShapeError(f"operands must be (dim, batch) columns or stacks of them, got {v.shape}")
+    return v
 
 
 def _check_unit_interval(x):
@@ -100,14 +100,10 @@ class IdealProgrammed:
         self.matrix = np.asarray(matrix, dtype=float)
 
     def forward(self, x):
-        xb, squeeze = _as_batch(x)
-        y = self.matrix @ xb
-        return y[..., 0] if squeeze else y
+        return self.matrix @ _columns(x)
 
     def backward(self, s):
-        sb, squeeze = _as_batch(s)
-        y = self.matrix.swapaxes(-1, -2) @ sb
-        return y[..., 0] if squeeze else y
+        return self.matrix.swapaxes(-1, -2) @ _columns(s)
 
     def view(self, index: int, out_dim: int, in_dim: int) -> "IdealProgrammed":
         """Matrix `index` of the stack's leading axis, cut to (out_dim, in_dim).
@@ -224,10 +220,11 @@ class _ProgrammedMatrix:
         return view
 
     def _padded(self, v, dim: int, what: str) -> np.ndarray:
-        """`v` (..., dim, batch) zero-padded to n rows, C-ordered. It may be
-        `v` itself, so no caller writes into it. (A Fortran-ordered operand
-        would change the bits of the BLAS product, hence the copy of a
-        transposed view.)"""
+        """`v` as float (..., dim, batch) columns (`_columns`), zero-padded
+        to n rows, C-ordered. It may be `v` itself, so no caller writes into
+        it. (A Fortran-ordered operand would change the bits of the BLAS
+        product, hence the copy of a transposed view.)"""
+        v = _columns(v)
         if v.shape[-2] != dim:
             raise ValueError(f"expected {what} dim {dim}, got {v.shape[-2]}")
         if dim == self.n:
@@ -237,36 +234,31 @@ class _ProgrammedMatrix:
         return out
 
     def forward(self, x):
-        xb, squeeze = _as_batch(x)
-        xp = _check_unit_interval(self._padded(xb, self.in_dim, "input"))
+        xp = _check_unit_interval(self._padded(x, self.in_dim, "input"))
         raw = self._raw_forward(xp)
         sums = xp.sum(axis=-2, keepdims=True)
-        y = decode_output(raw, self.encoding, None, None, sums, self.n)[..., : self.out_dim, :]
-        return y[..., 0] if squeeze else y
+        return decode_output(raw, self.encoding, None, None, sums, self.n)[..., : self.out_dim, :]
 
     def backward(self, s):
-        sb, squeeze = _as_batch(s)
-        s_prime, scales, offsets = encode_signed_columns(self._padded(sb, self.out_dim, "error"))
+        s_prime, scales, offsets = encode_signed_columns(self._padded(s, self.out_dim, "error"))
         raw, ones = self._raw_backward(s_prime)
         sums = s_prime.sum(axis=-2, keepdims=True)
         y = decode_output(raw, self.encoding, scales, offsets, sums, self.n, ones)
-        y = y[..., : self.in_dim, :]
-        return y[..., 0] if squeeze else y
+        return y[..., : self.in_dim, :]
 
 
 class PhotonicProgrammed(_ProgrammedMatrix):
     """A signed matrix held as heater settings on a crossbar."""
 
-    _stacked = ("encoding", "compiled", "_eff_fwd", "_eff_fwd_t", "_eff_bwd")
+    _stacked = ("encoding", "compiled", "_eff_fwd_t", "_eff_bwd")
 
     def _program(self, targets):
         self.compiled = self.backend.compiler.compile_unit(targets)
-        heaters, array = self.compiled.heater_settings_mw, self.backend.array
+        array = self.backend.array
         # Both directions scale one drop tensor of the final heaters.
-        summed = array.summed_drop(heaters)
-        self._eff_fwd = array.effective_matrix(heaters, FORWARD, summed)
-        self._eff_fwd_t = self._eff_fwd.swapaxes(-1, -2)
-        self._eff_bwd = array.effective_matrix(heaters, BACKWARD, summed)
+        summed = array.summed_drop(self.compiled.heater_settings_mw)
+        self._eff_fwd_t = array.effective_matrix(summed, FORWARD).swapaxes(-1, -2)
+        self._eff_bwd = array.effective_matrix(summed, BACKWARD)
 
     def _raw_forward(self, xp):
         return self.backend._measure(self._eff_fwd_t @ xp, -3)
@@ -302,8 +294,9 @@ class LutProgrammed(_ProgrammedMatrix):
         # targets[..., i, j] multiplies input i. The rings hold their targets
         # for the program's life: each direction's ring axis is set here,
         # once, for every element and any batch.
-        self._rings_fwd = self.backend.set_rings(targets[..., None], FORWARD)
-        self._rings_bwd = self.backend.set_rings(targets[..., None], BACKWARD)
+        tables = self.backend.tables
+        self._rings_fwd = tables[FORWARD].set_rings(targets[..., None])
+        self._rings_bwd = tables[BACKWARD].set_rings(targets[..., None])
 
     def _raw_forward(self, xp):
         # y'[j, b] = sum_i lut_ij(x[i, b], T'[i, j]), each product measured.
@@ -355,25 +348,19 @@ class LutBackend(_PhysicalBackend):
                 luts[direction].append(build_lut(array, row, col, steps=steps, direction=direction))
         # Ring design of element (row, col), broadcast over the batch axis.
         design = design.reshape(n, n, 1)
-        self._tables = {direction: LutStack(luts[direction], design) for direction in luts}
-
-    def set_rings(self, targets, direction: str) -> RingSetting:
-        """Every element's ring set to its target on its design's LUT for
-        `direction`; `targets` broadcast to (..., n, n, 1 or batch), indexed
-        by ring (row, col) in the trailing grid axes."""
-        return self._tables[direction].set_rings(targets)
+        self.tables = {direction: LutStack(luts[direction], design) for direction in luts}
 
     def element_products(self, values, rings: RingSetting, direction: str) -> np.ndarray:
         """Clean LUT product estimates values * targets for every grid
-        element, for the targets that `rings` holds (`set_rings`); the
-        handle measures them.
+        element, for the targets that `rings` holds (`LutStack.set_rings` of
+        `tables[direction]`); the handle measures them.
 
         `values` broadcast against the ring setting to (..., n, n, batch).
         Each ring reads its design's LUT, all in one vectorised call;
         estimates are clamped to the calibrated span (a LUT cannot represent
         levels outside its windows).
         """
-        est, _ = lut_multiply_many(self._tables[direction], values, rings)
+        est, _ = lut_multiply_many(self.tables[direction], values, rings)
         return est
 
 

@@ -12,8 +12,7 @@ ring's measured response: every solve runs COMPENSATION_PASSES fixed-point
 passes, each subtracting the predicted foreign-channel leakage from each
 element's target, as a physical calibration programs each element from its
 measured response curve. A parked ring still leaks at its floor, so targets
-are clamped from below; `CompiledMatrix.transmittances` records what was
-actually programmed.
+are clamped from below; `CompiledMatrix.clamped_elements` marks where.
 """
 
 from __future__ import annotations
@@ -137,17 +136,14 @@ def decode_output(raw, matrix_encoding: AffineEncoding, scales, offsets, sums, n
 
 @dataclass(frozen=True)
 class CompiledMatrix:
-    """Unit targets, (n, n) or a stack of them, mapped onto ring
-    transmittances and heater powers; every array has the stack's leading
-    axes.
+    """Unit targets, (n, n) or a stack of them, mapped onto heater powers;
+    every array has the stack's leading axes.
 
-    `transmittances` holds the physically programmed relative targets: the
-    unit targets clamped to each ring's realizable [floor, 1] span, where
-    the floor is the parked ring's residual coupling at its own channel.
-    `clamped_elements` marks the elements where that clamp was active.
+    `clamped_elements` marks the elements whose target lay outside the
+    ring's realizable [floor, 1] span, where the floor is the parked ring's
+    residual coupling at its own channel, and was clamped to it.
     """
 
-    transmittances: np.ndarray
     heater_settings_mw: np.ndarray
     clamped_elements: np.ndarray
 
@@ -195,8 +191,8 @@ class MatrixCompiler:
 
         `unit_targets` is (n, n) or a stack (..., n, n). The full scale is
         the array's (`CrossbarArray.full_scale`). Returns (heaters,
-        achieved_unit_targets, clamped). Targets are clamped to each ring's
-        realizable span, and `clamped` marks where that clamp was active.
+        clamped). Targets are clamped to each ring's realizable span, and
+        `clamped` marks where that clamp was active.
         Each compensation pass subtracts the predicted foreign-channel
         pedestal from each element's own-channel target, so the summed
         response lands on the request.
@@ -221,16 +217,10 @@ class MatrixCompiler:
             request = (absolute - foreign) / self._peaks
             rel = np.clip(request, floor, 1.0)
             det = self._detunings_for(rel)
-        heaters = grid.detuned_heaters(det)
-        achieved = rel * self._peaks / self.array.full_scale
         clamped = (request < floor) | (request > 1.0)
-        return heaters, achieved, clamped
+        return grid.detuned_heaters(det), clamped
 
     def compile_unit(self, unit_targets: np.ndarray) -> CompiledMatrix:
         """Compile unit targets in [0, 1], (n, n) or a stack (..., n, n)."""
-        heaters, achieved, clamped = self.heaters_for_targets(unit_targets)
-        return CompiledMatrix(
-            transmittances=achieved,
-            heater_settings_mw=heaters,
-            clamped_elements=clamped,
-        )
+        heaters, clamped = self.heaters_for_targets(unit_targets)
+        return CompiledMatrix(heater_settings_mw=heaters, clamped_elements=clamped)

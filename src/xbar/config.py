@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import yaml
@@ -87,7 +88,8 @@ EXPERIMENTS = tuple(READS)
 
 
 # Value types a field accepts, by its annotation. An int is a valid float;
-# a bool is an int to Python but never a valid number here.
+# a bool is an int to Python but never a valid number here, and a float field
+# takes no NaN or infinity.
 _SCALAR_TYPES = {
     "str": str,
     "str | None": (str, type(None)),
@@ -117,6 +119,8 @@ def _from_mapping(cls, data, where: str):
             isinstance(value, bool) and kind != "bool"
         ):
             raise ConfigError(f"{name}: expected {kind}, got {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name}: expected a finite float, got {value!r}")
         values[key] = value
     return cls(**values)
 
@@ -222,6 +226,8 @@ class RunConfig:
             raise ConfigError(
                 f"experiment must be one of {', '.join(EXPERIMENTS)}; got {self.experiment!r}"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for part in fields(self):
             if part.type not in _SECTIONS:
                 continue

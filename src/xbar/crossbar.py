@@ -381,18 +381,16 @@ class CrossbarArray:
         raw = self.read(self.input_transmittances(x), self.summed_drop(heaters), FORWARD)
         return raw / self.normalization_constant(FORWARD)
 
-    def effective_matrix(self, heaters: np.ndarray, direction: str, summed_drop=None) -> np.ndarray:
+    def effective_matrix(self, summed_drop: np.ndarray, direction: str) -> np.ndarray:
         """Normalized gain M = G / norm: forward y = M.T @ x, backward y = M @ s.
 
-        M[i, j] ~ w_ij; heaters (..., n, n) give a stack of matrices.
-        Equivalent to probing with ideal unit vectors (MZIs
-        without an extinction floor); used as the fast path for backends.
-        A caller that needs both directions of one program passes
-        `summed_drop(heaters)` to both calls, so the lineshape is evaluated
-        once.
+        M[i, j] ~ w_ij of the program whose channel-summed drop is
+        `summed_drop` (..., n, n), as `summed_drop(heaters)` gives it; a
+        stack gives a stack of matrices. Both directions of one program
+        share that drop, so its lineshape is evaluated once. Equivalent to
+        probing with ideal unit vectors (MZIs without an extinction floor);
+        the photonic backend's products read it.
         """
-        if summed_drop is None:
-            summed_drop = self.summed_drop(heaters)
         return self._gain(summed_drop, direction) / self.normalization_constant(direction)
 
     def measure_matrix(self, heaters: np.ndarray, direction: str) -> np.ndarray:

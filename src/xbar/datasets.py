@@ -108,8 +108,14 @@ def load_iris(path=None) -> IrisDataset:
             f"{path}: expected {IRIS_PER_CLASS} records per class, found {counts.tolist()}"
         )
     lo = features.min(axis=0)
-    hi = features.max(axis=0)
-    normalized = (features - lo) / (hi - lo)
+    span = features.max(axis=0) - lo
+    unscalable = np.flatnonzero(~(np.isfinite(span) & (span > 0)))
+    if unscalable.size:
+        raise DataFormatError(
+            f"{path}: feature column {unscalable[0] + 1} is constant or not finite, so it "
+            "cannot be scaled onto [0, 1]"
+        )
+    normalized = (features - lo) / span
     return IrisDataset(features=features, labels=labels, normalized=normalized)
 
 

@@ -394,7 +394,8 @@ class CnnRunner:
     int8 first-max pick; `unpool` routes each pooled gradient through the
     same views to the picked position. The ReLU's gradient mask is taken on
     the pooled map: a picked element is positive exactly where its tile
-    maximum is.
+    maximum is. `forward` gives the class probabilities; `backprop` reads
+    the arrays that `_forward` keeps with them.
     """
 
     def __init__(self, model: CnnModel, backend):
@@ -405,7 +406,12 @@ class CnnRunner:
     def refresh(self) -> None:
         self.conv_handle = self.backend.program(self.model.kernel_matrix)
 
-    def forward(self, images: np.ndarray, trace: bool = False):
+    def forward(self, images: np.ndarray) -> np.ndarray:
+        """Class probabilities (10, B) of (B, 28, 28) images."""
+        return self._forward(images)[0]
+
+    def _forward(self, images: np.ndarray):
+        """(probabilities, the arrays of the pass that `backprop` reads)."""
         cols = im2col(images)  # (9, 676B)
         b = images.shape[0]
         conv = self.conv_handle.forward(cols)  # (9, 676B)
@@ -415,19 +421,12 @@ class CnnRunner:
         hidden = relu(self.model.w_hidden @ flat + self.model.b_hidden[:, None])
         logits = self.model.w_out @ hidden + self.model.b_out[:, None]
         probs = softmax(logits, axis=0)
-        if not trace:
-            return probs
-        return probs, {
-            "cols": cols,
-            "pick": pick,
-            "flat": flat,
-            "hidden": hidden,
-        }
+        return probs, {"cols": cols, "pick": pick, "flat": flat, "hidden": hidden}
 
     def backprop(self, images: np.ndarray, labels: np.ndarray):
         """Cross-entropy gradients; conv error signals go through the crossbar."""
         b = images.shape[0]
-        probs, cache = self.forward(images, trace=True)
+        probs, cache = self._forward(images)
         targets = one_hot(labels, CLASSES)
         cost = cross_entropy_cost(probs, targets)
         d_logits = (probs - targets) / b  # (10, B)

@@ -358,6 +358,11 @@ def test_a_failed_run_keeps_an_output_directory_that_was_there(tmp_path, mnist_d
         ({"datasets": {"iris_csv": 3}}, "datasets.iris_csv"),
         ({"out_dir": None}, "out_dir"),
         ({"devices": ["ideal"]}, "devices"),
+        ({"training": {"learning_rate": float("nan")}}, "training.learning_rate"),
+        ({"training": {"learning_rate": float("inf")}}, "training.learning_rate"),
+        ({"devices": {"fabrication_sigma_nm": float("nan")}}, "devices.fabrication_sigma_nm"),
+        ({"noise": {"relative_sigma": float("nan")}}, "noise.relative_sigma"),
+        ({"noise": {"relative_sigma": -float("inf")}}, "noise.relative_sigma"),
     ],
 )
 def test_wrong_value_types_raise_config_error(data, field):
@@ -383,20 +388,25 @@ def test_legacy_topology_is_rejected_off_the_4x4_preset():
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, args",
     [
-        {"training": {"epochs": "ten"}},
-        {"seed": "abc"},
-        {"devices": {"preset": "ideal", "n": "4"}},
-        {"training": {"epochs": True}},
-        {"devices": {"preset": "ideal"}, "topology": {"variant": "legacy_asymmetric"}},
+        ({"training": {"epochs": "ten"}}, []),
+        ({"seed": "abc"}, []),
+        ({"devices": {"preset": "ideal", "n": "4"}}, []),
+        ({"training": {"epochs": True}}, []),
+        ({"devices": {"preset": "ideal"}, "topology": {"variant": "legacy_asymmetric"}}, []),
+        ({"seed": -1}, []),
+        ({}, ["--seed", "-1"]),
+        ({"training": {"learning_rate": float("nan")}}, []),
+        ({"devices": {"fabrication_sigma_nm": float("nan")}}, []),
+        ({"noise": {"enabled": True, "relative_sigma": float("inf")}}, []),
     ],
 )
-def test_cli_reports_a_bad_config_in_one_line_before_any_work(tmp_path, capsys, config):
+def test_cli_reports_a_bad_config_in_one_line_before_any_work(tmp_path, capsys, config, args):
     config_path = tmp_path / "run.yaml"
     config_path.write_text(yaml.safe_dump(config))
     out = tmp_path / "out"
-    code = main(["measure-matrix", "--config", str(config_path), "--out", str(out)])
+    code = main(["measure-matrix", "--config", str(config_path), "--out", str(out), *args])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from conftest import idx_bytes, write_idx
 
-from xbar.datasets import MNIST_FILES, find_mnist_file, read_idx, read_idx_images, read_idx_labels
+from xbar.datasets import (
+    MNIST_FILES,
+    find_mnist_file,
+    load_iris,
+    packaged_iris_path,
+    read_idx,
+    read_idx_images,
+    read_idx_labels,
+)
 from xbar.errors import DataFormatError
 
 IMAGES = np.random.default_rng(1).integers(0, 256, (5, 3, 2)).astype(np.uint8)
@@ -83,3 +91,15 @@ def test_find_mnist_file_accepts_both_spellings_and_gzip(tmp_path, kind, spellin
     path = tmp_path / (MNIST_FILES[kind][spelling] + suffix)
     path.write_bytes(b"")
     assert find_mnist_file(tmp_path, kind) == path
+
+
+def test_an_iris_feature_column_that_is_constant_raises_data_format_error(tmp_path):
+    # A constant column has no range to scale onto [0, 1].
+    lines = packaged_iris_path().read_text().splitlines()
+    rows = [line.split(",") for line in lines]
+    for row in rows[1:]:
+        row[2] = "1.5"
+    path = tmp_path / "iris.csv"
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    with pytest.raises(DataFormatError, match=r"iris\.csv: feature column 3 is constant"):
+        load_iris(path)

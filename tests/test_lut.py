@@ -95,7 +95,7 @@ def test_ring_window_moves_up_one_fsr_when_alignment_is_near_zero(preset, direct
 def test_lut_backend_calibrates_on_near_zero_alignment_presets(preset):
     backend = LutBackend(NEAR_ZERO_ALIGNMENT[preset](), steps=16)
     w = np.array([[0.5, -0.25], [1.0, 0.0]])
-    assert np.all(np.isfinite(backend.program(w).forward(np.array([0.3, 0.8]))))
+    assert np.all(np.isfinite(backend.program(w).forward(np.array([[0.3], [0.8]]))))
 
 
 def test_ring_window_unchanged_when_alignment_leaves_room():
@@ -129,7 +129,7 @@ def test_element_products_match_a_per_element_lut_loop(sigma):
             for j in range(4):
                 lut = build_lut(array, *CALIBRATED_ON[sigma](i, j), steps=16, direction=direction)
                 want[i, j], _ = reference_multiply(lut, values[i, j], targets[i, j])
-        rings = backend.set_rings(targets, direction)
+        rings = backend.tables[direction].set_rings(targets)
         np.testing.assert_array_equal(backend.element_products(values, rings, direction), want)
 
 
@@ -145,7 +145,7 @@ def test_element_products_are_clean_estimates_that_draw_no_noise():
     targets = rng.uniform(0.0, 1.0, (4, 4, 1))
     for direction in (FORWARD, BACKWARD):
         first, *others = (
-            backend.element_products(values, backend.set_rings(targets, direction), direction)
+            backend.element_products(values, backend.tables[direction].set_rings(targets), direction)
             for backend in (noisy, noisy, clean)
         )
         for other in others:
@@ -163,7 +163,7 @@ def test_element_products_equal_their_own_direction_lut_read(variant):
     targets = rng.uniform(0.0, 1.0, (4, 4, 1))
     for direction in (FORWARD, BACKWARD):
         want, _ = reference_multiply(build_lut(array, 0, 0, direction=direction), values, targets)
-        rings = backend.set_rings(targets, direction)
+        rings = backend.tables[direction].set_rings(targets)
         np.testing.assert_array_equal(backend.element_products(values, rings, direction), want)
 
 
@@ -362,7 +362,7 @@ def test_stacked_read_equals_the_per_lut_read_bit_for_bit(name, direction, batch
     np.testing.assert_array_equal(clamped, want_clamped)
     # The backend reads the same stack.
     backend = LutBackend(array)
-    rings = backend.set_rings(targets, direction)
+    rings = backend.tables[direction].set_rings(targets)
     np.testing.assert_array_equal(backend.element_products(values, rings, direction), want)
 
 

@@ -380,7 +380,7 @@ def test_a_handle_encodes_its_padded_transpose(backend):
             handle.compiled.heater_settings_mw, made.compiler.compile_unit(targets).heater_settings_mw
         )
     else:
-        for name, value in vars(made.set_rings(targets[..., None], FORWARD)).items():
+        for name, value in vars(made.tables[FORWARD].set_rings(targets[..., None])).items():
             np.testing.assert_array_equal(getattr(handle._rings_fwd, name), value)
     for read, matrix in [(handle, stack)] + [(handle.view(k, 3, 4), stack[k]) for k in range(2)]:
         _, want = encode_signed(pad(matrix.swapaxes(-1, -2), 4))
@@ -407,14 +407,25 @@ def program_maker(backend, sigma, noise=None):
     return fresh
 
 
+@pytest.mark.parametrize("backend", ["ideal", "photonic", "lut"])
+def test_a_scalar_or_a_lone_vector_operand_raises_shape_error(backend):
+    """A handle takes (dim, batch) columns only: a 0-D or 1-D operand of
+    either product raises, on every backend (`matrix @ vector` would pass)."""
+    handle = make_backend(backend, preset_array("experimental_4x4")).program(np.eye(4))
+    for operand in (np.float64(0.5), np.full(4, 0.5)):
+        for product in (handle.forward, handle.backward):
+            with pytest.raises(ShapeError, match="columns"):
+                product(operand)
+
+
 @pytest.mark.parametrize("backend, sigma", HANDLE_CASES)
 def test_a_backward_leaves_its_handle_unchanged(backend, sigma):
     """A programmed handle holds only its program: a backward, first or
-    later, of a batch or a vector, adds, drops and replaces no attribute."""
+    later, of a batch or a single column, adds, drops and replaces no attribute."""
     rng = np.random.default_rng(14)
     for read in program_maker(backend, sigma, noise=NoiseConfig(seed=2))():
         before = dict(vars(read))
-        for s in (rng.normal(size=(3, 5)), rng.normal(size=(3, 5)), rng.normal(size=3)):
+        for s in (rng.normal(size=(3, 5)), rng.normal(size=(3, 5)), rng.normal(size=(3, 1))):
             read.backward(s)
             assert vars(read).keys() == before.keys()
             assert all(vars(read)[name] is value for name, value in before.items())
