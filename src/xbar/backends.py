@@ -40,8 +40,9 @@ The `lut` backend never propagates whole vectors; every scalar product is
 fetched from calibration look-up tables, as the training experiments did.
 It calibrates one LUT pair per ring design (rings with equal fabrication
 detuning and coupling): a uniform grid is one design, a grid with a
-fabrication spread has one per ring. The designs' LUTs are stacked into one
-table per direction (`xbar.lut.LutStack`), read with an exact search keyed
+fabrication spread has one per ring. Each direction's LUTs come from one
+calibration sweep over every design (`xbar.lut.build_lut`) and are stacked
+into one table (`xbar.lut.LutStack`), read with an exact search keyed
 on (design, level), so each product of every element and the whole batch is
 one vectorised lookup, whatever the number of designs. Each LUT is inverted
 on the rising branch of each axis (see `xbar.lut`). The read has a
@@ -313,7 +314,7 @@ class LutProgrammed(_ProgrammedMatrix):
         est = self.backend.element_products(s_prime[..., None, :, :], self._rings_bwd, BACKWARD)
         return tuple(
             self.backend._measure(np.ascontiguousarray(part), -4).sum(axis=-2)
-            for part in np.split(est, [batch], axis=-1)
+            for part in (est[..., :batch], est[..., batch:])
         )
 
 
@@ -321,8 +322,11 @@ class LutBackend(_PhysicalBackend):
     """Performs every multiplication by fetching calibration LUT entries.
 
     One LUT pair is calibrated per ring design, on the design's first
-    element; a uniform grid is one design. The designs' LUTs are stacked
-    into one table per direction, so every product is one vectorised read.
+    element; a uniform grid is one design. Each direction is one
+    calibration sweep (`build_lut`) over every design's element, each
+    reading its own output port through `CrossbarArray.read`; it returns
+    the designs' LUTs stacked into that direction's table, so every product
+    is one vectorised read.
     """
 
     programmed = LutProgrammed
@@ -340,15 +344,15 @@ class LutBackend(_PhysicalBackend):
         for k, ring in enumerate(r for row in array.ring_grid.rings for r in row):
             designs.setdefault((ring.fabrication_detuning_nm, ring.self_coupling_t1), []).append(k)
         design = np.empty(n * n, dtype=int)
-        luts = {FORWARD: [], BACKWARD: []}
         for d, members in enumerate(designs.values()):
             design[members] = d
-            row, col = divmod(members[0], n)
-            for direction in luts:
-                luts[direction].append(build_lut(array, row, col, steps=steps, direction=direction))
+        rows, cols = np.divmod([members[0] for members in designs.values()], n)
         # Ring design of element (row, col), broadcast over the batch axis.
         design = design.reshape(n, n, 1)
-        self.tables = {direction: LutStack(luts[direction], design) for direction in luts}
+        self.tables = {
+            direction: LutStack(build_lut(array, rows, cols, steps=steps, direction=direction), design)
+            for direction in (FORWARD, BACKWARD)
+        }
 
     def element_products(self, values, rings: RingSetting, direction: str) -> np.ndarray:
         """Clean LUT product estimates values * targets for every grid

@@ -99,6 +99,15 @@ _SCALAR_TYPES = {
 }
 
 
+def _finite(value) -> bool:
+    """Whether a float field's value converts to a finite float; an int too
+    large for a float does not. The field keeps the value as given."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _from_mapping(cls, data, where: str):
     """Instance of a config dataclass from a YAML mapping; `where` names it in errors."""
     if data is None:
@@ -119,8 +128,9 @@ def _from_mapping(cls, data, where: str):
             isinstance(value, bool) and kind != "bool"
         ):
             raise ConfigError(f"{name}: expected {kind}, got {value!r}")
-        elif isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name}: expected a finite float, got {value!r}")
+        elif kind == "float" and not _finite(value):
+            got = "an integer too large for a float" if isinstance(value, int) else repr(value)
+            raise ConfigError(f"{name}: expected a finite float, got {got}")
         values[key] = value
     return cls(**values)
 

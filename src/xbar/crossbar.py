@@ -128,10 +128,10 @@ class RingGrid:
 
     Everything that depends only on the rings is computed once, at
     construction, and held in read-only arrays:
-    - the per-ring heater rate, fabrication detuning, initial-phase shift,
-      heater range and the zero-heater resonance of the order it is aligned
-      on, read by `drop_through_tensor`, `drop_below_resonance` and the
-      range checks;
+    - the per-ring heater rate (`shift_per_mw`), fabrication detuning,
+      initial-phase shift, heater range (`max_power_mw`) and the zero-heater
+      resonance of the order it is aligned on, read by
+      `drop_through_tensor`, `drop_below_resonance` and the range checks;
     - `order_spacing_nm`, each ring's spacing from its resonance order to
       the next (bluer) one, from its own lineshape; the alignment wraps a
       channel blue of the resonance onto that order, and the LUT ring
@@ -166,10 +166,10 @@ class RingGrid:
             spacing / 2.0 if math.isfinite(spacing) else self.rings[0][0].fsr_nm() / 8.0
         )
         get = lambda value: _per_ring(self.rings, value)
-        self._rate = get(lambda r: r.resonance_shift_per_mw)
+        self.shift_per_mw = get(lambda r: r.resonance_shift_per_mw)
         self._fab = get(lambda r: r.fabrication_detuning_nm)
         self._phase0 = get(lambda r: r.shifter.initial_phase_rad / (2.0 * math.pi) * r.fsr_nm())
-        self._max_power = get(lambda r: r.shifter.max_power_mw)
+        self.max_power_mw = get(lambda r: r.shifter.max_power_mw)
         base = get(lambda r: r.resonance_wavelength_nm(0.0))  # zero-heater resonance
         self._channels = read_only(self.grid.array)
         shape = AddDropLineshape.stack([[r.lineshape for r in row] for row in self.rings])
@@ -193,38 +193,50 @@ class RingGrid:
         The shift is linear, so the inversion is exact; its residual is
         checked against ALIGNMENT_TOLERANCE_NM."""
         order, target = self._aligned_resonance, self._channels[:, None]
-        power = (target - order) / self._rate
-        out_of_range = np.argwhere(power > self._max_power)
+        power = (target - order) / self.shift_per_mw
+        out_of_range = np.argwhere(power > self.max_power_mw)
         if out_of_range.size:
             i, j = out_of_range[0]
             raise InfeasibleError(
                 f"ring ({i},{j}) cannot reach channel {self.grid.channels_nm[i]} nm "
                 "within its heater range"
             )
-        residual = np.abs(order + self._rate * power - target)
+        residual = np.abs(order + self.shift_per_mw * power - target)
         if np.any(residual > ALIGNMENT_TOLERANCE_NM):
             raise InfeasibleError(
                 f"alignment residual {residual.max():.2e} nm exceeds tolerance"
             )
         return read_only(power)
 
-    def check_heaters(self, heaters: np.ndarray) -> np.ndarray:
+    def check_heaters(self, heaters: np.ndarray, rings=None) -> np.ndarray:
         """`heaters`, (n, n) or a stack (..., n, n), checked against every
-        ring's heater range."""
+        ring's heater range; with `rings`, flat ring indices i * n + j, one
+        heater per ring they select, broadcast against them."""
         h = np.asarray(heaters, dtype=float)
-        if h.shape[-2:] != (self.n, self.n):
+        top = self.max_power_mw
+        if rings is not None:
+            top = top.take(rings)
+        elif h.shape[-2:] != (self.n, self.n):
             raise ShapeError(f"heater matrix must be {self.n}x{self.n}; got {h.shape}")
-        if not ((0.0 <= h) & (h <= self._max_power)).all():
+        if not ((0.0 <= h) & (h <= top)).all():
             raise ValueError("ring heater power out of range")
         return h
 
-    def drop_through_tensor(self, heaters: np.ndarray) -> np.ndarray:
+    def drop_through_tensor(self, heaters: np.ndarray, rings=None) -> np.ndarray:
         """T_drop of every ring on every channel, shape (..., n, n, channels)
-        for heaters (..., n, n), as a new array. The through port, which no
-        grid caller reads, is left to `RingDevice.drop_through`."""
-        h = self.check_heaters(heaters)
-        shift = self._fab + self._rate * h + self._phase0  # (..., n, n)
-        return self._drop_shape.drop(np.subtract(self._channels, shift[..., None]))
+        for heaters (..., n, n), as a new array. With `rings`, an integer
+        array of flat ring indices i * n + j, only the rings it selects:
+        heaters (...) hold one power per selected ring, broadcast against
+        `rings`, and the result is (..., channels). The through port, which
+        no grid caller reads, is left to `RingDevice.drop_through`."""
+        h = self.check_heaters(heaters, rings)
+        if rings is None:
+            fab, rate, phase0, shape = self._fab, self.shift_per_mw, self._phase0, self._drop_shape
+        else:
+            fab, rate, phase0 = (a.take(rings) for a in (self._fab, self.shift_per_mw, self._phase0))
+            shape = self.lineshape.take(rings[..., None])
+        shift = fab + rate * h + phase0  # (..., n, n), or the selection's shape
+        return shape.drop(np.subtract(self._channels, shift[..., None]))
 
     def drop_below_resonance(self, detuning_nm: float) -> np.ndarray:
         """T_drop of every ring at zero heater power, `detuning_nm` blue of
@@ -245,7 +257,7 @@ class RingGrid:
             raise ShapeError("detuning matrix shape mismatch")
         if not (0.0 <= d).all():
             raise ValueError("red-shift detunings must be non-negative")
-        return self._aligned + d / self._rate
+        return self._aligned + d / self.shift_per_mw
 
     def parked_heaters(self) -> np.ndarray:
         """All rings parked midway between channels (dark program)."""
@@ -354,19 +366,31 @@ class CrossbarArray:
         gain that both directions share. Heaters (..., n, n) give (..., n, n)."""
         return self.ring_grid.drop_through_tensor(heaters).sum(axis=-1)
 
-    def _gain(self, summed_drop: np.ndarray, direction: str) -> np.ndarray:
+    def _gain(self, summed_drop: np.ndarray, direction: str, port=None) -> np.ndarray:
         """Unnormalized gain matrix G of a program, from its channel-summed
-        drop (see module docstring)."""
+        drop (see module docstring); with `port`, the line of G that output
+        `port` reads, from the drops on that line (see `read`)."""
         _check_direction(direction)
-        return summed_drop * self._path_transmission[direction] * self.bus_budget
+        path = self._path_transmission[direction]
+        if port is not None:
+            path = (path.T if direction == FORWARD else path)[port]
+        return summed_drop * path * self.bus_budget
 
-    def read(self, t: np.ndarray, summed_drop: np.ndarray, direction: str) -> np.ndarray:
+    def read(self, t: np.ndarray, summed_drop: np.ndarray, direction: str, port=None) -> np.ndarray:
         """Raw output powers for input-port transmittances `t` (..., n) through
         the program whose channel-summed drop is `summed_drop` (..., n, n):
         t @ G going forward, t @ G^T going backward. This is the array's one
-        reading; operands broadcast as in np.matmul."""
-        gain = self._gain(summed_drop, direction)
-        return t @ (gain if direction == FORWARD else np.swapaxes(gain, -1, -2))
+        reading; operands broadcast as in np.matmul.
+
+        With `port`, only output `port` is read, for a stack of programs:
+        `summed_drop` (..., programs, n) holds each program's drops on the
+        port's line (grid column `port` going forward, row `port` backward),
+        `port` broadcasts against its leading axes (..., programs), and `t`
+        (..., inputs, n) reads (..., inputs, programs)."""
+        gain = self._gain(summed_drop, direction, port)
+        if port is not None or direction == BACKWARD:
+            gain = np.swapaxes(gain, -1, -2)
+        return t @ gain
 
     def normalization_constant(self, direction: str) -> float:
         """Output power of a unit-target element through a fully driven port:

@@ -179,6 +179,11 @@ class AddDropLineshape:
             }
         )
 
+    def take(self, rings) -> "AddDropLineshape":
+        """A grid lineshape's rings at flat ring indices `rings`: every field's
+        flat values taken alike."""
+        return AddDropLineshape(*(getattr(self, f.name).take(rings) for f in fields(self)))
+
     def broadcast_to(self, shape: tuple) -> "AddDropLineshape":
         """This lineshape with every field a contiguous read-only array of
         `shape`, so an evaluation at wavelengths of that shape broadcasts

@@ -2,17 +2,23 @@
 
 A LUT records the detected output power of one crossbar element while its
 input MZI and its ring heater sweep a rectangular window, the way a
-hardware-in-the-loop calibration would measure it: `build_lut` takes every
-entry from the crossbar's own reading (`CrossbarArray.read`) of a
-calibration program, so the LUTs share the array's one propagation model
-and its ring alignment. Multiplications are then
-performed by inverting the two axes on their rising branches and reading the
+hardware-in-the-loop calibration would measure it. The `lut` backend
+calibrates one forward/backward pair per ring design, and each direction is
+one calibration sweep over every design (`build_lut` given arrays of
+elements): every swept ring's lineshape is evaluated in one call, and each
+element's own output port is read through the crossbar's one reading
+(`CrossbarArray.read`), so the LUTs share the array's propagation model and
+its ring alignment. The sweep returns the designs' LUTs as one
+`CalibrationLUT` stack with a leading design axis; one element gives one
+LUT, bit for bit that element's slice of any stack. Each direction reads its
+own LUT, normalized by that LUT's own full scale.
+
+Multiplications invert the two axes on their rising branches and read the
 stored power by bilinear interpolation. An axis's rising branch is the
 strictly increasing run of its response that ends at the response's maximum:
 it starts after the last non-increase before the peak, so a falling run or a
-neighbouring resonance inside the window is never inverted. The `lut`
-backend calibrates one forward/backward pair per ring design, and each
-direction reads its own LUT, normalized by that LUT's own full scale.
+neighbouring resonance inside the window is never inverted. Every design's
+branches are found in one pass over the stacked grids.
 
 There is one read, in two halves, and one LUT is its one-design case. A
 weight sets its ring's heater once, when the matrix is programmed:
@@ -21,7 +27,7 @@ weight sets its ring's heater once, when the matrix is programmed:
 inverts the MZI axis of its inputs and reads the stored power against the
 ring setting, for as many products as the program serves. A stack holds,
 per direction, every design's rising branches and grid axes concatenated
-in design order and their output grids stacked, so that the products of
+in design order, and the stacked output grid once, so that the products of
 all elements and a whole batch are one vectorised read. Each axis is
 inverted with one exact search: complex keys design + 1j * level, which
 numpy orders by design first, find every level among its own design's
@@ -37,7 +43,7 @@ mrr_min, mrr_max] followed by the row-major float64 grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import zip_longest
 
 import numpy as np
@@ -56,23 +62,28 @@ LUT_RING_WINDOW_NM = 0.65
 
 @dataclass(frozen=True)
 class CalibrationLUT:
-    """Dense (MZI power, MRR power) -> output power grid for one element."""
+    """Dense (MZI power, MRR power) -> output power grid for one element, or
+    a stack of them with a leading design axis on every field."""
 
-    mzi_powers_mw: np.ndarray
-    mrr_powers_mw: np.ndarray
-    output_power: np.ndarray  # shape (n_mzi, n_mrr)
+    mzi_powers_mw: np.ndarray  # (n_mzi,), or (designs, n_mzi) for a stack
+    mrr_powers_mw: np.ndarray  # (n_mrr,), or (designs, n_mrr)
+    output_power: np.ndarray  # (n_mzi, n_mrr), or (designs, n_mzi, n_mrr)
 
     def __post_init__(self):
         mzi = np.asarray(self.mzi_powers_mw, dtype=float)
         mrr = np.asarray(self.mrr_powers_mw, dtype=float)
         out = np.asarray(self.output_power, dtype=float)
-        if mzi.ndim != 1 or mrr.ndim != 1 or len(mzi) < 2 or len(mrr) < 2:
-            raise ValueError("LUT axes must be 1-D with at least two points")
+        lead = mzi.shape[:-1]
+        if mzi.ndim not in (1, 2) or mrr.shape[:-1] != lead or min(mzi.shape[-1], mrr.shape[-1]) < 2:
+            raise ValueError(
+                "LUT axes must be 1-D, or one row per design, with at least two points"
+            )
         # Written so that a NaN fails each check.
         if not ((np.diff(mzi) > 0).all() and (np.diff(mrr) > 0).all()):
             raise ValueError("LUT axes must be strictly increasing")
-        if out.shape != (len(mzi), len(mrr)):
-            raise ShapeError(f"output grid must be {(len(mzi), len(mrr))}; got {out.shape}")
+        want = (*lead, mzi.shape[-1], mrr.shape[-1])
+        if out.shape != want:
+            raise ShapeError(f"output grid must be {want}; got {out.shape}")
         if not (out >= 0).all():
             raise ValueError("output powers must be non-negative")
         object.__setattr__(self, "mzi_powers_mw", mzi)
@@ -80,30 +91,40 @@ class CalibrationLUT:
         object.__setattr__(self, "output_power", out)
 
     def rising_branches(self):
-        """((mzi powers, response), (mrr powers, response), full scale).
-
-        The MZI branch is the output column at the ring setting that
-        maximizes power; the ring branch is the row at the MZI setting that
-        maximizes power. Responses are normalized by the full scale (that
-        maximum) and cut to their rising branch (see `_rising_branch`).
-        """
-        i_pk, j_pk = np.unravel_index(int(np.argmax(self.output_power)), self.output_power.shape)
-        full = self.output_power[i_pk, j_pk]
-        return (
-            _rising_branch(self.mzi_powers_mw, self.output_power[:, j_pk] / full),
-            _rising_branch(self.mrr_powers_mw, self.output_power[i_pk, :] / full),
-            full,
-        )
+        """((mzi powers, response), (mrr powers, response), full scale) of a
+        one-design LUT: the one-design case of `_rising_branches`."""
+        if self.output_power.ndim != 2:
+            raise ShapeError("rising_branches reads a one-design LUT")
+        full, branches = _rising_branches(self.output_power[None])
+        axes = (self.mzi_powers_mw, self.mrr_powers_mw)
+        cut = [(p[a[0] : b[0]], r[0, a[0] : b[0]]) for p, (r, a, b) in zip(axes, branches)]
+        return (*cut, full[0])
 
 
-def _rising_branch(powers: np.ndarray, response: np.ndarray):
-    """(powers, response) on the rising branch: the strictly increasing run
-    that ends at the response's maximum, starting after the last
-    non-increase before it."""
-    stop = int(np.argmax(response)) + 1
-    falls = np.flatnonzero(np.diff(response[:stop]) <= 0)
-    start = int(falls[-1]) + 1 if falls.size else 0
-    return powers[start:stop], response[start:stop]
+def _rising_branches(output: np.ndarray):
+    """(full scale, per axis (response, start, stop)) of every design of the
+    LUT stack `output` (designs, n_mzi, n_mrr), without a loop over designs.
+
+    The full scale is the design's maximum. The MZI response is the output
+    column at the ring setting that maximizes power; the ring response is
+    the row at the MZI setting that maximizes power; both are normalized by
+    the full scale. Each axis's rising branch is knots [start, stop) of its
+    response: the strictly increasing run that ends at the response's first
+    maximum, starting after the last non-increase before it.
+    """
+    designs, _, n_mrr = output.shape
+    d = np.arange(designs)
+    i_pk, j_pk = np.divmod(output.reshape(designs, -1).argmax(axis=1), n_mrr)
+    full = output[d, i_pk, j_pk]
+    branches = []
+    for response in (output[d, :, j_pk], output[d, i_pk, :]):
+        response /= full[:, None]
+        stop = response.argmax(axis=1) + 1
+        # Knot q + 1 of every non-increase from knot q to q + 1 before the peak.
+        after = np.arange(1, response.shape[1])
+        falls = (np.diff(response) <= 0) & (after < stop[:, None])
+        branches.append((response, np.where(falls, after, 0).max(axis=1), stop))
+    return full, branches
 
 
 def _keys(design, values) -> np.ndarray:
@@ -128,39 +149,46 @@ class _StackedAxis:
     axis, and for every branch knot the grid cell that the segment starting
     there covers. The per-design bounds a read needs are gathered once, at
     the elements' designs. What a read gathers at one index is held as the
-    rows of one table, gathered in one `take`.
+    rows of one table, gathered in one `take`. Built from the stacked grids
+    (designs, steps) and responses, and each design's branch [start, stop)
+    (`_rising_branches`), with no loop over designs.
     """
 
-    def __init__(self, branches, grids, design: np.ndarray):
+    def __init__(self, grid, response, start, stop, design: np.ndarray):
+        designs, steps = grid.shape
+        length = stop - start
+        ends = np.cumsum(length)
+        # Per branch knot: its design and its index on that design's grid.
+        owner = np.repeat(np.arange(designs), length)
+        knot = np.arange(ends[-1]) + np.repeat(start - (ends - length), length)
+        grid = grid.reshape(-1)
+        flat = owner * steps + knot
+        power, response = grid[flat], response.reshape(-1)[flat]
         self.design = design
-        self.lo = np.array([r[0] for _, r in branches])[design]
-        self.hi = np.array([r[-1] for _, r in branches])[design]
-        power = np.concatenate([p for p, _ in branches])
-        response = np.concatenate([r for _, r in branches])
+        self.lo = response[ends - length][design]
+        self.hi = response[ends - 1][design]
         # A design's last knot gets slope 0: a value clamped to the branch
         # end then reads the end's power, as np.interp does.
-        slope = np.concatenate([np.append(np.diff(p) / np.diff(r), 0.0) for p, r in branches])
-        self.knots = _keys(np.repeat(np.arange(len(branches)), [len(r) for _, r in branches]), response)
-        steps = len(grids[0])
-        grid = np.concatenate(grids)
-        cells, tops = [], []
-        for d, ((powers, _), g) in enumerate(zip(branches, grids)):
-            # Branch powers are grid knots, so the segment that starts at a
-            # branch knot covers the grid cell that starts there. A power on
-            # the grid's last knot reads the last cell at fraction 1, which
-            # is where a search of the grid puts it.
-            cell = np.minimum(np.searchsorted(g, powers), steps - 2)
-            cells.append(d * steps + cell)
-            # np.interp can overshoot a segment's end by an ulp or so (never
-            # past the next knot on a grid whose knots are further apart);
-            # a power beyond the cell's top moves on to the next cell, if any.
-            tops.append(np.where(cell < steps - 2, g[np.minimum(cell + 1, steps - 1)], np.inf))
+        last = np.zeros(len(flat), dtype=bool)
+        last[ends - 1] = True
+        q = np.flatnonzero(~last)
+        slope = np.zeros(len(flat))
+        slope[q] = (power[q + 1] - power[q]) / (response[q + 1] - response[q])
+        self.knots = _keys(owner, response)
+        # Branch powers are grid knots, so the segment that starts at a branch
+        # knot covers the grid cell that starts there. A power on the grid's
+        # last knot reads the last cell at fraction 1, which is where a search
+        # of the grid puts it. np.interp can overshoot a segment's end by an
+        # ulp or so (never past the next knot on a grid whose knots are
+        # further apart); a power beyond the cell's top moves on to the next
+        # cell, if any.
+        top = np.where(knot < steps - 2, grid.take(flat + 1, mode="clip"), np.inf)
         # Per branch segment: its start knot's response, slope and power, and
         # the top of its grid cell; indexed by a search's insertion point, one
         # past the knot below the level, so column 0 is never read.
-        self.segment = np.zeros((4, len(response) + 1))
-        self.segment[:, 1:] = [response, slope, power, np.concatenate(tops)]
-        self.cell = np.concatenate([[0], *cells])
+        self.segment = np.zeros((4, len(flat) + 1))
+        self.segment[:, 1:] = [response, slope, power, top]
+        self.cell = np.concatenate([[0], owner * steps + np.minimum(knot, steps - 2)])
         # Cell i: its lower grid knot and its width (read only inside a design).
         self.cells = np.stack([grid[:-1], np.diff(grid)])
 
@@ -213,29 +241,36 @@ class RingSetting:
 class LutStack:
     """Calibration LUTs of several ring designs, stacked for one vectorised read.
 
-    Holds, per heater axis, every design's rising branch and grid axis
-    concatenated in design order (no padding), and the designs' output
-    grids stacked to (designs, n_mzi, n_mrr). All LUTs must share one grid
-    shape. `design` gives the LUT each element reads (integers that
-    broadcast against the read's targets); one LUT is the 1-design case.
+    `luts` is a CalibrationLUT, one design or a stack of them, or a sequence
+    of one-design LUTs of one grid shape, which it stacks. Holds, per heater
+    axis, every design's rising branch and grid axis concatenated in design
+    order (no padding), and the designs' (designs, n_mzi, n_mrr) output
+    grid, the stack's own array where it is one. `design` gives the LUT each
+    element reads (integers that broadcast against the read's targets); one
+    LUT is the 1-design case.
     """
 
     def __init__(self, luts, design=0):
-        luts = list(luts)
-        shape = luts[0].output_power.shape
-        if any(lut.output_power.shape != shape for lut in luts):
-            raise ShapeError("stacked LUTs must share one grid shape")
+        if not isinstance(luts, CalibrationLUT):
+            luts = list(luts)
+            if len({lut.output_power.shape for lut in luts}) != 1:
+                raise ShapeError("stacked LUTs must share one grid shape")
+            luts = CalibrationLUT(
+                *(np.stack([getattr(lut, f.name) for lut in luts]) for f in fields(CalibrationLUT))
+            )
+        shape = luts.output_power.shape[-2:]
+        z = luts.output_power.reshape(-1, *shape)
         design = np.asarray(design)
-        branches = [lut.rising_branches() for lut in luts]
-        self._mzi = _StackedAxis([b[0] for b in branches], [lut.mzi_powers_mw for lut in luts], design)
-        self._mrr = _StackedAxis([b[1] for b in branches], [lut.mrr_powers_mw for lut in luts], design)
-        # The stacked (designs, n_mzi, n_mrr) output grid, flat, and its views
-        # from knots (1, 0), (0, 1) and (1, 1): element k of each is a corner
-        # of the cell that starts at flat knot k.
+        full, (mzi, mrr) = _rising_branches(z)
+        self._mzi = _StackedAxis(luts.mzi_powers_mw.reshape(-1, shape[0]), *mzi, design)
+        self._mrr = _StackedAxis(luts.mrr_powers_mw.reshape(-1, shape[1]), *mrr, design)
+        # The stacked output grid, flat, and its views from knots (1, 0),
+        # (0, 1) and (1, 1): element k of each is a corner of the cell that
+        # starts at flat knot k.
         nr = shape[1]
-        z = np.concatenate([lut.output_power.ravel() for lut in luts])
+        z = z.reshape(-1)
         self._corners = (z, z[nr:], z[1:], z[nr + 1 :])
-        self._full = np.array([b[2] for b in branches])[design]
+        self._full = full[design]
         self._n_mrr = nr
         self._design_offset = design * nr
 
@@ -281,60 +316,75 @@ def lut_multiply_many(stack: LutStack, x_targets, rings: RingSetting):
 
 def build_lut(
     array: CrossbarArray,
-    row: int,
-    col: int,
+    row: int | np.ndarray,
+    col: int | np.ndarray,
     steps: int = 64,
     direction: str = FORWARD,
 ) -> CalibrationLUT:
-    """Simulated calibration sweep for element (row, col) of a crossbar.
+    """Simulated calibration sweep for element (row, col) of a crossbar, or
+    for every element of 1-D index arrays `row` and `col` at once: a stack
+    of their LUTs, in index order along a leading design axis.
 
-    The crossbar's own reading (`CrossbarArray.read`) of one calibration
-    program per setting, taken at output port `col` going forward and at
-    port `row` going backward. The element's input MZI sweeps
-    DEFAULT_MZI_WINDOW_MW while its ring approaches its aligned resonance
-    from LUT_RING_WINDOW_NM below; all other MZIs sit at their extinction
-    floor and all other rings are parked, as in the dark program.
+    Each entry is the crossbar's own reading (`CrossbarArray.read`) of one
+    calibration program per setting, taken at the element's own output
+    port: `col` going forward, `row` going backward. The element's input MZI
+    sweeps DEFAULT_MZI_WINDOW_MW while its ring approaches its aligned
+    resonance from LUT_RING_WINDOW_NM below; all other MZIs sit at their
+    extinction floor and all other rings are parked, as in the dark
+    program. Every swept ring's lineshape is evaluated in one call and every
+    element read in one product, with no loop over elements.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2 per axis")
     _check_direction(direction)
     n = array.n
-    if not (0 <= row < n and 0 <= col < n):
-        raise ShapeError(f"element ({row},{col}) outside a {n}x{n} crossbar")
+    rows, cols = np.broadcast_arrays(row, col)
+    one = rows.ndim == 0
+    rows, cols = np.atleast_1d(rows, cols)
+    if rows.ndim != 1:
+        raise ShapeError(f"element indices must be scalars or 1-D; got shape {rows.shape}")
+    outside = ~((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n))
+    if outside.any():
+        e = int(np.argmax(outside))
+        raise ShapeError(f"element ({rows[e]},{cols[e]}) outside a {n}x{n} crossbar")
     grid = array.ring_grid
-    ring = grid.rings[row][col]
-    p_align = grid.aligned_heaters()[row, col]
-    span = LUT_RING_WINDOW_NM / ring.resonance_shift_per_mw
-    if p_align < span:
-        # The window would run below zero power: approach the next
-        # resonance order instead, one order spacing of heater power higher.
-        p_align += grid.order_spacing_nm[row, col] / ring.resonance_shift_per_mw
-        if p_align > ring.shifter.max_power_mw:
-            raise InfeasibleError(
-                f"element ({row},{col}): the LUT ring window needs {p_align:.4g} mW, "
-                f"beyond the heater range of {ring.shifter.max_power_mw} mW"
-            )
+    ring = rows * n + cols  # flat ring index
+    rate = grid.shift_per_mw.take(ring)
+    span = LUT_RING_WINDOW_NM / rate
+    p_align = grid.aligned_heaters().take(ring)
+    # A window that would run below zero power approaches the next resonance
+    # order instead, one order spacing of heater power higher.
+    p_align = np.where(p_align < span, p_align + grid.order_spacing_nm.take(ring) / rate, p_align)
+    top = grid.max_power_mw.take(ring)
+    beyond = p_align > top
+    if beyond.any():
+        e = int(np.argmax(beyond))
+        raise InfeasibleError(
+            f"element ({rows[e]},{cols[e]}): the LUT ring window needs {p_align[e]:.4g} mW, "
+            f"beyond the heater range of {top[e]} mW"
+        )
     mzi_powers = np.linspace(DEFAULT_MZI_WINDOW_MW[0], DEFAULT_MZI_WINDOW_MW[1], steps)
-    mrr_powers = np.linspace(p_align - span, p_align, steps)
+    mrr_powers = np.linspace(p_align - span, p_align, steps).T  # (elements, steps)
 
     # One calibration program per ring setting: the dark program's summed
-    # drop, with this element's ring swept over the window.
-    program = np.repeat(array.dark_summed_drop[None], steps, axis=0)
-    drop, _ = ring.drop_through(grid.grid.array[None, :], mrr_powers[:, None])
-    program[:, row, col] = drop.sum(axis=1)
+    # drop with the element's ring swept over the window. Only the element's
+    # own port is read, so a program is the line of drops on that port,
+    # where the element's ring sits at index `driven`.
+    element = np.arange(len(rows))
+    drop = grid.drop_through_tensor(mrr_powers, ring[:, None]).sum(axis=-1)
+    driven, port = (rows, cols) if direction == FORWARD else (cols, rows)
+    dark = array.dark_summed_drop
+    lines = np.repeat((dark.T if direction == FORWARD else dark)[port][:, None], steps, axis=1)
+    lines[element, :, driven] = drop
     # Input ports at the extinction floor (one MZI design on every port),
     # but the element's own, which sweeps the MZI window.
-    t = np.full((steps, n), array.mzi_floor)
-    driven, port = (row, col) if direction == FORWARD else (col, row)
-    t[:, driven] = array.mzi.transmittance(mzi_powers)
-    # (ring setting, MZI setting, port) -> (MZI setting, ring setting), copied
-    # so that the LUT does not hold every port's reading.
-    output = array.read(t, program, direction)[:, :, port].T.copy()
-    return CalibrationLUT(
-        mzi_powers_mw=mzi_powers,
-        mrr_powers_mw=mrr_powers,
-        output_power=output,
-    )
+    t = np.full((len(rows), steps, n), array.mzi_floor)
+    t[element, :, driven] = array.mzi.transmittance(mzi_powers)
+    # (element, MZI setting, ring setting)
+    output = array.read(t, lines, direction, port=port[:, None])
+    if one:
+        return CalibrationLUT(mzi_powers, mrr_powers[0], output[0])
+    return CalibrationLUT(np.repeat(mzi_powers[None], len(rows), axis=0), mrr_powers, output)
 
 
 # -- serialization -------------------------------------------------------------

@@ -323,10 +323,10 @@ def cached_arrays(backend: PhotonicBackend) -> dict:
     grid = backend.array.ring_grid
     cached = {
         "aligned": grid._aligned,
-        "rate": grid._rate,
+        "rate": grid.shift_per_mw,
         "fab": grid._fab,
         "phase0": grid._phase0,
-        "max_power": grid._max_power,
+        "max_power": grid.max_power_mw,
         "aligned_resonance": grid._aligned_resonance,
         "channels": grid._channels,
         "resonance_wavelength": grid.lineshape.resonance_wavelength,

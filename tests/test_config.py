@@ -363,6 +363,8 @@ def test_a_failed_run_keeps_an_output_directory_that_was_there(tmp_path, mnist_d
         ({"devices": {"fabrication_sigma_nm": float("nan")}}, "devices.fabrication_sigma_nm"),
         ({"noise": {"relative_sigma": float("nan")}}, "noise.relative_sigma"),
         ({"noise": {"relative_sigma": -float("inf")}}, "noise.relative_sigma"),
+        ({"training": {"learning_rate": 10**400}}, "training.learning_rate"),
+        ({"devices": {"fabrication_sigma_nm": 10**400}}, "devices.fabrication_sigma_nm"),
     ],
 )
 def test_wrong_value_types_raise_config_error(data, field):
@@ -373,6 +375,7 @@ def test_wrong_value_types_raise_config_error(data, field):
 def test_int_is_accepted_for_float_fields():
     config = RunConfig.from_dict({"training": {"learning_rate": 1}, "datasets": {"iris_csv": None}})
     assert config.training.learning_rate == 1
+
 
 
 def test_legacy_topology_is_rejected_off_the_4x4_preset():
@@ -400,6 +403,8 @@ def test_legacy_topology_is_rejected_off_the_4x4_preset():
         ({"training": {"learning_rate": float("nan")}}, []),
         ({"devices": {"fabrication_sigma_nm": float("nan")}}, []),
         ({"noise": {"enabled": True, "relative_sigma": float("inf")}}, []),
+        ({"training": {"learning_rate": 10**400}}, []),
+        ({"devices": {"fabrication_sigma_nm": 10**400}}, []),
     ],
 )
 def test_cli_reports_a_bad_config_in_one_line_before_any_work(tmp_path, capsys, config, args):

@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import pytest
 from xbar import backends
 from xbar.backends import LutBackend
 from xbar.compiler import decode_output, encode_signed_columns
-from xbar.crossbar import BACKWARD, FORWARD
-from xbar.errors import DataFormatError, ShapeError
+from xbar.crossbar import BACKWARD, FORWARD, build_crossbar
+from xbar.devices import PhaseShifter, RingDevice
+from xbar.errors import DataFormatError, InfeasibleError, ShapeError
 from xbar.lut import (
     LUT_RING_WINDOW_NM,
     LUT_VERSION,
@@ -28,6 +30,24 @@ from xbar.noise import NoiseConfig
 from xbar.presets import EXPERIMENTAL_ALIGN_MW, preset_array
 
 
+def reference_branches(lut):
+    """The per-LUT rising branches that the one pass over a stack replaced,
+    kept as its oracle: ((mzi powers, response), (mrr powers, response),
+    full scale), each branch the strictly increasing run that ends at the
+    response's first maximum."""
+    z = lut.output_power
+    i_pk, j_pk = np.unravel_index(int(np.argmax(z)), z.shape)
+    full = z[i_pk, j_pk]
+
+    def rising(powers, response):
+        stop = int(np.argmax(response)) + 1
+        falls = np.flatnonzero(np.diff(response[:stop]) <= 0)
+        start = int(falls[-1]) + 1 if falls.size else 0
+        return powers[start:stop], response[start:stop]
+
+    return rising(lut.mzi_powers_mw, z[:, j_pk] / full), rising(lut.mrr_powers_mw, z[i_pk] / full), full
+
+
 def reference_multiply(lut, x_targets, w_targets):
     """The per-LUT read that the stacked read replaced, kept as its oracle.
 
@@ -35,7 +55,7 @@ def reference_multiply(lut, x_targets, w_targets):
     power is read by bilinear interpolation after a search of each grid axis.
     Returns (values, clamped).
     """
-    (mzi_p, mzi_r), (mrr_p, mrr_r), full = lut.rising_branches()
+    (mzi_p, mzi_r), (mrr_p, mrr_r), full = reference_branches(lut)
     x, w = np.broadcast_arrays(np.asarray(x_targets, dtype=float), np.asarray(w_targets, dtype=float))
     clamped = (x < mzi_r[0]) | (x > mzi_r[-1]) | (w < mrr_r[0]) | (w > mrr_r[-1])
     px = np.interp(x, mzi_r, mzi_p)
@@ -174,11 +194,43 @@ def test_every_lut_branch_is_strictly_increasing(name):
     for i in range(array.n):
         for j in range(array.n):
             for direction in (FORWARD, BACKWARD):
-                *branches, _ = build_lut(array, i, j, direction=direction).rising_branches()
-                for powers, response in branches:
+                lut = build_lut(array, i, j, direction=direction)
+                *branches, full = lut.rising_branches()
+                *want, want_full = reference_branches(lut)
+                assert full == want_full
+                for (powers, response), want_branch in zip(branches, want):
                     assert len(response) >= 2
                     assert np.all(np.diff(response) > 0), (i, j, direction)
                     assert np.all(np.diff(powers) > 0)
+                    for got_part, want_part in zip((powers, response), want_branch):
+                        np.testing.assert_array_equal(got_part, want_part)
+
+
+def test_stacked_branches_and_reads_equal_the_per_lut_loop_on_rough_grids():
+    """Grids of a few integer power levels have ties, falls before the peak
+    and peaks on the first or last knot: every design's branches, found in
+    one pass over the stack, and its stacked read equal the per-LUT loop."""
+    rng = np.random.default_rng(9)
+    designs = 40
+    out = rng.integers(1, 5, (designs, 6, 7)).astype(float)
+    mzi = np.cumsum(rng.uniform(0.5, 1.5, (designs, 6)), axis=1)
+    mrr = np.cumsum(rng.uniform(0.5, 1.5, (designs, 7)), axis=1)
+    luts = [CalibrationLUT(mzi[d], mrr[d], out[d]) for d in range(designs)]
+    for lut in luts:
+        *branches, full = lut.rising_branches()
+        *want, want_full = reference_branches(lut)
+        assert full == want_full
+        for branch, want_branch in zip(branches, want):
+            for got_part, want_part in zip(branch, want_branch):
+                np.testing.assert_array_equal(got_part, want_part)
+    values = rng.uniform(0.0, 1.1, (designs, 32))
+    targets = rng.uniform(0.0, 1.1, (designs, 32))
+    stack = LutStack(CalibrationLUT(mzi, mrr, out), np.arange(designs)[:, None])
+    got, clamped = lut_multiply_many(stack, values, stack.set_rings(targets))
+    for d, lut in enumerate(luts):
+        want, want_clamped = reference_multiply(lut, values[d], targets[d])
+        np.testing.assert_array_equal(got[d], want)
+        np.testing.assert_array_equal(clamped[d], want_clamped)
 
 
 @pytest.fixture(scope="module")
@@ -444,18 +496,119 @@ def test_build_lut_equals_a_per_setting_sweep_of_the_grid(preset, sigma):
     array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
     grid = array.ring_grid
     floor = array.input_transmittances(np.zeros(array.n))
-    for i in range(array.n):
-        for j in range(array.n):
-            for direction in (FORWARD, BACKWARD):
-                lut = build_lut(array, i, j, direction=direction)
-                driven, port = (i, j) if direction == FORWARD else (j, i)
-                t = np.tile(floor, (len(lut.mzi_powers_mw), 1))
-                t[:, driven] = array.mzi.transmittance(lut.mzi_powers_mw)
-                for k, power in enumerate(lut.mrr_powers_mw):
-                    heaters = grid.parked_heaters()
-                    heaters[i, j] = power
-                    reading = array.read(t, array.summed_drop(heaters), direction)
-                    np.testing.assert_array_equal(lut.output_power[:, k], reading[:, port])
+    rows, cols = np.divmod(np.arange(array.n**2), array.n)
+    for direction in (FORWARD, BACKWARD):
+        stack = build_lut(array, rows, cols, direction=direction)
+        for e, (i, j) in enumerate(zip(rows, cols)):
+            lut = build_lut(array, i, j, direction=direction)
+            driven, port = (i, j) if direction == FORWARD else (j, i)
+            t = np.tile(floor, (len(lut.mzi_powers_mw), 1))
+            t[:, driven] = array.mzi.transmittance(lut.mzi_powers_mw)
+            for k, power in enumerate(lut.mrr_powers_mw):
+                heaters = grid.parked_heaters()
+                heaters[i, j] = power
+                reading = array.read(t, array.summed_drop(heaters), direction)
+                np.testing.assert_array_equal(lut.output_power[:, k], reading[:, port])
+                np.testing.assert_array_equal(stack.output_power[e, :, k], reading[:, port])
+
+
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+@pytest.mark.parametrize("name", list(BRANCH_ARRAYS))
+def test_stacked_sweep_equals_the_one_element_sweep_bit_for_bit(name, direction):
+    """One sweep over every element is, design by design, the sweep of that
+    element alone; on simulation_9x9 the ring windows of the fabrication
+    spread are a mix of windows moved up one order and windows left alone."""
+    preset, sigma = BRANCH_ARRAYS[name]
+    array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
+    n = array.n
+    rows, cols = np.divmod(np.arange(n * n), n)
+    stack = build_lut(array, rows, cols, steps=32, direction=direction)
+    assert stack.output_power.shape == (n * n, 32, 32)
+    for e, (i, j) in enumerate(zip(rows, cols)):
+        lut = build_lut(array, i, j, steps=32, direction=direction)
+        for f in fields(CalibrationLUT):
+            np.testing.assert_array_equal(getattr(stack, f.name)[e], getattr(lut, f.name))
+    grid = array.ring_grid
+    moved = grid.aligned_heaters() < LUT_RING_WINDOW_NM / grid.shift_per_mw
+    if name == "simulation_9x9-sigma0.02":
+        assert 0 < moved.sum() < n * n
+
+
+def test_a_ring_window_beyond_the_heater_range_raises_in_either_form():
+    # Aligned at zero power, every ring's window moves up one order spacing,
+    # past a 10 mW heater.
+    array = build_crossbar(4, ring_template=RingDevice(shifter=PhaseShifter(max_power_mw=10.0)))
+    message = r"^element \(1,2\): the LUT ring window needs 38\.\d+ mW, beyond .* of 10\.0 mW$"
+    for rows, cols in ((1, 2), ([1, 2], [2, 0])):
+        with pytest.raises(InfeasibleError, match=message):
+            build_lut(array, np.array(rows), np.array(cols))
+
+
+@pytest.mark.parametrize("rows, cols", [(4, 0), ([0, 1], [2, -1]), ([[0]], [[0]])])
+def test_element_indices_outside_the_crossbar_or_not_1d_raise(rows, cols):
+    with pytest.raises(ShapeError, match="outside a 4x4 crossbar|scalars or 1-D"):
+        build_lut(preset_array("experimental_4x4"), np.array(rows), np.array(cols))
+
+
+def _corrupt_design(lut, what):
+    """Copies of the fields of a 3-design LUT stack, with design 1 corrupted."""
+    mzi, mrr, out = (np.array(getattr(lut, f.name)) for f in fields(CalibrationLUT))
+    if what == "negative power":
+        out[1, 2, 3] = -1.0
+    elif what == "nan power":
+        out[1, 5, 0] = np.nan
+    elif what == "reversed ring axis":
+        mrr[1] = mrr[1, ::-1]
+    elif what == "nan mzi knot":
+        mzi[1, 4] = np.nan
+    elif what == "short output grid":
+        out = out[:, :, :-1]
+    elif what == "ring axes of two designs":
+        mrr = mrr[:2]
+    return mzi, mrr, out
+
+
+@pytest.mark.parametrize(
+    "what, error, message",
+    [
+        ("negative power", ValueError, "non-negative"),
+        ("nan power", ValueError, "non-negative"),
+        ("reversed ring axis", ValueError, "strictly increasing"),
+        ("nan mzi knot", ValueError, "strictly increasing"),
+        ("short output grid", ShapeError, r"output grid must be \(3, 8, 8\)"),
+        ("ring axes of two designs", ValueError, "one row per design"),
+    ],
+)
+def test_a_lut_stack_with_one_bad_design_raises(what, error, message):
+    array = preset_array("experimental_4x4", fabrication_sigma_nm=0.02, seed=0)
+    stack = build_lut(array, np.arange(3), np.arange(3), steps=8)
+    with pytest.raises(error, match=message):
+        CalibrationLUT(*_corrupt_design(stack, what))
+    with pytest.raises(ShapeError, match="one-design LUT"):
+        stack.rising_branches()
+
+
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+@pytest.mark.parametrize("name", list(BRANCH_ARRAYS))
+def test_backend_tables_read_what_a_stack_of_one_element_luts_reads(name, direction):
+    """The backend's table, from one sweep over its designs, reads bit for
+    bit what a stack of one-element LUTs does, each element its own design,
+    clamp flags included."""
+    array, luts = element_luts(name, direction)
+    n = array.n
+    rng = np.random.default_rng(8)
+    values = np.empty((n, n, 16))
+    targets = np.empty((n, n, 16))
+    for e, lut in enumerate(luts):
+        (_, mzi_r), (_, mrr_r), _ = lut.rising_branches()
+        values[divmod(e, n)] = edge_levels(mzi_r, rng, 16)
+        targets[divmod(e, n)] = edge_levels(mrr_r, rng, 16)
+    per_element = LutStack(luts, np.arange(n * n).reshape(n, n, 1))
+    table = LutBackend(array).tables[direction]
+    got = lut_multiply_many(table, values, table.set_rings(targets))
+    want = lut_multiply_many(per_element, values, per_element.set_rings(targets))
+    for got_part, want_part in zip(got, want):
+        np.testing.assert_array_equal(got_part, want_part)
 
 
 def test_rings_are_set_twice_per_program_and_never_per_product(monkeypatch):
