@@ -6,13 +6,20 @@ encodes each program with them (`xbar.backends`). `compile_unit` takes the
 unit targets and programs each target t as the drop t x
 `CrossbarArray.full_scale`: a heater detuning from each ring's aligned
 setting, on the resonance order it is aligned on (`RingGrid` holds both).
-The detunings of all n^2 rings come from one inverse-lineshape solve per
-pass, on the grid's stacked lineshape. Programming works against the
-ring's measured response: every solve runs COMPENSATION_PASSES fixed-point
-passes, each subtracting the predicted foreign-channel leakage from each
-element's target, as a physical calibration programs each element from its
-measured response curve. A parked ring still leaks at its floor, so targets
-are clamped from below; `CompiledMatrix.clamped_elements` marks where.
+The detunings of all n^2 rings, of every matrix of a stack, come from one
+inverse-lineshape solve per pass. Each solve reads the grid's record for
+the stack's leading shape (`RingGrid.tiled`): every per-ring constant of
+the solve and of the drop evaluation (the lineshapes, the channels, the
+aligned heaters, heater rates and ranges, fabrication and phase offsets,
+peak drops and parked floors) tiled to the stack's full shape, so every
+ufunc of a pass runs on operands of one shape and numpy broadcasts
+nothing. The record is built on the first program of that shape, kept,
+and read-only. Programming works against the ring's measured response:
+every solve runs COMPENSATION_PASSES fixed-point passes, each subtracting
+the predicted foreign-channel leakage from each element's target, as a
+physical calibration programs each element from its measured response
+curve. A parked ring still leaks at its floor, so targets are clamped from
+below; `CompiledMatrix.clamped_elements` marks where.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .crossbar import CrossbarArray
-from .devices import read_only
 from .errors import ShapeError
 
 # Leakage-compensation passes of every heater solve.
@@ -155,36 +161,21 @@ class CompiledMatrix:
 class MatrixCompiler:
     """Programs transmittance targets onto a crossbar's ring grid.
 
-    Each ring's peak drop transmittance and relative floor are computed
-    once, at construction, and held in read-only arrays. Within one solve,
-    the requested drop `t * CrossbarArray.full_scale` is computed once, and
-    the clamp mask once, from the final pass's request; the grid supplies
-    the aligned heaters and the lineshape constants (see `RingGrid`). A
-    stack of target matrices (..., n, n) is solved in the same calls, each
-    matrix exactly as on its own.
+    Within one solve, the requested drop `t * CrossbarArray.full_scale` is
+    computed once, and the clamp mask once, from the final pass's request.
+    Every per-ring constant comes from the grid's record for the stack's
+    leading shape (`RingGrid.tiled`): the aligned heaters, each ring's peak
+    drop and relative floor, and the lineshape that the inverse solve and
+    the drop evaluation read. A stack of target matrices (..., n, n) is
+    solved in the same calls, each matrix exactly as on its own.
     """
 
     def __init__(self, array: CrossbarArray):
         self.array = array
-        grid = array.ring_grid
-        self._peaks = read_only(grid.lineshape.peak_drop[:, :, 0])
-        # Residual relative coupling of a parked ring at its own channel.
-        self._floor_rel = read_only(
-            grid.drop_below_resonance(grid.park_detuning_nm) / self._peaks
-        )
 
     @property
     def n(self) -> int:
         return self.array.n
-
-    def _detunings_for(self, relative_targets: np.ndarray) -> np.ndarray:
-        grid = self.array.ring_grid
-        # Any ring solves the whole grid: the stacked lineshape carries every
-        # ring's constants.
-        det = grid.rings[0][0].detuning_for_relative_drop(
-            relative_targets[..., None], grid.lineshape
-        )
-        return np.minimum(det[..., 0], grid.park_detuning_nm)
 
     def heaters_for_targets(self, unit_targets: np.ndarray):
         """Heater matrix realizing absolute drop targets unit_targets * full scale.
@@ -200,24 +191,30 @@ class MatrixCompiler:
         t = np.asarray(unit_targets, dtype=float)
         if t.shape[-2:] != (self.n, self.n):
             raise ShapeError(f"target matrix must be {self.n}x{self.n}")
-        if not ((0.0 <= t) & (t <= 1.0)).all():
+        if not np.logical_and.reduce((0.0 <= t) & (t <= 1.0), axis=None):
             raise ValueError("unit targets must lie in [0, 1]")
         grid = self.array.ring_grid
-        floor = self._floor_rel
+        tiled = grid.tiled(t.shape[:-2])
+        floor = tiled.floor_rel
+        # Any ring solves the whole grid: the tiled lineshape carries every
+        # ring's constants.
+        solver = grid.rings[0][0]
         absolute = t * self.array.full_scale  # the drop each element must reach
-        rows = np.arange(self.n)[:, None]
-        cols = np.arange(self.n)[None, :]
         foreign = 0.0  # the first solve predicts no pedestal
         for compensation in range(COMPENSATION_PASSES + 1):
             if compensation:
                 drop = grid.drop_through_tensor(grid.detuned_heaters(det))
-                own = drop[..., rows, cols, rows]  # response on the ring's own channel
-                foreign = drop.sum(axis=-1) - own
+                foreign = drop.sum(axis=-1)
+                foreign -= drop.take(tiled.own)  # the response on the ring's own channel
             # Relative-to-peak own-channel request for each ring, before the clamp.
-            request = (absolute - foreign) / self._peaks
-            rel = np.clip(request, floor, 1.0)
-            det = self._detunings_for(rel)
-        clamped = (request < floor) | (request > 1.0)
+            request = absolute - foreign
+            request /= tiled.peaks
+            rel = np.maximum(request, floor)
+            np.minimum(rel, 1.0, out=rel)
+            det = solver.detuning_for_relative_drop(rel, tiled.solve)
+            np.minimum(det, grid.park_detuning_nm, out=det)
+        clamped = request < floor
+        clamped |= request > 1.0
         return grid.detuned_heaters(det), clamped
 
     def compile_unit(self, unit_targets: np.ndarray) -> CompiledMatrix:

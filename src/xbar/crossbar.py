@@ -32,7 +32,7 @@ input modulators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -44,6 +44,7 @@ from .devices import (
     RingDevice,
     WavelengthGrid,
     read_only,
+    tile_to,
 )
 from .errors import EncodingError, InfeasibleError, ShapeError
 
@@ -122,6 +123,29 @@ def _per_ring(rings: list, value) -> np.ndarray:
     return read_only(np.array([[value(ring) for ring in row] for row in rings]))
 
 
+@dataclass(frozen=True)
+class TiledRings:
+    """Every per-ring constant of the heater solve and of
+    `RingGrid.drop_through_tensor`, tiled to one stack's full shape as
+    C-contiguous read-only arrays, so that each ufunc on a stack of that
+    shape runs on operands of one shape (numpy broadcasts nothing).
+    `lead` is the stack's leading shape: the (n, n) constants are tiled to
+    lead + (n, n), the channel-resolved ones to lead + (n, n, channels).
+    """
+
+    solve: AddDropLineshape  # lead + (n, n), its inverse's cached terms computed
+    drop: AddDropLineshape  # lead + (n, n, channels)
+    channels: np.ndarray  # lead + (n, n, channels)
+    aligned: np.ndarray  # the aligned heaters
+    shift_per_mw: np.ndarray
+    fab: np.ndarray
+    phase0: np.ndarray
+    max_power_mw: np.ndarray
+    peaks: np.ndarray  # each ring's peak drop
+    floor_rel: np.ndarray  # each ring's parked floor relative to its peak
+    own: np.ndarray  # flat index of each ring's own channel in a lead + (n, n, channels) array
+
+
 @dataclass
 class RingGrid:
     """n x n grid of rings; ring (i, j) carries matrix element w_ij on channel i.
@@ -140,15 +164,22 @@ class RingGrid:
       and against ALIGNMENT_TOLERANCE_NM);
     - `lineshape`, every ring's `AddDropLineshape` stacked into fields of
       shape (n, n, 1), with each ring's `resonance_phase` that of the order
-      it is aligned on. It is free of heater and fabrication detuning, so it
-      serves the inverse solve of the whole grid in one call
-      (`RingDevice.detuning_for_relative_drop`), and it caches each ring's
-      aligned resonance wavelength and half FSR for that solve on first use;
-    - the same lineshape broadcast to (n, n, channels), and the channel
-      array, on which `drop_through_tensor` evaluates in place;
+      it is aligned on. It is free of heater and fabrication detuning, so
+      one evaluation, or one inverse solve
+      (`RingDevice.detuning_for_relative_drop`), serves the whole grid;
+    - each ring's peak drop and its parked floor relative to that peak,
+      which bound the compiler's targets;
     - `park_detuning_nm`, the red detuning of a parked ring: half the
       channel spacing, or an eighth of the FSR for a single channel.
-    The rings must not be replaced or mutated afterwards.
+
+    `tiled(lead)` holds one `TiledRings` record per leading stack shape
+    `lead` that the grid has been given heaters or detunings in: the
+    constants above that the heater solve and `drop_through_tensor` read,
+    tiled to the stack's full shape. A record is built on the first call
+    with its shape (the first program of that shape), kept, and read-only.
+    Its arrays hold the grid's values, so a stack computes what each of its
+    matrices alone computes, bit for bit. The rings must not be replaced or
+    mutated afterwards.
     """
 
     rings: list  # list of n lists of n RingDevice
@@ -181,12 +212,47 @@ class RingGrid:
         self._aligned_resonance = read_only(np.where(wrapped, base - self.order_spacing_nm, base))
         phase = shape.resonance_phase + 2.0 * math.pi * wrapped[:, :, None]
         self.lineshape = replace(shape, resonance_phase=read_only(phase))
-        self._drop_shape = self.lineshape.broadcast_to((self.n, self.n, len(self.grid)))
         self._aligned = self._align()
+        self._peaks = read_only(self.lineshape.peak_drop[:, :, 0])
+        # Residual relative coupling of a parked ring at its own channel.
+        self._floor_rel = read_only(self.drop_below_resonance(self.park_detuning_nm) / self._peaks)
+        self._tiled: dict[tuple, TiledRings] = {}
 
     @property
     def n(self) -> int:
         return len(self.rings)
+
+    def tiled(self, lead: tuple) -> TiledRings:
+        """The per-ring constants tiled to the stack shape lead + (n, n),
+        built on the first call with `lead` and kept."""
+        record = self._tiled.get(lead)
+        if record is None:
+            record = self._tiled[lead] = self._tile(lead)
+        return record
+
+    def _tile(self, lead: tuple) -> TiledRings:
+        n, channels = self.n, len(self.grid)
+        full = lead + (n, n)
+        shape = self.lineshape
+        # The solve's lineshape has no channel axis.
+        solve = AddDropLineshape(*(tile_to(getattr(shape, f.name)[..., 0], full) for f in fields(shape)))
+        # Its inverse's wavelength-independent terms, cached here so that the
+        # record is complete before its first solve.
+        for cached in ("resonance_wavelength", "half_fsr", "_two_pi_length", "_dispersion_per_lam0"):
+            getattr(solve, cached)
+        return TiledRings(
+            solve=solve,
+            drop=shape.broadcast_to(full + (channels,)),
+            channels=tile_to(self._channels, full + (channels,)),
+            aligned=tile_to(self._aligned, full),
+            shift_per_mw=tile_to(self.shift_per_mw, full),
+            fab=tile_to(self._fab, full),
+            phase0=tile_to(self._phase0, full),
+            max_power_mw=tile_to(self.max_power_mw, full),
+            peaks=tile_to(self._peaks, full),
+            floor_rel=tile_to(self._floor_rel, full),
+            own=read_only(np.arange(math.prod(full)).reshape(full) * channels + np.arange(n)[:, None]),
+        )
 
     def _align(self) -> np.ndarray:
         """Heater matrix putting every ring's aligned order on its row channel.
@@ -213,30 +279,35 @@ class RingGrid:
         ring's heater range; with `rings`, flat ring indices i * n + j, one
         heater per ring they select, broadcast against them."""
         h = np.asarray(heaters, dtype=float)
-        top = self.max_power_mw
         if rings is not None:
-            top = top.take(rings)
+            top = self.max_power_mw.take(rings)
         elif h.shape[-2:] != (self.n, self.n):
             raise ShapeError(f"heater matrix must be {self.n}x{self.n}; got {h.shape}")
-        if not ((0.0 <= h) & (h <= top)).all():
+        else:
+            top = self.tiled(h.shape[:-2]).max_power_mw
+        if not np.logical_and.reduce((0.0 <= h) & (h <= top), axis=None):
             raise ValueError("ring heater power out of range")
         return h
 
     def drop_through_tensor(self, heaters: np.ndarray, rings=None) -> np.ndarray:
         """T_drop of every ring on every channel, shape (..., n, n, channels)
-        for heaters (..., n, n), as a new array. With `rings`, an integer
-        array of flat ring indices i * n + j, only the rings it selects:
-        heaters (...) hold one power per selected ring, broadcast against
-        `rings`, and the result is (..., channels). The through port, which
-        no grid caller reads, is left to `RingDevice.drop_through`."""
+        for heaters (..., n, n), as a new array, on the constants tiled to
+        the stack (`tiled`). With `rings`, an integer array of flat ring
+        indices i * n + j, only the rings it selects: heaters (...) hold one
+        power per selected ring, broadcast against `rings`, and the result
+        is (..., channels). The through port, which no grid caller reads, is
+        left to `RingDevice.drop_through`."""
         h = self.check_heaters(heaters, rings)
         if rings is None:
-            fab, rate, phase0, shape = self._fab, self.shift_per_mw, self._phase0, self._drop_shape
+            t = self.tiled(h.shape[:-2])
+            fab, rate, phase0, shape, channels = t.fab, t.shift_per_mw, t.phase0, t.drop, t.channels
         else:
             fab, rate, phase0 = (a.take(rings) for a in (self._fab, self.shift_per_mw, self._phase0))
-            shape = self.lineshape.take(rings[..., None])
-        shift = fab + rate * h + phase0  # (..., n, n), or the selection's shape
-        return shape.drop(np.subtract(self._channels, shift[..., None]))
+            shape, channels = self.lineshape.take(rings[..., None]), self._channels
+        shift = rate * h  # fab + rate * h + phase0: (..., n, n), or the selection's shape
+        shift += fab
+        shift += phase0
+        return shape.drop(np.subtract(channels, shift[..., None]))
 
     def drop_below_resonance(self, detuning_nm: float) -> np.ndarray:
         """T_drop of every ring at zero heater power, `detuning_nm` blue of
@@ -255,9 +326,12 @@ class RingGrid:
         d = np.asarray(detunings_nm, dtype=float)
         if d.shape[-2:] != (self.n, self.n):
             raise ShapeError("detuning matrix shape mismatch")
-        if not (0.0 <= d).all():
+        if not np.logical_and.reduce(0.0 <= d, axis=None):
             raise ValueError("red-shift detunings must be non-negative")
-        return self._aligned + d / self.shift_per_mw
+        t = self.tiled(d.shape[:-2])
+        heaters = d / t.shift_per_mw
+        heaters += t.aligned  # aligned + d / rate
+        return heaters
 
     def parked_heaters(self) -> np.ndarray:
         """All rings parked midway between channels (dark program)."""

@@ -37,6 +37,23 @@ def read_only(value):
     return value
 
 
+def tile_to(value, shape: tuple) -> np.ndarray:
+    """`value` broadcast to `shape` as a C-contiguous read-only array: `value`
+    itself if it is one already, else a new one. (A slice assignment
+    broadcasts in C; `np.broadcast_to(...).copy()` costs several
+    microseconds of Python per call.)"""
+    if (
+        isinstance(value, np.ndarray)
+        and value.shape == shape
+        and value.flags.c_contiguous
+        and not value.flags.writeable
+    ):
+        return value
+    out = np.empty(shape, dtype=np.result_type(value))
+    out[...] = value
+    return read_only(out)
+
+
 def _out(x):
     """`x` as a ufunc's output: in place for an array, None for a scalar,
     which is immutable."""
@@ -188,12 +205,7 @@ class AddDropLineshape:
         """This lineshape with every field a contiguous read-only array of
         `shape`, so an evaluation at wavelengths of that shape broadcasts
         nothing."""
-        return AddDropLineshape(
-            **{
-                f.name: read_only(np.broadcast_to(getattr(self, f.name), shape).copy())
-                for f in fields(self)
-            }
-        )
+        return AddDropLineshape(*(tile_to(getattr(self, f.name), shape) for f in fields(self)))
 
     def __call__(self, lam):
         """(T_drop, T_through) at wavelengths `lam` in the ring's unshifted frame."""
@@ -377,27 +389,33 @@ class RingDevice:
         lineshape floor the ring parks half an FSR away.
 
         `shape` defaults to this ring's lineshape. A stacked grid lineshape
-        (`RingGrid.lineshape`) solves every ring of the grid in one call,
-        with `relative` broadcast against its fields. The inverse does not
+        (`RingGrid.lineshape`, or one tiled to a stack of matrices,
+        `RingGrid.tiled`) solves every ring of the grid in one call, with
+        `relative` broadcast against its fields. The inverse does not
         depend on fabrication detuning: it is measured from each ring's own
         resonance.
         """
         shape = self.lineshape if shape is None else shape
         r = np.asarray(relative, dtype=float)
-        if not ((r > 0.0) & (r <= 1.0)).all():
+        if not np.logical_and.reduce((r > 0.0) & (r <= 1.0), axis=None):
             raise ValueError("relative drop level must lie in (0, 1]")
-        s2 = shape.denom0 * (1.0 / r - 1.0) / shape.four_ta
+        s2 = np.divide(1.0, r)
+        s2 -= 1.0
+        s2 = np.multiply(shape.denom0, s2)  # a new array of the broadcast shape
+        s2 /= shape.four_ta
         # math.asin per value, not np.arcsin: numpy's SIMD arcsin (numpy 2.4
         # with AVX-512) gives the same bits whatever the batch length, but
         # differs from the C library's asin in the last bit on about 8% of
         # values, and the heaters keep the C library's. Values with s2 >= 1
         # are masked below.
-        root = np.sqrt(np.minimum(s2, 1.0))
+        root = np.minimum(s2, 1.0)
+        root = np.sqrt(root, out=_out(root))
         dphi = np.fromiter(map(math.asin, root.ravel().tolist()), float, root.size).reshape(s2.shape)
         dphi *= 2.0
+        dphi += shape.resonance_phase
         # Red-shifting the ring moves the operating point blue of resonance,
         # where the round-trip phase is larger.
-        det = shape.resonance_wavelength - shape.wavelength_at_phase(shape.resonance_phase + dphi)
+        det = shape.resonance_wavelength - shape.wavelength_at_phase(dphi)
         out = np.where(s2 >= 1.0, shape.half_fsr, det)
         return out if out.ndim else float(out)
 

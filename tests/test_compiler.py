@@ -21,7 +21,7 @@ from xbar.compiler import (
 )
 from xbar.config import RunConfig
 from xbar.crossbar import BACKWARD, FORWARD, LEGACY_ASYMMETRIC, SYMMETRIC, build_ring_grid
-from xbar.devices import PhaseShifter, RingDevice, WavelengthGrid
+from xbar.devices import AddDropLineshape, PhaseShifter, RingDevice, WavelengthGrid
 from xbar.errors import EncodingError, InfeasibleError, ShapeError
 from xbar.experiments import run_experiment
 from xbar.presets import preset_array, ring_for_q
@@ -319,7 +319,8 @@ def test_aligned_heaters_returns_a_copy():
 
 
 def cached_arrays(backend: PhotonicBackend) -> dict:
-    """Every array a ring grid and its compiler compute once and share."""
+    """Every array a ring grid computes once and shares: its per-ring
+    constants, and each record of them tiled to a stack shape (`tiled`)."""
     grid = backend.array.ring_grid
     cached = {
         "aligned": grid._aligned,
@@ -329,26 +330,63 @@ def cached_arrays(backend: PhotonicBackend) -> dict:
         "max_power": grid.max_power_mw,
         "aligned_resonance": grid._aligned_resonance,
         "channels": grid._channels,
-        "resonance_wavelength": grid.lineshape.resonance_wavelength,
-        "half_fsr": grid.lineshape.half_fsr,
-        "peaks": backend.compiler._peaks,
-        "floor": backend.compiler._floor_rel,
+        "peaks": grid._peaks,
+        "floor": grid._floor_rel,
     }
     for f in fields(grid.lineshape):
         cached[f"lineshape.{f.name}"] = getattr(grid.lineshape, f.name)
-        cached[f"drop_shape.{f.name}"] = getattr(grid._drop_shape, f.name)
+    lineshape_cache = ("resonance_wavelength", "half_fsr", "_two_pi_length", "_dispersion_per_lam0")
+    for lead, record in grid._tiled.items():
+        for f in fields(record):
+            value = getattr(record, f.name)
+            if not isinstance(value, AddDropLineshape):
+                cached[f"{lead}.{f.name}"] = value
+                continue
+            names = [g.name for g in fields(value)]
+            names += [name for name in lineshape_cache if name in vars(value)]
+            for name in names:
+                cached[f"{lead}.{f.name}.{name}"] = getattr(value, name)
     return cached
 
 
 def test_cached_arrays_are_read_only():
     backend = PhotonicBackend(preset_array("experimental_4x4", fabrication_sigma_nm=0.02, seed=7))
     backend.program(np.eye(4))
+    backend.program(np.ones((2, 2, 4, 4)))
+    grid = backend.array.ring_grid
+    assert set(grid._tiled) == {(), (2, 2)}
+    # The solve's lineshape holds its inverse's cached terms.
+    assert all(name in vars(grid.tiled((2, 2)).solve) for name in ("resonance_wavelength", "half_fsr"))
     for name, value in cached_arrays(backend).items():
         assert isinstance(value, np.ndarray), name
         with pytest.raises(ValueError, match="read-only"):
-            value[...] = 0.0
+            value[...] = 0
         with pytest.raises(ValueError, match="read-only"):
-            np.multiply(value, 2.0, out=value)
+            np.multiply(value, 2, out=value)
+
+
+def test_tiled_records_hold_the_grid_constants_at_the_stack_shape():
+    grid = preset_array("simulation_9x9", fabrication_sigma_nm=0.02, seed=3).ring_grid
+    record = grid.tiled((2, 3))
+    assert grid.tiled((2, 3)) is record
+    for name, constant in [
+        ("aligned", grid._aligned),
+        ("shift_per_mw", grid.shift_per_mw),
+        ("fab", grid._fab),
+        ("phase0", grid._phase0),
+        ("max_power_mw", grid.max_power_mw),
+        ("peaks", grid._peaks),
+        ("floor_rel", grid._floor_rel),
+    ]:
+        value = getattr(record, name)
+        assert value.shape == (2, 3, 9, 9) and value.flags.c_contiguous, name
+        np.testing.assert_array_equal(value, np.broadcast_to(constant, value.shape), err_msg=name)
+    assert record.channels.shape == record.drop.n0.shape == (2, 3, 9, 9, 9)
+    assert record.solve.n0.shape == (2, 3, 9, 9)
+    # `own` picks each ring's own channel: channel i of every ring on row i.
+    drop = np.arange(2 * 3 * 9 * 9 * 9.0).reshape(2, 3, 9, 9, 9)
+    rows, cols = np.arange(9)[:, None], np.arange(9)[None, :]
+    np.testing.assert_array_equal(drop.take(record.own), drop[..., rows, cols, rows])
 
 
 @pytest.mark.parametrize("preset", list(PRESETS))
@@ -368,12 +406,16 @@ def test_programming_a_then_b_then_a_gives_a_bits(preset):
         ]
 
     first = outputs(backend.program(a))
+    backend.program(np.stack([[a, b], [b, a]])).backward(s)
     before = {name: value.copy() for name, value in cached_arrays(backend).items()}
     backend.program(b).backward(s)
+    backend.program(np.stack([[b, a], [a, b]])).backward(s)
     again = outputs(backend.program(a))
     for expected, got in zip(first, again):
         np.testing.assert_array_equal(got, expected)
-    for name, value in cached_arrays(backend).items():
+    after = cached_arrays(backend)
+    assert after.keys() == before.keys()
+    for name, value in after.items():
         np.testing.assert_array_equal(value, before[name], err_msg=name)
 
 
@@ -403,14 +445,39 @@ def test_nan_target_is_rejected_by_the_range_check():
         compiler.heaters_for_targets(targets)
 
 
+def test_stacked_range_checks_reject_nan_and_out_of_range_values():
+    # The same checks and messages as for one matrix, on a (2, 2, n, n) stack.
+    array = preset_array("experimental_4x4")
+    grid = array.ring_grid
+    targets = np.full((2, 2, 4, 4), 0.5)
+    targets[1, 0, 2, 3] = np.nan
+    with pytest.raises(ValueError, match=r"unit targets must lie in \[0, 1\]"):
+        MatrixCompiler(array).heaters_for_targets(targets)
+    detunings = np.zeros((2, 2, 4, 4))
+    detunings[0, 1, 3, 0] = np.nan
+    with pytest.raises(ValueError, match="detunings must be non-negative"):
+        grid.detuned_heaters(detunings)
+    relative = np.full((2, 2, 4, 4), 0.5)
+    relative[1, 1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"relative drop level must lie in \(0, 1\]"):
+        grid.rings[0][0].detuning_for_relative_drop(relative, grid.tiled((2, 2)).solve)
+    for bad in (np.nan, grid.max_power_mw[2, 1] * (1.0 + 1e-12)):
+        heaters = np.broadcast_to(grid.aligned_heaters(), (2, 2, 4, 4)).copy()
+        heaters[0, 0, 2, 1] = bad
+        with pytest.raises(ValueError, match="ring heater power out of range"):
+            grid.check_heaters(heaters)
+        with pytest.raises(ValueError, match="ring heater power out of range"):
+            grid.drop_through_tensor(heaters)
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.02])
 @pytest.mark.parametrize("preset", ["experimental_4x4", "simulation_9x9", "ideal"])
 def test_stacked_floor_equals_the_per_ring_drop_through_loop(preset, sigma):
     array = preset_array(preset, fabrication_sigma_nm=sigma, seed=11)
-    compiler = MatrixCompiler(array)
-    np.testing.assert_array_equal(compiler._floor_rel, reference_floor(array.ring_grid))
-    peaks = [[ring.lineshape.peak_drop for ring in row] for row in array.ring_grid.rings]
-    np.testing.assert_array_equal(compiler._peaks, peaks)
+    grid = array.ring_grid
+    np.testing.assert_array_equal(grid._floor_rel, reference_floor(grid))
+    peaks = [[ring.lineshape.peak_drop for ring in row] for row in grid.rings]
+    np.testing.assert_array_equal(grid._peaks, peaks)
 
 
 def test_nan_input_is_rejected_by_the_mzi_range_check():
@@ -522,6 +589,40 @@ def test_stacked_program_equals_per_matrix_program(preset, backend):
                     )
             for stacked_value, alone_value, name in pairs:
                 assert np.array_equal(stacked_value, alone_value), f"{name}, matrix {k}"
+
+
+@pytest.mark.parametrize(
+    "preset, sigma, variant",
+    [
+        ("experimental_4x4", 0.02, SYMMETRIC),
+        ("simulation_9x9", 0.02, SYMMETRIC),
+        ("experimental_4x4", 0.0, LEGACY_ASYMMETRIC),
+    ],
+)
+def test_interleaved_stack_shapes_equal_each_matrix_programmed_alone(preset, sigma, variant):
+    # One backend programs stacks of several leading shapes in turn, so a
+    # tiled record read under the wrong shape's key would show; each matrix
+    # is compared with its program on a fresh backend, which has built no
+    # record but its own.
+    def make():
+        return PhotonicBackend(preset_array(preset, fabrication_sigma_nm=sigma, seed=5, variant=variant))
+
+    backend = make()
+    n = backend.array.n
+    rng = np.random.default_rng(13)
+    for lead in [(), (2, 2), (1,), (2, 3), (2, 2), ()]:
+        stack = rng.uniform(-1.0, 1.0, lead + (n - 1, n))
+        stack[(0,) * len(lead)] = 0.25  # a degenerate matrix: every target 0
+        handle = backend.program(stack)
+        for index in np.ndindex(lead):
+            alone = make().program(stack[index])
+            for name in ("heater_settings_mw", "clamped_elements"):
+                got, want = getattr(handle.compiled, name)[index], getattr(alone.compiled, name)
+                assert np.array_equal(got, want), f"{name}, {lead}, {index}"
+            for name in ("_eff_fwd_t", "_eff_bwd"):
+                got, want = getattr(handle, name)[index], getattr(alone, name)
+                assert np.array_equal(got, want), f"{name}, {lead}, {index}"
+    assert set(backend.array.ring_grid._tiled) == {(), (1,), (2, 2), (2, 3)}
 
 
 def test_photonic_iris_train_rerun_is_byte_identical(tmp_path):

@@ -24,21 +24,30 @@ def test_every_layer_boundary_resolves():
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} is gone"
 
 
-def fired_spans(make_backend):
-    """Span names fired by one program of a 3x4 matrix, its forward and its backward."""
+def fired_spans(make_backend, shape=(3, 4)):
+    """Span names fired by one program of a matrix of `shape` (a 3x4 one, or
+    a stack (..., out, in)), its forward and its backward."""
     rng = np.random.default_rng(0)
     tracer = tracing.Tracer()
     with tracer.installed():
         backend = make_backend(preset_array("experimental_4x4"))
-        handle = backend.program(rng.uniform(-1.0, 1.0, (3, 4)))
-        handle.forward(rng.uniform(0.0, 1.0, (4, 2)))
-        handle.backward(rng.normal(size=(3, 2)))
+        handle = backend.program(rng.uniform(-1.0, 1.0, shape))
+        handle.forward(rng.uniform(0.0, 1.0, (shape[-1], 2)))
+        handle.backward(rng.normal(size=shape[:-1] + (2,)))
     return set(tracer.summary())
 
 
 def test_one_program_fires_every_photonic_span():
     expected = {s for s in workloads.PHOTONIC_SPANS if s.startswith(DEVICE_LAYERS)}
     fired = fired_spans(PhotonicBackend)
+    assert expected <= fired, f"never fired: {sorted(expected - fired)}"
+
+
+def test_one_stacked_program_fires_every_photonic_span():
+    # The (layers, runs, 4, 4) stack that iris-photonic programs, traced on
+    # its own: its solve must pass through the traced boundaries too.
+    expected = {s for s in workloads.PHOTONIC_SPANS if s.startswith(DEVICE_LAYERS)}
+    fired = fired_spans(PhotonicBackend, (2, 2, 4, 4))
     assert expected <= fired, f"never fired: {sorted(expected - fired)}"
 
 
