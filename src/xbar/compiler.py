@@ -24,7 +24,7 @@ below; `CompiledMatrix.clamped_elements` marks where.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,7 +155,7 @@ class CompiledMatrix:
 
     def __getitem__(self, index) -> "CompiledMatrix":
         """Matrix `index` of the stack's leading axis."""
-        return CompiledMatrix(*(getattr(self, f.name)[index] for f in fields(self)))
+        return CompiledMatrix(self.heater_settings_mw[index], self.clamped_elements[index])
 
 
 class MatrixCompiler:

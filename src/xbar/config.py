@@ -257,20 +257,24 @@ class RunConfig:
             )
         if self.experiment == "mnist-train" and self.datasets.mnist_dir is None:
             raise ConfigError("mnist-train requires datasets.mnist_dir pointing at the IDX files")
-        # The widest matrix that the run programs onto the crossbar must fit it.
+        # The run's programs must fit the crossbar: the widest matrix that a
+        # training run programs, and a dark element in each Fig.-5 program.
         backend = "photonic" if self.experiment == "iris-inference" else self.training.backend
-        if self.experiment in ("iris-train", "iris-inference", "mnist-train") and backend != "ideal":
+        run, what, needed = self.experiment, None, 0
+        if self.experiment == "measure-matrix":
+            what, needed = "a dark element in each program", 2
+        elif self.experiment in ("iris-train", "iris-inference", "mnist-train") and backend != "ideal":
+            run = f"{self.experiment} on the {backend} backend"
             if self.experiment == "mnist-train":
                 what, needed = "its kernel matrix", max(KERNEL_COUNT, KERNEL_SIZE * KERNEL_SIZE)
             else:
                 widths = iris_mlp_sizes(self.training.hidden)
                 what, needed = f"its MLP widths {widths}", max(widths)
-            if self.devices.array_size < needed:
-                raise ConfigError(
-                    f"{self.experiment} on the {backend} backend needs an array of at "
-                    f"least {needed}x{needed} for {what}; devices.preset "
-                    f"{self.devices.preset!r} gives {self.devices.array_size}x{self.devices.array_size}"
-                )
+        if self.devices.array_size < needed:
+            raise ConfigError(
+                f"{run} needs an array of at least {needed}x{needed} for {what}; devices.preset "
+                f"{self.devices.preset!r} gives {self.devices.array_size}x{self.devices.array_size}"
+            )
         if self.experiment == "mnist-train":
             paths = {kind: find_mnist_file(self.datasets.mnist_dir, kind) for kind in MNIST_FILES}
             missing = [kind for kind, path in paths.items() if path is None]

@@ -36,23 +36,18 @@ bit-for-bit what np.interp on each branch followed by a bilinear lookup
 after a search of each grid axis gives, on any grid whose knots lie more
 than a few ulps apart.
 
-Serialization: CSV (`mzi_mw,mrr_mw,power`) and a compact binary layout with
-an 8-value float64 header [magic, version, n_mzi, n_mrr, mzi_min, mzi_max,
-mrr_min, mrr_max] followed by the row-major float64 grid.
+`lut_to_csv` writes a one-element table for plotting, and nothing reads it
+back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import zip_longest
 
 import numpy as np
 
 from .crossbar import FORWARD, CrossbarArray, _check_direction
-from .errors import DataFormatError, InfeasibleError, ShapeError
-
-LUT_MAGIC = float(0x4C555431)  # 'LUT1'
-LUT_VERSION = 1.0
+from .errors import InfeasibleError, ShapeError
 
 # Fig.-7(a)-style calibration windows: the MZI sweeps most of one rising
 # fringe; the ring approaches its aligned resonance from 0.65 nm below.
@@ -387,9 +382,6 @@ def build_lut(
     return CalibrationLUT(np.repeat(mzi_powers[None], len(rows), axis=0), mrr_powers, output)
 
 
-# -- serialization -------------------------------------------------------------
-
-
 def lut_to_csv(lut: CalibrationLUT, path) -> None:
     """Long-format CSV: mzi_mw,mrr_mw,power."""
     with open(path, "w") as fh:
@@ -400,84 +392,3 @@ def lut_to_csv(lut: CalibrationLUT, path) -> None:
                     f"{format(pm, '.17g')},{format(pr, '.17g')},"
                     f"{format(lut.output_power[i, j], '.17g')}\n"
                 )
-
-
-def lut_from_csv(path) -> CalibrationLUT:
-    values = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "mzi_mw,mrr_mw,power":
-            raise DataFormatError(f"{path}: unexpected LUT CSV header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 3:
-                raise DataFormatError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                values.append([float(v) for v in parts])
-            except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: non-numeric field") from None
-    if not values:
-        raise DataFormatError(f"{path}: no LUT data rows")
-    mzi, mrr, power = np.reshape(values, (-1, 3)).T
-    mzi_axis, mrr_axis = np.unique(mzi), np.unique(mrr)
-    grid = [(a, b) for a in mzi_axis.tolist() for b in mrr_axis.tolist()]
-    for k, (row, point) in enumerate(zip_longest(zip(mzi, mrr), grid)):
-        if row != point:
-            want = f"mzi {point[0]:.17g}, mrr {point[1]:.17g}" if point else "the end"
-            raise DataFormatError(f"{path}:{k + 2}: expected {want} (row-major grid of LUT points)")
-    return _checked_lut(path, mzi_axis, mrr_axis, power.reshape(len(mzi_axis), len(mrr_axis)))
-
-
-def lut_to_binary(lut: CalibrationLUT, path) -> None:
-    header = np.array(
-        [
-            LUT_MAGIC,
-            LUT_VERSION,
-            float(len(lut.mzi_powers_mw)),
-            float(len(lut.mrr_powers_mw)),
-            lut.mzi_powers_mw[0],
-            lut.mzi_powers_mw[-1],
-            lut.mrr_powers_mw[0],
-            lut.mrr_powers_mw[-1],
-        ],
-        dtype="<f8",
-    )
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(lut.output_power.astype("<f8").tobytes())
-
-
-def lut_from_binary(path) -> CalibrationLUT:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 64:
-        raise DataFormatError(f"{path}: truncated LUT header")
-    header = np.frombuffer(raw[:64], dtype="<f8")
-    if header[0] != LUT_MAGIC:
-        raise DataFormatError(f"{path}: bad LUT magic {header[0]!r}")
-    if header[1] != LUT_VERSION:
-        raise DataFormatError(f"{path}: unsupported LUT version {header[1]}")
-    counts = [float(c) for c in header[2:4]]
-    # NaN and infinite counts fail too.
-    if not all(c >= 2 and c % 1 == 0 for c in counts):
-        raise DataFormatError(f"{path}: grid counts must be integers >= 2, got {counts}")
-    n_mzi, n_mrr = map(int, counts)
-    expected = 64 + 8 * n_mzi * n_mrr
-    if len(raw) != expected:
-        raise DataFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    grid = np.frombuffer(raw[64:], dtype="<f8").reshape(n_mzi, n_mrr)
-    return _checked_lut(
-        path,
-        np.linspace(header[4], header[5], n_mzi),
-        np.linspace(header[6], header[7], n_mrr),
-        grid.copy(),
-    )
-
-
-def _checked_lut(path, *fields) -> CalibrationLUT:
-    """The CalibrationLUT read from `path`; a table it rejects is a
-    DataFormatError that names the file."""
-    try:
-        return CalibrationLUT(*fields)
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None

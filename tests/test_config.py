@@ -405,6 +405,7 @@ def test_legacy_topology_is_rejected_off_the_4x4_preset():
         ({"noise": {"enabled": True, "relative_sigma": float("inf")}}, []),
         ({"training": {"learning_rate": 10**400}}, []),
         ({"devices": {"fabrication_sigma_nm": 10**400}}, []),
+        ({"devices": {"preset": "ideal", "n": 1}}, []),
     ],
 )
 def test_cli_reports_a_bad_config_in_one_line_before_any_work(tmp_path, capsys, config, args):
@@ -526,6 +527,24 @@ def test_n_is_rejected_where_the_preset_fixes_another_size(devices, ok):
     else:
         with pytest.raises(ConfigError, match=f"devices.n {devices['n']} .*{devices['preset']}"):
             config.validate()
+
+
+def test_measure_matrix_needs_a_dark_element_in_each_program(tmp_path):
+    """Every Fig.-5 program on a 1x1 array is [[1]], with no dark element
+    to summarize; a 2x2 array runs."""
+    config = RunConfig.from_dict({"experiment": "measure-matrix", "devices": {"preset": "ideal", "n": 1}})
+    message = (
+        "measure-matrix needs an array of at least 2x2 for a dark element in each program; "
+        "devices.preset 'ideal' gives 1x1"
+    )
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config.validate()
+    config = RunConfig.from_dict(
+        {"experiment": "measure-matrix", "out_dir": str(tmp_path), "devices": {"preset": "ideal", "n": 2}}
+    )
+    rows = (run_experiment(config) / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["identity", "anti_diagonal", "cyclic_shift"]
+    assert all(np.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
 
 
 def test_cli_rejects_n_on_a_fixed_size_preset_before_any_work(tmp_path, capsys):

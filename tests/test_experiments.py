@@ -103,7 +103,15 @@ def test_sweep_scaling_writes_the_lut_of_the_configured_array(tmp_path):
             "devices": {"preset": "simulation_9x9"},
         }
     )
-    written = (run_experiment(config) / "lut_element_1_1.csv").read_bytes()
+    out = run_experiment(config)
+    assert sorted(p.name for p in out.iterdir()) == [
+        "lut_element_1_1.csv",
+        "manifest.json",
+        "path_loss_backward_db.csv",
+        "path_loss_forward_db.csv",
+        "scaling.csv",
+    ]
+    written = (out / "lut_element_1_1.csv").read_bytes()
     expected = {}
     for preset in ("simulation_9x9", "experimental_4x4"):
         lut_to_csv(build_lut(preset_array(preset), 0, 0), tmp_path / f"{preset}.csv")

@@ -2,7 +2,6 @@
 
 import functools
 import math
-import re
 from dataclasses import fields
 
 import numpy as np
@@ -13,18 +12,13 @@ from xbar.backends import LutBackend
 from xbar.compiler import decode_output, encode_signed_columns
 from xbar.crossbar import BACKWARD, FORWARD, build_crossbar
 from xbar.devices import PhaseShifter, RingDevice
-from xbar.errors import DataFormatError, InfeasibleError, ShapeError
+from xbar.errors import InfeasibleError, ShapeError
 from xbar.lut import (
     LUT_RING_WINDOW_NM,
-    LUT_VERSION,
     CalibrationLUT,
     LutStack,
     build_lut,
-    lut_from_binary,
-    lut_from_csv,
     lut_multiply_many,
-    lut_to_binary,
-    lut_to_csv,
 )
 from xbar.noise import NoiseConfig
 from xbar.presets import EXPERIMENTAL_ALIGN_MW, preset_array
@@ -233,129 +227,6 @@ def test_stacked_branches_and_reads_equal_the_per_lut_loop_on_rough_grids():
         np.testing.assert_array_equal(clamped[d], want_clamped)
 
 
-@pytest.fixture(scope="module")
-def small_lut():
-    return build_lut(preset_array("experimental_4x4"), 1, 2, steps=8, direction=BACKWARD)
-
-
-@pytest.mark.parametrize("write, read", [(lut_to_csv, lut_from_csv), (lut_to_binary, lut_from_binary)])
-def test_lut_round_trip_is_bit_equal(tmp_path, small_lut, write, read):
-    path = tmp_path / "element.lut"
-    write(small_lut, path)
-    back = read(path)
-    np.testing.assert_array_equal(back.mzi_powers_mw, small_lut.mzi_powers_mw)
-    np.testing.assert_array_equal(back.mrr_powers_mw, small_lut.mrr_powers_mw)
-    np.testing.assert_array_equal(back.output_power, small_lut.output_power)
-
-
-def _corrupt_csv(text: str, what: str) -> str:
-    lines = text.splitlines(keepends=True)
-    if what == "header":
-        lines[0] = "mzi,mrr,power\n"
-    elif what == "columns":  # a data row with a missing column
-        lines[3] = ",".join(lines[3].split(",")[:2]) + "\n"
-    elif what == "non-numeric":  # file line 5's power
-        lines[4] = ",".join(lines[4].split(",")[:2] + ["x"]) + "\n"
-    elif what == "header only":
-        del lines[1:]
-    elif what == "swapped rows":  # file lines 3 and 4
-        lines[2], lines[3] = lines[3], lines[2]
-    elif what == "missing row":  # file line 6
-        del lines[5]
-    elif what == "repeated row":  # the last one, again
-        lines.append(lines[-1])
-    elif what == "nan power":  # file line 5's power
-        lines[4] = ",".join(lines[4].split(",")[:2] + ["nan"]) + "\n"
-    return "".join(lines)
-
-
-@pytest.mark.parametrize(
-    "what, message",
-    [
-        ("header", "header"),
-        ("columns", ":4: expected 3 columns"),
-        ("non-numeric", ":5: non-numeric field"),
-        ("header only", r"element\.csv: no LUT data rows"),
-        ("repeated row", ":66: expected the end "),  # 64 data rows
-        ("nan power", r"element\.csv: output powers must be non-negative"),
-    ],
-)
-def test_corrupt_lut_csv_raises_data_format_error(tmp_path, small_lut, what, message):
-    path = tmp_path / "element.csv"
-    lut_to_csv(small_lut, path)
-    path.write_text(_corrupt_csv(path.read_text(), what))
-    with pytest.raises(DataFormatError, match=message):
-        lut_from_csv(path)
-
-
-@pytest.mark.parametrize("what, line, k", [("swapped rows", 3, 1), ("missing row", 6, 4)])
-def test_lut_csv_rows_off_the_row_major_grid_raise_data_format_error(
-    tmp_path, small_lut, what, line, k
-):
-    """The error names the first line out of place and the grid point,
-    row-major index `k`, that belongs there."""
-    path = tmp_path / "element.csv"
-    lut_to_csv(small_lut, path)
-    path.write_text(_corrupt_csv(path.read_text(), what))
-    i, j = divmod(k, len(small_lut.mrr_powers_mw))
-    mzi, mrr = small_lut.mzi_powers_mw[i], small_lut.mrr_powers_mw[j]
-    message = f":{line}: expected mzi {mzi:.17g}, mrr {mrr:.17g} "
-    with pytest.raises(DataFormatError, match=re.escape(message)):
-        lut_from_csv(path)
-
-
-def _corrupt_binary(raw: bytes, what: str) -> bytes:
-    header = np.frombuffer(raw[:64], dtype="<f8").copy()
-    if what == "magic":
-        header[0] += 1.0
-    elif what == "version":
-        header[1] = LUT_VERSION + 1.0
-    elif what == "truncated header":
-        return raw[:40]
-    elif what == "byte count":
-        return raw[:-8]
-    elif what == "nan bound":
-        header[5] = np.nan
-    elif what == "reversed bounds":
-        header[[6, 7]] = header[[7, 6]]
-    elif what == "fractional count":
-        header[2] += 0.5
-    elif what == "nan count":
-        header[3] = np.nan
-    elif what == "1x1 grid":
-        header[2:4] = 1.0
-        return header.tobytes() + raw[64:72]
-    elif what in ("nan power", "negative power"):
-        grid = np.frombuffer(raw[64:], dtype="<f8").copy()
-        grid[5] = np.nan if what == "nan power" else -1.0
-        return header.tobytes() + grid.tobytes()
-    return header.tobytes() + raw[64:]
-
-
-@pytest.mark.parametrize(
-    "what, message",
-    [
-        ("magic", "bad LUT magic"),
-        ("version", "unsupported LUT version"),
-        ("truncated header", "truncated LUT header"),
-        ("byte count", "expected 576 bytes, found 568"),
-        ("nan bound", r"element\.lut: LUT axes must be strictly increasing"),
-        ("reversed bounds", r"element\.lut: LUT axes must be strictly increasing"),
-        ("fractional count", r"element\.lut: grid counts must be integers >= 2"),
-        ("nan count", r"element\.lut: grid counts must be integers >= 2"),
-        ("1x1 grid", r"element\.lut: grid counts must be integers >= 2"),
-        ("nan power", r"element\.lut: output powers must be non-negative"),
-        ("negative power", r"element\.lut: output powers must be non-negative"),
-    ],
-)
-def test_corrupt_lut_binary_raises_data_format_error(tmp_path, small_lut, what, message):
-    path = tmp_path / "element.lut"
-    lut_to_binary(small_lut, path)
-    path.write_bytes(_corrupt_binary(path.read_bytes(), what))
-    with pytest.raises(DataFormatError, match=message):
-        lut_from_binary(path)
-
-
 # -- the stacked read -----------------------------------------------------------
 
 
@@ -416,6 +287,11 @@ def test_stacked_read_equals_the_per_lut_read_bit_for_bit(name, direction, batch
     backend = LutBackend(array)
     rings = backend.tables[direction].set_rings(targets)
     np.testing.assert_array_equal(backend.element_products(values, rings, direction), want)
+
+
+@pytest.fixture(scope="module")
+def small_lut():
+    return build_lut(preset_array("experimental_4x4"), 1, 2, steps=8, direction=BACKWARD)
 
 
 @pytest.mark.parametrize(
