@@ -592,6 +592,27 @@ def test_stacked_program_equals_per_matrix_program(preset, backend):
 
 
 @pytest.mark.parametrize(
+    "index",
+    [1, -1, slice(0, 1), (1, 2), (0, slice(None, None, 2)), Ellipsis, np.array([1, 0])],
+    ids=["int", "negative", "slice", "tuple", "tuple with slice", "ellipsis", "array"],
+)
+def test_compiled_matrix_index_slices_both_fields_alike(index):
+    """Indexing a compiled (2, 3) stack takes the same part of both fields;
+    a matrix it picks out is that matrix compiled alone."""
+    array = PRESETS["experimental_4x4_fab"]()
+    compiler = MatrixCompiler(array)
+    targets = np.random.default_rng(5).uniform(0.0, 1.0, (2, 3, array.n, array.n))
+    compiled = compiler.compile_unit(targets)
+    part = compiled[index]
+    for f in fields(compiled):
+        assert np.array_equal(getattr(part, f.name), getattr(compiled, f.name)[index])
+    if isinstance(index, tuple) and all(isinstance(i, int) for i in index):
+        alone = compiler.compile_unit(targets[index])
+        for f in fields(compiled):
+            assert np.array_equal(getattr(part, f.name), getattr(alone, f.name))
+
+
+@pytest.mark.parametrize(
     "preset, sigma, variant",
     [
         ("experimental_4x4", 0.02, SYMMETRIC),

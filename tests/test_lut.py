@@ -1,5 +1,6 @@
 """LUT calibration tests."""
 
+import csv
 import functools
 import math
 from dataclasses import fields
@@ -19,6 +20,7 @@ from xbar.lut import (
     LutStack,
     build_lut,
     lut_multiply_many,
+    lut_to_csv,
 )
 from xbar.noise import NoiseConfig
 from xbar.presets import EXPERIMENTAL_ALIGN_MW, preset_array
@@ -287,6 +289,70 @@ def test_stacked_read_equals_the_per_lut_read_bit_for_bit(name, direction, batch
     backend = LutBackend(array)
     rings = backend.tables[direction].set_rings(targets)
     np.testing.assert_array_equal(backend.element_products(values, rings, direction), want)
+
+
+@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
+@pytest.mark.parametrize("name", list(BRANCH_ARRAYS))
+def test_lut_csv_is_the_row_major_grid_at_full_precision(tmp_path, name, direction):
+    """The plotting CSV holds one row per grid point, MZI-major, and every
+    field parses back to its float bit for bit."""
+    preset, sigma = BRANCH_ARRAYS[name]
+    array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
+    lut = build_lut(array, 1, 1, steps=6, direction=direction)
+    path = tmp_path / "element.csv"
+    lut_to_csv(lut, path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["mzi_mw", "mrr_mw", "power"]
+    got = np.array(rows, dtype=float)
+    mzi, mrr = np.meshgrid(lut.mzi_powers_mw, lut.mrr_powers_mw, indexing="ij")
+    want = np.stack([mzi.ravel(), mrr.ravel(), lut.output_power.ravel()], axis=1)
+    assert got.shape == (36, 3)
+    np.testing.assert_array_equal(got, want)
+
+
+def _corrupt_element(lut, what):
+    """Copies of the fields of a one-design LUT, corrupted."""
+    mzi, mrr, out = (np.array(getattr(lut, f.name)) for f in fields(CalibrationLUT))
+    if what == "negative power":
+        out[2, 3] = -1.0
+    elif what == "nan power":
+        out[5, 0] = np.nan
+    elif what == "reversed mzi axis":
+        mzi = mzi[::-1]
+    elif what == "repeated ring knot":
+        mrr[4] = mrr[3]
+    elif what == "nan ring knot":
+        mrr[0] = np.nan
+    elif what == "one-point axes":
+        mzi, mrr, out = mzi[:1], mrr[:1], out[:1, :1]
+    elif what == "transposed grid":
+        mrr, out = mrr[:-1], out[:, :-1].T
+    elif what == "stacked mzi axis":
+        mzi = mzi[None]
+    elif what == "3-D axes":
+        mzi, mrr = mzi[None, None], mrr[None, None]
+    return mzi, mrr, out
+
+
+@pytest.mark.parametrize(
+    "what, error, message",
+    [
+        ("negative power", ValueError, "non-negative"),
+        ("nan power", ValueError, "non-negative"),
+        ("reversed mzi axis", ValueError, "strictly increasing"),
+        ("repeated ring knot", ValueError, "strictly increasing"),
+        ("nan ring knot", ValueError, "strictly increasing"),
+        ("one-point axes", ValueError, "at least two points"),
+        ("transposed grid", ShapeError, r"output grid must be \(8, 7\); got \(7, 8\)"),
+        ("stacked mzi axis", ValueError, "one row per design"),
+        ("3-D axes", ValueError, "1-D, or one row per design"),
+    ],
+)
+def test_a_one_design_lut_with_a_bad_field_raises(what, error, message):
+    lut = build_lut(preset_array("experimental_4x4"), 1, 2, steps=8)
+    with pytest.raises(error, match=message):
+        CalibrationLUT(*_corrupt_element(lut, what))
 
 
 @pytest.fixture(scope="module")
