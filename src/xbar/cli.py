@@ -1,4 +1,14 @@
-"""Command-line entry point: `xbar <experiment> [--config FILE] [--seed N] [--out DIR]`."""
+"""Command-line entry point: `xbar <experiment> [--config FILE] [--seed N] [--out DIR]`.
+
+The contract, of which `tests/test_cli.py` checks the first two exits row
+by row:
+
+- exit 0: the run's output directory is printed on stdout;
+- exit 1: a config, input or output fault prints one `xbar: error: ...`
+  line on stderr and nothing on stdout, and no directory the run created is
+  left behind;
+- exit 2: argparse's usage errors (an unknown experiment or option).
+"""
 
 from __future__ import annotations
 

@@ -117,7 +117,7 @@ def _from_mapping(cls, data, where: str):
     types = {f.name: f.type for f in fields(cls)}
     unknown = set(data) - set(types)
     if unknown:
-        raise ConfigError(f"{where or 'run config'}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where or 'run config'}: unknown keys {sorted(unknown, key=str)}")
     values = {}
     for key, value in data.items():
         name = f"{where}.{key}" if where else key

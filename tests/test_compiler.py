@@ -19,11 +19,9 @@ from xbar.compiler import (
     encode_signed,
     encode_signed_columns,
 )
-from xbar.config import RunConfig
 from xbar.crossbar import BACKWARD, FORWARD, LEGACY_ASYMMETRIC, SYMMETRIC, build_ring_grid
 from xbar.devices import AddDropLineshape, PhaseShifter, RingDevice, WavelengthGrid
 from xbar.errors import EncodingError, InfeasibleError, ShapeError
-from xbar.experiments import run_experiment
 from xbar.presets import preset_array, ring_for_q
 
 PRESETS = {
@@ -644,22 +642,6 @@ def test_interleaved_stack_shapes_equal_each_matrix_programmed_alone(preset, sig
                 got, want = getattr(handle, name)[index], getattr(alone, name)
                 assert np.array_equal(got, want), f"{name}, {lead}, {index}"
     assert set(backend.array.ring_grid._tiled) == {(), (1,), (2, 2), (2, 3)}
-
-
-def test_photonic_iris_train_rerun_is_byte_identical(tmp_path):
-    outputs = []
-    for name in ("a", "b"):
-        config = RunConfig.from_dict(
-            {
-                "experiment": "iris-train",
-                "seed": 4,
-                "out_dir": str(tmp_path / name),
-                "training": {"backend": "photonic", "epochs": 2, "runs": 1},
-            }
-        )
-        out_dir = run_experiment(config)
-        outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))})
-    assert outputs[0] and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("preset", list(PRESETS))

@@ -1,16 +1,13 @@
-"""Run-config validation and manifest tests."""
+"""Run-config validation and config-hash tests; the CLI contract is in test_cli.py."""
 
-import json
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 from conftest import write_idx
 
-from xbar.cli import main
 from xbar.config import EXPERIMENTS, DeviceSection, RunConfig
 from xbar.errors import ConfigError, DataFormatError
 from xbar.experiments import RUNNERS, run_experiment
@@ -28,15 +25,6 @@ def test_config_hash_ignores_out_dir(tmp_path):
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
     assert a.to_dict()["out_dir"] == str(tmp_path / "a")
-
-
-def test_manifest_hash_is_the_same_in_two_directories(tmp_path):
-    hashes = []
-    for name in ("a", "b"):
-        assert main(["measure-matrix", "--out", str(tmp_path / name)]) == 0
-        manifest = json.loads((tmp_path / name / "measure-matrix" / "manifest.json").read_text())
-        hashes.append(manifest["config_sha256"])
-    assert hashes[0] == hashes[1]
 
 
 @pytest.mark.parametrize(
@@ -76,19 +64,6 @@ def test_mnist_train_accepts_arrays_that_fit(devices, backend, mnist_dir):
     config.validate()
 
 
-def test_cli_rejects_mnist_train_on_default_preset(tmp_path, capsys):
-    config_path = tmp_path / "mnist.yaml"
-    config_path.write_text(yaml.safe_dump({"datasets": {"mnist_dir": str(tmp_path)}}))
-    out = tmp_path / "out"
-    code = main(["mnist-train", "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "9x9" in lines[0]
-    assert not out.exists()  # rejected before any work
-
-
 @pytest.mark.parametrize(
     "experiment, devices, training, ok",
     [
@@ -119,43 +94,12 @@ def test_iris_mlp_widths_must_fit_the_crossbar(experiment, devices, training, ok
         config.validate()
 
 
-@pytest.mark.parametrize("experiment", ["iris-train", "iris-inference"])
-def test_cli_rejects_a_hidden_layer_wider_than_the_crossbar_before_any_work(
-    experiment, tmp_path, capsys
-):
-    config_path = tmp_path / "wide.yaml"
-    config_path.write_text(yaml.safe_dump({"training": {"hidden": 8}}))
-    out = tmp_path / "out"
-    code = main([experiment, "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "8x8" in lines[0]
-    assert not out.exists()  # rejected before any work
-
-
 def test_mnist_train_requires_mnist_dir():
     config = RunConfig.from_dict(
         {"experiment": "mnist-train", "devices": {"preset": "simulation_9x9"}}
     )
     with pytest.raises(ConfigError, match="datasets.mnist_dir"):
         config.validate()
-
-
-def test_cli_rejects_mnist_train_without_mnist_dir_before_any_work(tmp_path, capsys):
-    config_path = tmp_path / "mnist.yaml"
-    config_path.write_text(
-        yaml.safe_dump({"devices": {"preset": "simulation_9x9"}, "training": {"backend": "photonic"}})
-    )
-    out = tmp_path / "out"
-    code = main(["mnist-train", "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and "datasets.mnist_dir" in lines[0]
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -178,27 +122,6 @@ def test_mnist_train_requires_the_idx_files(mnist_dir, remove, missing):
     )
     with pytest.raises(ConfigError, match=f"holds no MNIST IDX file for {missing}$"):
         config.validate()
-
-
-def test_cli_rejects_mnist_train_on_an_empty_mnist_dir_before_any_work(tmp_path, capsys):
-    config_path = tmp_path / "mnist.yaml"
-    config_path.write_text(
-        yaml.safe_dump(
-            {
-                "devices": {"preset": "simulation_9x9"},
-                "training": {"backend": "photonic"},
-                "datasets": {"mnist_dir": str(tmp_path)},
-            }
-        )
-    )
-    out = tmp_path / "out"
-    code = main(["mnist-train", "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "MNIST IDX" in lines[0]
-    assert not out.exists()
 
 
 def write_mnist_pair(directory, prefix, images, labels, suffix=""):
@@ -240,91 +163,6 @@ def test_mnist_train_rejects_images_that_are_not_28x28(mnist_dir, suffix):
     message = r"t10k-images-idx3-ubyte.* holds 32x32 images; the CNN reads 28x28$"
     with pytest.raises(ConfigError, match=message):
         mnist_config(mnist_dir).validate()
-
-
-@pytest.mark.parametrize(
-    "images, labels, message",
-    [
-        ((10000, 28, 28), 9999, "datasets.mnist_train 10000 asks for more labels"),
-        ((10000, 32, 32), 10000, "holds 32x32 images"),
-    ],
-)
-def test_cli_rejects_unusable_mnist_files_before_any_work(
-    tmp_path, capsys, mnist_dir, images, labels, message
-):
-    write_mnist_pair(mnist_dir, "train", np.zeros(images), np.zeros(labels), ".gz")
-    config_path = tmp_path / "mnist.yaml"
-    config_path.write_text(
-        yaml.safe_dump(
-            {
-                "devices": {"preset": "simulation_9x9"},
-                "training": {"backend": "photonic"},
-                "datasets": {"mnist_dir": str(mnist_dir)},
-            }
-        )
-    )
-    out = tmp_path / "out"
-    code = main(["mnist-train", "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and message in lines[0]
-    assert not out.exists()
-
-
-def test_cli_run_that_fails_after_validation_leaves_no_output(tmp_path, capsys, mnist_dir):
-    # The header promises 64 digits, so validation passes; the body is cut
-    # short, so reading the digits fails once the run has started.
-    write_mnist_pair(mnist_dir, "train", np.zeros((64, 28, 28)), np.zeros(64))
-    images = mnist_dir / "train-images-idx3-ubyte"
-    images.write_bytes(images.read_bytes()[:-100])
-    config_path = tmp_path / "mnist.yaml"
-    config_path.write_text(
-        yaml.safe_dump(
-            {
-                "devices": {"preset": "simulation_9x9"},
-                "training": {"backend": "photonic"},
-                "datasets": {"mnist_dir": str(mnist_dir), "mnist_train": 64, "mnist_test": 32},
-            }
-        )
-    )
-    out = tmp_path / "out"
-    code = main(["mnist-train", "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "truncated" in lines[0]
-    assert not out.exists()
-
-
-# A config that cannot be read, or an output path below a regular file:
-# (what is written at "config", the --out path under tmp_path, what the one
-# error line must name).
-UNREADABLE_RUNS = {
-    "config is a directory": (None, "out", "Is a directory"),
-    "config not UTF-8": (b"seed: 1\ntraining:\n  epochs: \xff\xfe\n", "out", "not UTF-8"),
-    "config invalid YAML": (b"training: [a\n  b: }\n", "out", "invalid YAML"),
-    "out below a file": (b"{}\n", "config/out", "Not a directory"),
-}
-
-
-@pytest.mark.parametrize("case", list(UNREADABLE_RUNS))
-def test_an_unreadable_config_or_output_path_is_one_error_line(case, tmp_path, capsys):
-    content, out, message = UNREADABLE_RUNS[case]
-    config_path = tmp_path / "config"
-    if content is None:
-        config_path.mkdir()
-    else:
-        config_path.write_bytes(content)
-    code = main(["iris-train", "--config", str(config_path), "--out", str(tmp_path / out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and message in lines[0]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config"]
 
 
 def test_a_config_that_cannot_be_read_raises_config_error_naming_it(tmp_path):
@@ -377,7 +215,6 @@ def test_int_is_accepted_for_float_fields():
     assert config.training.learning_rate == 1
 
 
-
 def test_legacy_topology_is_rejected_off_the_4x4_preset():
     config = RunConfig.from_dict(
         {
@@ -388,37 +225,6 @@ def test_legacy_topology_is_rejected_off_the_4x4_preset():
     )
     with pytest.raises(ConfigError, match="experimental_4x4"):
         config.validate()
-
-
-@pytest.mark.parametrize(
-    "config, args",
-    [
-        ({"training": {"epochs": "ten"}}, []),
-        ({"seed": "abc"}, []),
-        ({"devices": {"preset": "ideal", "n": "4"}}, []),
-        ({"training": {"epochs": True}}, []),
-        ({"devices": {"preset": "ideal"}, "topology": {"variant": "legacy_asymmetric"}}, []),
-        ({"seed": -1}, []),
-        ({}, ["--seed", "-1"]),
-        ({"training": {"learning_rate": float("nan")}}, []),
-        ({"devices": {"fabrication_sigma_nm": float("nan")}}, []),
-        ({"noise": {"enabled": True, "relative_sigma": float("inf")}}, []),
-        ({"training": {"learning_rate": 10**400}}, []),
-        ({"devices": {"fabrication_sigma_nm": 10**400}}, []),
-        ({"devices": {"preset": "ideal", "n": 1}}, []),
-    ],
-)
-def test_cli_reports_a_bad_config_in_one_line_before_any_work(tmp_path, capsys, config, args):
-    config_path = tmp_path / "run.yaml"
-    config_path.write_text(yaml.safe_dump(config))
-    out = tmp_path / "out"
-    code = main(["measure-matrix", "--config", str(config_path), "--out", str(out), *args])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("xbar: error:")
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", [e for e in EXPERIMENTS if e != "characterize-devices"])
@@ -436,20 +242,6 @@ def test_random_mzi_phases_is_accepted_by_characterize_devices():
     ).validate()
 
 
-def test_cli_rejects_random_mzi_phases_outside_characterize_devices(tmp_path, capsys):
-    config_path = tmp_path / "phases.yaml"
-    config_path.write_text(yaml.safe_dump({"devices": {"random_mzi_phases": True}}))
-    out = tmp_path / "out"
-    code = main(["iris-train", "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("xbar: error:")
-    assert "random_mzi_phases" in lines[0]
-    assert not out.exists()  # rejected before any work
-
-
 def test_mnist_train_rejects_a_non_default_hidden_width(mnist_dir):
     data = {
         "experiment": "mnist-train",
@@ -459,27 +251,6 @@ def test_mnist_train_rejects_a_non_default_hidden_width(mnist_dir):
     RunConfig.from_dict({**data, "training": {"hidden": 4}}).validate()
     with pytest.raises(ConfigError, match="^training.hidden 8 is not read by mnist-train;"):
         RunConfig.from_dict({**data, "training": {"hidden": 8}}).validate()
-
-
-def test_cli_rejects_hidden_on_mnist_train_before_any_work(tmp_path, capsys, mnist_dir):
-    config_path = tmp_path / "mnist.yaml"
-    config_path.write_text(
-        yaml.safe_dump(
-            {
-                "devices": {"preset": "simulation_9x9"},
-                "training": {"backend": "photonic", "hidden": 8},
-                "datasets": {"mnist_dir": str(mnist_dir)},
-            }
-        )
-    )
-    out = tmp_path / "out"
-    code = main(["mnist-train", "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "training.hidden" in lines[0]
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", ["mnist-train", "iris-inference"])
@@ -494,19 +265,6 @@ def test_runs_is_rejected_where_the_experiment_trains_one_model(experiment, mnis
 
 def test_iris_train_accepts_any_run_count():
     RunConfig.from_dict({"experiment": "iris-train", "training": {"runs": 2}}).validate()
-
-
-def test_cli_rejects_runs_on_iris_inference_before_any_work(tmp_path, capsys):
-    config_path = tmp_path / "inference.yaml"
-    config_path.write_text(yaml.safe_dump({"training": {"runs": 1}}))
-    out = tmp_path / "out"
-    code = main(["iris-inference", "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "training.runs" in lines[0]
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -547,19 +305,6 @@ def test_measure_matrix_needs_a_dark_element_in_each_program(tmp_path):
     assert all(np.isfinite(float(v)) for row in rows for v in row.split(",")[1:])
 
 
-def test_cli_rejects_n_on_a_fixed_size_preset_before_any_work(tmp_path, capsys):
-    config_path = tmp_path / "preset.yaml"
-    config_path.write_text(yaml.safe_dump({"devices": {"preset": "experimental_4x4", "n": 9}}))
-    out = tmp_path / "out"
-    code = main(["measure-matrix", "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "devices.n" in lines[0]
-    assert not out.exists()
-
-
 def test_iris_inference_rejects_a_non_default_backend():
     data = {"experiment": "iris-inference"}
     RunConfig.from_dict({**data, "training": {"backend": "lut"}}).validate()
@@ -575,19 +320,6 @@ def test_array_size_is_the_size_the_preset_builds(preset):
     devices = DeviceSection(preset=preset, n=DeviceSection.n if preset != "ideal" else 6)
     devices.validate()
     assert preset_array(preset, n=devices.n).n == devices.array_size
-
-
-def test_cli_rejects_a_backend_on_iris_inference_before_any_work(tmp_path, capsys):
-    config_path = tmp_path / "inference.yaml"
-    config_path.write_text(yaml.safe_dump({"training": {"backend": "photonic"}}))
-    out = tmp_path / "out"
-    code = main(["iris-inference", "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("xbar: error:") and "training.backend" in lines[0]
-    assert not out.exists()
 
 
 # (experiment, config sections, the error's "<field> <value> is not read by <run>"),
@@ -746,20 +478,6 @@ def test_a_field_the_run_does_not_read_must_keep_its_default(experiment, data, m
 )
 def test_fields_the_run_reads_may_differ_from_their_defaults(experiment, data, mnist_dir):
     RunConfig.from_dict(_with_mnist_dir(experiment, data, mnist_dir)).validate()
-
-
-def test_cli_rejects_an_unread_field_in_one_line_before_any_work(tmp_path, capsys):
-    config_path = tmp_path / "unread.yaml"
-    config_path.write_text(yaml.safe_dump({"noise": {"enabled": True}}))
-    out = tmp_path / "out"
-    code = main(["characterize-devices", "--config", str(config_path), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith("xbar: error: noise.enabled True is not read by characterize-devices")
-    assert not out.exists()
 
 
 def test_every_experiment_has_a_runner():
