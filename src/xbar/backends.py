@@ -40,17 +40,18 @@ The `lut` backend never propagates whole vectors; every scalar product is
 fetched from calibration look-up tables, as the training experiments did.
 It calibrates one LUT pair per ring design (rings with equal fabrication
 detuning and coupling): a uniform grid is one design, a grid with a
-fabrication spread has one per ring. Each direction's LUTs come from one
-calibration sweep over every design (`xbar.lut.build_lut`) and are stacked
-into one table (`xbar.lut.LutStack`), read with an exact search keyed
-on (design, level), so each product of every element and the whole batch is
-one vectorised lookup, whatever the number of designs. Each LUT is inverted
-on the rising branch of each axis (see `xbar.lut`). The read has a
-program-time half: `program` sets every element's ring to its target once
-per direction (`LutStack.set_rings` of `LutBackend.tables`), and each
-product inverts only its inputs' MZI axis against those ring settings. A
-backward appends the all-ones column to its error columns and reads both in
-one LUT read.
+fabrication spread has one per ring. Both directions' LUTs come from one
+calibration sweep over every design (`xbar.lut.build_lut`), which reads
+each ring setting at the element's forward and backward ports; each
+direction's LUTs are stacked into one table (`xbar.lut.LutStack`), read
+with an exact search keyed on (design, level), so each product of every
+element and the whole batch is one vectorised lookup, whatever the number
+of designs. Each LUT is inverted on the rising branch of each axis (see
+`xbar.lut`). The read has a program-time half: `program` sets every
+element's ring to its target once per direction (`LutStack.set_rings` of
+`LutBackend.tables`), and each product inverts only its inputs' MZI axis
+against those ring settings. A backward appends the all-ones column to its
+error columns and reads both in one LUT read.
 """
 
 from __future__ import annotations
@@ -322,11 +323,11 @@ class LutBackend(_PhysicalBackend):
     """Performs every multiplication by fetching calibration LUT entries.
 
     One LUT pair is calibrated per ring design, on the design's first
-    element; a uniform grid is one design. Each direction is one
-    calibration sweep (`build_lut`) over every design's element, each
-    reading its own output port through `CrossbarArray.read`; it returns
-    the designs' LUTs stacked into that direction's table, so every product
-    is one vectorised read.
+    element; a uniform grid is one design. Both directions come from one
+    calibration sweep (`build_lut`) over every design's element: each ring
+    setting is read at the element's forward and backward output ports
+    through `CrossbarArray.read`. Each direction's LUTs are stacked into
+    its table, so every product is one vectorised read.
     """
 
     programmed = LutProgrammed
@@ -334,7 +335,6 @@ class LutBackend(_PhysicalBackend):
     def __init__(
         self,
         array: CrossbarArray,
-        steps: int = 64,
         noise: NoiseConfig | Sequence[NoiseConfig] | None = None,
         time_average_count: int = 1,
     ):
@@ -349,10 +349,8 @@ class LutBackend(_PhysicalBackend):
         rows, cols = np.divmod([members[0] for members in designs.values()], n)
         # Ring design of element (row, col), broadcast over the batch axis.
         design = design.reshape(n, n, 1)
-        self.tables = {
-            direction: LutStack(build_lut(array, rows, cols, steps=steps, direction=direction), design)
-            for direction in (FORWARD, BACKWARD)
-        }
+        luts = build_lut(array, rows, cols)
+        self.tables = {direction: LutStack(lut, design) for direction, lut in luts.items()}
 
     def element_products(self, values, rings: RingSetting, direction: str) -> np.ndarray:
         """Clean LUT product estimates values * targets for every grid

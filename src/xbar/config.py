@@ -2,8 +2,9 @@
 
 A run config is a small YAML document with five optional sections; every
 field has a default so a bare `experiment:` line is a valid file. Unknown
-keys and values of the wrong type fail with a ConfigError when the config is
-read (typos should not silently fall back to defaults, nor crash later).
+keys, a key given twice in one mapping and values of the wrong type fail
+with a ConfigError when the config is read (typos should not silently fall
+back to defaults, nor crash later).
 Each experiment reads a known set of fields (`READS`); `validate` rejects a
 field that the run does not read unless it keeps its default.
 
@@ -133,6 +134,23 @@ def _from_mapping(cls, data, where: str):
             raise ConfigError(f"{name}: expected a finite float, got {got}")
         values[key] = value
     return cls(**values)
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A SafeLoader that rejects a key given twice in one mapping, a merged
+    (`<<`) one included, which `yaml.safe_load` reads as its last value."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep=deep)
+        keys = set()
+        for key_node, _ in node.value:
+            key = self.construct_object(key_node)
+            if key in keys:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"found duplicate key {key!r}", key_node.start_mark
+                )
+            keys.add(key)
+        return mapping
 
 
 @dataclass
@@ -319,7 +337,7 @@ class RunConfig:
     def from_yaml(cls, path) -> "RunConfig":
         try:
             with open(path, encoding="utf-8") as fh:
-                data = yaml.safe_load(fh) or {}
+                data = yaml.load(fh, Loader=_UniqueKeyLoader) or {}
         except yaml.YAMLError as exc:
             # The parser's message spans lines; the CLI reports one.
             raise ConfigError(f"{path}: invalid YAML ({' '.join(str(exc).split())})") from None

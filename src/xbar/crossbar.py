@@ -15,10 +15,10 @@ The model is linear in the input powers, so one gain matrix
 describes a heater program, and every reading is the MZI-transmittance
 vector times G: forward, output column j reads sum_i t_i G[i, j]; backward,
 output row i reads sum_j G[i, j] t_j. `CrossbarArray.read` is that one
-reading; the MVM, the probed matrix and the LUT calibration sweep all take
-their output powers from it. The symmetric layout gives both directions the
-same path losses, so the forward and backward readings are exact
-transposes. One calibration serves a program and its read-back: `RingGrid`
+reading; the probed reading (`CrossbarArray.measure`) and the LUT
+calibration sweep take their output powers from it. The symmetric layout
+gives both directions the same path losses, so the forward and backward
+readings are exact transposes. One calibration serves a program and its read-back: `RingGrid`
 holds each ring's aligned resonance order, and `CrossbarArray.full_scale`
 the drop that a unit target is programmed to and the decode divides out.
 
@@ -474,10 +474,15 @@ class CrossbarArray:
         _check_direction(direction)
         return self._normalization[direction]
 
-    def forward_mvm(self, x: np.ndarray, heaters: np.ndarray) -> np.ndarray:
-        """Normalized forward product: approximates T.T @ x for the programmed T."""
-        raw = self.read(self.input_transmittances(x), self.summed_drop(heaters), FORWARD)
-        return raw / self.normalization_constant(FORWARD)
+    def measure(self, x: np.ndarray, heaters: np.ndarray, direction: str) -> np.ndarray:
+        """Normalized reading of inputs `x` (..., n) through the program
+        `heaters`, MZI leakage included: forward it approximates T.T @ x for
+        the programmed T, backward T @ x. `np.eye(n)` gives the matrix
+        measured by single-input probing, whose row p is the output vector
+        with only input port p driven high and every other MZI at its
+        extinction floor."""
+        raw = self.read(self.input_transmittances(x), self.summed_drop(heaters), direction)
+        return raw / self.normalization_constant(direction)
 
     def effective_matrix(self, summed_drop: np.ndarray, direction: str) -> np.ndarray:
         """Normalized gain M = G / norm: forward y = M.T @ x, backward y = M @ s.
@@ -490,17 +495,6 @@ class CrossbarArray:
         the photonic backend's products read it.
         """
         return self._gain(summed_drop, direction) / self.normalization_constant(direction)
-
-    def measure_matrix(self, heaters: np.ndarray, direction: str) -> np.ndarray:
-        """Matrix measured by single-input probing, including MZI leakage.
-
-        Row p of the result is the normalized output vector when only input
-        port p is driven high and the remaining MZIs sit at their
-        extinction floor.
-        """
-        t = self.input_transmittances(np.eye(self.n))
-        raw = self.read(t, self.summed_drop(heaters), direction)
-        return raw / self.normalization_constant(direction)
 
 
 def build_crossbar(

@@ -148,8 +148,8 @@ def run_measure_matrix(config: RunConfig, out_dir: Path) -> None:
     for name, make in FIG5_PROGRAMS.items():
         target = make(array.n)
         compiled = compiler.compile_unit(target)
-        fwd = array.measure_matrix(compiled.heater_settings_mw, FORWARD)
-        bwd = array.measure_matrix(compiled.heater_settings_mw, BACKWARD)
+        fwd = array.measure(np.eye(array.n), compiled.heater_settings_mw, FORWARD)
+        bwd = array.measure(np.eye(array.n), compiled.heater_settings_mw, BACKWARD)
         if cfg_noise is not None:
             reps = config.noise.time_average
             fwd = perturb(fwd, cfg_noise, rng, reps)
@@ -285,7 +285,7 @@ def run_sweep_scaling(config: RunConfig, out_dir: Path) -> None:
             w = rng.uniform(0.0, 1.0, (9, 9))
             compiled = compiler.compile_unit(w)
             x = rng.uniform(0.0, 1.0, 9)
-            y = array.forward_mvm(x, compiled.heater_settings_mw)
+            y = array.measure(x, compiled.heater_settings_mw, FORWARD)
             ref = w.T @ x
             errs.append(np.linalg.norm(y - ref) / np.linalg.norm(ref))
         rows.append((q, float(np.mean(errs)), float(np.max(errs))))
@@ -295,7 +295,7 @@ def run_sweep_scaling(config: RunConfig, out_dir: Path) -> None:
     write_matrix_csv(out_dir / "path_loss_forward_db.csv", array.topology.path_loss_db(FORWARD))
     write_matrix_csv(out_dir / "path_loss_backward_db.csv", array.topology.path_loss_db(BACKWARD))
     # A Fig.-7(a)-style calibration table for the configured array's (1,1) element.
-    lut_to_csv(build_lut(array, 0, 0), out_dir / "lut_element_1_1.csv")
+    lut_to_csv(build_lut(array, 0, 0)[FORWARD], out_dir / "lut_element_1_1.csv")
 
 
 RUNNERS = {

@@ -3,15 +3,16 @@
 A LUT records the detected output power of one crossbar element while its
 input MZI and its ring heater sweep a rectangular window, the way a
 hardware-in-the-loop calibration would measure it. The `lut` backend
-calibrates one forward/backward pair per ring design, and each direction is
-one calibration sweep over every design (`build_lut` given arrays of
-elements): every swept ring's lineshape is evaluated in one call, and each
-element's own output port is read through the crossbar's one reading
-(`CrossbarArray.read`), so the LUTs share the array's propagation model and
-its ring alignment. The sweep returns the designs' LUTs as one
-`CalibrationLUT` stack with a leading design axis; one element gives one
-LUT, bit for bit that element's slice of any stack. Each direction reads its
-own LUT, normalized by that LUT's own full scale.
+calibrates one forward/backward pair per ring design in one calibration
+sweep over every design (`build_lut` given arrays of elements): every
+swept ring's lineshape is evaluated once, in one call, and each ring
+setting is read at two ports of its element, the forward and the backward
+output, through the crossbar's one reading (`CrossbarArray.read`), so the
+LUTs share the array's propagation model and its ring alignment. The sweep
+returns, per direction, the designs' LUTs as one `CalibrationLUT` stack
+with a leading design axis; one element gives one LUT, bit for bit that
+element's slice of any stack. Each direction reads its own LUT, normalized
+by that LUT's own full scale.
 
 Multiplications invert the two axes on their rising branches and read the
 stored power by bilinear interpolation. An axis's rising branch is the
@@ -46,7 +47,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .crossbar import FORWARD, CrossbarArray, _check_direction
+from .crossbar import BACKWARD, FORWARD, CrossbarArray
 from .errors import InfeasibleError, ShapeError
 
 # Fig.-7(a)-style calibration windows: the MZI sweeps most of one rising
@@ -84,16 +85,6 @@ class CalibrationLUT:
         object.__setattr__(self, "mzi_powers_mw", mzi)
         object.__setattr__(self, "mrr_powers_mw", mrr)
         object.__setattr__(self, "output_power", out)
-
-    def rising_branches(self):
-        """((mzi powers, response), (mrr powers, response), full scale) of a
-        one-design LUT: the one-design case of `_rising_branches`."""
-        if self.output_power.ndim != 2:
-            raise ShapeError("rising_branches reads a one-design LUT")
-        full, branches = _rising_branches(self.output_power[None])
-        axes = (self.mzi_powers_mw, self.mrr_powers_mw)
-        cut = [(p[a[0] : b[0]], r[0, a[0] : b[0]]) for p, (r, a, b) in zip(axes, branches)]
-        return (*cut, full[0])
 
 
 def _rising_branches(output: np.ndarray):
@@ -310,28 +301,26 @@ def lut_multiply_many(stack: LutStack, x_targets, rings: RingSetting):
 
 
 def build_lut(
-    array: CrossbarArray,
-    row: int | np.ndarray,
-    col: int | np.ndarray,
-    steps: int = 64,
-    direction: str = FORWARD,
-) -> CalibrationLUT:
-    """Simulated calibration sweep for element (row, col) of a crossbar, or
-    for every element of 1-D index arrays `row` and `col` at once: a stack
-    of their LUTs, in index order along a leading design axis.
+    array: CrossbarArray, row: int | np.ndarray, col: int | np.ndarray, steps: int = 64
+) -> dict[str, CalibrationLUT]:
+    """Simulated calibration sweep of element (row, col) of a crossbar, or of
+    every element of 1-D index arrays `row` and `col` at once. Returns
+    {FORWARD: lut, BACKWARD: lut}: per direction, the element's LUT, or a
+    stack of the elements' LUTs in index order along a leading design axis.
 
-    Each entry is the crossbar's own reading (`CrossbarArray.read`) of one
+    One sweep serves both directions. The element's input MZI sweeps
+    DEFAULT_MZI_WINDOW_MW while its ring approaches its aligned resonance
+    from LUT_RING_WINDOW_NM below; all other MZIs sit at their extinction
+    floor and all other rings are parked, as in the dark program. Each
+    entry is the crossbar's own reading (`CrossbarArray.read`) of one
     calibration program per setting, taken at the element's own output
-    port: `col` going forward, `row` going backward. The element's input MZI
-    sweeps DEFAULT_MZI_WINDOW_MW while its ring approaches its aligned
-    resonance from LUT_RING_WINDOW_NM below; all other MZIs sit at their
-    extinction floor and all other rings are parked, as in the dark
-    program. Every swept ring's lineshape is evaluated in one call and every
-    element read in one product, with no loop over elements.
+    port: `col` going forward, `row` going backward. Every swept ring's
+    lineshape is evaluated in one call, for both directions, and each
+    direction reads every element in one product, with no loop over
+    elements.
     """
     if steps < 2:
         raise ValueError("steps must be >= 2 per axis")
-    _check_direction(direction)
     n = array.n
     rows, cols = np.broadcast_arrays(row, col)
     one = rows.ndim == 0
@@ -360,6 +349,9 @@ def build_lut(
         )
     mzi_powers = np.linspace(DEFAULT_MZI_WINDOW_MW[0], DEFAULT_MZI_WINDOW_MW[1], steps)
     mrr_powers = np.linspace(p_align - span, p_align, steps).T  # (elements, steps)
+    swept = array.mzi.transmittance(mzi_powers)
+    mzi_powers = np.broadcast_to(mzi_powers, mrr_powers.shape)
+    design = 0 if one else slice(None)  # one element drops the design axis
 
     # One calibration program per ring setting: the dark program's summed
     # drop with the element's ring swept over the window. Only the element's
@@ -367,19 +359,19 @@ def build_lut(
     # where the element's ring sits at index `driven`.
     element = np.arange(len(rows))
     drop = grid.drop_through_tensor(mrr_powers, ring[:, None]).sum(axis=-1)
-    driven, port = (rows, cols) if direction == FORWARD else (cols, rows)
     dark = array.dark_summed_drop
-    lines = np.repeat((dark.T if direction == FORWARD else dark)[port][:, None], steps, axis=1)
-    lines[element, :, driven] = drop
-    # Input ports at the extinction floor (one MZI design on every port),
-    # but the element's own, which sweeps the MZI window.
-    t = np.full((len(rows), steps, n), array.mzi_floor)
-    t[element, :, driven] = array.mzi.transmittance(mzi_powers)
-    # (element, MZI setting, ring setting)
-    output = array.read(t, lines, direction, port=port[:, None])
-    if one:
-        return CalibrationLUT(mzi_powers, mrr_powers[0], output[0])
-    return CalibrationLUT(np.repeat(mzi_powers[None], len(rows), axis=0), mrr_powers, output)
+    luts = {}
+    for direction, driven, port in ((FORWARD, rows, cols), (BACKWARD, cols, rows)):
+        lines = np.repeat((dark.T if direction == FORWARD else dark)[port][:, None], steps, axis=1)
+        lines[element, :, driven] = drop
+        # Input ports at the extinction floor (one MZI design on every
+        # port), but the element's own, which sweeps the MZI window.
+        t = np.full((len(rows), steps, n), array.mzi_floor)
+        t[element, :, driven] = swept
+        # (element, MZI setting, ring setting)
+        output = array.read(t, lines, direction, port=port[:, None])
+        luts[direction] = CalibrationLUT(mzi_powers[design], mrr_powers[design], output[design])
+    return luts
 
 
 def lut_to_csv(lut: CalibrationLUT, path) -> None:

@@ -181,6 +181,14 @@ ROWS = {
     "config-a-directory": fails("iris-train", None, "Is a directory", "--config", "."),
     "config-not-utf8": fails("iris-train", b"seed: 1\ntraining:\n  epochs: \xff\xfe\n", "not UTF-8"),
     "config-invalid-yaml": fails("iris-train", b"training: [a\n  b: }\n", "invalid YAML"),
+    # A key given twice is no last-one-wins override; an unhashable key
+    # is no key at all.
+    "config-duplicate-key": fails(
+        "iris-train",
+        b"training:\n  epochs: 3\n  epochs: 1\n",
+        "found duplicate key 'epochs' in \"run.yaml\", line 3",
+    ),
+    "config-unhashable-key": fails("iris-train", b"? [a, b]\n: 1\n", "found unhashable key"),
     "out-below-a-file": fails("iris-train", {}, "Not a directory", setup=out_file),
     # MNIST input that cannot train fails before any work, or, when only
     # reading the digits finds the fault, leaves no output.

@@ -5,6 +5,7 @@ import numpy as np
 
 from xbar.backends import make_backend
 from xbar.config import RunConfig
+from xbar.crossbar import FORWARD
 from xbar.experiments import build_array, noise_config, run_experiment
 from xbar.lut import build_lut, lut_to_csv
 from xbar.noise import NoiseConfig
@@ -80,7 +81,7 @@ def test_sweep_scaling_writes_the_lut_of_the_configured_array(tmp_path):
     written = (out / "lut_element_1_1.csv").read_bytes()
     expected = {}
     for preset in ("simulation_9x9", "experimental_4x4"):
-        lut_to_csv(build_lut(preset_array(preset), 0, 0), tmp_path / f"{preset}.csv")
+        lut_to_csv(build_lut(preset_array(preset), 0, 0)[FORWARD], tmp_path / f"{preset}.csv")
         expected[preset] = (tmp_path / f"{preset}.csv").read_bytes()
     assert written == expected["simulation_9x9"]
     assert written != expected["experimental_4x4"]

@@ -11,13 +11,14 @@ import pytest
 from xbar import backends
 from xbar.backends import LutBackend
 from xbar.compiler import decode_output, encode_signed_columns
-from xbar.crossbar import BACKWARD, FORWARD, build_crossbar
+from xbar.crossbar import BACKWARD, FORWARD, RingGrid, build_crossbar
 from xbar.devices import PhaseShifter, RingDevice
 from xbar.errors import InfeasibleError, ShapeError
 from xbar.lut import (
     LUT_RING_WINDOW_NM,
     CalibrationLUT,
     LutStack,
+    _rising_branches,
     build_lut,
     lut_multiply_many,
     lut_to_csv,
@@ -42,6 +43,26 @@ def reference_branches(lut):
         return powers[start:stop], response[start:stop]
 
     return rising(lut.mzi_powers_mw, z[:, j_pk] / full), rising(lut.mrr_powers_mw, z[i_pk] / full), full
+
+
+def assert_stacked_branches_equal_the_reference(stack):
+    """In every design of the LUT stack `stack`, `_rising_branches`, the one
+    pass that `LutStack` runs, finds what `reference_branches` finds in the
+    design's own LUT. Returns each design's two branches (powers, response)."""
+    full, branches = _rising_branches(stack.output_power)
+    axes = (stack.mzi_powers_mw, stack.mrr_powers_mw)
+    found = []
+    for d in range(len(full)):
+        cut = [(p[d, a[d] : b[d]], r[d, a[d] : b[d]]) for p, (r, a, b) in zip(axes, branches)]
+        *want, want_full = reference_branches(
+            CalibrationLUT(*(getattr(stack, f.name)[d] for f in fields(CalibrationLUT)))
+        )
+        assert full[d] == want_full
+        for branch, want_branch in zip(cut, want):
+            for got_part, want_part in zip(branch, want_branch):
+                np.testing.assert_array_equal(got_part, want_part)
+        found.append(cut)
+    return found
 
 
 def reference_multiply(lut, x_targets, w_targets):
@@ -96,7 +117,7 @@ def test_ring_window_moves_up_one_fsr_when_alignment_is_near_zero(preset, direct
     span = LUT_RING_WINDOW_NM / ring.resonance_shift_per_mw
     p_align = array.ring_grid.aligned_heaters()[0, 0]
     assert p_align < span
-    mrr = build_lut(array, 0, 0, steps=16, direction=direction).mrr_powers_mw
+    mrr = build_lut(array, 0, 0, steps=16)[direction].mrr_powers_mw
     assert np.all(np.diff(mrr) > 0)
     shape = ring.lineshape
     spacing = shape.resonance_wavelength - shape.wavelength_at_phase(
@@ -109,7 +130,7 @@ def test_ring_window_moves_up_one_fsr_when_alignment_is_near_zero(preset, direct
 
 @pytest.mark.parametrize("preset", list(NEAR_ZERO_ALIGNMENT))
 def test_lut_backend_calibrates_on_near_zero_alignment_presets(preset):
-    backend = LutBackend(NEAR_ZERO_ALIGNMENT[preset](), steps=16)
+    backend = LutBackend(NEAR_ZERO_ALIGNMENT[preset]())
     w = np.array([[0.5, -0.25], [1.0, 0.0]])
     assert np.all(np.isfinite(backend.program(w).forward(np.array([[0.3], [0.8]]))))
 
@@ -119,11 +140,9 @@ def test_ring_window_unchanged_when_alignment_leaves_room():
     ring = array.ring_grid.rings[0][0]
     p_align = array.ring_grid.aligned_heaters()[0, 0]
     assert p_align == pytest.approx(EXPERIMENTAL_ALIGN_MW, abs=0.5)
-    lut = build_lut(array, 0, 0, steps=16)
-    np.testing.assert_array_equal(
-        lut.mrr_powers_mw,
-        np.linspace(p_align - LUT_RING_WINDOW_NM / ring.resonance_shift_per_mw, p_align, 16),
-    )
+    want = np.linspace(p_align - LUT_RING_WINDOW_NM / ring.resonance_shift_per_mw, p_align, 16)
+    for lut in build_lut(array, 0, 0, steps=16).values():
+        np.testing.assert_array_equal(lut.mrr_powers_mw, want)
 
 
 # Element whose LUT pair calibrates element (i, j): a uniform grid is one
@@ -135,16 +154,15 @@ CALIBRATED_ON = {0.0: lambda i, j: (0, 0), 0.02: lambda i, j: (i, j)}
 @pytest.mark.parametrize("sigma", list(CALIBRATED_ON))
 def test_element_products_match_a_per_element_lut_loop(sigma):
     array = preset_array("experimental_4x4", fabrication_sigma_nm=sigma, seed=0)
-    backend = LutBackend(array, steps=16)
+    backend = LutBackend(array)
     rng = np.random.default_rng(1)
     values = rng.uniform(0.0, 1.0, (4, 4, 3))
     targets = rng.uniform(0.0, 1.0, (4, 4, 1))
+    luts = {(i, j): build_lut(array, *CALIBRATED_ON[sigma](i, j)) for i in range(4) for j in range(4)}
     for direction in (FORWARD, BACKWARD):
         want = np.empty((4, 4, 3))
-        for i in range(4):
-            for j in range(4):
-                lut = build_lut(array, *CALIBRATED_ON[sigma](i, j), steps=16, direction=direction)
-                want[i, j], _ = reference_multiply(lut, values[i, j], targets[i, j])
+        for (i, j), pair in luts.items():
+            want[i, j], _ = reference_multiply(pair[direction], values[i, j], targets[i, j])
         rings = backend.tables[direction].set_rings(targets)
         np.testing.assert_array_equal(backend.element_products(values, rings, direction), want)
 
@@ -154,8 +172,8 @@ def test_element_products_are_clean_estimates_that_draw_no_noise():
     same inputs are equal, and equal to a noise-free backend's read (the
     handle measures them)."""
     array = preset_array("experimental_4x4")
-    noisy = LutBackend(array, steps=16, noise=NoiseConfig(seed=3), time_average_count=2)
-    clean = LutBackend(array, steps=16)
+    noisy = LutBackend(array, noise=NoiseConfig(seed=3), time_average_count=2)
+    clean = LutBackend(array)
     rng = np.random.default_rng(6)
     values = rng.uniform(0.0, 1.0, (4, 4, 3))
     targets = rng.uniform(0.0, 1.0, (4, 4, 1))
@@ -177,8 +195,9 @@ def test_element_products_equal_their_own_direction_lut_read(variant):
     rng = np.random.default_rng(2)
     values = rng.uniform(0.0, 1.0, (4, 4, 2))
     targets = rng.uniform(0.0, 1.0, (4, 4, 1))
+    luts = build_lut(array, 0, 0)
     for direction in (FORWARD, BACKWARD):
-        want, _ = reference_multiply(build_lut(array, 0, 0, direction=direction), values, targets)
+        want, _ = reference_multiply(luts[direction], values, targets)
         rings = backend.tables[direction].set_rings(targets)
         np.testing.assert_array_equal(backend.element_products(values, rings, direction), want)
 
@@ -187,19 +206,13 @@ def test_element_products_equal_their_own_direction_lut_read(variant):
 def test_every_lut_branch_is_strictly_increasing(name):
     preset, sigma = BRANCH_ARRAYS[name]
     array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
-    for i in range(array.n):
-        for j in range(array.n):
-            for direction in (FORWARD, BACKWARD):
-                lut = build_lut(array, i, j, direction=direction)
-                *branches, full = lut.rising_branches()
-                *want, want_full = reference_branches(lut)
-                assert full == want_full
-                for (powers, response), want_branch in zip(branches, want):
-                    assert len(response) >= 2
-                    assert np.all(np.diff(response) > 0), (i, j, direction)
-                    assert np.all(np.diff(powers) > 0)
-                    for got_part, want_part in zip((powers, response), want_branch):
-                        np.testing.assert_array_equal(got_part, want_part)
+    rows, cols = np.divmod(np.arange(array.n**2), array.n)
+    for direction, stack in build_lut(array, rows, cols).items():
+        for e, branches in enumerate(assert_stacked_branches_equal_the_reference(stack)):
+            for powers, response in branches:
+                assert len(response) >= 2
+                assert np.all(np.diff(response) > 0), (divmod(e, array.n), direction)
+                assert np.all(np.diff(powers) > 0)
 
 
 def test_stacked_branches_and_reads_equal_the_per_lut_loop_on_rough_grids():
@@ -212,13 +225,7 @@ def test_stacked_branches_and_reads_equal_the_per_lut_loop_on_rough_grids():
     mzi = np.cumsum(rng.uniform(0.5, 1.5, (designs, 6)), axis=1)
     mrr = np.cumsum(rng.uniform(0.5, 1.5, (designs, 7)), axis=1)
     luts = [CalibrationLUT(mzi[d], mrr[d], out[d]) for d in range(designs)]
-    for lut in luts:
-        *branches, full = lut.rising_branches()
-        *want, want_full = reference_branches(lut)
-        assert full == want_full
-        for branch, want_branch in zip(branches, want):
-            for got_part, want_part in zip(branch, want_branch):
-                np.testing.assert_array_equal(got_part, want_part)
+    assert_stacked_branches_equal_the_reference(CalibrationLUT(mzi, mrr, out))
     values = rng.uniform(0.0, 1.1, (designs, 32))
     targets = rng.uniform(0.0, 1.1, (designs, 32))
     stack = LutStack(CalibrationLUT(mzi, mrr, out), np.arange(designs)[:, None])
@@ -242,7 +249,7 @@ def element_luts(name, direction):
         for j in range(array.n):
             on = CALIBRATED_ON[sigma](i, j)
             if on not in built:
-                built[on] = build_lut(array, *on, direction=direction)
+                built[on] = build_lut(array, *on)[direction]
     return array, [built[CALIBRATED_ON[sigma](i, j)] for i in range(array.n) for j in range(array.n)]
 
 
@@ -275,7 +282,7 @@ def test_stacked_read_equals_the_per_lut_read_bit_for_bit(name, direction, batch
     want_clamped = np.empty((n, n, batch), dtype=bool)
     for e, lut in enumerate(luts):
         i, j = divmod(e, n)
-        (_, mzi_r), (_, mrr_r), _ = lut.rising_branches()
+        (_, mzi_r), (_, mrr_r), _ = reference_branches(lut)
         values[i, j] = edge_levels(mzi_r, rng, batch)
         targets[i, j] = edge_levels(mrr_r, rng, batch)
         want[i, j], want_clamped[i, j] = reference_multiply(lut, values[i, j], targets[i, j])
@@ -298,7 +305,7 @@ def test_lut_csv_is_the_row_major_grid_at_full_precision(tmp_path, name, directi
     field parses back to its float bit for bit."""
     preset, sigma = BRANCH_ARRAYS[name]
     array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
-    lut = build_lut(array, 1, 1, steps=6, direction=direction)
+    lut = build_lut(array, 1, 1, steps=6)[direction]
     path = tmp_path / "element.csv"
     lut_to_csv(lut, path)
     with open(path, newline="") as fh:
@@ -350,14 +357,14 @@ def _corrupt_element(lut, what):
     ],
 )
 def test_a_one_design_lut_with_a_bad_field_raises(what, error, message):
-    lut = build_lut(preset_array("experimental_4x4"), 1, 2, steps=8)
+    lut = build_lut(preset_array("experimental_4x4"), 1, 2, steps=8)[FORWARD]
     with pytest.raises(error, match=message):
         CalibrationLUT(*_corrupt_element(lut, what))
 
 
 @pytest.fixture(scope="module")
 def small_lut():
-    return build_lut(preset_array("experimental_4x4"), 1, 2, steps=8, direction=BACKWARD)
+    return build_lut(preset_array("experimental_4x4"), 1, 2, steps=8)[BACKWARD]
 
 
 @pytest.mark.parametrize(
@@ -392,7 +399,7 @@ def test_a_power_an_ulp_past_its_segment_reads_like_a_grid_search(case):
     grid[:, 1] = column
     lut = CalibrationLUT(np.array(mzi), np.array([0.0, 1.0]), grid)
     x = np.nextafter(knot, 0.0)
-    (powers, response), _, _ = lut.rising_branches()
+    (powers, response), _, _ = reference_branches(lut)
     assert np.interp(x, response, powers) > powers[np.searchsorted(response, knot)]
     want, _ = reference_multiply(lut, x, 1.0)
     assert one_lut_read(lut, x, 1.0)[0] == want
@@ -402,7 +409,7 @@ def test_stacked_read_of_luts_with_unequal_axes():
     array = preset_array("experimental_4x4", fabrication_sigma_nm=0.02, seed=0)
     luts = []
     for i in range(2):
-        lut = build_lut(array, i, i, steps=24)
+        lut = build_lut(array, i, i, steps=24)[FORWARD]
         luts.append(CalibrationLUT(lut.mzi_powers_mw[4:], lut.mrr_powers_mw, lut.output_power[4:]))
     rng = np.random.default_rng(4)
     values = rng.uniform(0.0, 1.0, (2, 1, 8))
@@ -419,7 +426,7 @@ def test_stacked_read_of_luts_with_unequal_axes():
 def test_stacked_luts_must_share_one_grid_shape():
     array = preset_array("experimental_4x4")
     with pytest.raises(ShapeError, match="one grid shape"):
-        LutStack([build_lut(array, 0, 0, steps=8), build_lut(array, 0, 1, steps=9)])
+        LutStack([build_lut(array, 0, 0, steps=8)[FORWARD], build_lut(array, 0, 1, steps=9)[FORWARD]])
 
 
 @pytest.mark.parametrize(
@@ -439,10 +446,11 @@ def test_build_lut_equals_a_per_setting_sweep_of_the_grid(preset, sigma):
     grid = array.ring_grid
     floor = array.input_transmittances(np.zeros(array.n))
     rows, cols = np.divmod(np.arange(array.n**2), array.n)
-    for direction in (FORWARD, BACKWARD):
-        stack = build_lut(array, rows, cols, direction=direction)
-        for e, (i, j) in enumerate(zip(rows, cols)):
-            lut = build_lut(array, i, j, direction=direction)
+    stacks = build_lut(array, rows, cols)
+    for e, (i, j) in enumerate(zip(rows, cols)):
+        luts = build_lut(array, i, j)
+        for direction in (FORWARD, BACKWARD):
+            stack, lut = stacks[direction], luts[direction]
             driven, port = (i, j) if direction == FORWARD else (j, i)
             t = np.tile(floor, (len(lut.mzi_powers_mw), 1))
             t[:, driven] = array.mzi.transmittance(lut.mzi_powers_mw)
@@ -464,10 +472,10 @@ def test_stacked_sweep_equals_the_one_element_sweep_bit_for_bit(name, direction)
     array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
     n = array.n
     rows, cols = np.divmod(np.arange(n * n), n)
-    stack = build_lut(array, rows, cols, steps=32, direction=direction)
+    stack = build_lut(array, rows, cols, steps=32)[direction]
     assert stack.output_power.shape == (n * n, 32, 32)
     for e, (i, j) in enumerate(zip(rows, cols)):
-        lut = build_lut(array, i, j, steps=32, direction=direction)
+        lut = build_lut(array, i, j, steps=32)[direction]
         for f in fields(CalibrationLUT):
             np.testing.assert_array_equal(getattr(stack, f.name)[e], getattr(lut, f.name))
     grid = array.ring_grid
@@ -523,11 +531,9 @@ def _corrupt_design(lut, what):
 )
 def test_a_lut_stack_with_one_bad_design_raises(what, error, message):
     array = preset_array("experimental_4x4", fabrication_sigma_nm=0.02, seed=0)
-    stack = build_lut(array, np.arange(3), np.arange(3), steps=8)
+    stack = build_lut(array, np.arange(3), np.arange(3), steps=8)[FORWARD]
     with pytest.raises(error, match=message):
         CalibrationLUT(*_corrupt_design(stack, what))
-    with pytest.raises(ShapeError, match="one-design LUT"):
-        stack.rising_branches()
 
 
 @pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
@@ -542,7 +548,7 @@ def test_backend_tables_read_what_a_stack_of_one_element_luts_reads(name, direct
     values = np.empty((n, n, 16))
     targets = np.empty((n, n, 16))
     for e, lut in enumerate(luts):
-        (_, mzi_r), (_, mrr_r), _ = lut.rising_branches()
+        (_, mzi_r), (_, mrr_r), _ = reference_branches(lut)
         values[divmod(e, n)] = edge_levels(mzi_r, rng, 16)
         targets[divmod(e, n)] = edge_levels(mrr_r, rng, 16)
     per_element = LutStack(luts, np.arange(n * n).reshape(n, n, 1))
@@ -551,6 +557,23 @@ def test_backend_tables_read_what_a_stack_of_one_element_luts_reads(name, direct
     want = lut_multiply_many(per_element, values, per_element.set_rings(targets))
     for got_part, want_part in zip(got, want):
         np.testing.assert_array_equal(got_part, want_part)
+
+
+def test_a_lut_backend_calibrates_both_directions_in_one_sweep(monkeypatch):
+    """One init sweeps every design once: one `build_lut` call, and two
+    lineshape calls, the swept rings' and the dark program's that every
+    calibration program starts from."""
+    array = preset_array("experimental_4x4", fabrication_sigma_nm=0.02, seed=0)
+    calls = []
+    for owner, name in ((backends, "build_lut"), (RingGrid, "drop_through_tensor")):
+
+        def counted(*args, original=getattr(owner, name), name=name, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    LutBackend(array)
+    assert sorted(calls) == ["build_lut", "drop_through_tensor", "drop_through_tensor"]
 
 
 def test_rings_are_set_twice_per_program_and_never_per_product(monkeypatch):
@@ -564,7 +587,7 @@ def test_rings_are_set_twice_per_program_and_never_per_product(monkeypatch):
         return set_rings(self, w)
 
     monkeypatch.setattr(LutStack, "set_rings", counted)
-    backend = LutBackend(preset_array("experimental_4x4"), steps=16)
+    backend = LutBackend(preset_array("experimental_4x4"))
     rng = np.random.default_rng(5)
     handle = backend.program(rng.normal(size=(2, 3, 4)))
     assert calls == [(2, 4, 4, 1)] * 2
@@ -660,7 +683,7 @@ def test_a_backward_and_its_all_ones_pass_are_one_lut_read(monkeypatch):
         return read(stack, x, rings)
 
     monkeypatch.setattr(backends, "lut_multiply_many", counted)
-    backend = LutBackend(preset_array("experimental_4x4"), steps=16)
+    backend = LutBackend(preset_array("experimental_4x4"))
     rng = np.random.default_rng(13)
     handle = backend.program(rng.normal(size=(2, 3, 4)))
     for program in (handle, handle.view(0, 3, 4), handle.view(1, 3, 4)):

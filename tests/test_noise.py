@@ -72,4 +72,4 @@ def test_backends_reject_a_time_average_count_below_one(count):
     with pytest.raises(ValueError, match="time_average_count"):
         make_backend("photonic", array, noise=NoiseConfig(), time_average_count=count)
     with pytest.raises(ValueError, match="time_average_count"):
-        LutBackend(array, steps=16, time_average_count=count)
+        LutBackend(array, time_average_count=count)

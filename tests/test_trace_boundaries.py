@@ -1,17 +1,24 @@
 """The benchmark tracer patches simulator functions by name
 (`benchmarks/tracing.py`), and a traced run fails when an expected span
 never fires. These tests catch a rename, or a photonic or LUT path that
-stops calling a traced boundary, without running the benchmark."""
+stops calling a traced boundary, without running the benchmark. The
+benchmark's product error (`benchmarks/child.py`) calls `build_array` and
+`make_backend` directly, outside the tracer; one test runs it on every
+workload."""
 
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from xbar.backends import LutBackend, PhotonicBackend
+from xbar.config import RunConfig
 from xbar.presets import preset_array
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+import child  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -54,5 +61,13 @@ def test_one_stacked_program_fires_every_photonic_span():
 def test_one_program_fires_every_lut_span():
     expected = {s for s in workloads.LUT_SPANS if s.startswith(DEVICE_LAYERS)}
     assert {"lut.build_lut", "lut.lut_multiply_many", "backends.element_products"} <= expected
-    fired = fired_spans(lambda array: LutBackend(array, steps=16))
+    fired = fired_spans(LutBackend)
     assert expected <= fired, f"never fired: {sorted(expected - fired)}"
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_the_benchmark_product_error_runs_on_every_workload(name, tmp_path):
+    workload = workloads.WORKLOADS[name]
+    config = RunConfig.from_dict(workload.run_config(3, str(tmp_path), None, smoke=True))
+    err = child.product_rel_err(config, 3)
+    assert math.isfinite(err) and err <= workload.product_err_max, err
