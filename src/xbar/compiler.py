@@ -3,23 +3,23 @@
 The affine min-max encoding maps signed matrices and vectors onto [0, 1],
 and `decode_output` is its exact electronic inverse; the backend handle
 encodes each program with them (`xbar.backends`). `compile_unit` takes the
-unit targets and programs each target t as the drop t x
+unit targets and programs each target t as the summed drop t x
 `CrossbarArray.full_scale`: a heater detuning from each ring's aligned
 setting, on the resonance order it is aligned on (`RingGrid` holds both).
-The detunings of all n^2 rings, of every matrix of a stack, come from one
-inverse-lineshape solve per pass. Each solve reads the grid's record for
-the stack's leading shape (`RingGrid.tiled`): every per-ring constant of
-the solve and of the drop evaluation (the lineshapes, the channels, the
-aligned heaters, heater rates and ranges, fabrication and phase offsets,
-peak drops and parked floors) tiled to the stack's full shape, so every
-ufunc of a pass runs on operands of one shape and numpy broadcasts
-nothing. The record is built on the first program of that shape, kept,
-and read-only. Programming works against the ring's measured response:
-every solve runs COMPENSATION_PASSES fixed-point passes, each subtracting
-the predicted foreign-channel leakage from each element's target, as a
-physical calibration programs each element from its measured response
-curve. A parked ring still leaks at its floor, so targets are clamped from
-below; `CompiledMatrix.clamped_elements` marks where.
+Programming works against the ring's measured response, as a physical
+calibration programs each element from its measured response curve: a
+ring's drop on the other channels (its pedestal) depends only on its own
+detuning, so each ring's request is one equation in that detuning. The
+grid tabulates each ring's summed drop and pedestal once
+(`RingGrid.summed_response`); a program reads each ring's pedestal at its
+request from the table, by linear interpolation on the cell the request
+falls in, and solves what is left on the ring's own channel with one
+inverse-lineshape call for all n^2 rings of every matrix of a stack. That
+call reads the grid's record for the stack's leading shape
+(`RingGrid.tiled`), whose per-ring constants are tiled to the stack's full
+shape, so its ufuncs broadcast nothing. A parked ring still leaks at its
+floor, so requests are clamped from below; `CompiledMatrix.clamped_elements`
+marks where.
 """
 
 from __future__ import annotations
@@ -30,9 +30,6 @@ import numpy as np
 
 from .crossbar import CrossbarArray
 from .errors import ShapeError
-
-# Leakage-compensation passes of every heater solve.
-COMPENSATION_PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -161,13 +158,14 @@ class CompiledMatrix:
 class MatrixCompiler:
     """Programs transmittance targets onto a crossbar's ring grid.
 
-    Within one solve, the requested drop `t * CrossbarArray.full_scale` is
-    computed once, and the clamp mask once, from the final pass's request.
-    Every per-ring constant comes from the grid's record for the stack's
-    leading shape (`RingGrid.tiled`): the aligned heaters, each ring's peak
-    drop and relative floor, and the lineshape that the inverse solve and
-    the drop evaluation read. A stack of target matrices (..., n, n) is
-    solved in the same calls, each matrix exactly as on its own.
+    One solve per program: each element's pedestal is read from its ring's
+    summed-response table (`RingGrid.summed_response`), and one inverse
+    solve sets every ring's own-channel drop to the rest of its target.
+    The per-ring constants of that solve come from the grid's record for
+    the stack's leading shape (`RingGrid.tiled`): the lineshape, each
+    ring's peak drop and relative floor. A stack of target matrices
+    (..., n, n) is solved in the same calls, each matrix exactly as on its
+    own.
     """
 
     def __init__(self, array: CrossbarArray):
@@ -178,15 +176,14 @@ class MatrixCompiler:
         return self.array.n
 
     def heaters_for_targets(self, unit_targets: np.ndarray):
-        """Heater matrix realizing absolute drop targets unit_targets * full scale.
+        """Heater matrix whose channel-summed drops reach unit_targets * full scale.
 
         `unit_targets` is (n, n) or a stack (..., n, n). The full scale is
         the array's (`CrossbarArray.full_scale`). Returns (heaters,
-        clamped). Targets are clamped to each ring's realizable span, and
-        `clamped` marks where that clamp was active.
-        Each compensation pass subtracts the predicted foreign-channel
-        pedestal from each element's own-channel target, so the summed
-        response lands on the request.
+        clamped). Each ring's own-channel request is its target less its
+        pedestal there, read from its summed-response table. Requests are
+        clamped to each ring's realizable [floor, 1] span relative to its
+        peak, and `clamped` marks where that clamp was active.
         """
         t = np.asarray(unit_targets, dtype=float)
         if t.shape[-2:] != (self.n, self.n):
@@ -195,24 +192,30 @@ class MatrixCompiler:
             raise ValueError("unit targets must lie in [0, 1]")
         grid = self.array.ring_grid
         tiled = grid.tiled(t.shape[:-2])
+        response = grid.summed_response
         floor = tiled.floor_rel
+        absolute = t * self.array.full_scale  # the summed drop each element must reach
+        # The table cell whose knots bracket the request: the ring's knots
+        # above it, less one. A request above knot 0 reads cell 0; one below
+        # the cut reads the cut knot, whose slope is 0.
+        query = np.multiply(absolute, -1j)
+        query += response.first
+        cell = response.keys.searchsorted(query)
+        cell -= 1
+        np.maximum(cell, response.first, out=cell)
+        # The pedestal at the request, linear in S over the cell, and the
+        # own-channel drop left to program, relative to the ring's peak.
+        request = response.slope.take(cell)
+        request *= absolute
+        request += response.intercept.take(cell)
+        np.subtract(absolute, request, out=request)
+        request /= tiled.peaks
+        rel = np.maximum(request, floor)
+        np.minimum(rel, 1.0, out=rel)
         # Any ring solves the whole grid: the tiled lineshape carries every
         # ring's constants.
-        solver = grid.rings[0][0]
-        absolute = t * self.array.full_scale  # the drop each element must reach
-        foreign = 0.0  # the first solve predicts no pedestal
-        for compensation in range(COMPENSATION_PASSES + 1):
-            if compensation:
-                drop = grid.drop_through_tensor(grid.detuned_heaters(det))
-                foreign = drop.sum(axis=-1)
-                foreign -= drop.take(tiled.own)  # the response on the ring's own channel
-            # Relative-to-peak own-channel request for each ring, before the clamp.
-            request = absolute - foreign
-            request /= tiled.peaks
-            rel = np.maximum(request, floor)
-            np.minimum(rel, 1.0, out=rel)
-            det = solver.detuning_for_relative_drop(rel, tiled.solve)
-            np.minimum(det, grid.park_detuning_nm, out=det)
+        det = grid.rings[0][0].detuning_for_relative_drop(rel, tiled.solve)
+        np.minimum(det, grid.park_detuning_nm, out=det)
         clamped = request < floor
         clamped |= request > 1.0
         return grid.detuned_heaters(det), clamped

@@ -56,6 +56,10 @@ LEGACY_ASYMMETRIC = "legacy_asymmetric"
 CROSSING_LOSS_DB = 0.02  # assumption: low-loss crossing design, not a measured value
 SEGMENT_LENGTH_UM = 150.0
 ALIGNMENT_TOLERANCE_NM = 1e-4
+# Knots of each ring's summed-response table (`RingGrid.summed_response`),
+# and the fewest falling cells from its channel that a ring must have.
+RESPONSE_KNOTS = 256
+MIN_BRANCH_CELLS = 4
 
 
 def _check_direction(direction: str) -> None:
@@ -143,7 +147,32 @@ class TiledRings:
     max_power_mw: np.ndarray
     peaks: np.ndarray  # each ring's peak drop
     floor_rel: np.ndarray  # each ring's parked floor relative to its peak
-    own: np.ndarray  # flat index of each ring's own channel in a lead + (n, n, channels) array
+
+
+@dataclass(frozen=True)
+class SummedResponse:
+    """Each ring's channel-summed drop S and its foreign-channel pedestal P
+    (S less the drop on the ring's own channel), tabulated against the
+    ring's red detuning from its channel on RESPONSE_KNOTS uniform knots
+    over [0, park]. A ring's pedestal depends on its own detuning alone, so
+    the table serves every program.
+
+    Each ring's table is cut at the end of S's first strictly falling run,
+    its summed minimum: S rises by up to about 1e-7 of its peak just before
+    park. Over the cell from knot k to k + 1, P is linear in S: slope x S +
+    intercept. `slope` and `intercept` are (n, n, RESPONSE_KNOTS), and flat
+    index `first + k` reads ring (i, j)'s cell k in them and in `keys`.
+    Every array is read-only.
+    """
+
+    # Search keys, flat and ascending: first + 1j * (-S), with -S = +inf past
+    # the cut. Complex values order by real part, then imaginary part, so one
+    # `searchsorted` of first + 1j * (-s) counts ring (i, j)'s knots above s,
+    # exactly.
+    keys: np.ndarray
+    first: np.ndarray  # (n, n): flat index of each ring's knot 0
+    slope: np.ndarray  # dP/dS over each cell; 0 from the cut on
+    intercept: np.ndarray  # P - slope x S at each cell's knot
 
 
 @dataclass
@@ -165,8 +194,9 @@ class RingGrid:
     - `lineshape`, every ring's `AddDropLineshape` stacked into fields of
       shape (n, n, 1), with each ring's `resonance_phase` that of the order
       it is aligned on. It is free of heater and fabrication detuning, so
-      one evaluation, or one inverse solve
-      (`RingDevice.detuning_for_relative_drop`), serves the whole grid;
+      one evaluation serves the whole grid, and a program's one inverse
+      solve (`RingDevice.detuning_for_relative_drop`) sets the own-channel
+      drop of every ring of every matrix of a stack;
     - each ring's peak drop and its parked floor relative to that peak,
       which bound the compiler's targets;
     - `park_detuning_nm`, the red detuning of a parked ring: half the
@@ -178,8 +208,11 @@ class RingGrid:
     tiled to the stack's full shape. A record is built on the first call
     with its shape (the first program of that shape), kept, and read-only.
     Its arrays hold the grid's values, so a stack computes what each of its
-    matrices alone computes, bit for bit. The rings must not be replaced or
-    mutated afterwards.
+    matrices alone computes, bit for bit. `summed_response`, each ring's
+    summed drop and pedestal against its detuning, from which a program
+    reads its pedestals, is likewise built on first use (the first
+    program), not at construction, and kept. The rings must not be replaced
+    or mutated afterwards.
     """
 
     rings: list  # list of n lists of n RingDevice
@@ -251,7 +284,47 @@ class RingGrid:
             max_power_mw=tile_to(self.max_power_mw, full),
             peaks=tile_to(self._peaks, full),
             floor_rel=tile_to(self._floor_rel, full),
-            own=read_only(np.arange(math.prod(full)).reshape(full) * channels + np.arange(n)[:, None]),
+        )
+
+    @cached_property
+    def summed_response(self) -> SummedResponse:
+        """Each ring's summed drop and pedestal against its detuning
+        (`SummedResponse`), built on first use (the first program) from one
+        `drop_through_tensor` call on the ring selection. Backends that
+        never program heaters (`lut`) never build it; on 9x9 it costs about
+        as much as the rest of the construction. A ring whose summed drop
+        falls over fewer than MIN_BRANCH_CELLS cells from its channel has
+        no branch to program and raises InfeasibleError."""
+        n, knots = self.n, RESPONSE_KNOTS
+        rings = np.arange(n * n)
+        detunings = np.linspace(0.0, self.park_detuning_nm, knots)
+        heaters = self._aligned.ravel() + detunings[:, None] / self.shift_per_mw.ravel()
+        drop = self.drop_through_tensor(heaters, rings)  # (knots, rings, channels)
+        summed = drop.sum(axis=-1).T.reshape(n, n, knots)
+        pedestal = summed - drop[:, rings, rings // n].T.reshape(n, n, knots)
+        step = np.diff(summed, axis=-1)
+        falling = step < 0.0
+        # The cut knot: the first cell that does not fall starts there.
+        cut = np.where(falling.all(axis=-1), knots - 1, falling.argmin(axis=-1))
+        short = np.argwhere(cut < MIN_BRANCH_CELLS)
+        if short.size:
+            i, j = short[0]
+            raise InfeasibleError(
+                f"ring ({i},{j}): its channel-summed drop falls over {cut[i, j]} of "
+                f"{knots - 1} detuning cells from its channel, fewer than {MIN_BRANCH_CELLS}"
+            )
+        cells = np.arange(knots)
+        slope = np.zeros((n, n, knots))
+        np.divide(np.diff(pedestal, axis=-1), step, out=slope[..., :-1], where=cells[:-1] < cut[..., None])
+        first = rings.reshape(n, n) * knots
+        keys = np.empty((n, n, knots), dtype=complex)
+        keys.real = first[..., None]
+        keys.imag = np.where(cells > cut[..., None], np.inf, -summed)
+        return SummedResponse(
+            keys=read_only(keys.ravel()),
+            first=read_only(first),
+            slope=read_only(slope),
+            intercept=read_only(pedestal - slope * summed),
         )
 
     def _align(self) -> np.ndarray:

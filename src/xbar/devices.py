@@ -403,14 +403,13 @@ class RingDevice:
         s2 -= 1.0
         s2 = np.multiply(shape.denom0, s2)  # a new array of the broadcast shape
         s2 /= shape.four_ta
-        # math.asin per value, not np.arcsin: numpy's SIMD arcsin (numpy 2.4
-        # with AVX-512) gives the same bits whatever the batch length, but
-        # differs from the C library's asin in the last bit on about 8% of
-        # values, and the heaters keep the C library's. Values with s2 >= 1
-        # are masked below.
-        root = np.minimum(s2, 1.0)
-        root = np.sqrt(root, out=_out(root))
-        dphi = np.fromiter(map(math.asin, root.ravel().tolist()), float, root.size).reshape(s2.shape)
+        # numpy's arcsin gives the same bits whatever the batch length (its
+        # SIMD loop may differ from the C library's asin in the last bit), so
+        # a stack solves each matrix as alone. Values with s2 >= 1 are masked
+        # below.
+        dphi = np.minimum(s2, 1.0)
+        dphi = np.sqrt(dphi, out=_out(dphi))
+        dphi = np.arcsin(dphi, out=_out(dphi))
         dphi *= 2.0
         dphi += shape.resonance_phase
         # Red-shifting the ring moves the operating point blue of resonance,

@@ -12,14 +12,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from xbar.backends import PhotonicBackend, make_backend
-from xbar.compiler import (
-    COMPENSATION_PASSES,
-    MatrixCompiler,
-    decode_output,
-    encode_signed,
-    encode_signed_columns,
+from xbar.compiler import MatrixCompiler, decode_output, encode_signed, encode_signed_columns
+from xbar.crossbar import (
+    BACKWARD,
+    FORWARD,
+    LEGACY_ASYMMETRIC,
+    RESPONSE_KNOTS,
+    SYMMETRIC,
+    RingGrid,
+    build_crossbar,
+    build_ring_grid,
 )
-from xbar.crossbar import BACKWARD, FORWARD, LEGACY_ASYMMETRIC, SYMMETRIC, build_ring_grid
 from xbar.devices import AddDropLineshape, PhaseShifter, RingDevice, WavelengthGrid
 from xbar.errors import EncodingError, InfeasibleError, ShapeError
 from xbar.presets import preset_array, ring_for_q
@@ -42,7 +45,7 @@ def scalar_inverse(ring: RingDevice, relative: float, order: int = 0) -> float:
     s2 = (1.0 - ta) ** 2 * (1.0 / relative - 1.0) / (4.0 * ta)
     if s2 >= 1.0:
         return ring.fsr_nm() / 2.0
-    dphi = 2.0 * math.asin(math.sqrt(s2))
+    dphi = 2.0 * float(np.arcsin(math.sqrt(s2)))
     phi_res = 2.0 * math.pi * ring.resonance_order + 2.0 * math.pi * order
 
     def wavelength_at_phase(phi):
@@ -108,37 +111,51 @@ def reference_full_scale(grid) -> float:
     )
 
 
-def reference_heaters(compiler: MatrixCompiler, targets: np.ndarray):
-    """heaters_for_targets as an element-by-element loop over scalar calls."""
+def reference_response(grid) -> dict:
+    """Each ring's summed-response table, {(i, j): (summed, pedestal)}, from
+    one scalar `drop_through` per ring and knot, cut at the end of the
+    summed drop's first strictly falling run."""
+    aligned = reference_alignment(grid)
+    channels = grid.grid.array
+    knots = np.linspace(0.0, grid.park_detuning_nm, RESPONSE_KNOTS).tolist()
+    tables = {}
+    for i, row in enumerate(grid.rings):
+        for j, ring in enumerate(row):
+            summed, pedestal = [], []
+            for d in knots:
+                drop, _ = ring.drop_through(channels, aligned[i, j] + d / ring.resonance_shift_per_mw)
+                summed.append(float(drop.sum()))
+                pedestal.append(summed[-1] - float(drop[i]))
+            cut = next((k for k in range(len(knots) - 1) if not summed[k + 1] < summed[k]), len(knots) - 1)
+            tables[i, j] = summed[: cut + 1], pedestal[: cut + 1]
+    return tables
+
+
+def reference_heaters(compiler: MatrixCompiler, targets: np.ndarray, tables: dict):
+    """heaters_for_targets as an element-by-element loop over scalar calls:
+    each element's pedestal is read on its ring's table cell
+    (`reference_response`), linear in the summed drop, and the rest of its
+    target is one scalar inverse."""
     grid = compiler.array.ring_grid
-    n = grid.n
-    rings = grid.rings
     park = grid.park_detuning_nm
     aligned = reference_alignment(grid)
-    orders = per_ring(grid, lambda ring, channel: reference_order(ring, channel)[0])
-    rates = np.array([[r.resonance_shift_per_mw for r in row] for row in rings])
-    peaks = np.array([[r.lineshape.peak_drop for r in row] for row in rings])
     full = reference_full_scale(grid)
     floor = reference_floor(grid)
-
-    def detunings(rel):
-        det = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                det[i, j] = min(scalar_inverse(rings[i][j], float(rel[i, j]), orders[i, j]), park)
-        return det
-
-    rel = np.clip(targets * full / peaks, floor, 1.0)
-    det = detunings(rel)
-    rows = np.arange(n)[:, None]
-    cols = np.arange(n)[None, :]
-    for _ in range(COMPENSATION_PASSES):
-        drop = grid.drop_through_tensor(aligned + det / rates)
-        own = drop[rows, cols, rows]
-        foreign = drop.sum(axis=2) - own
-        rel = np.clip((targets * full - foreign) / peaks, floor, 1.0)
-        det = detunings(rel)
-    return aligned + det / rates
+    heaters = np.empty(targets.shape)
+    for (i, j), (summed, pedestal) in tables.items():
+        ring = grid.rings[i][j]
+        order, _ = reference_order(ring, grid.grid.channels_nm[i])
+        absolute = float(targets[i, j]) * full
+        k = max(sum(s > absolute for s in summed) - 1, 0)
+        slope = 0.0
+        if k + 1 < len(summed):
+            slope = (pedestal[k + 1] - pedestal[k]) / (summed[k + 1] - summed[k])
+        intercept = pedestal[k] - slope * summed[k]
+        request = (absolute - (slope * absolute + intercept)) / ring.lineshape.peak_drop
+        rel = min(max(request, floor[i, j]), 1.0)
+        det = min(scalar_inverse(ring, rel, order), park)
+        heaters[i, j] = aligned[i, j] + det / ring.resonance_shift_per_mw
+    return heaters
 
 
 def seeded_targets(n: int, seed: int, count: int = 12):
@@ -157,9 +174,75 @@ def seeded_targets(n: int, seed: int, count: int = 12):
 def test_heaters_match_elementwise_reference(preset):
     array = PRESETS[preset]()
     compiler = MatrixCompiler(array)
+    tables = reference_response(array.ring_grid)
     for targets in seeded_targets(array.n, seed=11):
         heaters, _ = compiler.heaters_for_targets(targets)
-        np.testing.assert_array_equal(heaters, reference_heaters(compiler, targets))
+        np.testing.assert_array_equal(heaters, reference_heaters(compiler, targets, tables))
+
+
+@pytest.mark.parametrize("preset", list(PRESETS))
+def test_heaters_match_a_bisection_of_the_scalar_summed_drop(preset):
+    # An oracle independent of the table: each ring's detuning at which its
+    # scalar `drop_through`, summed over channels, equals the request, by
+    # bisection. The solve's pedestal is linear over a table cell, so it
+    # lands within a small fraction of the ring's linewidth.
+    array = PRESETS[preset]()
+    grid = array.ring_grid
+    channels = grid.grid.array
+    aligned = reference_alignment(grid)
+    targets = np.random.default_rng(3).uniform(0.05, 1.0, (2, grid.n, grid.n))
+    heaters, clamped = MatrixCompiler(array).heaters_for_targets(targets)
+    assert not clamped.any()
+    for index in np.ndindex(targets.shape):
+        i, j = index[-2:]
+        ring = grid.rings[i][j]
+        rate = ring.resonance_shift_per_mw
+        request = targets[index] * array.full_scale
+        lo, hi = 0.0, grid.park_detuning_nm
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if ring.drop_through(channels, aligned[i, j] + mid / rate)[0].sum() > request:
+                lo = mid
+            else:
+                hi = mid
+        solved = (heaters[index] - aligned[i, j]) * rate
+        assert abs(solved - lo) <= 1e-5 * ring.fwhm_nm(), index
+
+
+@pytest.mark.parametrize(
+    "preset, shape",
+    [("experimental_4x4", (3, 4)), ("simulation_9x9", (9, 9)), ("experimental_4x4", (2, 2, 4, 4))],
+)
+def test_a_program_makes_one_drop_tensor_and_one_inversion(preset, shape, monkeypatch):
+    """After the first program, which tabulates every ring's summed response
+    and the full scale, a program makes one lineshape evaluation, whose
+    summed drop gives both effective matrices, and one inverse solve."""
+    backend = PhotonicBackend(preset_array(preset))
+    rng = np.random.default_rng(4)
+    backend.program(rng.uniform(-1.0, 1.0, shape))
+    calls = []
+    for owner, name in ((RingGrid, "drop_through_tensor"), (RingDevice, "detuning_for_relative_drop")):
+
+        def counted(*args, original=getattr(owner, name), name=name, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    for _ in range(3):
+        calls.clear()
+        backend.program(rng.uniform(-1.0, 1.0, shape))
+        assert sorted(calls) == ["detuning_for_relative_drop", "drop_through_tensor"]
+
+
+def test_a_ring_without_a_falling_summed_drop_is_rejected_on_the_first_program():
+    # At Q 2e3 a ring's linewidth spans the 0.75 nm channel spacing: detuned
+    # from its channel, its next channel's drop rises faster than its own
+    # falls, so no request has a solution on a falling branch. The table is
+    # built on the first program, which a runner makes before its first
+    # training step, not at construction.
+    backend = PhotonicBackend(build_crossbar(4, ring_for_q(2e3)))
+    with pytest.raises(InfeasibleError, match=r"ring \(0,0\): its channel-summed drop falls over 0 of 255"):
+        backend.program(np.eye(4))
 
 
 @pytest.mark.parametrize("preset", list(PRESETS))
@@ -318,7 +401,8 @@ def test_aligned_heaters_returns_a_copy():
 
 def cached_arrays(backend: PhotonicBackend) -> dict:
     """Every array a ring grid computes once and shares: its per-ring
-    constants, and each record of them tiled to a stack shape (`tiled`)."""
+    constants, each record of them tiled to a stack shape (`tiled`), and
+    its summed-response table once built."""
     grid = backend.array.ring_grid
     cached = {
         "aligned": grid._aligned,
@@ -333,6 +417,9 @@ def cached_arrays(backend: PhotonicBackend) -> dict:
     }
     for f in fields(grid.lineshape):
         cached[f"lineshape.{f.name}"] = getattr(grid.lineshape, f.name)
+    if "summed_response" in vars(grid):
+        for f in fields(grid.summed_response):
+            cached[f"summed_response.{f.name}"] = getattr(grid.summed_response, f.name)
     lineshape_cache = ("resonance_wavelength", "half_fsr", "_two_pi_length", "_dispersion_per_lam0")
     for lead, record in grid._tiled.items():
         for f in fields(record):
@@ -353,6 +440,7 @@ def test_cached_arrays_are_read_only():
     backend.program(np.ones((2, 2, 4, 4)))
     grid = backend.array.ring_grid
     assert set(grid._tiled) == {(), (2, 2)}
+    assert "summed_response" in vars(grid)
     # The solve's lineshape holds its inverse's cached terms.
     assert all(name in vars(grid.tiled((2, 2)).solve) for name in ("resonance_wavelength", "half_fsr"))
     for name, value in cached_arrays(backend).items():
@@ -381,10 +469,6 @@ def test_tiled_records_hold_the_grid_constants_at_the_stack_shape():
         np.testing.assert_array_equal(value, np.broadcast_to(constant, value.shape), err_msg=name)
     assert record.channels.shape == record.drop.n0.shape == (2, 3, 9, 9, 9)
     assert record.solve.n0.shape == (2, 3, 9, 9)
-    # `own` picks each ring's own channel: channel i of every ring on row i.
-    drop = np.arange(2 * 3 * 9 * 9 * 9.0).reshape(2, 3, 9, 9, 9)
-    rows, cols = np.arange(9)[:, None], np.arange(9)[None, :]
-    np.testing.assert_array_equal(drop.take(record.own), drop[..., rows, cols, rows])
 
 
 @pytest.mark.parametrize("preset", list(PRESETS))
