@@ -22,12 +22,14 @@ nine shifted slices of the images (`im2col`), and keeps its conv maps
 channel-major, as the crossbar returns them and takes its error signal.
 Its 2x2 max-pool works on four strided views of the activation map, one
 per tile position, and records an int8 first-max pick that the backward
-pass unpools through the same views. `Adam` keeps its moments as one flat
-vector pair over all parameters.
+pass unpools through the same views. `Adam` keeps its moments unnormalized,
+as one flat vector pair over all parameters, and folds its bias corrections
+into two scalars per step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -91,13 +93,17 @@ class Sgd:
 
 
 class Adam:
-    """Adam over one flat moment pair for all parameters.
+    """Adam (Kingma & Ba, arXiv:1412.6980) over one flat moment pair for all
+    parameters, with its bias corrections folded into scalars.
 
     `m` and `v` are single vectors holding every parameter's moments end to
-    end, in the order of the `params` list, so a step is a fixed number of
-    in-place ufunc calls whatever the parameter count. Each element sees the
-    same operations as a per-parameter Adam; the two scratch vectors are
-    allocated per update, not kept.
+    end, in the order of the `params` list, unnormalized: m <- b1 m + g and
+    v <- b2 v + g*g, the textbook moments divided by (1 - b1) and (1 - b2).
+    Those factors, both bias corrections and the learning rate fold into two
+    scalars per step, so the textbook step lr * mhat / (sqrt(vhat) + eps) is
+    c1 * m / (sqrt(v) + c2), with one divide and one sqrt. The gradients are
+    gathered into one kept scratch vector, which then holds g*g and the
+    step: after the first update, an update allocates no vector.
     """
 
     def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -106,30 +112,28 @@ class Adam:
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
 
     def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        g = np.concatenate(grads, axis=None)  # a new flat copy of the gradients
         if self.m is None:
-            self.m = np.zeros_like(g)
-            self.v = np.zeros_like(g)
+            size = sum(g.size for g in grads)
+            self.m, self.v, self._scratch = np.zeros(size), np.zeros(size), np.empty(size)
         self.t += 1
         b1, b2, m, v = self.b1, self.b2, self.m, self.v
-        a = np.multiply(1 - b2, g)
-        a *= g
-        v *= b2
-        v += a  # v = b2 v + (1 - b2) g g
-        g *= 1 - b1
+        g = np.concatenate(grads, axis=None, out=self._scratch)
         m *= b1
-        m += g  # m = b1 m + (1 - b1) g
-        np.divide(m, 1 - b1**self.t, out=a)
-        a *= self.lr  # lr * mhat
-        np.divide(v, 1 - b2**self.t, out=g)
-        np.sqrt(g, out=g)
-        g += self.eps
-        a /= g  # the step, lr * mhat / (sqrt(vhat) + eps)
+        m += g
+        g *= g
+        v *= b2
+        v += g
+        root = math.sqrt((1 - b2) / (1 - b2**self.t))  # sqrt(vhat) = root * sqrt(v)
+        step = np.sqrt(v, out=g)
+        step += self.eps / root
+        np.divide(m, step, out=step)
+        step *= self.lr * (1 - b1) / (1 - b1**self.t) / root
         start = 0
         for p in params:
-            p -= a[start : start + p.size].reshape(p.shape)
+            p -= step[start : start + p.size].reshape(p.shape)
             start += p.size
 
 
@@ -440,11 +444,10 @@ class CnnRunner:
         d_pool = d_flat.T.reshape(b, KERNEL_COUNT, POOL_OUT, POOL_OUT)
         d_conv = unpool(d_pool, cache["pick"])  # (B, 9, 26, 26), channel-major
         d_cols = d_conv.transpose(1, 0, 2, 3).reshape(KERNEL_COUNT, b * CONV_OUT * CONV_OUT)
-        # Kernel gradient is the electronic outer product, on a C-ordered
-        # (676B, 9) copy of the columns (a transposed view would change the
-        # bits of the BLAS product); the patch error signal is the
+        # Kernel gradient is the electronic outer product; BLAS reads the
+        # transposed columns in place. The patch error signal is the
         # crossbar's backward (transpose) product.
-        g_kernel = d_cols @ np.ascontiguousarray(cache["cols"].T)
+        g_kernel = d_cols @ cache["cols"].T
         d_patches = self.conv_handle.backward(d_cols)
         return cost, [g_kernel, g_hidden, g_out, g_b_hidden, g_b_out], d_patches
 

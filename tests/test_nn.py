@@ -3,6 +3,9 @@ lockstep Iris training and the one-program MLP step, each checked bit for
 bit against the transposed-tile, patch-matrix, per-parameter, zero-fill,
 one-run and per-layer routes they replace."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,7 +65,35 @@ def tile_unpool(d_pool, argmax):
 
 
 class PerParameterAdam:
-    """Adam with one moment pair per parameter, updated parameter by parameter."""
+    """Adam with one unnormalized moment pair per parameter, updated parameter
+    by parameter with `Adam`'s folded scalars."""
+
+    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr = learning_rate
+        self.b1, self.b2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m = None
+        self.v = None
+
+    def update(self, params, grads):
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        root = math.sqrt((1 - self.b2) / (1 - self.b2**self.t))
+        c1 = self.lr * (1 - self.b1) / (1 - self.b1**self.t) / root
+        c2 = self.eps / root
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.b1
+            m += g
+            v *= self.b2
+            v += g * g
+            p -= c1 * (m / (np.sqrt(v) + c2))
+
+
+class TextbookAdam:
+    """Adam as Kingma & Ba write it: normalized moments, then bias-corrected
+    estimates mhat and vhat."""
 
     def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = learning_rate
@@ -77,10 +108,8 @@ class PerParameterAdam:
             self.v = [np.zeros_like(p) for p in params]
         self.t += 1
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
+            m[...] = self.b1 * m + (1 - self.b1) * g
+            v[...] = self.b2 * v + (1 - self.b2) * g * g
             mhat = m / (1 - self.b1**self.t)
             vhat = v / (1 - self.b2**self.t)
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
@@ -159,6 +188,44 @@ def test_flat_adam_equals_the_per_parameter_update(make, rate):
             np.testing.assert_array_equal(got, expected)
     np.testing.assert_array_equal(flat.m, np.concatenate(per_parameter.m, axis=None))
     np.testing.assert_array_equal(flat.v, np.concatenate(per_parameter.v, axis=None))
+
+
+@pytest.mark.parametrize("make", [iris_params, cnn_params])
+@pytest.mark.parametrize("rate", [1e-3, 0.05])
+def test_flat_adam_follows_textbook_adam(make, rate):
+    """200 steps against the textbook form, on gradients whose element scales
+    span 1e-10 to 1e-1, so eps weighs on some elements: each parameter lands
+    within 1e-12 of the textbook's largest total displacement of it."""
+    rng = np.random.default_rng(4)
+    start = make(rng)
+    params, oracle = [p.copy() for p in start], [p.copy() for p in start]
+    scales = [10.0 ** rng.uniform(-10.0, -1.0, p.shape) for p in start]
+    flat, textbook = Adam(rate), TextbookAdam(rate)
+    for _ in range(200):
+        grads = [scale * rng.normal(size=scale.shape) for scale in scales]
+        flat.update(params, grads)
+        textbook.update(oracle, grads)
+    for got, expected, p0 in zip(params, oracle, start):
+        displacement = np.max(np.abs(expected - p0))
+        assert np.max(np.abs(got - expected)) <= 1e-12 * displacement
+
+
+def test_an_adam_update_allocates_no_flat_vector():
+    """After the first update, which allocates the moments and the scratch
+    vector, an update on the CNN's parameters allocates less than a tenth
+    of one flat parameter vector."""
+    rng = np.random.default_rng(5)
+    params = cnn_params(rng)
+    grads = [rng.normal(scale=0.1, size=p.shape) for p in params]
+    adam = Adam(0.003)
+    adam.update(params, grads)
+    tracemalloc.start()
+    try:
+        adam.update(params, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(p.nbytes for p in params) / 10
 
 
 @pytest.mark.parametrize("backend", ["photonic", "lut"])
@@ -478,8 +545,10 @@ def patch_matrix(images):
 def reference_step(runner, images, labels):
     """The CNN step on a (B*676, 9) patch matrix: its transposed view as the
     crossbar operand, a batch-major conv map, masked-copy pooling and
-    unpooling, and the ReLU mask on the full map.
-    Returns (probs, cost, gradients, d_patches)."""
+    unpooling, and the ReLU mask on the full map. The kernel gradient reads
+    a Fortran-ordered copy of the patches, the layout of the im2col columns'
+    transposed view; the C-ordered product rides along to check its value.
+    Returns (probs, cost, gradients, C-ordered kernel gradient, d_patches)."""
     model, handle = runner.model, runner.conv_handle
     b = images.shape[0]
     patches = patch_matrix(images)
@@ -508,13 +577,13 @@ def reference_step(runner, images, labels):
     d_cols = d_conv.reshape(b, KERNEL_COUNT, CONV_OUT * CONV_OUT).transpose(1, 0, 2)
     d_cols = d_cols.reshape(KERNEL_COUNT, b * CONV_OUT * CONV_OUT)
     grads = [
-        d_cols @ patches,
+        d_cols @ np.asfortranarray(patches),
         d_hidden @ flat.T,
         d_logits @ hidden.T,
         d_hidden.sum(axis=1),
         d_logits.sum(axis=1),
     ]
-    return probs, cost, grads, handle.backward(d_cols)
+    return probs, cost, grads, d_cols @ patches, handle.backward(d_cols)
 
 
 @pytest.fixture(scope="module")
@@ -533,13 +602,14 @@ def test_cnn_step_equals_the_patch_matrix_step(cnn_backends, backend, batch):
     rng = np.random.default_rng(batch)
     images = rng.uniform(0.0, 1.0, (batch, 28, 28))
     labels = rng.integers(0, CLASSES, batch)
-    probs, cost, grads, d_patches = reference_step(runner, images, labels)
+    probs, cost, grads, c_kernel, d_patches = reference_step(runner, images, labels)
     np.testing.assert_array_equal(runner.forward(images), probs)
     got_cost, got_grads, got_d_patches = runner.backprop(images, labels)
     assert got_cost == cost
     assert len(got_grads) == len(grads)
     for got, expected in zip(got_grads, grads):
         np.testing.assert_array_equal(got, expected)
+    np.testing.assert_allclose(got_grads[0], c_kernel, rtol=0, atol=1e-12 * np.abs(c_kernel).max())
     np.testing.assert_array_equal(got_d_patches, d_patches)
 
 
