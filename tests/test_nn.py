@@ -91,16 +91,9 @@ class PerParameterAdam:
             p -= c1 * (m / (np.sqrt(v) + c2))
 
 
-class TextbookAdam:
+class TextbookAdam(PerParameterAdam):
     """Adam as Kingma & Ba write it: normalized moments, then bias-corrected
     estimates mhat and vhat."""
-
-    def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr = learning_rate
-        self.b1, self.b2, self.eps = beta1, beta2, eps
-        self.t = 0
-        self.m = None
-        self.v = None
 
     def update(self, params, grads):
         if self.m is None:
