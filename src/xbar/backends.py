@@ -17,7 +17,9 @@ returns clean raw products. The handle measures them through the backend
 and decodes them electronically. Signed backward inputs use the affine
 vector encoding plus the all-ones pass that every backward reads with its
 product. `_PhysicalBackend` owns the array, the noise streams, the
-measurement and `program`.
+measurement and `program`. Each product returns a new array, which shares
+no memory with its operand or the program: the caller may write into it,
+as the CNN's in-place ReLU does.
 
 `program` also takes a stack of matrices (..., out, in), programmed in the
 same calls, each with its own encoding: slice k of the stack is bit for bit
@@ -236,12 +238,16 @@ class _ProgrammedMatrix:
         return out
 
     def forward(self, x):
+        """~ W @ x. The result is a new array (or a view of one) that shares
+        no memory with `x` or the program: the caller may overwrite it, and
+        the next product reads the same bits."""
         xp = _check_unit_interval(self._padded(x, self.in_dim, "input"))
         raw = self._raw_forward(xp)
         sums = xp.sum(axis=-2, keepdims=True)
         return decode_output(raw, self.encoding, None, None, sums, self.n)[..., : self.out_dim, :]
 
     def backward(self, s):
+        """~ W.T @ s, a new array under `forward`'s contract."""
         s_prime, scales, offsets = encode_signed_columns(self._padded(s, self.out_dim, "error"))
         raw, ones = self._raw_backward(s_prime)
         sums = s_prime.sum(axis=-2, keepdims=True)

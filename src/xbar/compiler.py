@@ -118,7 +118,10 @@ def decode_output(raw, matrix_encoding: AffineEncoding, scales, offsets, sums, n
     stack), and `scales`, `offsets` and `sums` (sum x') describe each column.
     `ones` is the (..., n, 1) response W' 1 of one all-ones pass; it is only
     read through the offsets. The terms are added in place on one new array,
-    in the order written.
+    in the order written. It is new rather than `raw` itself: a backward
+    decode written into `raw` changes the CNN step's heap use into one that
+    the allocator hands back to the OS on every step, 27,000-47,000 minor
+    page faults per mnist-photonic epoch against none after the first.
 
     `scales` and `offsets` None stand for inputs that were not encoded
     (scale 1, offset 0: the forward products). Their decode is

@@ -21,10 +21,12 @@ The CNN builds the crossbar's C-ordered (9, B*676) operand directly from
 nine shifted slices of the images (`im2col`), and keeps its conv maps
 channel-major, as the crossbar returns them and takes its error signal.
 Its 2x2 max-pool works on four strided views of the activation map, one
-per tile position, and records an int8 first-max pick that the backward
-pass unpools through the same views. `Adam` keeps its moments unnormalized,
-as one flat vector pair over all parameters, and folds its bias corrections
-into two scalars per step.
+per tile position. A training step's pool also records an int8 first-max
+pick that the backward pass unpools through the same views; the test pass
+(`CnnRunner.forward`) pools to the maximum alone and builds no pick. Both
+ReLUs rectify in place the new array that their layer's product returns.
+`Adam` keeps its moments unnormalized, as one flat vector pair over all
+parameters, and folds its bias corrections into two scalars per step.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ def sigmoid(z):
 
 def dsigmoid_from_output(a):
     return a * (1.0 - a)
-
-
-def relu(z):
-    return np.maximum(z, 0.0)
 
 
 def softmax(z, axis=0):
@@ -354,6 +352,14 @@ def _pool_views(maps: np.ndarray) -> list:
     return [maps[:, :, r::2, c::2] for r in (0, 1) for c in (0, 1)]
 
 
+def _tile_max(views: list) -> np.ndarray:
+    """The C-ordered (B, 9, 13, 13) maximum of the four `_pool_views`."""
+    pooled = views[0].copy()
+    for k in range(1, 4):
+        np.maximum(views[k], pooled, out=pooled)
+    return pooled
+
+
 def max_pool(act: np.ndarray):
     """2x2 max-pool of (B, 9, 26, 26) maps, in any memory order: (pooled,
     pick), both C-ordered (B, 9, 13, 13).
@@ -363,9 +369,7 @@ def max_pool(act: np.ndarray):
     != pooled it is n_0 (1 + n_1 (1 + n_2)), in int8 arithmetic on the masks.
     """
     views = _pool_views(act)
-    pooled = views[0].copy()
-    for k in range(1, 4):
-        np.maximum(views[k], pooled, out=pooled)
+    pooled = _tile_max(views)
     pick = np.empty(pooled.shape, dtype=np.int8)
     np.not_equal(views[2], pooled, out=pick.view(bool))
     mask = np.empty(pooled.shape, dtype=bool)
@@ -393,13 +397,15 @@ class CnnRunner:
 
     `im2col` builds the crossbar's C-ordered (9, B*676) operand, and the
     conv map stays channel-major: the (9, B*676) product, seen as
-    (B, 9, 26, 26) through a transposed view. The 2x2 max-pool (`max_pool`)
-    reads the four strided tile views of the activation map and records an
-    int8 first-max pick; `unpool` routes each pooled gradient through the
-    same views to the picked position. The ReLU's gradient mask is taken on
-    the pooled map: a picked element is positive exactly where its tile
-    maximum is. `forward` gives the class probabilities; `backprop` reads
-    the arrays that `_forward` keeps with them.
+    (B, 9, 26, 26) through a transposed view. The conv-map ReLU rectifies
+    in place the new array that `handle.forward` returns, and the hidden
+    layer adds its bias and rectifies in place on its new matmul output.
+    The 2x2 max-pool reads the four strided tile views of the activation
+    map. `backprop`'s pool (`max_pool`) also records an int8 first-max pick,
+    and `unpool` routes each pooled gradient through the same views to the
+    picked position; `forward`, the test pass, pools to the maximum alone
+    and builds no pick. The ReLU's gradient mask is taken on the pooled
+    map: a picked element is positive exactly where its tile maximum is.
     """
 
     def __init__(self, model: CnnModel, backend):
@@ -411,43 +417,53 @@ class CnnRunner:
         self.conv_handle = self.backend.program(self.model.kernel_matrix)
 
     def forward(self, images: np.ndarray) -> np.ndarray:
-        """Class probabilities (10, B) of (B, 28, 28) images."""
-        return self._forward(images)[0]
+        """Class probabilities (10, B) of (B, 28, 28) images, pooled to the
+        maximum without the pick that only `backprop` reads."""
+        pooled = _tile_max(_pool_views(self._conv(im2col(images))))
+        return self._dense(pooled)[-1]
 
-    def _forward(self, images: np.ndarray):
-        """(probabilities, the arrays of the pass that `backprop` reads)."""
-        cols = im2col(images)  # (9, 676B)
-        b = images.shape[0]
-        conv = self.conv_handle.forward(cols)  # (9, 676B)
-        act = relu(conv).reshape(KERNEL_COUNT, b, CONV_OUT, CONV_OUT).transpose(1, 0, 2, 3)
-        pooled, pick = max_pool(act)
-        flat = pooled.reshape(b, FLAT_DIM).T  # (1521, B)
-        hidden = relu(self.model.w_hidden @ flat + self.model.b_hidden[:, None])
+    def _conv(self, cols: np.ndarray) -> np.ndarray:
+        """The rectified conv map of (9, 676B) im2col columns, as (B, 9, 26, 26)."""
+        conv = self.conv_handle.forward(cols)  # (9, 676B), a new array
+        np.maximum(conv, 0.0, out=conv)
+        b = cols.shape[1] // (CONV_OUT * CONV_OUT)
+        return conv.reshape(KERNEL_COUNT, b, CONV_OUT, CONV_OUT).transpose(1, 0, 2, 3)
+
+    def _dense(self, pooled: np.ndarray):
+        """(flat, hidden, probabilities) of C-ordered (B, 9, 13, 13) pooled maps."""
+        flat = pooled.reshape(pooled.shape[0], FLAT_DIM).T  # (1521, B)
+        hidden = self.model.w_hidden @ flat
+        hidden += self.model.b_hidden[:, None]
+        np.maximum(hidden, 0.0, out=hidden)
         logits = self.model.w_out @ hidden + self.model.b_out[:, None]
-        probs = softmax(logits, axis=0)
-        return probs, {"cols": cols, "pick": pick, "flat": flat, "hidden": hidden}
+        return flat, hidden, softmax(logits, axis=0)
 
     def backprop(self, images: np.ndarray, labels: np.ndarray):
         """Cross-entropy gradients; conv error signals go through the crossbar."""
         b = images.shape[0]
-        probs, cache = self._forward(images)
+        cols = im2col(images)  # (9, 676B)
+        # The conv map is freed once pooled, before the backward pass
+        # allocates: a map held through the step grows the heap top, which
+        # the allocator then hands back to the OS every step.
+        pooled, pick = max_pool(self._conv(cols))
+        flat, hidden, probs = self._dense(pooled)
         targets = one_hot(labels, CLASSES)
         cost = cross_entropy_cost(probs, targets)
         d_logits = (probs - targets) / b  # (10, B)
-        g_out = d_logits @ cache["hidden"].T
+        g_out = d_logits @ hidden.T
         g_b_out = d_logits.sum(axis=1)
-        d_hidden = (self.model.w_out.T @ d_logits) * (cache["hidden"] > 0)
-        g_hidden = d_hidden @ cache["flat"].T
+        d_hidden = (self.model.w_out.T @ d_logits) * (hidden > 0)
+        g_hidden = d_hidden @ flat.T
         g_b_hidden = d_hidden.sum(axis=1)
         d_flat = self.model.w_hidden.T @ d_hidden  # (1521, B)
-        d_flat *= cache["flat"] > 0  # the ReLU's mask, taken on the pooled map
+        d_flat *= flat > 0  # the ReLU's mask, taken on the pooled map
         d_pool = d_flat.T.reshape(b, KERNEL_COUNT, POOL_OUT, POOL_OUT)
-        d_conv = unpool(d_pool, cache["pick"])  # (B, 9, 26, 26), channel-major
+        d_conv = unpool(d_pool, pick)  # (B, 9, 26, 26), channel-major
         d_cols = d_conv.transpose(1, 0, 2, 3).reshape(KERNEL_COUNT, b * CONV_OUT * CONV_OUT)
         # Kernel gradient is the electronic outer product; BLAS reads the
         # transposed columns in place. The patch error signal is the
         # crossbar's backward (transpose) product.
-        g_kernel = d_cols @ cache["cols"].T
+        g_kernel = d_cols @ cols.T
         d_patches = self.conv_handle.backward(d_cols)
         return cost, [g_kernel, g_hidden, g_out, g_b_hidden, g_b_out], d_patches
 

@@ -1,8 +1,10 @@
 """CNN pooling and the CNN step, the flat Adam, the backend input path,
 lockstep Iris training and the one-program MLP step, each checked bit for
 bit against the transposed-tile, patch-matrix, per-parameter, zero-fill,
-one-run and per-layer routes they replace."""
+one-run and per-layer routes they replace; and the new-array products that
+the CNN's in-place ReLU writes into."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from xbar import nn
 from xbar.backends import make_backend
 from xbar.compiler import encode_signed, encode_signed_columns, pad
 from xbar.config import RunConfig
@@ -247,6 +250,63 @@ def test_forward_leaves_a_c_ordered_input_unchanged(backend):
     handle.forward(x)
     handle.backward(x - 0.5)
     np.testing.assert_array_equal(x, before)
+
+
+def held_arrays(value, seen=None) -> list:
+    """Every ndarray that `value` reaches through its attributes, dataclass
+    fields and containers, each object visited once."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        items = list(value.values())
+    elif isinstance(value, (list, tuple)):
+        items = list(value)
+    elif dataclasses.is_dataclass(value):
+        items = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif hasattr(value, "__dict__") and not isinstance(value, type):
+        items = list(vars(value).values())
+    else:
+        return []
+    return [a for item in items for a in held_arrays(item, seen)]
+
+
+def contract_handles(backend):
+    """(name, handle, out_dim, in_dim) of a 2-D program, a stack and a view
+    of a zero-padded stack, on experimental_4x4."""
+    rng = np.random.default_rng(16)
+    be = make_backend(backend, preset_array("experimental_4x4"))
+    padded = np.zeros((2, 4, 4))
+    padded[:, :3, :2] = rng.uniform(-1.0, 1.0, (2, 3, 2))
+    return [
+        ("2-D", be.program(rng.uniform(-1.0, 1.0, (3, 4))), 3, 4),
+        ("stack", be.program(rng.uniform(-1.0, 1.0, (2, 3, 4))), 3, 4),
+        ("view", be.program(padded).view(1, 3, 2), 3, 2),
+    ]
+
+
+@pytest.mark.parametrize("backend", ["ideal", "photonic", "lut"])
+def test_products_return_new_arrays_that_the_caller_may_overwrite(backend):
+    """`forward` and `backward` return arrays that share no memory with
+    their operand or with anything the handle or its backend holds, and
+    overwriting one leaves the next product's bits as they were: the CNN
+    rectifies its conv map in place."""
+    rng = np.random.default_rng(17)
+    for name, handle, out_dim, in_dim in contract_handles(backend):
+        x = rng.uniform(0.0, 1.0, (in_dim, 5))
+        s = rng.normal(size=(out_dim, 5))
+        for product, operand in ((handle.forward, x), (handle.backward, s)):
+            result = product(operand)
+            expected = result.copy()
+            held = held_arrays(handle)
+            assert held, name
+            assert not np.shares_memory(result, operand), name
+            assert not any(np.shares_memory(result, a) for a in held), name
+            result[...] = np.nan
+            np.testing.assert_array_equal(product(operand), expected, err_msg=name)
 
 
 @pytest.mark.parametrize("backend", ["photonic", "lut"])
@@ -582,7 +642,7 @@ def reference_step(runner, images, labels):
 @pytest.fixture(scope="module")
 def cnn_backends():
     array = preset_array("simulation_9x9")
-    return {name: make_backend(name, array) for name in ("photonic", "lut")}
+    return {name: make_backend(name, array) for name in ("ideal", "photonic", "lut")}
 
 
 @pytest.mark.parametrize("backend", ["photonic", "lut"])
@@ -604,6 +664,25 @@ def test_cnn_step_equals_the_patch_matrix_step(cnn_backends, backend, batch):
         np.testing.assert_array_equal(got, expected)
     np.testing.assert_allclose(got_grads[0], c_kernel, rtol=0, atol=1e-12 * np.abs(c_kernel).max())
     np.testing.assert_array_equal(got_d_patches, d_patches)
+
+
+@pytest.mark.parametrize("backend", ["ideal", "photonic", "lut"])
+def test_the_test_pass_gives_the_training_pass_probabilities(cnn_backends, backend, monkeypatch):
+    """`forward` gives the bits of the probabilities that `backprop` trains
+    on, without the max-pool pick that only `backprop` reads."""
+    runner = CnnRunner(CnnModel.init(3), cnn_backends[backend])
+    rng = np.random.default_rng(18)
+    images = rng.uniform(0.0, 1.0, (5, 28, 28))
+    labels = rng.integers(0, CLASSES, 5)
+    probs, pools = [], []
+    real_softmax, real_max_pool = nn.softmax, nn.max_pool
+    monkeypatch.setattr(nn, "softmax", lambda z, axis: probs.append(real_softmax(z, axis)) or probs[-1])
+    monkeypatch.setattr(nn, "max_pool", lambda act: pools.append(None) or real_max_pool(act))
+    cost, _, _ = runner.backprop(images, labels)
+    assert len(probs) == 1 and len(pools) == 1
+    assert cost == cross_entropy_cost(probs[0], one_hot(labels, CLASSES))
+    np.testing.assert_array_equal(runner.forward(images), probs[0])
+    assert len(probs) == 2 and len(pools) == 1
 
 
 def test_im2col_columns_are_the_patches_transposed():
