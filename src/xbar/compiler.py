@@ -1,25 +1,12 @@
-"""Affine encoding and heater calibration for the crossbar.
+"""Affine encoding of signed matrices and vectors, and the compiler of unit targets.
 
 The affine min-max encoding maps signed matrices and vectors onto [0, 1],
 and `decode_output` is its exact electronic inverse; the backend handle
-encodes each program with them (`xbar.backends`). `compile_unit` takes the
-unit targets and programs each target t as the summed drop t x
-`CrossbarArray.full_scale`: a heater detuning from each ring's aligned
-setting, on the resonance order it is aligned on (`RingGrid` holds both).
-Programming works against the ring's measured response, as a physical
-calibration programs each element from its measured response curve: a
-ring's drop on the other channels (its pedestal) depends only on its own
-detuning, so each ring's request is one equation in that detuning. The
-grid tabulates each ring's summed drop and pedestal once
-(`RingGrid.summed_response`); a program reads each ring's pedestal at its
-request from the table, by linear interpolation on the cell the request
-falls in, and solves what is left on the ring's own channel with one
-inverse-lineshape call for all n^2 rings of every matrix of a stack. That
-call reads the grid's record for the stack's leading shape
-(`RingGrid.tiled`), whose per-ring constants are tiled to the stack's full
-shape, so its ufuncs broadcast nothing. A parked ring still leaks at its
-floor, so requests are clamped from below; `CompiledMatrix.clamped_elements`
-marks where.
+encodes each program with them (`xbar.backends`). `MatrixCompiler` checks
+a matrix of unit targets and requests each target t as the channel-summed
+drop t x `CrossbarArray.full_scale`. The ring grid solves the heaters for
+those drops (`RingGrid.heaters_for_summed_drops`, `xbar.crossbar`), and
+`CompiledMatrix` marks the requests it clamped to a ring's realizable span.
 """
 
 from __future__ import annotations
@@ -159,17 +146,9 @@ class CompiledMatrix:
 
 
 class MatrixCompiler:
-    """Programs transmittance targets onto a crossbar's ring grid.
-
-    One solve per program: each element's pedestal is read from its ring's
-    summed-response table (`RingGrid.summed_response`), and one inverse
-    solve sets every ring's own-channel drop to the rest of its target.
-    The per-ring constants of that solve come from the grid's record for
-    the stack's leading shape (`RingGrid.tiled`): the lineshape, each
-    ring's peak drop and relative floor. A stack of target matrices
-    (..., n, n) is solved in the same calls, each matrix exactly as on its
-    own.
-    """
+    """Programs unit transmittance targets onto a crossbar's ring grid. A
+    stack of target matrices (..., n, n) is solved in the same calls, each
+    matrix exactly as on its own."""
 
     def __init__(self, array: CrossbarArray):
         self.array = array
@@ -181,47 +160,16 @@ class MatrixCompiler:
     def heaters_for_targets(self, unit_targets: np.ndarray):
         """Heater matrix whose channel-summed drops reach unit_targets * full scale.
 
-        `unit_targets` is (n, n) or a stack (..., n, n). The full scale is
-        the array's (`CrossbarArray.full_scale`). Returns (heaters,
-        clamped). Each ring's own-channel request is its target less its
-        pedestal there, read from its summed-response table. Requests are
-        clamped to each ring's realizable [floor, 1] span relative to its
-        peak, and `clamped` marks where that clamp was active.
+        `unit_targets` is (n, n) or a stack (..., n, n) in [0, 1]. The full
+        scale is the array's (`CrossbarArray.full_scale`). Returns (heaters,
+        clamped) from `RingGrid.heaters_for_summed_drops`.
         """
         t = np.asarray(unit_targets, dtype=float)
         if t.shape[-2:] != (self.n, self.n):
             raise ShapeError(f"target matrix must be {self.n}x{self.n}")
         if not np.logical_and.reduce((0.0 <= t) & (t <= 1.0), axis=None):
             raise ValueError("unit targets must lie in [0, 1]")
-        grid = self.array.ring_grid
-        tiled = grid.tiled(t.shape[:-2])
-        response = grid.summed_response
-        floor = tiled.floor_rel
-        absolute = t * self.array.full_scale  # the summed drop each element must reach
-        # The table cell whose knots bracket the request: the ring's knots
-        # above it, less one. A request above knot 0 reads cell 0; one below
-        # the cut reads the cut knot, whose slope is 0.
-        query = np.multiply(absolute, -1j)
-        query += response.first
-        cell = response.keys.searchsorted(query)
-        cell -= 1
-        np.maximum(cell, response.first, out=cell)
-        # The pedestal at the request, linear in S over the cell, and the
-        # own-channel drop left to program, relative to the ring's peak.
-        request = response.slope.take(cell)
-        request *= absolute
-        request += response.intercept.take(cell)
-        np.subtract(absolute, request, out=request)
-        request /= tiled.peaks
-        rel = np.maximum(request, floor)
-        np.minimum(rel, 1.0, out=rel)
-        # Any ring solves the whole grid: the tiled lineshape carries every
-        # ring's constants.
-        det = grid.rings[0][0].detuning_for_relative_drop(rel, tiled.solve)
-        np.minimum(det, grid.park_detuning_nm, out=det)
-        clamped = request < floor
-        clamped |= request > 1.0
-        return grid.detuned_heaters(det), clamped
+        return self.array.ring_grid.heaters_for_summed_drops(t * self.array.full_scale)
 
     def compile_unit(self, unit_targets: np.ndarray) -> CompiledMatrix:
         """Compile unit targets in [0, 1], (n, n) or a stack (..., n, n)."""

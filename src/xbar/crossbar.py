@@ -1,4 +1,13 @@
-"""Symmetric N x N microring crossbar: topology, multi-wavelength propagation, MVM.
+"""Symmetric N x N microring crossbar: topology, ring grid, multi-wavelength propagation, MVM.
+
+`RingGrid` owns the physics of the grid of rings: each ring's constants
+(`RingConstants`), their alignment on the row channels, the drop tensor of
+a heater program and the heater solve that sets a program's channel-summed
+drops. `CrossbarArray` owns the waveguide layout, the input MZIs, the one
+reading of a program and its calibration (`CrossbarArray.full_scale`, the
+drop a unit target is programmed to and the decode divides out). A single
+ring or MZI is `xbar.devices`'; the encoding of signed matrices onto unit
+targets is `xbar.compiler`'s.
 
 The propagation model is incoherent power bookkeeping over single-drop paths.
 Input port i carries the full channel comb scaled by its MZI transmittance
@@ -18,9 +27,7 @@ output row i reads sum_j G[i, j] t_j. `CrossbarArray.read` is that one
 reading; the probed reading (`CrossbarArray.measure`) and the LUT
 calibration sweep take their output powers from it. The symmetric layout
 gives both directions the same path losses, so the forward and backward
-readings are exact transposes. One calibration serves a program and its read-back: `RingGrid`
-holds each ring's aligned resonance order, and `CrossbarArray.full_scale`
-the drop that a unit target is programmed to and the decode divides out.
+readings are exact transposes.
 
 Crosstalk enters through two physical channels: off-resonance leakage of the
 ring lineshape (foreign wavelengths and parked rings) and the finite
@@ -44,7 +51,6 @@ from .devices import (
     RingDevice,
     WavelengthGrid,
     read_only,
-    tile_to,
 )
 from .errors import EncodingError, InfeasibleError, ShapeError
 
@@ -127,26 +133,60 @@ def _per_ring(rings: list, value) -> np.ndarray:
     return read_only(np.array([[value(ring) for ring in row] for row in rings]))
 
 
+def tile_to(value, shape: tuple) -> np.ndarray:
+    """`value` broadcast to `shape` as a C-contiguous read-only array: `value`
+    itself if it is one already, else a new one. (A slice assignment
+    broadcasts in C; `np.broadcast_to(...).copy()` costs several
+    microseconds of Python per call.)"""
+    if (
+        isinstance(value, np.ndarray)
+        and value.shape == shape
+        and value.flags.c_contiguous
+        and not value.flags.writeable
+    ):
+        return value
+    out = np.empty(shape, dtype=np.result_type(value))
+    out[...] = value
+    return read_only(out)
+
+
+def _mapped(record, fn):
+    """A copy of a frozen record with `fn` applied to each of its arrays, the
+    arrays of its lineshapes included."""
+    return type(record)(
+        *(
+            _mapped(value, fn) if isinstance(value, AddDropLineshape) else fn(value)
+            for value in (getattr(record, f.name) for f in fields(record))
+        )
+    )
+
+
 @dataclass(frozen=True)
-class TiledRings:
-    """Every per-ring constant of the heater solve and of
-    `RingGrid.drop_through_tensor`, tiled to one stack's full shape as
-    C-contiguous read-only arrays, so that each ufunc on a stack of that
-    shape runs on operands of one shape (numpy broadcasts nothing).
-    `lead` is the stack's leading shape: the (n, n) constants are tiled to
-    lead + (n, n), the channel-resolved ones to lead + (n, n, channels).
+class RingConstants:
+    """The per-ring constants that the drop tensor and the heater solve
+    read, one value per ring in every field.
+
+    `RingGrid.constants` holds the grid's own, over rings (n, n), and
+    `RingGrid.tiled` tiles them to a stack's full shape; both are
+    read-only. `take` selects rings from the grid's own into new arrays. A
+    channel-resolved field has a last channel axis, of length 1 where its
+    value is the same on every channel.
     """
 
-    solve: AddDropLineshape  # lead + (n, n), its inverse's cached terms computed
-    drop: AddDropLineshape  # lead + (n, n, channels)
-    channels: np.ndarray  # lead + (n, n, channels)
-    aligned: np.ndarray  # the aligned heaters
-    shift_per_mw: np.ndarray
-    fab: np.ndarray
-    phase0: np.ndarray
-    max_power_mw: np.ndarray
-    peaks: np.ndarray  # each ring's peak drop
-    floor_rel: np.ndarray  # each ring's parked floor relative to its peak
+    lineshape: AddDropLineshape  # on the order aligned on; channel-resolved
+    solve: AddDropLineshape  # the same, without the channel axis, for its inverse
+    channels: np.ndarray  # every channel's wavelength; channel-resolved
+    aligned: np.ndarray  # the heater that puts the ring on its row channel
+    shift_per_mw: np.ndarray  # the heater's red shift, nm per mW
+    fab: np.ndarray  # fabrication detuning, nm
+    max_power_mw: np.ndarray  # the heater's cap
+    peaks: np.ndarray  # the peak drop
+    floor_rel: np.ndarray  # a parked ring's own-channel drop relative to its peak
+
+    def take(self, rings) -> "RingConstants":
+        """The grid's constants of the rings at flat indices `rings`
+        (i * n + j), over rings of the shape of `rings`."""
+        return _mapped(self, lambda a: a.reshape((-1,) + a.shape[2:])[rings])
 
 
 @dataclass(frozen=True)
@@ -179,39 +219,25 @@ class SummedResponse:
 class RingGrid:
     """n x n grid of rings; ring (i, j) carries matrix element w_ij on channel i.
 
-    Everything that depends only on the rings is computed once, at
-    construction, and held in read-only arrays:
-    - the per-ring heater rate (`shift_per_mw`), fabrication detuning,
-      initial-phase shift, heater range (`max_power_mw`) and the zero-heater
-      resonance of the order it is aligned on, read by
-      `drop_through_tensor`, `drop_below_resonance` and the range checks;
+    The grid owns its rings' physics beyond one device: their constants,
+    their alignment, the drop tensor of a heater program and the heater
+    solve of a program's summed drops. At construction it computes, in
+    read-only arrays:
+    - `constants` (`RingConstants`): each ring's lineshape on the resonance
+      order it is aligned on, free of heater and fabrication detuning, so
+      one evaluation serves the whole grid; the aligned heaters (checked
+      against each heater's cap and ALIGNMENT_TOLERANCE_NM); the heater
+      rate and cap and the fabrication detuning; and each ring's peak drop
+      and parked floor relative to it, which bound the solve;
     - `order_spacing_nm`, each ring's spacing from its resonance order to
-      the next (bluer) one, from its own lineshape; the alignment wraps a
-      channel blue of the resonance onto that order, and the LUT ring
-      window wraps by it too;
-    - the aligned heater matrix (checked against each ring's heater range
-      and against ALIGNMENT_TOLERANCE_NM);
-    - `lineshape`, every ring's `AddDropLineshape` stacked into fields of
-      shape (n, n, 1), with each ring's `resonance_phase` that of the order
-      it is aligned on. It is free of heater and fabrication detuning, so
-      one evaluation serves the whole grid, and a program's one inverse
-      solve (`RingDevice.detuning_for_relative_drop`) sets the own-channel
-      drop of every ring of every matrix of a stack;
-    - each ring's peak drop and its parked floor relative to that peak,
-      which bound the compiler's targets;
+      the next (bluer) one: a channel blue of the zero-heater resonance is
+      aligned on that order, and the LUT ring window wraps by it too;
     - `park_detuning_nm`, the red detuning of a parked ring: half the
       channel spacing, or an eighth of the FSR for a single channel.
 
-    `tiled(lead)` holds one `TiledRings` record per leading stack shape
-    `lead` that the grid has been given heaters or detunings in: the
-    constants above that the heater solve and `drop_through_tensor` read,
-    tiled to the stack's full shape. A record is built on the first call
-    with its shape (the first program of that shape), kept, and read-only.
-    Its arrays hold the grid's values, so a stack computes what each of its
-    matrices alone computes, bit for bit. `summed_response`, each ring's
-    summed drop and pedestal against its detuning, from which a program
-    reads its pedestals, is likewise built on first use (the first
-    program), not at construction, and kept. The rings must not be replaced
+    Built on first use and kept: `tiled(lead)`, the constants tiled to a
+    stack's leading shape `lead`, and `summed_response`, each ring's summed
+    drop and pedestal against its detuning. The rings must not be replaced
     or mutated afterwards.
     """
 
@@ -230,61 +256,70 @@ class RingGrid:
             spacing / 2.0 if math.isfinite(spacing) else self.rings[0][0].fsr_nm() / 8.0
         )
         get = lambda value: _per_ring(self.rings, value)
-        self.shift_per_mw = get(lambda r: r.resonance_shift_per_mw)
-        self._fab = get(lambda r: r.fabrication_detuning_nm)
-        self._phase0 = get(lambda r: r.shifter.initial_phase_rad / (2.0 * math.pi) * r.fsr_nm())
-        self.max_power_mw = get(lambda r: r.shifter.max_power_mw)
+        rate = get(lambda r: r.resonance_shift_per_mw)
+        fab = get(lambda r: r.fabrication_detuning_nm)
+        top = get(lambda r: r.max_power_mw)
         base = get(lambda r: r.resonance_wavelength_nm(0.0))  # zero-heater resonance
-        self._channels = read_only(self.grid.array)
+        channel = self.grid.array[:, None]  # each row's
         shape = AddDropLineshape.stack([[r.lineshape for r in row] for row in self.rings])
         next_order = shape.wavelength_at_phase(shape.resonance_phase + 2.0 * math.pi)
         self.order_spacing_nm = read_only((shape.resonance_wavelength - next_order)[:, :, 0])
         # A channel blue of a ring's resonance is reached on the next order:
         # one `order_spacing_nm` bluer, 2 pi more round-trip phase.
-        wrapped = self._channels[:, None] < base
-        self._aligned_resonance = read_only(np.where(wrapped, base - self.order_spacing_nm, base))
+        wrapped = channel < base
+        resonance = np.where(wrapped, base - self.order_spacing_nm, base)
         phase = shape.resonance_phase + 2.0 * math.pi * wrapped[:, :, None]
-        self.lineshape = replace(shape, resonance_phase=read_only(phase))
-        self._aligned = self._align()
-        self._peaks = read_only(self.lineshape.peak_drop[:, :, 0])
-        # Residual relative coupling of a parked ring at its own channel.
-        self._floor_rel = read_only(self.drop_below_resonance(self.park_detuning_nm) / self._peaks)
-        self._tiled: dict[tuple, TiledRings] = {}
+        shape = replace(shape, resonance_phase=read_only(phase))
+        # The heater shift is linear, so the alignment inverts exactly.
+        aligned = (channel - resonance) / rate
+        out_of_range = np.argwhere(aligned > top)
+        if out_of_range.size:
+            i, j = out_of_range[0]
+            raise InfeasibleError(
+                f"ring ({i},{j}) cannot reach channel {self.grid.channels_nm[i]} nm "
+                "within its heater range"
+            )
+        residual = np.abs(resonance + rate * aligned - channel)
+        if np.any(residual > ALIGNMENT_TOLERANCE_NM):
+            raise InfeasibleError(
+                f"alignment residual {residual.max():.2e} nm exceeds tolerance"
+            )
+        peaks = read_only(shape.peak_drop[:, :, 0])
+        # A parked ring's residual drop at its own channel: at zero heater
+        # power, park_detuning_nm blue of its aligned order's resonance.
+        parked = (resonance - self.park_detuning_nm - fab)[:, :, None]
+        self.constants = RingConstants(
+            lineshape=shape,
+            solve=AddDropLineshape(*(getattr(shape, f.name)[..., 0] for f in fields(shape))),
+            channels=tile_to(self.grid.array, (n, n, n)),
+            aligned=read_only(aligned),
+            shift_per_mw=rate,
+            fab=fab,
+            max_power_mw=top,
+            peaks=peaks,
+            floor_rel=read_only(shape.drop(parked)[:, :, 0] / peaks),
+        )
+        self._tiled: dict[tuple, RingConstants] = {}
 
     @property
     def n(self) -> int:
         return len(self.rings)
 
-    def tiled(self, lead: tuple) -> TiledRings:
-        """The per-ring constants tiled to the stack shape lead + (n, n),
-        built on the first call with `lead` and kept."""
+    def tiled(self, lead: tuple) -> RingConstants:
+        """`constants` tiled to the stack shape lead + (n, n), a channel-resolved
+        field to lead + (n, n, channels), as C-contiguous read-only arrays,
+        so that a stack's ufuncs broadcast nothing and compute, bit for bit,
+        what each of its matrices alone computes. Built on the first call
+        with `lead` (the first program of that shape) and kept; its solve
+        lineshape holds its inverse's wavelength-independent terms."""
         record = self._tiled.get(lead)
         if record is None:
-            record = self._tiled[lead] = self._tile(lead)
+            full = lead + (self.n, self.n)
+            record = _mapped(self.constants, lambda a: tile_to(a, full + (len(self.grid),) * (a.ndim - 2)))
+            for cached in ("resonance_wavelength", "half_fsr", "_two_pi_length", "_dispersion_per_lam0"):
+                getattr(record.solve, cached)
+            self._tiled[lead] = record
         return record
-
-    def _tile(self, lead: tuple) -> TiledRings:
-        n, channels = self.n, len(self.grid)
-        full = lead + (n, n)
-        shape = self.lineshape
-        # The solve's lineshape has no channel axis.
-        solve = AddDropLineshape(*(tile_to(getattr(shape, f.name)[..., 0], full) for f in fields(shape)))
-        # Its inverse's wavelength-independent terms, cached here so that the
-        # record is complete before its first solve.
-        for cached in ("resonance_wavelength", "half_fsr", "_two_pi_length", "_dispersion_per_lam0"):
-            getattr(solve, cached)
-        return TiledRings(
-            solve=solve,
-            drop=shape.broadcast_to(full + (channels,)),
-            channels=tile_to(self._channels, full + (channels,)),
-            aligned=tile_to(self._aligned, full),
-            shift_per_mw=tile_to(self.shift_per_mw, full),
-            fab=tile_to(self._fab, full),
-            phase0=tile_to(self._phase0, full),
-            max_power_mw=tile_to(self.max_power_mw, full),
-            peaks=tile_to(self._peaks, full),
-            floor_rel=tile_to(self._floor_rel, full),
-        )
 
     @cached_property
     def summed_response(self) -> SummedResponse:
@@ -298,7 +333,8 @@ class RingGrid:
         n, knots = self.n, RESPONSE_KNOTS
         rings = np.arange(n * n)
         detunings = np.linspace(0.0, self.park_detuning_nm, knots)
-        heaters = self._aligned.ravel() + detunings[:, None] / self.shift_per_mw.ravel()
+        c = self.constants
+        heaters = c.aligned.ravel() + detunings[:, None] / c.shift_per_mw.ravel()
         drop = self.drop_through_tensor(heaters, rings)  # (knots, rings, channels)
         summed = drop.sum(axis=-1).T.reshape(n, n, knots)
         pedestal = summed - drop[:, rings, rings // n].T.reshape(n, n, knots)
@@ -327,71 +363,73 @@ class RingGrid:
             intercept=read_only(pedestal - slope * summed),
         )
 
-    def _align(self) -> np.ndarray:
-        """Heater matrix putting every ring's aligned order on its row channel.
-        The shift is linear, so the inversion is exact; its residual is
-        checked against ALIGNMENT_TOLERANCE_NM."""
-        order, target = self._aligned_resonance, self._channels[:, None]
-        power = (target - order) / self.shift_per_mw
-        out_of_range = np.argwhere(power > self.max_power_mw)
-        if out_of_range.size:
-            i, j = out_of_range[0]
-            raise InfeasibleError(
-                f"ring ({i},{j}) cannot reach channel {self.grid.channels_nm[i]} nm "
-                "within its heater range"
-            )
-        residual = np.abs(order + self.shift_per_mw * power - target)
-        if np.any(residual > ALIGNMENT_TOLERANCE_NM):
-            raise InfeasibleError(
-                f"alignment residual {residual.max():.2e} nm exceeds tolerance"
-            )
-        return read_only(power)
+    def heaters_for_summed_drops(self, drops: np.ndarray):
+        """Heaters whose channel-summed drops reach `drops`, (n, n) or a stack
+        (..., n, n), with each ring's summed drop at its own element; returns
+        (heaters, clamped).
 
-    def check_heaters(self, heaters: np.ndarray, rings=None) -> np.ndarray:
-        """`heaters`, (n, n) or a stack (..., n, n), checked against every
-        ring's heater range; with `rings`, flat ring indices i * n + j, one
-        heater per ring they select, broadcast against them."""
-        h = np.asarray(heaters, dtype=float)
-        if rings is not None:
-            top = self.max_power_mw.take(rings)
-        elif h.shape[-2:] != (self.n, self.n):
-            raise ShapeError(f"heater matrix must be {self.n}x{self.n}; got {h.shape}")
-        else:
-            top = self.tiled(h.shape[:-2]).max_power_mw
-        if not np.logical_and.reduce((0.0 <= h) & (h <= top), axis=None):
-            raise ValueError("ring heater power out of range")
-        return h
+        A ring's drop on the other channels (its pedestal) depends on its
+        own detuning alone, so each request is one equation in that
+        detuning. The pedestal at the request is read from the ring's
+        `summed_response` table, by linear interpolation on the cell the
+        request falls in. What is left is the ring's own-channel drop,
+        relative to its peak, clamped to its realizable [floor, 1] span
+        (`clamped` marks where the clamp was active), and one inverse
+        lineshape call on the stack's tiled constants solves it for every
+        ring of every matrix. A ring is never detuned past park.
+        """
+        tiled = self.tiled(drops.shape[:-2])
+        response = self.summed_response
+        # The table cell whose knots bracket the request: the ring's knots
+        # above it, less one. A request above knot 0 reads cell 0; one below
+        # the cut reads the cut knot, whose slope is 0.
+        query = np.multiply(drops, -1j)
+        query += response.first
+        cell = response.keys.searchsorted(query)
+        cell -= 1
+        np.maximum(cell, response.first, out=cell)
+        # The pedestal at the request, linear in S over the cell, and the
+        # own-channel drop left to program, relative to the ring's peak.
+        request = response.slope.take(cell)
+        request *= drops
+        request += response.intercept.take(cell)
+        np.subtract(drops, request, out=request)
+        request /= tiled.peaks
+        rel = np.maximum(request, tiled.floor_rel)
+        np.minimum(rel, 1.0, out=rel)
+        # Any ring solves the whole grid: the tiled lineshape carries every
+        # ring's constants.
+        det = self.rings[0][0].detuning_for_relative_drop(rel, tiled.solve)
+        np.minimum(det, self.park_detuning_nm, out=det)
+        clamped = request < tiled.floor_rel
+        clamped |= request > 1.0
+        return self.detuned_heaters(det), clamped
 
     def drop_through_tensor(self, heaters: np.ndarray, rings=None) -> np.ndarray:
         """T_drop of every ring on every channel, shape (..., n, n, channels)
         for heaters (..., n, n), as a new array, on the constants tiled to
         the stack (`tiled`). With `rings`, an integer array of flat ring
-        indices i * n + j, only the rings it selects: heaters (...) hold one
-        power per selected ring, broadcast against `rings`, and the result
-        is (..., channels). The through port, which no grid caller reads, is
-        left to `RingDevice.drop_through`."""
-        h = self.check_heaters(heaters, rings)
-        if rings is None:
-            t = self.tiled(h.shape[:-2])
-            fab, rate, phase0, shape, channels = t.fab, t.shift_per_mw, t.phase0, t.drop, t.channels
+        indices i * n + j, only the rings it selects
+        (`RingConstants.take`): heaters (...) hold one power per selected
+        ring, broadcast against `rings`, and the result is (..., channels).
+        Every heater must lie in [0, its ring's cap]. The through port,
+        which no grid caller reads, is left to `RingDevice.drop_through`."""
+        h = np.asarray(heaters, dtype=float)
+        if rings is not None:
+            c = self.constants.take(rings)
+        elif h.shape[-2:] != (self.n, self.n):
+            raise ShapeError(f"heater matrix must be {self.n}x{self.n}; got {h.shape}")
         else:
-            fab, rate, phase0 = (a.take(rings) for a in (self._fab, self.shift_per_mw, self._phase0))
-            shape, channels = self.lineshape.take(rings[..., None]), self._channels
-        shift = rate * h  # fab + rate * h + phase0: (..., n, n), or the selection's shape
-        shift += fab
-        shift += phase0
-        return shape.drop(np.subtract(channels, shift[..., None]))
-
-    def drop_below_resonance(self, detuning_nm: float) -> np.ndarray:
-        """T_drop of every ring at zero heater power, `detuning_nm` blue of
-        the zero-heater resonance of its aligned order, shape (n, n), in one
-        evaluation of the stacked lineshape."""
-        lam = self._aligned_resonance - detuning_nm - (self._fab + self._phase0)
-        return self.lineshape.drop(lam[:, :, None])[:, :, 0]
+            c = self.tiled(h.shape[:-2])
+        if not np.logical_and.reduce((0.0 <= h) & (h <= c.max_power_mw), axis=None):
+            raise ValueError("ring heater power out of range")
+        shift = c.shift_per_mw * h  # fab + rate * h
+        shift += c.fab
+        return c.lineshape.drop(np.subtract(c.channels, shift[..., None]))
 
     def aligned_heaters(self) -> np.ndarray:
         """Heater matrix putting every ring exactly on its row channel (a copy)."""
-        return self._aligned.copy()
+        return self.constants.aligned.copy()
 
     def detuned_heaters(self, detunings_nm: np.ndarray) -> np.ndarray:
         """Heaters putting each ring `detunings_nm[..., i, j]` red of its row

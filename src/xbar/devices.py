@@ -1,5 +1,12 @@
 """Thermo-optic device primitives: MZI amplitude modulators and add-drop microrings.
 
+This module owns one device at a time: the MZI fringe and its heater
+(`PhaseShifter`, `MziDevice`), and one ring's add-drop lineshape, its
+thermal tuning and the lineshape's inverse (`AddDropLineshape`,
+`RingDevice`). A grid of rings, its per-ring constants and the heater solve
+of a program live in `xbar.crossbar.RingGrid`, which evaluates the same
+lineshape and inverse on stacked fields.
+
 All transfer functions are power transmittances (dimensionless, in [0, 1]).
 Wavelengths are in nm, heater powers in mW, radii in um. Devices are frozen
 after construction; every method is a pure function of (device, inputs).
@@ -25,8 +32,9 @@ DEFAULT_REFERENCE_NM = 1550.0
 WAVEGUIDE_LOSS_DB_PER_CM = 1.3
 
 # One FSR of ring tuning costs 2*P_pi of heater power by default; only the
-# ratio (nm/mW) enters any experiment.
+# ratio (nm/mW) enters any experiment. Every heater stops at 4*P_pi.
 DEFAULT_SHIFT_NM_PER_MW = 4.4 / (2.0 * DEFAULT_POWER_PER_PI_MW)
+DEFAULT_MAX_POWER_MW = 4.0 * DEFAULT_POWER_PER_PI_MW
 
 
 def read_only(value):
@@ -35,23 +43,6 @@ def read_only(value):
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
     return value
-
-
-def tile_to(value, shape: tuple) -> np.ndarray:
-    """`value` broadcast to `shape` as a C-contiguous read-only array: `value`
-    itself if it is one already, else a new one. (A slice assignment
-    broadcasts in C; `np.broadcast_to(...).copy()` costs several
-    microseconds of Python per call.)"""
-    if (
-        isinstance(value, np.ndarray)
-        and value.shape == shape
-        and value.flags.c_contiguous
-        and not value.flags.writeable
-    ):
-        return value
-    out = np.empty(shape, dtype=np.result_type(value))
-    out[...] = value
-    return read_only(out)
 
 
 def _out(x):
@@ -71,7 +62,7 @@ class PhaseShifter:
 
     power_per_pi_mw: float = DEFAULT_POWER_PER_PI_MW
     initial_phase_rad: float = 0.0
-    max_power_mw: float = 4.0 * DEFAULT_POWER_PER_PI_MW
+    max_power_mw: float = DEFAULT_MAX_POWER_MW
 
     def __post_init__(self):
         if self.power_per_pi_mw <= 0:
@@ -129,25 +120,19 @@ class MziDevice:
         """Smallest heater power whose relative transmittance equals `target`.
 
         `target` is relative to the fringe maximum (excess loss divided out)
-        and is clamped to the achievable [floor, 1] interval.
+        and is clamped to the achievable [floor, 1] interval. The phases
+        that give it are +/- theta modulo 2 pi; the power is the smaller
+        phase advance from the initial phase onto one of them.
         """
         t = np.clip(np.asarray(target, dtype=float), self.floor, 1.0)
         theta = 2.0 * np.arcsin(np.sqrt(t))  # principal phase in [0, pi]
-        p_pi = self.shifter.power_per_pi_mw
         phi0 = self.shifter.initial_phase_rad
-        # Candidate phases 2*pi*k +/- theta; pick the smallest power >= 0.
-        k0 = np.floor((phi0 - theta) / (2.0 * math.pi))
-        best = np.full(t.shape, np.inf)
-        for k in (k0, k0 + 1.0, k0 + 2.0):
-            for sign in (1.0, -1.0):
-                phi = 2.0 * math.pi * k + sign * theta
-                p = (phi - phi0) * p_pi / math.pi
-                ok = p >= -1e-12
-                best = np.where(ok & (p < best), p, best)
-        best = np.clip(best, 0.0, None)
-        if np.any(best > self.shifter.max_power_mw):
+        advance = np.minimum((theta - phi0) % (2.0 * math.pi), (-theta - phi0) % (2.0 * math.pi))
+        p = advance * self.shifter.power_per_pi_mw / math.pi
+        # Written so that a NaN target, whose power is NaN, raises too.
+        if not np.logical_and.reduce(p <= self.shifter.max_power_mw, axis=None):
             raise PowerRangeError("target transmittance requires power beyond max_power")
-        return best if best.ndim else float(best)
+        return p if p.ndim else float(p)
 
 
 @dataclass(frozen=True)
@@ -195,17 +180,6 @@ class AddDropLineshape:
                 for f in fields(cls)
             }
         )
-
-    def take(self, rings) -> "AddDropLineshape":
-        """A grid lineshape's rings at flat ring indices `rings`: every field's
-        flat values taken alike."""
-        return AddDropLineshape(*(getattr(self, f.name).take(rings) for f in fields(self)))
-
-    def broadcast_to(self, shape: tuple) -> "AddDropLineshape":
-        """This lineshape with every field a contiguous read-only array of
-        `shape`, so an evaluation at wavelengths of that shape broadcasts
-        nothing."""
-        return AddDropLineshape(*(tile_to(getattr(self, f.name), shape) for f in fields(self)))
 
     def __call__(self, lam):
         """(T_drop, T_through) at wavelengths `lam` in the ring's unshifted frame."""
@@ -278,9 +252,11 @@ class AddDropLineshape:
 class RingDevice:
     """Add-drop microring resonator with thermo-optic resonance tuning.
 
-    Power transfer follows `AddDropLineshape`. Heater power and fabrication
-    detuning translate the spectrum rigidly: the resonance red-shifts by
-    resonance_shift_per_mw per mW.
+    Power transfer follows `AddDropLineshape`. The ring's heater is a rate
+    and a cap: heater power in [0, max_power_mw] and the fabrication
+    detuning translate the spectrum rigidly, the resonance red-shifting by
+    resonance_shift_per_mw per mW. Every field changes the drop spectrum or
+    the heater range.
     """
 
     radius_um: float = DEFAULT_RADIUS_UM
@@ -290,8 +266,8 @@ class RingDevice:
     self_coupling_t1: float = 0.979
     self_coupling_t2: float = 0.979
     round_trip_amplitude: float = 0.99812
-    shifter: PhaseShifter = field(default_factory=PhaseShifter)
     resonance_shift_per_mw: float = DEFAULT_SHIFT_NM_PER_MW
+    max_power_mw: float = DEFAULT_MAX_POWER_MW
     drop_excess_loss_db: float = 0.0
     fabrication_detuning_nm: float = 0.0
 
@@ -302,6 +278,8 @@ class RingDevice:
             raise ValueError("round_trip_amplitude must lie in (0, 1]")
         if self.radius_um <= 0 or self.group_index <= 0:
             raise ValueError("radius and group index must be positive")
+        if self.max_power_mw < 0:
+            raise ValueError("max_power_mw must be non-negative")
 
     # -- geometry -----------------------------------------------------------
 
@@ -334,15 +312,10 @@ class RingDevice:
         return base + self._shift_nm(heater_power_mw)
 
     def _shift_nm(self, heater_power_mw) -> float:
-        phase_shift_nm = (
-            self.shifter.initial_phase_rad / (2.0 * math.pi) * self.fsr_nm()
-        )
         p = np.asarray(heater_power_mw, dtype=float)
-        if not ((0.0 <= p) & (p <= self.shifter.max_power_mw)).all():
-            raise PowerRangeError(
-                f"ring heater power must lie in [0, {self.shifter.max_power_mw}] mW"
-            )
-        return self.fabrication_detuning_nm + self.resonance_shift_per_mw * p + phase_shift_nm
+        if not ((0.0 <= p) & (p <= self.max_power_mw)).all():
+            raise PowerRangeError(f"ring heater power must lie in [0, {self.max_power_mw}] mW")
+        return self.fabrication_detuning_nm + self.resonance_shift_per_mw * p
 
     # -- transfer functions -------------------------------------------------
 
@@ -389,8 +362,8 @@ class RingDevice:
         lineshape floor the ring parks half an FSR away.
 
         `shape` defaults to this ring's lineshape. A stacked grid lineshape
-        (`RingGrid.lineshape`, or one tiled to a stack of matrices,
-        `RingGrid.tiled`) solves every ring of the grid in one call, with
+        (the `solve` field of `RingGrid.tiled`'s record, tiled to a stack of
+        matrices) solves every ring of the grid in one call, with
         `relative` broadcast against its fields. The inverse does not
         depend on fabrication detuning: it is measured from each ring's own
         resonance.

@@ -333,13 +333,13 @@ def build_lut(
         raise ShapeError(f"element ({rows[e]},{cols[e]}) outside a {n}x{n} crossbar")
     grid = array.ring_grid
     ring = rows * n + cols  # flat ring index
-    rate = grid.shift_per_mw.take(ring)
+    rate = grid.constants.shift_per_mw.take(ring)
     span = LUT_RING_WINDOW_NM / rate
     p_align = grid.aligned_heaters().take(ring)
     # A window that would run below zero power approaches the next resonance
     # order instead, one order spacing of heater power higher.
     p_align = np.where(p_align < span, p_align + grid.order_spacing_nm.take(ring) / rate, p_align)
-    top = grid.max_power_mw.take(ring)
+    top = grid.constants.max_power_mw.take(ring)
     beyond = p_align > top
     if beyond.any():
         e = int(np.argmax(beyond))

@@ -23,7 +23,7 @@ from xbar.crossbar import (
     build_crossbar,
     build_ring_grid,
 )
-from xbar.devices import AddDropLineshape, PhaseShifter, RingDevice, WavelengthGrid
+from xbar.devices import AddDropLineshape, RingDevice, WavelengthGrid
 from xbar.errors import EncodingError, InfeasibleError, ShapeError
 from xbar.presets import preset_array, ring_for_q
 
@@ -261,7 +261,7 @@ def test_aligned_rings_sit_on_their_peak(preset, sigma, seed):
     drop = grid.drop_through_tensor(grid.aligned_heaters())
     rows, cols = np.arange(grid.n)[:, None], np.arange(grid.n)[None, :]
     own = drop[rows, cols, rows]
-    np.testing.assert_allclose(own / grid.lineshape.peak_drop[:, :, 0], 1.0, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(own / grid.constants.peaks, 1.0, rtol=0, atol=1e-9)
 
 
 def test_photonic_products_are_accurate_under_fabrication_spread():
@@ -300,7 +300,7 @@ def test_compiled_targets_read_back_through_the_effective_matrix(preset, sigma):
 def test_full_scale_is_the_smallest_peak_drop(preset):
     # Aligned on its channel, every physical ring reads its own peak.
     array = preset_array(preset)
-    assert array.full_scale == float(array.ring_grid.lineshape.peak_drop.min())
+    assert array.full_scale == float(array.ring_grid.constants.peaks.min())
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.02])
@@ -316,7 +316,7 @@ def test_grid_lineshape_carries_each_rings_aligned_order(preset, sigma):
         lambda ring, channel: ring.lineshape.resonance_phase
         + 2.0 * math.pi * reference_order(ring, channel)[0],
     )
-    np.testing.assert_array_equal(grid.lineshape.resonance_phase[:, :, 0], phases)
+    np.testing.assert_array_equal(grid.constants.lineshape.resonance_phase[:, :, 0], phases)
 
 
 @pytest.mark.parametrize("preset", list(PRESETS))
@@ -372,7 +372,7 @@ def test_stacked_detuning_equals_scalar_inverse_per_ring(preset):
     relative = 10.0 ** rng.uniform(-12, 0, (n, n, 50))
     relative[:, :, 0] = 1.0
     # The stacked lineshape, not the ring the method is called on, sets the answer.
-    stacked = grid.rings[n - 1][0].detuning_for_relative_drop(relative, grid.lineshape)
+    stacked = grid.rings[n - 1][0].detuning_for_relative_drop(relative, grid.constants.lineshape)
     assert stacked.shape == relative.shape
     for i, row in enumerate(grid.rings):
         for j, ring in enumerate(row):
@@ -401,36 +401,24 @@ def test_aligned_heaters_returns_a_copy():
 
 def cached_arrays(backend: PhotonicBackend) -> dict:
     """Every array a ring grid computes once and shares: its per-ring
-    constants, each record of them tiled to a stack shape (`tiled`), and
-    its summed-response table once built."""
+    constants, each record of them tiled to a stack shape (`tiled`), its
+    order spacing and its summed-response table once built."""
     grid = backend.array.ring_grid
-    cached = {
-        "aligned": grid._aligned,
-        "rate": grid.shift_per_mw,
-        "fab": grid._fab,
-        "phase0": grid._phase0,
-        "max_power": grid.max_power_mw,
-        "aligned_resonance": grid._aligned_resonance,
-        "channels": grid._channels,
-        "peaks": grid._peaks,
-        "floor": grid._floor_rel,
-    }
-    for f in fields(grid.lineshape):
-        cached[f"lineshape.{f.name}"] = getattr(grid.lineshape, f.name)
+    records = {"constants": grid.constants, **{str(lead): r for lead, r in grid._tiled.items()}}
     if "summed_response" in vars(grid):
-        for f in fields(grid.summed_response):
-            cached[f"summed_response.{f.name}"] = getattr(grid.summed_response, f.name)
+        records["summed_response"] = grid.summed_response
+    cached = {"order_spacing": grid.order_spacing_nm}
     lineshape_cache = ("resonance_wavelength", "half_fsr", "_two_pi_length", "_dispersion_per_lam0")
-    for lead, record in grid._tiled.items():
+    for key, record in records.items():
         for f in fields(record):
             value = getattr(record, f.name)
             if not isinstance(value, AddDropLineshape):
-                cached[f"{lead}.{f.name}"] = value
+                cached[f"{key}.{f.name}"] = value
                 continue
             names = [g.name for g in fields(value)]
             names += [name for name in lineshape_cache if name in vars(value)]
             for name in names:
-                cached[f"{lead}.{f.name}.{name}"] = getattr(value, name)
+                cached[f"{key}.{f.name}.{name}"] = getattr(value, name)
     return cached
 
 
@@ -455,19 +443,12 @@ def test_tiled_records_hold_the_grid_constants_at_the_stack_shape():
     grid = preset_array("simulation_9x9", fabrication_sigma_nm=0.02, seed=3).ring_grid
     record = grid.tiled((2, 3))
     assert grid.tiled((2, 3)) is record
-    for name, constant in [
-        ("aligned", grid._aligned),
-        ("shift_per_mw", grid.shift_per_mw),
-        ("fab", grid._fab),
-        ("phase0", grid._phase0),
-        ("max_power_mw", grid.max_power_mw),
-        ("peaks", grid._peaks),
-        ("floor_rel", grid._floor_rel),
-    ]:
-        value = getattr(record, name)
+    constants = grid.constants
+    for name in ("aligned", "shift_per_mw", "fab", "max_power_mw", "peaks", "floor_rel"):
+        value, constant = getattr(record, name), getattr(constants, name)
         assert value.shape == (2, 3, 9, 9) and value.flags.c_contiguous, name
         np.testing.assert_array_equal(value, np.broadcast_to(constant, value.shape), err_msg=name)
-    assert record.channels.shape == record.drop.n0.shape == (2, 3, 9, 9, 9)
+    assert record.channels.shape == record.lineshape.n0.shape == (2, 3, 9, 9, 9)
     assert record.solve.n0.shape == (2, 3, 9, 9)
 
 
@@ -506,8 +487,6 @@ def test_nan_heater_is_rejected_by_the_range_check():
     heaters = grid.aligned_heaters()
     heaters[1, 2] = np.nan
     with pytest.raises(ValueError, match="ring heater power out of range"):
-        grid.check_heaters(heaters)
-    with pytest.raises(ValueError, match="ring heater power out of range"):
         grid.drop_through_tensor(heaters)
 
 
@@ -543,11 +522,9 @@ def test_stacked_range_checks_reject_nan_and_out_of_range_values():
     relative[1, 1, 0, 0] = np.nan
     with pytest.raises(ValueError, match=r"relative drop level must lie in \(0, 1\]"):
         grid.rings[0][0].detuning_for_relative_drop(relative, grid.tiled((2, 2)).solve)
-    for bad in (np.nan, grid.max_power_mw[2, 1] * (1.0 + 1e-12)):
+    for bad in (np.nan, grid.constants.max_power_mw[2, 1] * (1.0 + 1e-12)):
         heaters = np.broadcast_to(grid.aligned_heaters(), (2, 2, 4, 4)).copy()
         heaters[0, 0, 2, 1] = bad
-        with pytest.raises(ValueError, match="ring heater power out of range"):
-            grid.check_heaters(heaters)
         with pytest.raises(ValueError, match="ring heater power out of range"):
             grid.drop_through_tensor(heaters)
 
@@ -557,9 +534,9 @@ def test_stacked_range_checks_reject_nan_and_out_of_range_values():
 def test_stacked_floor_equals_the_per_ring_drop_through_loop(preset, sigma):
     array = preset_array(preset, fabrication_sigma_nm=sigma, seed=11)
     grid = array.ring_grid
-    np.testing.assert_array_equal(grid._floor_rel, reference_floor(grid))
+    np.testing.assert_array_equal(grid.constants.floor_rel, reference_floor(grid))
     peaks = [[ring.lineshape.peak_drop for ring in row] for row in grid.rings]
-    np.testing.assert_array_equal(grid._peaks, peaks)
+    np.testing.assert_array_equal(grid.constants.peaks, peaks)
 
 
 def test_nan_input_is_rejected_by_the_mzi_range_check():
@@ -588,7 +565,7 @@ def test_input_transmittances_of_a_stack_equal_each_vector_alone():
 
 def test_alignment_beyond_heater_range_is_rejected_at_construction():
     # 2 nm of red shift needs about 17.5 mW; the heaters stop at 1 mW.
-    ring = RingDevice(shifter=PhaseShifter(max_power_mw=1.0), fabrication_detuning_nm=-2.0)
+    ring = RingDevice(max_power_mw=1.0, fabrication_detuning_nm=-2.0)
     with pytest.raises(InfeasibleError, match="heater range"):
         build_ring_grid(4, WavelengthGrid.c_band_4(), ring)
 
@@ -742,6 +719,42 @@ def test_clamped_elements_mark_where_the_span_clip_was_active(preset):
 
 
 values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize("variant", [SYMMETRIC, LEGACY_ASYMMETRIC])
+@pytest.mark.parametrize("preset", ["experimental_4x4", "simulation_9x9", "ideal"])
+def test_a_singly_driven_port_puts_out_at_most_the_comb_it_carries(preset, variant):
+    # Passivity above the device level: an input port fully on, every other
+    # port dark, carries one unit of power on each of the n channels, and
+    # its outputs together read at most that, whatever the heater program.
+    array = preset_array(preset, variant=variant)
+    grid, n = array.ring_grid, array.n
+    rng = np.random.default_rng(12)
+    programs = np.concatenate(
+        [
+            rng.uniform(0.0, 1.0, (16, n, n)) * grid.constants.max_power_mw,
+            [grid.aligned_heaters(), grid.parked_heaters()],
+        ]
+    )
+    summed = array.summed_drop(programs)
+    for direction in (FORWARD, BACKWARD):
+        out = array.read(np.eye(n), summed, direction)  # (program, driven port, output)
+        assert out.shape == (len(programs), n, n)
+        assert out.min() >= 0.0
+        assert out.sum(axis=-1).max() <= n
+
+
+@pytest.mark.parametrize("preset", ["experimental_4x4", "simulation_9x9"])
+def test_a_ring_selection_reads_what_the_full_grid_reads(preset):
+    grid = preset_array(preset, fabrication_sigma_nm=0.02, seed=5).ring_grid
+    n, k = grid.n, 8
+    rng = np.random.default_rng(13)
+    heaters = rng.uniform(0.0, 1.0, (k, n, n)) * grid.constants.max_power_mw
+    heaters[0] = grid.aligned_heaters()
+    heaters[1:4] = grid.detuned_heaters(rng.uniform(0.0, grid.park_detuning_nm, (3, n, n)))
+    full = grid.drop_through_tensor(heaters)
+    selected = grid.drop_through_tensor(heaters.reshape(k, n * n), np.arange(n * n))
+    np.testing.assert_array_equal(selected, full.reshape(k, n * n, n))
 
 
 @st.composite

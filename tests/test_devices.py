@@ -1,6 +1,7 @@
 """Device-model tests: phase shifters, MZI fringes, add-drop ring spectra."""
 
 import math
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -127,7 +128,75 @@ class TestMzi:
             targets = rng.uniform(0.0, 1.0, 32)
             powers = dev.power_for(targets)
             assert np.all(powers >= 0)
-            assert np.abs(dev.transmittance(powers) - targets).max() < 1e-10
+            assert np.abs(dev.transmittance(powers) - targets).max() < 1e-15
+
+    def test_power_for_is_the_smallest_power_on_the_fringe(self):
+        # Every phase 2 pi k +/- theta gives the target; the power is the
+        # smallest non-negative advance onto one of them.
+        rng = np.random.default_rng(4)
+        for phi0 in (0.0, 0.4, 2.1, 5.9):
+            dev = MziDevice(shifter=PhaseShifter(initial_phase_rad=phi0))
+            targets = [0.0, 1.0, *rng.uniform(0.0, 1.0, 16).tolist()]
+            powers = dev.power_for(np.array(targets))
+            for target, power in zip(targets, powers.tolist()):
+                theta = 2.0 * math.asin(math.sqrt(target))
+                advances = [
+                    2.0 * math.pi * k + sign * theta - phi0 for k in range(-1, 3) for sign in (1.0, -1.0)
+                ]
+                smallest = min(a for a in advances if a >= -1e-12) * dev.shifter.power_per_pi_mw / math.pi
+                assert power == pytest.approx(max(smallest, 0.0), abs=1e-12)
+
+    def test_power_for_rejects_nan_targets(self):
+        with pytest.raises(PowerRangeError):
+            MziDevice().power_for(math.nan)
+        with pytest.raises(PowerRangeError):
+            MziDevice(extinction_ratio_db=37.6).power_for(np.array([0.5, math.nan]))
+
+
+def settable_values(device, prefix=""):
+    """(dotted name, value) of every settable value of a device, those of
+    the devices it holds included."""
+    for f in fields(device):
+        value = getattr(device, f.name)
+        if is_dataclass(value):
+            yield from settable_values(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+def with_value(device, dotted: str, value):
+    """A copy of `device` with the settable value `dotted` replaced."""
+    head, _, rest = dotted.partition(".")
+    if rest:
+        value = with_value(getattr(device, head), rest, value)
+    return replace(device, **{head: value})
+
+
+def ring_response(ring: RingDevice) -> list:
+    """The ring's drop spectrum at heater powers across the default heater
+    range, None for a power beyond the ring's own range."""
+    wl = np.linspace(1545.0, 1555.0, 4001)
+    spectra = []
+    for power in (0.0, 10.0, 77.1):  # the default heater stops at 77.2 mW
+        try:
+            spectra.append(ring.drop_through(wl, power)[0])
+        except PowerRangeError:
+            spectra.append(None)
+    return spectra
+
+
+def test_every_settable_ring_value_changes_its_spectrum_or_heater_range():
+    # No ring knob is silently ignored: 1% less of each value (or 0.01 for
+    # a zero) changes the drop spectrum, or moves the heater's cap.
+    base = RingDevice()
+    reference = ring_response(base)
+    for name, value in settable_values(base):
+        changed = ring_response(with_value(base, name, 0.99 * value if value else 0.01))
+        same = all(
+            (a is None and b is None) or (a is not None and b is not None and np.array_equal(a, b))
+            for a, b in zip(changed, reference)
+        )
+        assert not same, f"RingDevice.{name} changes neither the spectrum nor the heater range"
 
 
 class TestRing:

@@ -12,7 +12,7 @@ from xbar import backends
 from xbar.backends import LutBackend
 from xbar.compiler import decode_output, encode_signed_columns
 from xbar.crossbar import BACKWARD, FORWARD, RingGrid, build_crossbar
-from xbar.devices import PhaseShifter, RingDevice
+from xbar.devices import RingDevice
 from xbar.errors import InfeasibleError, ShapeError
 from xbar.lut import (
     LUT_RING_WINDOW_NM,
@@ -125,7 +125,7 @@ def test_ring_window_moves_up_one_fsr_when_alignment_is_near_zero(preset, direct
     )
     assert mrr[-1] == p_align + spacing / ring.resonance_shift_per_mw
     assert mrr[-1] - mrr[0] == pytest.approx(span)
-    assert 0.0 < mrr[0] and mrr[-1] <= ring.shifter.max_power_mw
+    assert 0.0 < mrr[0] and mrr[-1] <= ring.max_power_mw
 
 
 @pytest.mark.parametrize("preset", list(NEAR_ZERO_ALIGNMENT))
@@ -479,7 +479,7 @@ def test_stacked_sweep_equals_the_one_element_sweep_bit_for_bit(name, direction)
         for f in fields(CalibrationLUT):
             np.testing.assert_array_equal(getattr(stack, f.name)[e], getattr(lut, f.name))
     grid = array.ring_grid
-    moved = grid.aligned_heaters() < LUT_RING_WINDOW_NM / grid.shift_per_mw
+    moved = grid.aligned_heaters() < LUT_RING_WINDOW_NM / grid.constants.shift_per_mw
     if name == "simulation_9x9-sigma0.02":
         assert 0 < moved.sum() < n * n
 
@@ -487,7 +487,7 @@ def test_stacked_sweep_equals_the_one_element_sweep_bit_for_bit(name, direction)
 def test_a_ring_window_beyond_the_heater_range_raises_in_either_form():
     # Aligned at zero power, every ring's window moves up one order spacing,
     # past a 10 mW heater.
-    array = build_crossbar(4, ring_template=RingDevice(shifter=PhaseShifter(max_power_mw=10.0)))
+    array = build_crossbar(4, ring_template=RingDevice(max_power_mw=10.0))
     message = r"^element \(1,2\): the LUT ring window needs 38\.\d+ mW, beyond .* of 10\.0 mW$"
     for rows, cols in ((1, 2), ([1, 2], [2, 0])):
         with pytest.raises(InfeasibleError, match=message):
