@@ -18,8 +18,7 @@ and decodes them electronically. Signed backward inputs use the affine
 vector encoding plus the all-ones pass that every backward reads with its
 product. `_PhysicalBackend` owns the array, the noise streams, the
 measurement and `program`. Each product returns a new array, which shares
-no memory with its operand or the program: the caller may write into it,
-as the CNN's in-place ReLU does.
+no memory with its operand or the program: the caller may write into it.
 
 `program` also takes a stack of matrices (..., out, in), programmed in the
 same calls, each with its own encoding: slice k of the stack is bit for bit

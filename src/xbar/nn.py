@@ -23,8 +23,9 @@ channel-major, as the crossbar returns them and takes its error signal.
 Its 2x2 max-pool works on four strided views of the activation map, one
 per tile position. A training step's pool also records an int8 first-max
 pick that the backward pass unpools through the same views; the test pass
-(`CnnRunner.forward`) pools to the maximum alone and builds no pick. Both
-ReLUs rectify in place the new array that their layer's product returns.
+(`CnnRunner.forward`) pools to the maximum alone and builds no pick. The
+conv ReLU rectifies the pooled map in place, as max-pool and ReLU commute,
+and the hidden ReLU its layer's new matmul output.
 `Adam` keeps its moments unnormalized, as one flat vector pair over all
 parameters, and folds its bias corrections into two scalars per step.
 """
@@ -365,8 +366,8 @@ def max_pool(act: np.ndarray):
     pick), both C-ordered (B, 9, 13, 13).
 
     The int8 `pick` is the first view that equals the maximum, as `argmax`
-    picks it (ReLU makes ties, all-zero tiles, common). With n_k = views[k]
-    != pooled it is n_0 (1 + n_1 (1 + n_2)), in int8 arithmetic on the masks.
+    picks it, ties included. With n_k = views[k] != pooled it is
+    n_0 (1 + n_1 (1 + n_2)), in int8 arithmetic on the masks.
     """
     views = _pool_views(act)
     pooled = _tile_max(views)
@@ -382,10 +383,13 @@ def max_pool(act: np.ndarray):
 
 def unpool(d_pool: np.ndarray, pick: np.ndarray) -> np.ndarray:
     """Gradient of `max_pool`: each pooled gradient routed to its picked tile
-    position, zeros elsewhere. The (B, 9, 26, 26) result is the transposed
-    view of a new channel-major (9, B, 26, 26) array, so the crossbar's
-    (9, B*676) error columns are a reshape of it, without a copy."""
+    position, zeros elsewhere. `d_pool` may be in any memory order; it is
+    copied to C order, the order of `pick`, once before the four masked
+    writes. The (B, 9, 26, 26) result is the transposed view of a new
+    channel-major (9, B, 26, 26) array, so the crossbar's (9, B*676) error
+    columns are a reshape of it, without a copy."""
     b = d_pool.shape[0]
+    d_pool = np.ascontiguousarray(d_pool)
     d_act = np.empty((KERNEL_COUNT, b, CONV_OUT, CONV_OUT)).transpose(1, 0, 2, 3)
     for k, view in enumerate(_pool_views(d_act)):
         np.multiply(d_pool, pick == k, out=view)
@@ -397,15 +401,19 @@ class CnnRunner:
 
     `im2col` builds the crossbar's C-ordered (9, B*676) operand, and the
     conv map stays channel-major: the (9, B*676) product, seen as
-    (B, 9, 26, 26) through a transposed view. The conv-map ReLU rectifies
-    in place the new array that `handle.forward` returns, and the hidden
-    layer adds its bias and rectifies in place on its new matmul output.
-    The 2x2 max-pool reads the four strided tile views of the activation
-    map. `backprop`'s pool (`max_pool`) also records an int8 first-max pick,
-    and `unpool` routes each pooled gradient through the same views to the
-    picked position; `forward`, the test pass, pools to the maximum alone
-    and builds no pick. The ReLU's gradient mask is taken on the pooled
-    map: a picked element is positive exactly where its tile maximum is.
+    (B, 9, 26, 26) through a transposed view. The 2x2 max-pool reads the
+    four strided tile views of the unrectified map. `backprop`'s pool
+    (`max_pool`) also records an int8 first-max pick, and `unpool` routes
+    each pooled gradient through the same views to the picked position;
+    `forward`, the test pass, pools to the maximum alone and builds no pick.
+    The conv ReLU then rectifies the 4x smaller pooled map in place, at the
+    head of `_dense` for both passes: a tile's maximum rectified is the
+    maximum of its rectified elements. The hidden layer adds its bias and
+    rectifies in place on its new matmul output. The ReLU's gradient mask
+    is taken on the pooled map, before `unpool`: a picked element is
+    positive exactly where its tile maximum is, and a tile whose maximum is
+    at most 0 sends a zeroed gradient to each of its four positions,
+    whichever one its pick names.
     """
 
     def __init__(self, model: CnnModel, backend):
@@ -423,14 +431,15 @@ class CnnRunner:
         return self._dense(pooled)[-1]
 
     def _conv(self, cols: np.ndarray) -> np.ndarray:
-        """The rectified conv map of (9, 676B) im2col columns, as (B, 9, 26, 26)."""
-        conv = self.conv_handle.forward(cols)  # (9, 676B), a new array
-        np.maximum(conv, 0.0, out=conv)
+        """The unrectified conv map of (9, 676B) im2col columns, as (B, 9, 26, 26)."""
+        conv = self.conv_handle.forward(cols)  # (9, 676B)
         b = cols.shape[1] // (CONV_OUT * CONV_OUT)
         return conv.reshape(KERNEL_COUNT, b, CONV_OUT, CONV_OUT).transpose(1, 0, 2, 3)
 
     def _dense(self, pooled: np.ndarray):
-        """(flat, hidden, probabilities) of C-ordered (B, 9, 13, 13) pooled maps."""
+        """(flat, hidden, probabilities) of C-ordered (B, 9, 13, 13) pooled
+        maps, which the conv ReLU rectifies in place."""
+        np.maximum(pooled, 0.0, out=pooled)
         flat = pooled.reshape(pooled.shape[0], FLAT_DIM).T  # (1521, B)
         hidden = self.model.w_hidden @ flat
         hidden += self.model.b_hidden[:, None]
@@ -456,7 +465,9 @@ class CnnRunner:
         g_hidden = d_hidden @ flat.T
         g_b_hidden = d_hidden.sum(axis=1)
         d_flat = self.model.w_hidden.T @ d_hidden  # (1521, B)
-        d_flat *= flat > 0  # the ReLU's mask, taken on the pooled map
+        # The conv ReLU's mask, taken on the pooled map: it also zeroes the
+        # gradient of a tile whose maximum is at most 0, whatever its pick.
+        d_flat *= flat > 0
         d_pool = d_flat.T.reshape(b, KERNEL_COUNT, POOL_OUT, POOL_OUT)
         d_conv = unpool(d_pool, pick)  # (B, 9, 26, 26), channel-major
         d_cols = d_conv.transpose(1, 0, 2, 3).reshape(KERNEL_COUNT, b * CONV_OUT * CONV_OUT)

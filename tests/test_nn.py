@@ -1,8 +1,8 @@
 """CNN pooling and the CNN step, the flat Adam, the backend input path,
 lockstep Iris training and the one-program MLP step, each checked bit for
 bit against the transposed-tile, patch-matrix, per-parameter, zero-fill,
-one-run and per-layer routes they replace; and the new-array products that
-the CNN's in-place ReLU writes into."""
+one-run and per-layer routes they replace; the CNN step's peak allocation;
+and the new-array products that a caller may write into."""
 
 import dataclasses
 import math
@@ -115,6 +115,9 @@ def relu_maps(rng):
     return np.maximum(rng.normal(size=MAPS), 0.0)
 
 
+PAIRS = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]  # tile positions that tie
+
+
 def tied_maps(rng):
     """Maps whose tiles tie: all-zero tiles, and tiles with equal non-zero
     maxima in every pair of positions."""
@@ -122,14 +125,32 @@ def tied_maps(rng):
     act[0] = 0.0
     tiles = [act[1:, :, r::2, c::2] for r in (0, 1) for c in (0, 1)]
     level = rng.uniform(1.0, 2.0, tiles[0].shape)
-    for i, j in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]:
+    for i, j in PAIRS:
         part = rng.random(level.shape) < 0.15
         tiles[i][part] = level[part]
         tiles[j][part] = level[part]
     return act
 
 
-@pytest.mark.parametrize("maps", [relu_maps, tied_maps])
+def signed_maps(rng):
+    """Unrectified maps, as `max_pool` reads them: normal values, an
+    all-zero image, and tiles whose maximum ties at 0 or at -0.5 in every
+    pair of positions, with the other two positions below it."""
+    act = rng.normal(size=MAPS)
+    act[0] = 0.0
+    tiles = [act[1:, :, r::2, c::2] for r in (0, 1) for c in (0, 1)]
+    low = rng.uniform(-2.0, -1.0, tiles[0].shape)
+    for level in (0.0, -0.5):
+        for i, j in PAIRS:
+            part = rng.random(low.shape) < 0.06
+            for tile in tiles:
+                tile[part] = low[part]
+            tiles[i][part] = level
+            tiles[j][part] = level
+    return act
+
+
+@pytest.mark.parametrize("maps", [relu_maps, tied_maps, signed_maps])
 def test_max_pool_equals_the_tile_max_and_argmax(maps):
     rng = np.random.default_rng(1)
     act = maps(rng)
@@ -149,12 +170,44 @@ def test_tied_maps_tie_where_the_pick_must_be_the_first_max():
     assert ties[0].all() and ties[1:].mean() > 0.3
 
 
-@pytest.mark.parametrize("maps", [relu_maps, tied_maps])
+def test_signed_maps_tie_at_zero_and_at_a_negative_level():
+    act = signed_maps(np.random.default_rng(1))
+    tiles = np.stack([act[:, :, r::2, c::2] for r in (0, 1) for c in (0, 1)], axis=-1)
+    top = tiles.max(axis=-1)
+    ties = (tiles == top[..., None]).sum(axis=-1) > 1
+    assert (act < 0).mean() > 0.4
+    for level in (0.0, -0.5):
+        at_level = ties[1:] & (top[1:] == level)
+        assert at_level.mean() > 0.1, level
+        # every pair of positions ties somewhere at this level
+        tied = tiles[1:] == level
+        for i, j in PAIRS:
+            assert (at_level & tied[..., i] & tied[..., j]).any(), (level, i, j)
+
+
+@pytest.mark.parametrize("maps", [relu_maps, tied_maps, signed_maps])
 def test_unpool_equals_the_put_along_axis_route(maps):
     rng = np.random.default_rng(2)
     _, pick = max_pool(maps(rng))
     d_pool = rng.normal(size=POOLED)
     np.testing.assert_array_equal(unpool(d_pool, pick), tile_unpool(d_pool, pick))
+
+
+def test_unpool_of_the_batch_innermost_view_that_backprop_passes():
+    """`backprop` unpools the view d_flat.T.reshape(B, 9, 13, 13) of its
+    masked (1521, B) error signal: unpooling that view gives, byte for
+    byte, signed zeros included, what unpooling a C-ordered copy gives."""
+    rng = np.random.default_rng(20)
+    _, pick = max_pool(signed_maps(rng))
+    d_flat = rng.normal(size=(FLAT_DIM, POOLED[0]))
+    d_flat *= rng.random(d_flat.shape) < 0.5  # signed zeros, as the ReLU mask leaves
+    d_pool = d_flat.T.reshape(POOLED)
+    assert not d_pool.flags.c_contiguous
+    got = unpool(d_pool, pick)
+    want = unpool(np.ascontiguousarray(d_pool), pick)
+    assert np.signbit(want[want == 0]).any()
+    assert got.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(got, tile_unpool(d_pool, pick))
 
 
 def iris_params(rng):
@@ -292,8 +345,7 @@ def contract_handles(backend):
 def test_products_return_new_arrays_that_the_caller_may_overwrite(backend):
     """`forward` and `backward` return arrays that share no memory with
     their operand or with anything the handle or its backend holds, and
-    overwriting one leaves the next product's bits as they were: the CNN
-    rectifies its conv map in place."""
+    overwriting one leaves the next product's bits as they were."""
     rng = np.random.default_rng(17)
     for name, handle, out_dim, in_dim in contract_handles(backend):
         x = rng.uniform(0.0, 1.0, (in_dim, 5))
@@ -683,6 +735,60 @@ def test_the_test_pass_gives_the_training_pass_probabilities(cnn_backends, backe
     assert cost == cross_entropy_cost(probs[0], one_hot(labels, CLASSES))
     np.testing.assert_array_equal(runner.forward(images), probs[0])
     assert len(probs) == 2 and len(pools) == 1
+
+
+@pytest.mark.parametrize("backend", ["ideal", "photonic", "lut"])
+def test_cnn_step_on_tiles_that_are_never_positive(cnn_backends, backend):
+    """Kernels 0-3 are negative, so their channels never go positive on
+    non-negative images, and half of each image is blank, so conv outputs
+    hit 0 exactly on ideal and photonic. The step's probabilities, cost,
+    gradients and crossbar error signal equal the patch-matrix step's
+    byte for byte, signed zeros included: a tile whose maximum is at most 0
+    rectifies to 0 and passes back a zeroed gradient, whatever its pick."""
+    model = CnnModel.init(4)
+    model.kernel_matrix[:4] = -np.abs(model.kernel_matrix[:4])
+    runner = CnnRunner(model, cnn_backends[backend])
+    rng = np.random.default_rng(19)
+    images = rng.uniform(0.0, 1.0, (5, 28, 28))
+    images[:, :, 14:] = 0.0
+    labels = rng.integers(0, CLASSES, 5)
+    conv = runner.conv_handle.forward(im2col(images)).reshape(KERNEL_COUNT, 5, CONV_OUT, CONV_OUT)
+    top, _ = tile_pool(conv.transpose(1, 0, 2, 3))
+    assert (top <= 0).mean() > 0.2
+    if backend != "lut":  # lut's products of blank patches are not exactly 0
+        assert (conv[:4] <= 0).all() and (top == 0).mean() > 0.2
+    probs, cost, grads, _, d_patches = reference_step(runner, images, labels)
+    assert runner.forward(images).tobytes() == probs.tobytes()
+    got_cost, got_grads, got_d_patches = runner.backprop(images, labels)
+    assert got_cost == cost
+    for k, (got, expected) in enumerate(zip(got_grads, grads)):
+        assert got.tobytes() == expected.tobytes(), k
+    assert got_d_patches.tobytes() == d_patches.tobytes()
+
+
+def test_the_photonic_cnn_step_frees_its_conv_map_once_pooled(cnn_backends):
+    """Peak traced allocation, from the call's start, of one `backprop` of
+    16 images and one `forward` of 32 on simulation_9x9, in conv maps
+    (9 x 676 doubles per image). Each bound is a quarter map above the
+    measured peak (8.60 and 3.22 maps), so a step that keeps its conv map
+    alive through the backward pass fails: that grows the heap top, which
+    the allocator then hands back to the OS every step."""
+    runner = CnnRunner(CnnModel.init(0), cnn_backends["photonic"])
+    rng = np.random.default_rng(21)
+    images = rng.uniform(0.0, 1.0, (32, 28, 28))
+    labels = rng.integers(0, CLASSES, 16)
+    conv_map = KERNEL_COUNT * CONV_OUT * CONV_OUT * 8  # bytes per image
+    for call, batch, bound in (
+        (lambda: runner.backprop(images[:16], labels), 16, 8.85),
+        (lambda: runner.forward(images), 32, 3.48),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * batch * conv_map, (batch, peak / (batch * conv_map))
 
 
 def test_im2col_columns_are_the_patches_transposed():
