@@ -116,7 +116,9 @@ class IdealProgrammed:
 
 class IdealBackend:
     def program(self, matrix: np.ndarray) -> IdealProgrammed:
-        return IdealProgrammed(matrix)
+        """A snapshot of `matrix`: a copy, so writing into `matrix` afterwards
+        leaves the program's products as they were."""
+        return IdealProgrammed(np.array(matrix, dtype=float))
 
 
 class _PhysicalBackend:

@@ -74,6 +74,15 @@ def _parse_label(token: str, path, lineno: int) -> int:
     return value
 
 
+def _all_floats(tokens) -> bool:
+    try:
+        for token in tokens:
+            float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def load_iris(path=None) -> IrisDataset:
     """Parse a standard 5-column Iris CSV (4 features + species label)."""
     path = Path(path) if path is not None else packaged_iris_path()
@@ -84,8 +93,8 @@ def load_iris(path=None) -> IrisDataset:
             if not line:
                 continue
             parts = line.split(",")
-            if lineno == 1 and any(c.isalpha() for c in parts[0]):
-                continue  # header row
+            if lineno == 1 and not _all_floats(parts[:4]):
+                continue  # header row: its feature fields are not all numbers
             if len(parts) != 5:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected 5 comma-separated columns, found {len(parts)}"

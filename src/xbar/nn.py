@@ -26,12 +26,21 @@ pick that the backward pass unpools through the same views; the test pass
 (`CnnRunner.forward`) pools to the maximum alone and builds no pick. The
 conv ReLU rectifies the pooled map in place, as max-pool and ReLU commute,
 and the hidden ReLU its layer's new matmul output.
-`Adam` keeps its moments unnormalized, as one flat vector pair over all
-parameters, and folds its bias corrections into two scalars per step.
+
+Each model keeps every parameter in one flat vector (`model.flat`), and its
+weights and biases are views of it. The MLP's vector starts with its
+zero-padded (layers, runs, out, in) weight stack, which `MlpRunner.refresh`
+programs as it is. `backprop` returns a new flat gradient vector of the
+same layout, and the optimizers (`Sgd`, `Adam`) step the parameter vector
+in place by it, without writing into it. Since a model is stepped in place
+after it is programmed, a backend's `program` takes a snapshot of its
+matrix. `Adam` keeps its moments unnormalized, as one flat vector pair of
+that layout, and folds its bias corrections into two scalars per step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -83,26 +92,28 @@ def cross_entropy_cost(probs, targets):
 
 
 class Sgd:
+    """Plain gradient descent on a model's flat parameter vector."""
+
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
 
-    def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g in zip(params, grads):
-            p -= self.lr * g
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Steps the flat vector `params` in place; `grads` is not written."""
+        params -= self.lr * grads
 
 
 class Adam:
-    """Adam (Kingma & Ba, arXiv:1412.6980) over one flat moment pair for all
-    parameters, with its bias corrections folded into scalars.
+    """Adam (Kingma & Ba, arXiv:1412.6980) on a model's flat parameter
+    vector, with its bias corrections folded into scalars.
 
-    `m` and `v` are single vectors holding every parameter's moments end to
-    end, in the order of the `params` list, unnormalized: m <- b1 m + g and
-    v <- b2 v + g*g, the textbook moments divided by (1 - b1) and (1 - b2).
-    Those factors, both bias corrections and the learning rate fold into two
-    scalars per step, so the textbook step lr * mhat / (sqrt(vhat) + eps) is
-    c1 * m / (sqrt(v) + c2), with one divide and one sqrt. The gradients are
-    gathered into one kept scratch vector, which then holds g*g and the
-    step: after the first update, an update allocates no vector.
+    `m` and `v` are flat vectors of the parameter vector's layout, holding
+    the moments unnormalized: m <- b1 m + g and v <- b2 v + g*g, the
+    textbook moments divided by (1 - b1) and (1 - b2). Those factors, both
+    bias corrections and the learning rate fold into two scalars per step,
+    so the textbook step lr * mhat / (sqrt(vhat) + eps) is
+    c1 * m / (sqrt(v) + c2), with one divide and one sqrt. One kept scratch
+    vector holds g*g and then the step, so after the first update an update
+    allocates no vector, and the gradient vector is not written.
     """
 
     def __init__(self, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -113,27 +124,24 @@ class Adam:
         self.v: np.ndarray | None = None
         self._scratch: np.ndarray | None = None
 
-    def update(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+    def update(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """Steps the flat vector `params` in place by the flat `grads`."""
         if self.m is None:
-            size = sum(g.size for g in grads)
-            self.m, self.v, self._scratch = np.zeros(size), np.zeros(size), np.empty(size)
+            self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+            self._scratch = np.empty_like(params)
         self.t += 1
-        b1, b2, m, v = self.b1, self.b2, self.m, self.v
-        g = np.concatenate(grads, axis=None, out=self._scratch)
+        b1, b2, m, v, step = self.b1, self.b2, self.m, self.v, self._scratch
         m *= b1
-        m += g
-        g *= g
+        m += grads
+        np.multiply(grads, grads, out=step)
         v *= b2
-        v += g
+        v += step
         root = math.sqrt((1 - b2) / (1 - b2**self.t))  # sqrt(vhat) = root * sqrt(v)
-        step = np.sqrt(v, out=g)
+        np.sqrt(v, out=step)
         step += self.eps / root
         np.divide(m, step, out=step)
         step *= self.lr * (1 - b1) / (1 - b1**self.t) / root
-        start = 0
-        for p in params:
-            p -= step[start : start + p.size].reshape(p.shape)
-            start += p.size
+        params -= step
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -150,29 +158,72 @@ def iris_mlp_sizes(hidden: int) -> tuple:
     return (4, hidden, 3)
 
 
-@dataclass
-class MlpModel:
-    """Sigmoid MLPs of independent runs, stacked on a leading run axis.
+def _parts(shapes) -> tuple:
+    """(slice, shape) of each part of a flat vector that holds arrays of
+    these shapes end to end."""
+    parts, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        parts.append((slice(start, start + size), shape))
+        start += size
+    return tuple(parts)
 
-    weights[l] (runs, out, in) maps layer l activations to layer l+1 inputs
-    and biases[l] is (runs, out). Matrix products run on the crossbar
-    backend; biases ride with the electronic activation stage
-    (zero-initialized).
+
+def _carve(flat: np.ndarray, parts) -> list:
+    """The C-ordered view of `flat` of each of `_parts`."""
+    return [flat[part].reshape(shape) for part, shape in parts]
+
+
+@functools.cache
+def _mlp_layout(sizes: tuple, runs: int) -> tuple:
+    """(parts, windows) of an MLP's flat vector: the `_parts` of its
+    (layers, runs, out_max, in_max) weight stack and of each layer's
+    (runs, out) biases, and the index of each layer's (out, in) window of
+    the stack. Cached, as every gradient vector needs it."""
+    stack = (len(sizes) - 1, runs, max(sizes[1:]), max(sizes[:-1]))
+    parts = _parts([stack] + [(runs, n) for n in sizes[1:]])
+    windows = tuple(
+        (l, slice(None), slice(n_out), slice(n_in))
+        for l, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))
+    )
+    return parts, windows
+
+
+class MlpModel:
+    """Sigmoid MLPs of independent runs, stacked on a leading run axis, with
+    every parameter in one flat vector, `flat`.
+
+    `flat` starts with `stack`, the (layers, runs, out_max, in_max) weight
+    stack in which each layer is zero-padded to the widest layer's (out,
+    in), and each layer's (runs, out) biases follow it. weights[l] is the
+    view stack[l, :, :out, :in], which maps layer l activations to layer
+    l+1 inputs, and biases[l] is a view too. Matrix products run on the
+    crossbar backend, which programs `stack` as it is; biases ride with the
+    electronic activation stage (zero-initialized). A gradient vector has
+    the same layout (`on`), with zeros in the padding.
     """
 
-    weights: list
-    biases: list
+    def __init__(self, flat: np.ndarray, sizes, runs: int):
+        self.flat, self.sizes, self.runs = flat, tuple(sizes), runs
+        parts, windows = _mlp_layout(self.sizes, runs)
+        self.stack, *self.biases = _carve(flat, parts)
+        self.weights = [self.stack[window] for window in windows]
 
     @classmethod
     def init(cls, sizes=(4, 4, 3), seeds=(0,)) -> "MlpModel":
         """Run k draws its weights, layer by layer, from default_rng(seeds[k])."""
-        rngs = [np.random.default_rng(seed) for seed in seeds]
-        ws = [
-            np.stack([glorot_uniform(rng, (sizes[l + 1], sizes[l])) for rng in rngs])
-            for l in range(len(sizes) - 1)
-        ]
-        bs = [np.zeros((len(rngs), sizes[l + 1])) for l in range(len(sizes) - 1)]
-        return cls(weights=ws, biases=bs)
+        parts, _ = _mlp_layout(tuple(sizes), len(seeds))
+        # The flat vector's length is where its last part ends.
+        model = cls(np.zeros(parts[-1][0].stop), sizes, len(seeds))
+        for run, seed in enumerate(seeds):
+            rng = np.random.default_rng(seed)
+            for w in model.weights:
+                w[run] = glorot_uniform(rng, w.shape[1:])
+        return model
+
+    def on(self, flat: np.ndarray) -> "MlpModel":
+        """The model of this layout whose parameters are the entries of `flat`."""
+        return MlpModel(flat, self.sizes, self.runs)
 
     @property
     def params(self) -> list:
@@ -182,12 +233,12 @@ class MlpModel:
 class MlpRunner:
     """Holds the programmed handles for the current weights.
 
-    `refresh` programs all layers in one backend call: a (layers, runs, out,
-    in) stack in which each layer is zero-padded to the widest layer's (out,
-    in). Each handle is one layer's view of that program (`view`), bit for
-    bit the program of that layer alone. Inputs are (features, batch),
-    reaching every run, or (runs, features, batch), one batch per run;
-    outputs carry the run axis.
+    `refresh` programs all layers in one backend call, of the model's own
+    zero-padded (layers, runs, out, in) weight stack (`MlpModel.stack`),
+    which the optimizer then steps in place. Each handle is one layer's view
+    of that program (`view`), bit for bit the program of that layer alone.
+    Inputs are (features, batch), reaching every run, or (runs, features,
+    batch), one batch per run; outputs carry the run axis.
     """
 
     def __init__(self, model: MlpModel, backend):
@@ -196,14 +247,8 @@ class MlpRunner:
         self.refresh()
 
     def refresh(self) -> None:
-        weights = self.model.weights
-        out_dim = max(w.shape[-2] for w in weights)
-        in_dim = max(w.shape[-1] for w in weights)
-        stack = np.zeros((len(weights), *weights[0].shape[:-2], out_dim, in_dim))
-        for l, w in enumerate(weights):
-            stack[l, ..., : w.shape[-2], : w.shape[-1]] = w
-        handle = self.backend.program(stack)
-        self.handles = [handle.view(l, *w.shape[-2:]) for l, w in enumerate(weights)]
+        handle = self.backend.program(self.model.stack)
+        self.handles = [handle.view(l, *w.shape[-2:]) for l, w in enumerate(self.model.weights)]
 
     def forward(self, x) -> list:
         """Activations of every layer, the input first and the output last."""
@@ -216,8 +261,9 @@ class MlpRunner:
         """MSE loss gradients of (runs, features, batch) inputs and (runs,
         classes, batch) targets; error signals travel through handle.backward.
 
-        Returns (outputs, gradients): the output activations, and the weight
-        then bias gradients of every layer, in `MlpModel.params` order.
+        Returns (outputs, gradients): the output activations, and a new flat
+        gradient vector in the model's layout (`MlpModel.on`), whose padding
+        entries are 0.
         """
         acts = self.forward(xb)
         batch = xb.shape[-1]
@@ -228,9 +274,14 @@ class MlpRunner:
             back = self.handles[layer].backward(delta)
             delta = back * dsigmoid_from_output(acts[layer])
             deltas.insert(0, delta)
-        grads = [deltas[l] @ acts[l].swapaxes(-1, -2) / batch for l in range(len(self.handles))]
-        bias_grads = [deltas[l].sum(axis=-1) / batch for l in range(len(self.handles))]
-        return out, grads + bias_grads
+        grads = np.zeros(self.model.flat.shape)
+        parts = self.model.on(grads)
+        for l, delta in enumerate(deltas):
+            np.matmul(delta, acts[l].swapaxes(-1, -2), out=parts.weights[l])
+            parts.weights[l] /= batch
+            np.add.reduce(delta, axis=-1, out=parts.biases[l])
+            parts.biases[l] /= batch
+        return out, grads
 
 
 @dataclass
@@ -256,26 +307,30 @@ def train_iris(
     optimizer = config.make_optimizer()
     rngs = [np.random.default_rng(seed) for seed in seeds]
     targets = one_hot(train_y, 3)
-    class_rows = np.arange(3)[:, None]  # gathers (runs, 3, batch) target blocks
+    class_rows = np.arange(3)[:, None]  # gathers (runs, 3, n_train) target blocks
     costs = np.zeros((len(rngs), config.epochs))
     n_train = train_x.shape[0]
     order = np.empty((len(rngs), n_train), dtype=int)
     for epoch in range(config.epochs):
         for run, rng in enumerate(rngs):
             order[run] = rng.permutation(n_train)
+        # Every run's samples (runs, n_train, 4) and targets (runs, 3,
+        # n_train) in its epoch order, gathered once; batches are slices.
+        samples = train_x[order]
+        sample_targets = targets[class_rows, order[:, None, :]]
         epoch_cost = costs[:, epoch]  # summed in place, then averaged
         for start in range(0, n_train, config.batch_size):
-            idx = order[:, start : start + config.batch_size]  # (runs, batch)
+            stop = start + config.batch_size
             # Each run's (4, batch) slice is a transposed view, as train_x[idx].T
             # is in a one-run training, so the gradient products see the same
             # operand layout.
-            xb = train_x[idx].swapaxes(-1, -2)
-            tb = targets[class_rows, idx[:, None, :]]
+            xb = samples[:, start:stop].swapaxes(-1, -2)
+            tb = sample_targets[..., start:stop]
             out, grads = runner.backprop(xb, tb)
-            epoch_cost += mse_cost(out, tb) * idx.shape[-1]
+            epoch_cost += mse_cost(out, tb) * tb.shape[-1]
             if not np.logical_and.reduce(np.isfinite(epoch_cost)):
                 raise XbarError("training aborted: non-finite loss")
-            optimizer.update(model.params, grads)
+            optimizer.update(model.flat, grads)
             runner.refresh()
         epoch_cost /= n_train
     # The runner holds the final weights' programs: test every run on them.
@@ -300,32 +355,48 @@ CLASSES = 10
 # bits (BLAS blocks the batch axis), but no prediction short of a tie to
 # those bits.
 PREDICT_BATCH = 32
+# The CNN's parameters, end to end in its flat vector (`_parts`).
+CNN_LAYOUT = _parts(
+    [
+        (KERNEL_COUNT, KERNEL_SIZE * KERNEL_SIZE),
+        (HIDDEN_DIM, FLAT_DIM),
+        (CLASSES, HIDDEN_DIM),
+        (HIDDEN_DIM,),
+        (CLASSES,),
+    ]
+)
 
 
-@dataclass
 class CnnModel:
     """Nine 3x3 kernels as a 9x9 matrix, then FC(100, relu) and FC(10, softmax).
 
     The kernel matrix is the photonic layer (pure matrix product); the
-    fully-connected layers are electronic and carry bias terms.
+    fully-connected layers are electronic and carry bias terms. Every
+    parameter lives in one flat vector, `flat`, end to end in `params`
+    order (`CNN_LAYOUT`), and each of the five fields is a C-ordered view
+    of it. A gradient vector has the same layout (`on`).
     """
 
-    kernel_matrix: np.ndarray  # (9, 9); row k is kernel k flattened
-    w_hidden: np.ndarray  # (100, 1521)
-    w_out: np.ndarray  # (10, 100)
-    b_hidden: np.ndarray  # (100,)
-    b_out: np.ndarray  # (10,)
+    def __init__(self, flat: np.ndarray):
+        self.flat = flat
+        # kernel_matrix (9, 9): row k is kernel k flattened; w_hidden (100,
+        # 1521), w_out (10, 100), b_hidden (100,), b_out (10,).
+        self.kernel_matrix, self.w_hidden, self.w_out, self.b_hidden, self.b_out = _carve(
+            flat, CNN_LAYOUT
+        )
 
     @classmethod
     def init(cls, seed: int = 0) -> "CnnModel":
         rng = np.random.default_rng(seed)
-        return cls(
-            kernel_matrix=glorot_uniform(rng, (KERNEL_COUNT, KERNEL_SIZE * KERNEL_SIZE)),
-            w_hidden=glorot_uniform(rng, (HIDDEN_DIM, FLAT_DIM)),
-            w_out=glorot_uniform(rng, (CLASSES, HIDDEN_DIM)),
-            b_hidden=np.zeros(HIDDEN_DIM),
-            b_out=np.zeros(CLASSES),
-        )
+        # The flat vector's length is where its last part ends.
+        model = cls(np.zeros(CNN_LAYOUT[-1][0].stop))
+        for w in (model.kernel_matrix, model.w_hidden, model.w_out):
+            w[...] = glorot_uniform(rng, w.shape)
+        return model
+
+    def on(self, flat: np.ndarray) -> "CnnModel":
+        """The model whose parameters are the entries of `flat`."""
+        return CnnModel(flat)
 
     @property
     def params(self) -> list:
@@ -448,7 +519,12 @@ class CnnRunner:
         return flat, hidden, softmax(logits, axis=0)
 
     def backprop(self, images: np.ndarray, labels: np.ndarray):
-        """Cross-entropy gradients; conv error signals go through the crossbar."""
+        """Cross-entropy gradients; conv error signals go through the crossbar.
+
+        Returns (cost, gradients, d_patches): the gradients are a new flat
+        vector in the model's layout (`CnnModel.on`), and d_patches the
+        crossbar's (9, 676B) patch error signal.
+        """
         b = images.shape[0]
         cols = im2col(images)  # (9, 676B)
         # The conv map is freed once pooled, before the backward pass
@@ -459,11 +535,13 @@ class CnnRunner:
         targets = one_hot(labels, CLASSES)
         cost = cross_entropy_cost(probs, targets)
         d_logits = (probs - targets) / b  # (10, B)
-        g_out = d_logits @ hidden.T
-        g_b_out = d_logits.sum(axis=1)
+        grads = np.empty(self.model.flat.shape)
+        parts = self.model.on(grads)
+        np.matmul(d_logits, hidden.T, out=parts.w_out)
+        np.add.reduce(d_logits, axis=1, out=parts.b_out)
         d_hidden = (self.model.w_out.T @ d_logits) * (hidden > 0)
-        g_hidden = d_hidden @ flat.T
-        g_b_hidden = d_hidden.sum(axis=1)
+        np.matmul(d_hidden, flat.T, out=parts.w_hidden)
+        np.add.reduce(d_hidden, axis=1, out=parts.b_hidden)
         d_flat = self.model.w_hidden.T @ d_hidden  # (1521, B)
         # The conv ReLU's mask, taken on the pooled map: it also zeroes the
         # gradient of a tile whose maximum is at most 0, whatever its pick.
@@ -474,9 +552,9 @@ class CnnRunner:
         # Kernel gradient is the electronic outer product; BLAS reads the
         # transposed columns in place. The patch error signal is the
         # crossbar's backward (transpose) product.
-        g_kernel = d_cols @ cols.T
+        np.matmul(d_cols, cols.T, out=parts.kernel_matrix)
         d_patches = self.conv_handle.backward(d_cols)
-        return cost, [g_kernel, g_hidden, g_out, g_b_hidden, g_b_out], d_patches
+        return cost, grads, d_patches
 
     def predict(self, images: np.ndarray) -> np.ndarray:
         """Predicted class of every image, forwarded PREDICT_BATCH images at a time."""
@@ -527,7 +605,7 @@ def train_mnist(
             if not np.isfinite(cost):
                 raise XbarError("training aborted: non-finite loss")
             epoch_cost += cost * len(idx)
-            optimizer.update(model.params, grads)
+            optimizer.update(model.flat, grads)
             runner.refresh()
         cost_history[epoch] = epoch_cost / n_train
         predictions = runner.predict(test_images)

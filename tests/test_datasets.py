@@ -103,3 +103,17 @@ def test_an_iris_feature_column_that_is_constant_raises_data_format_error(tmp_pa
     path.write_text("\n".join(",".join(row) for row in rows) + "\n")
     with pytest.raises(DataFormatError, match=r"iris\.csv: feature column 3 is constant"):
         load_iris(path)
+
+
+@pytest.mark.parametrize("header", [True, False])
+def test_an_iris_csv_whose_first_value_has_an_exponent_keeps_every_record(tmp_path, header):
+    """Line 1 is a header only when its feature fields are not all numbers,
+    so a headerless first record written with an exponent is read."""
+    header_line, first, *rest = packaged_iris_path().read_text().splitlines()
+    fields = first.split(",")
+    fields[0] = f"{float(fields[0]):e}"  # 5.100000e+00
+    path = tmp_path / "iris.csv"
+    path.write_text("\n".join(([header_line] if header else []) + [",".join(fields), *rest]) + "\n")
+    got, expected = load_iris(path), load_iris(None)
+    np.testing.assert_array_equal(got.features, expected.features)
+    np.testing.assert_array_equal(got.labels, expected.labels)

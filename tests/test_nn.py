@@ -1,4 +1,4 @@
-"""CNN pooling and the CNN step, the flat Adam, the backend input path,
+"""CNN pooling and the CNN step, the flat optimizers, the backend input path,
 lockstep Iris training and the one-program MLP step, each checked bit for
 bit against the transposed-tile, patch-matrix, per-parameter, zero-fill,
 one-run and per-layer routes they replace; the CNN step's peak allocation;
@@ -33,6 +33,7 @@ from xbar.nn import (
     CnnRunner,
     MlpModel,
     MlpRunner,
+    Sgd,
     confusion_matrix,
     cross_entropy_cost,
     im2col,
@@ -211,32 +212,55 @@ def test_unpool_of_the_batch_innermost_view_that_backprop_passes():
 
 
 def iris_params(rng):
-    return [rng.normal(size=(4, 4)), rng.normal(size=(3, 4)), rng.normal(size=4), rng.normal(size=3)]
+    """A two-run Iris MLP whose flat vector, padding included, is normal draws."""
+    model = MlpModel.init(iris_mlp_sizes(4), seeds=(0, 1))
+    model.flat[:] = rng.normal(size=model.flat.size)
+    return model
 
 
 def cnn_params(rng):
-    shapes = [(KERNEL_COUNT, 9), (HIDDEN_DIM, FLAT_DIM), (10, HIDDEN_DIM), (HIDDEN_DIM,), (10,)]
-    return [rng.normal(size=shape) for shape in shapes]
+    """A CNN whose flat vector is normal draws."""
+    model = CnnModel.init(0)
+    model.flat[:] = rng.normal(size=model.flat.size)
+    return model
 
 
 @pytest.mark.parametrize("make", [iris_params, cnn_params])
 @pytest.mark.parametrize("rate", [1e-3, 0.05])
 def test_flat_adam_equals_the_per_parameter_update(make, rate):
     rng = np.random.default_rng(3)
-    params = make(rng)
-    reference = [p.copy() for p in params]
+    model = make(rng)
+    reference = [p.copy() for p in model.params]
     flat, per_parameter = Adam(rate), PerParameterAdam(rate)
     for _ in range(4):
-        grads = [rng.normal(scale=0.1, size=p.shape) for p in params]
-        kept = [g.copy() for g in grads]
-        flat.update(params, grads)
-        per_parameter.update(reference, [g.copy() for g in grads])
-        for got, expected in zip(params, reference):
+        grads = rng.normal(scale=0.1, size=model.flat.shape)
+        kept = grads.copy()
+        flat.update(model.flat, grads)
+        per_parameter.update(reference, [g.copy() for g in model.on(grads).params])
+        for got, expected in zip(model.params, reference):
             np.testing.assert_array_equal(got, expected)
-        for got, expected in zip(grads, kept):  # the gradients are not written
+        np.testing.assert_array_equal(grads, kept)  # the gradients are not written
+    for got, expected in zip(model.on(flat.m).params, per_parameter.m):
+        np.testing.assert_array_equal(got, expected)
+    for got, expected in zip(model.on(flat.v).params, per_parameter.v):
+        np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("make", [iris_params, cnn_params])
+def test_flat_sgd_equals_the_per_parameter_update(make):
+    rng = np.random.default_rng(23)
+    model = make(rng)
+    reference = [p.copy() for p in model.params]
+    sgd = Sgd(0.5)
+    for _ in range(4):
+        grads = rng.normal(scale=0.1, size=model.flat.shape)
+        kept = grads.copy()
+        sgd.update(model.flat, grads)
+        for p, g in zip(reference, model.on(kept).params):
+            p -= 0.5 * g
+        for got, expected in zip(model.params, reference):
             np.testing.assert_array_equal(got, expected)
-    np.testing.assert_array_equal(flat.m, np.concatenate(per_parameter.m, axis=None))
-    np.testing.assert_array_equal(flat.v, np.concatenate(per_parameter.v, axis=None))
+        np.testing.assert_array_equal(grads, kept)  # the gradients are not written
 
 
 @pytest.mark.parametrize("make", [iris_params, cnn_params])
@@ -246,35 +270,36 @@ def test_flat_adam_follows_textbook_adam(make, rate):
     span 1e-10 to 1e-1, so eps weighs on some elements: each parameter lands
     within 1e-12 of the textbook's largest total displacement of it."""
     rng = np.random.default_rng(4)
-    start = make(rng)
-    params, oracle = [p.copy() for p in start], [p.copy() for p in start]
-    scales = [10.0 ** rng.uniform(-10.0, -1.0, p.shape) for p in start]
+    model = make(rng)
+    start = [p.copy() for p in model.params]
+    oracle = [p.copy() for p in start]
+    scales = 10.0 ** rng.uniform(-10.0, -1.0, model.flat.shape)
     flat, textbook = Adam(rate), TextbookAdam(rate)
     for _ in range(200):
-        grads = [scale * rng.normal(size=scale.shape) for scale in scales]
-        flat.update(params, grads)
-        textbook.update(oracle, grads)
-    for got, expected, p0 in zip(params, oracle, start):
+        grads = scales * rng.normal(size=scales.shape)
+        flat.update(model.flat, grads)
+        textbook.update(oracle, model.on(grads).params)
+    for got, expected, p0 in zip(model.params, oracle, start):
         displacement = np.max(np.abs(expected - p0))
         assert np.max(np.abs(got - expected)) <= 1e-12 * displacement
 
 
 def test_an_adam_update_allocates_no_flat_vector():
     """After the first update, which allocates the moments and the scratch
-    vector, an update on the CNN's parameters allocates less than a tenth
-    of one flat parameter vector."""
+    vector, an update of the CNN's flat vector allocates less than a tenth
+    of one flat vector."""
     rng = np.random.default_rng(5)
-    params = cnn_params(rng)
-    grads = [rng.normal(scale=0.1, size=p.shape) for p in params]
+    model = cnn_params(rng)
+    grads = rng.normal(scale=0.1, size=model.flat.shape)
     adam = Adam(0.003)
-    adam.update(params, grads)
+    adam.update(model.flat, grads)
     tracemalloc.start()
     try:
-        adam.update(params, grads)
+        adam.update(model.flat, grads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < sum(p.nbytes for p in params) / 10
+    assert peak < model.flat.nbytes / 10
 
 
 @pytest.mark.parametrize("backend", ["photonic", "lut"])
@@ -359,6 +384,25 @@ def test_products_return_new_arrays_that_the_caller_may_overwrite(backend):
             assert not any(np.shares_memory(result, a) for a in held), name
             result[...] = np.nan
             np.testing.assert_array_equal(product(operand), expected, err_msg=name)
+
+
+@pytest.mark.parametrize("backend", ["ideal", "photonic", "lut"])
+def test_a_program_is_a_snapshot_of_its_matrix(backend):
+    """Writing into a matrix or a stack after programming it leaves the
+    program's forward and backward bits as they were: the models step the
+    very arrays they program."""
+    rng = np.random.default_rng(24)
+    be = make_backend(backend, preset_array("experimental_4x4"))
+    for shape in [(3, 4), (2, 2, 4, 4)]:
+        matrix = rng.uniform(-1.0, 1.0, shape)
+        handle = be.program(matrix)
+        x = rng.uniform(0.0, 1.0, (4, 5))
+        s = rng.normal(size=(shape[-2], 5))
+        before = handle.forward(x), handle.backward(s)
+        matrix *= -2.0
+        after = handle.forward(x), handle.backward(s)
+        for got, expected in zip(after, before):
+            assert got.tobytes() == expected.tobytes(), shape
 
 
 @pytest.mark.parametrize("backend", ["photonic", "lut"])
@@ -506,6 +550,63 @@ def test_train_iris_programs_the_crossbar_once_per_step(backend, monkeypatch):
     # One program per step, and the first one: both runs' 3x4 hidden layer
     # and 3x3 output layer, padded to 3x4.
     assert shapes == [(2, 2, 3, 4)] * (steps + 1)
+
+
+def padding_mask(model):
+    """True at the entries of the MLP's weight stack that no layer holds."""
+    mask = np.ones(model.stack.shape, dtype=bool)
+    for l, w in enumerate(model.weights):
+        mask[l, :, : w.shape[-2], : w.shape[-1]] = False
+    return mask
+
+
+@pytest.mark.parametrize("hidden", [3, 4])
+def test_train_iris_steps_the_parameters_in_their_flat_vector(hidden):
+    """After training, every parameter is still a view of the model's flat
+    vector, and the weight stack's padding is still 0: the optimizer
+    stepped the vector that the runner programs."""
+    config = RunConfig.from_dict(
+        {
+            "experiment": "iris-train",
+            "training": {"backend": "ideal", **ADAM, "epochs": 2, "runs": 2, "hidden": hidden},
+        }
+    )
+    train_x, train_y, test_x, test_y = load_iris(None).split(config.seed)
+    backend = make_backend("ideal")
+    model = train_iris(config.training, (0, 1), train_x, train_y, test_x, test_y, backend).model
+    assert all(np.shares_memory(p, model.flat) for p in model.params)
+    assert np.shares_memory(model.stack, model.flat)
+    mask = padding_mask(model)
+    assert mask.any()
+    assert (model.stack[mask] == 0).all()
+    assert not np.array_equal(model.flat, MlpModel.init(iris_mlp_sizes(hidden), (0, 1)).flat)
+
+
+def test_train_mnist_steps_the_parameters_in_their_flat_vector(monkeypatch):
+    config = RunConfig.from_dict(
+        {
+            "experiment": "mnist-train",
+            "training": {
+                "backend": "ideal",
+                "optimizer": "adam",
+                "learning_rate": 0.003,
+                "epochs": 2,
+                "batch_size": 4,
+            },
+        }
+    )
+    made = []
+    init = CnnModel.init
+    recorded = classmethod(lambda cls, seed=0: made.append(init(seed)) or made[-1])
+    monkeypatch.setattr(CnnModel, "init", recorded)
+    rng = np.random.default_rng(25)
+    images = rng.uniform(0.0, 1.0, (10, 28, 28))
+    labels = rng.integers(0, CLASSES, 10)
+    backend = make_backend("ideal")
+    nn.train_mnist(config.training, 0, images[:6], labels[:6], images[6:], labels[6:], backend)
+    (model,) = made
+    assert all(np.shares_memory(p, model.flat) for p in model.params)
+    assert not np.array_equal(model.flat, init(0).flat)
 
 
 def test_noise_streams_zip_over_the_last_leading_axis():
@@ -709,7 +810,8 @@ def test_cnn_step_equals_the_patch_matrix_step(cnn_backends, backend, batch):
     labels = rng.integers(0, CLASSES, batch)
     probs, cost, grads, c_kernel, d_patches = reference_step(runner, images, labels)
     np.testing.assert_array_equal(runner.forward(images), probs)
-    got_cost, got_grads, got_d_patches = runner.backprop(images, labels)
+    got_cost, got_flat, got_d_patches = runner.backprop(images, labels)
+    got_grads = runner.model.on(got_flat).params
     assert got_cost == cost
     assert len(got_grads) == len(grads)
     for got, expected in zip(got_grads, grads):
@@ -759,7 +861,8 @@ def test_cnn_step_on_tiles_that_are_never_positive(cnn_backends, backend):
         assert (conv[:4] <= 0).all() and (top == 0).mean() > 0.2
     probs, cost, grads, _, d_patches = reference_step(runner, images, labels)
     assert runner.forward(images).tobytes() == probs.tobytes()
-    got_cost, got_grads, got_d_patches = runner.backprop(images, labels)
+    got_cost, got_flat, got_d_patches = runner.backprop(images, labels)
+    got_grads = model.on(got_flat).params
     assert got_cost == cost
     for k, (got, expected) in enumerate(zip(got_grads, grads)):
         assert got.tobytes() == expected.tobytes(), k
