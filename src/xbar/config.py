@@ -1,10 +1,11 @@
 """Run configuration: YAML schema, validation, presets wiring.
 
 A run config is a small YAML document with five optional sections; every
-field has a default so a bare `experiment:` line is a valid file. Unknown
-keys, a key given twice in one mapping and values of the wrong type fail
-with a ConfigError when the config is read (typos should not silently fall
-back to defaults, nor crash later).
+field has a default, so an empty file, or one that holds only `experiment:
+<name>`, is a valid file, and the CLI's experiment argument overrides the
+file's. Unknown keys, a key given twice in one mapping and values of the
+wrong type fail with a ConfigError when the config is read (typos should
+not silently fall back to defaults, nor crash later).
 Each experiment reads a known set of fields (`READS`); `validate` rejects a
 field that the run does not read unless it keeps its default.
 

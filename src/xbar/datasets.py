@@ -66,18 +66,17 @@ def _parse_label(token: str, path, lineno: int) -> int:
     if token in IRIS_SPECIES:
         return IRIS_SPECIES.index(token)
     try:
-        value = int(float(token))
+        value = float(token)
     except ValueError:
         raise DataFormatError(f"{path}:{lineno}: unknown species label {token!r}") from None
     if value not in (0, 1, 2):
-        raise DataFormatError(f"{path}:{lineno}: class label must be 0, 1 or 2")
-    return value
+        raise DataFormatError(f"{path}:{lineno}: class label must be 0, 1 or 2, got {token!r}")
+    return int(value)
 
 
-def _all_floats(tokens) -> bool:
+def _is_float(token: str) -> bool:
     try:
-        for token in tokens:
-            float(token)
+        float(token)
     except ValueError:
         return False
     return True
@@ -93,8 +92,8 @@ def load_iris(path=None) -> IrisDataset:
             if not line:
                 continue
             parts = line.split(",")
-            if lineno == 1 and not _all_floats(parts[:4]):
-                continue  # header row: its feature fields are not all numbers
+            if lineno == 1 and not any(map(_is_float, parts[:4])):
+                continue  # header row: none of its feature fields is a number
             if len(parts) != 5:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected 5 comma-separated columns, found {len(parts)}"

@@ -22,7 +22,7 @@ from .config import RunConfig
 from .crossbar import BACKWARD, FORWARD, CrossbarArray, build_crossbar
 from .datasets import load_iris, load_mnist_subset
 from .devices import sweep_spectrum
-from .lut import build_lut, lut_to_csv
+from .lut import build_lut
 from .nn import MlpRunner, train_iris, train_mnist
 from .noise import NoiseConfig, make_rng, perturb
 from .presets import preset_array, ring_for_q
@@ -295,7 +295,10 @@ def run_sweep_scaling(config: RunConfig, out_dir: Path) -> None:
     write_matrix_csv(out_dir / "path_loss_forward_db.csv", array.topology.path_loss_db(FORWARD))
     write_matrix_csv(out_dir / "path_loss_backward_db.csv", array.topology.path_loss_db(BACKWARD))
     # A Fig.-7(a)-style calibration table for the configured array's (1,1) element.
-    lut_to_csv(build_lut(array, 0, 0)[FORWARD], out_dir / "lut_element_1_1.csv")
+    lut = build_lut(array, [0], [0])[FORWARD]
+    mzi, mrr = np.meshgrid(lut.mzi_powers_mw[0], lut.mrr_powers_mw[0], indexing="ij")
+    points = zip(mzi.ravel(), mrr.ravel(), lut.output_power[0].ravel())
+    write_csv(out_dir / "lut_element_1_1.csv", "mzi_mw,mrr_mw,power", points)
 
 
 RUNNERS = {

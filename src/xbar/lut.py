@@ -4,15 +4,14 @@ A LUT records the detected output power of one crossbar element while its
 input MZI and its ring heater sweep a rectangular window, the way a
 hardware-in-the-loop calibration would measure it. The `lut` backend
 calibrates one forward/backward pair per ring design in one calibration
-sweep over every design (`build_lut` given arrays of elements): every
-swept ring's lineshape is evaluated once, in one call, and each ring
-setting is read at two ports of its element, the forward and the backward
-output, through the crossbar's one reading (`CrossbarArray.read`), so the
-LUTs share the array's propagation model and its ring alignment. The sweep
-returns, per direction, the designs' LUTs as one `CalibrationLUT` stack
-with a leading design axis; one element gives one LUT, bit for bit that
-element's slice of any stack. Each direction reads its own LUT, normalized
-by that LUT's own full scale.
+sweep over every design (`build_lut`): every swept ring's lineshape is
+evaluated once, in one call, and each ring setting is read at two ports of
+its element, the forward and the backward output, through the crossbar's one
+reading (`CrossbarArray.read`), so the LUTs share the array's propagation
+model and its ring alignment. The sweep returns, per direction, the designs'
+LUTs as one `CalibrationLUT` stack with a leading design axis, the only form
+a LUT takes; one LUT is a 1-design stack. Each direction reads its own LUT,
+normalized by that LUT's own full scale.
 
 Multiplications invert the two axes on their rising branches and read the
 stored power by bilinear interpolation. An axis's rising branch is the
@@ -21,29 +20,25 @@ it starts after the last non-increase before the peak, so a falling run or a
 neighbouring resonance inside the window is never inverted. Every design's
 branches are found in one pass over the stacked grids.
 
-There is one read, in two halves, and one LUT is its one-design case. A
-weight sets its ring's heater once, when the matrix is programmed:
-`LutStack.set_rings` inverts the ring axis of every target into a
-`RingSetting`. Each product then only drives the MZIs: `LutStack.multiply`
-inverts the MZI axis of its inputs and reads the stored power against the
-ring setting, for as many products as the program serves. A stack holds,
-per direction, every design's rising branches and grid axes concatenated
-in design order, and the stacked output grid once, so that the products of
-all elements and a whole batch are one vectorised read. Each axis is
-inverted with one exact search: complex keys design + 1j * level, which
-numpy orders by design first, find every level among its own design's
+There is one read, in two halves. A weight sets its ring's heater once, when
+the matrix is programmed: `LutStack.set_rings` inverts the ring axis of
+every target into a `RingSetting`. Each product then only drives the MZIs:
+`LutStack.multiply` inverts the MZI axis of its inputs and reads the stored
+power against the ring setting, for as many products as the program serves.
+A stack holds, per direction, every design's rising branches and grid axes
+concatenated in design order, and the stacked output grid once, so that the
+products of all elements and a whole batch are one vectorised read. Each
+axis is inverted with one exact search: complex keys design + 1j * level,
+which numpy orders by design first, find every level among its own design's
 knots; the grid cell to read follows from the knot found. The result is
 bit-for-bit what np.interp on each branch followed by a bilinear lookup
 after a search of each grid axis gives, on any grid whose knots lie more
 than a few ulps apart.
-
-`lut_to_csv` writes a one-element table for plotting, and nothing reads it
-back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,30 +49,28 @@ from .errors import InfeasibleError, ShapeError
 # fringe; the ring approaches its aligned resonance from 0.65 nm below.
 DEFAULT_MZI_WINDOW_MW = (3.3, 19.7)
 LUT_RING_WINDOW_NM = 0.65
+LUT_STEPS = 64  # settings per heater axis
 
 
 @dataclass(frozen=True)
 class CalibrationLUT:
-    """Dense (MZI power, MRR power) -> output power grid for one element, or
-    a stack of them with a leading design axis on every field."""
+    """Dense (MZI power, MRR power) -> output power grids of a stack of
+    elements, one per design along a leading design axis."""
 
-    mzi_powers_mw: np.ndarray  # (n_mzi,), or (designs, n_mzi) for a stack
-    mrr_powers_mw: np.ndarray  # (n_mrr,), or (designs, n_mrr)
-    output_power: np.ndarray  # (n_mzi, n_mrr), or (designs, n_mzi, n_mrr)
+    mzi_powers_mw: np.ndarray  # (designs, n_mzi)
+    mrr_powers_mw: np.ndarray  # (designs, n_mrr)
+    output_power: np.ndarray  # (designs, n_mzi, n_mrr)
 
     def __post_init__(self):
         mzi = np.asarray(self.mzi_powers_mw, dtype=float)
         mrr = np.asarray(self.mrr_powers_mw, dtype=float)
         out = np.asarray(self.output_power, dtype=float)
-        lead = mzi.shape[:-1]
-        if mzi.ndim not in (1, 2) or mrr.shape[:-1] != lead or min(mzi.shape[-1], mrr.shape[-1]) < 2:
-            raise ValueError(
-                "LUT axes must be 1-D, or one row per design, with at least two points"
-            )
+        if mzi.ndim != 2 or mrr.shape[:-1] != mzi.shape[:-1] or min(mzi.shape[-1], mrr.shape[-1]) < 2:
+            raise ValueError("LUT axes must be one row per design, with at least two points")
         # Written so that a NaN fails each check.
         if not ((np.diff(mzi) > 0).all() and (np.diff(mrr) > 0).all()):
             raise ValueError("LUT axes must be strictly increasing")
-        want = (*lead, mzi.shape[-1], mrr.shape[-1])
+        want = (*mzi.shape, mrr.shape[-1])
         if out.shape != want:
             raise ShapeError(f"output grid must be {want}; got {out.shape}")
         if not (out >= 0).all():
@@ -227,33 +220,23 @@ class RingSetting:
 class LutStack:
     """Calibration LUTs of several ring designs, stacked for one vectorised read.
 
-    `luts` is a CalibrationLUT, one design or a stack of them, or a sequence
-    of one-design LUTs of one grid shape, which it stacks. Holds, per heater
-    axis, every design's rising branch and grid axis concatenated in design
-    order (no padding), and the designs' (designs, n_mzi, n_mrr) output
-    grid, the stack's own array where it is one. `design` gives the LUT each
-    element reads (integers that broadcast against the read's targets); one
-    LUT is the 1-design case.
+    `luts` is a CalibrationLUT stack. Holds, per heater axis, every design's
+    rising branch and grid axis concatenated in design order (no padding),
+    and the stack's (designs, n_mzi, n_mrr) output grid. `design` gives the
+    LUT each element reads (integers that broadcast against the read's
+    targets).
     """
 
-    def __init__(self, luts, design=0):
-        if not isinstance(luts, CalibrationLUT):
-            luts = list(luts)
-            if len({lut.output_power.shape for lut in luts}) != 1:
-                raise ShapeError("stacked LUTs must share one grid shape")
-            luts = CalibrationLUT(
-                *(np.stack([getattr(lut, f.name) for lut in luts]) for f in fields(CalibrationLUT))
-            )
-        shape = luts.output_power.shape[-2:]
-        z = luts.output_power.reshape(-1, *shape)
+    def __init__(self, luts: CalibrationLUT, design):
+        z = luts.output_power
         design = np.asarray(design)
         full, (mzi, mrr) = _rising_branches(z)
-        self._mzi = _StackedAxis(luts.mzi_powers_mw.reshape(-1, shape[0]), *mzi, design)
-        self._mrr = _StackedAxis(luts.mrr_powers_mw.reshape(-1, shape[1]), *mrr, design)
+        self._mzi = _StackedAxis(luts.mzi_powers_mw, *mzi, design)
+        self._mrr = _StackedAxis(luts.mrr_powers_mw, *mrr, design)
         # The stacked output grid, flat, and its views from knots (1, 0),
         # (0, 1) and (1, 1): element k of each is a corner of the cell that
         # starts at flat knot k.
-        nr = shape[1]
+        nr = z.shape[2]
         z = z.reshape(-1)
         self._corners = (z, z[nr:], z[1:], z[nr + 1 :])
         self._full = full[design]
@@ -300,33 +283,29 @@ def lut_multiply_many(stack: LutStack, x_targets, rings: RingSetting):
     return stack.multiply(np.asarray(x_targets, dtype=float), rings)
 
 
-def build_lut(
-    array: CrossbarArray, row: int | np.ndarray, col: int | np.ndarray, steps: int = 64
-) -> dict[str, CalibrationLUT]:
-    """Simulated calibration sweep of element (row, col) of a crossbar, or of
-    every element of 1-D index arrays `row` and `col` at once. Returns
-    {FORWARD: lut, BACKWARD: lut}: per direction, the element's LUT, or a
-    stack of the elements' LUTs in index order along a leading design axis.
+def build_lut(array: CrossbarArray, rows: np.ndarray, cols: np.ndarray) -> dict[str, CalibrationLUT]:
+    """Simulated calibration sweep of every element (rows[k], cols[k]) of a
+    crossbar, for 1-D index arrays `rows` and `cols`. Returns {FORWARD:
+    stack, BACKWARD: stack}: per direction, the elements' LUTs in index order
+    along the stack's design axis.
 
-    One sweep serves both directions. The element's input MZI sweeps
+    One sweep serves both directions. Each element's input MZI sweeps
     DEFAULT_MZI_WINDOW_MW while its ring approaches its aligned resonance
-    from LUT_RING_WINDOW_NM below; all other MZIs sit at their extinction
-    floor and all other rings are parked, as in the dark program. Each
-    entry is the crossbar's own reading (`CrossbarArray.read`) of one
-    calibration program per setting, taken at the element's own output
-    port: `col` going forward, `row` going backward. Every swept ring's
-    lineshape is evaluated in one call, for both directions, and each
-    direction reads every element in one product, with no loop over
-    elements.
+    from LUT_RING_WINDOW_NM below, in LUT_STEPS settings each; all other
+    MZIs sit at their extinction floor and all other rings are parked, as
+    in the dark program. Each entry is the crossbar's own reading
+    (`CrossbarArray.read`) of one calibration program per setting, taken at
+    the element's own output port: its column going forward, its row going
+    backward. Every swept ring's lineshape is evaluated in one call, for
+    both directions, and each direction reads every element in one product,
+    with no loop over elements.
     """
-    if steps < 2:
-        raise ValueError("steps must be >= 2 per axis")
     n = array.n
-    rows, cols = np.broadcast_arrays(row, col)
-    one = rows.ndim == 0
-    rows, cols = np.atleast_1d(rows, cols)
-    if rows.ndim != 1:
-        raise ShapeError(f"element indices must be scalars or 1-D; got shape {rows.shape}")
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    if rows.ndim != 1 or rows.shape != cols.shape:
+        raise ShapeError(
+            f"element indices must be 1-D arrays of one length; got {rows.shape} and {cols.shape}"
+        )
     outside = ~((0 <= rows) & (rows < n) & (0 <= cols) & (cols < n))
     if outside.any():
         e = int(np.argmax(outside))
@@ -347,11 +326,10 @@ def build_lut(
             f"element ({rows[e]},{cols[e]}): the LUT ring window needs {p_align[e]:.4g} mW, "
             f"beyond the heater range of {top[e]} mW"
         )
-    mzi_powers = np.linspace(DEFAULT_MZI_WINDOW_MW[0], DEFAULT_MZI_WINDOW_MW[1], steps)
-    mrr_powers = np.linspace(p_align - span, p_align, steps).T  # (elements, steps)
+    mzi_powers = np.linspace(DEFAULT_MZI_WINDOW_MW[0], DEFAULT_MZI_WINDOW_MW[1], LUT_STEPS)
+    mrr_powers = np.linspace(p_align - span, p_align, LUT_STEPS).T  # (elements, steps)
     swept = array.mzi.transmittance(mzi_powers)
     mzi_powers = np.broadcast_to(mzi_powers, mrr_powers.shape)
-    design = 0 if one else slice(None)  # one element drops the design axis
 
     # One calibration program per ring setting: the dark program's summed
     # drop with the element's ring swept over the window. Only the element's
@@ -362,25 +340,13 @@ def build_lut(
     dark = array.dark_summed_drop
     luts = {}
     for direction, driven, port in ((FORWARD, rows, cols), (BACKWARD, cols, rows)):
-        lines = np.repeat((dark.T if direction == FORWARD else dark)[port][:, None], steps, axis=1)
+        lines = np.repeat((dark.T if direction == FORWARD else dark)[port][:, None], LUT_STEPS, axis=1)
         lines[element, :, driven] = drop
         # Input ports at the extinction floor (one MZI design on every
         # port), but the element's own, which sweeps the MZI window.
-        t = np.full((len(rows), steps, n), array.mzi_floor)
+        t = np.full((len(rows), LUT_STEPS, n), array.mzi_floor)
         t[element, :, driven] = swept
         # (element, MZI setting, ring setting)
         output = array.read(t, lines, direction, port=port[:, None])
-        luts[direction] = CalibrationLUT(mzi_powers[design], mrr_powers[design], output[design])
+        luts[direction] = CalibrationLUT(mzi_powers, mrr_powers, output)
     return luts
-
-
-def lut_to_csv(lut: CalibrationLUT, path) -> None:
-    """Long-format CSV: mzi_mw,mrr_mw,power."""
-    with open(path, "w") as fh:
-        fh.write("mzi_mw,mrr_mw,power\n")
-        for i, pm in enumerate(lut.mzi_powers_mw):
-            for j, pr in enumerate(lut.mrr_powers_mw):
-                fh.write(
-                    f"{format(pm, '.17g')},{format(pr, '.17g')},"
-                    f"{format(lut.output_power[i, j], '.17g')}\n"
-                )

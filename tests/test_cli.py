@@ -36,6 +36,7 @@ import yaml
 from conftest import write_idx
 
 import xbar
+from xbar.datasets import packaged_iris_path
 
 # The benchmark's digit generator, imported read-only.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
@@ -79,6 +80,13 @@ def empty_mnist(directory, synth):
 def out_file(directory, synth):
     """Setup: a regular file where the output directory goes."""
     (directory / "out").touch()
+
+
+def inf_label_iris(directory, synth):
+    """Setup: `iris.csv`, the packaged Iris CSV with an `inf` first label."""
+    header, first, *rest = packaged_iris_path().read_text().splitlines()
+    first = ",".join([*first.split(",")[:4], "inf"])
+    (directory / "iris.csv").write_text("\n".join([header, first, *rest]) + "\n")
 
 
 def train_pair(images, labels, suffix="", cut=0):
@@ -190,6 +198,13 @@ ROWS = {
     ),
     "config-unhashable-key": fails("iris-train", b"? [a, b]\n: 1\n", "found unhashable key"),
     "out-below-a-file": fails("iris-train", {}, "Not a directory", setup=out_file),
+    # A malformed Iris label fails while the data is read, and leaves no output.
+    "iris-label-inf": fails(
+        "iris-train",
+        {"datasets": {"iris_csv": "iris.csv"}},
+        "iris.csv:2: class label must be 0, 1 or 2, got 'inf'",
+        setup=inf_label_iris,
+    ),
     # MNIST input that cannot train fails before any work, or, when only
     # reading the digits finds the fault, leaves no output.
     "mnist-on-4x4": fails(

@@ -1,6 +1,7 @@
 """IDX parser tests on synthetic MNIST files."""
 
 import gzip
+import re
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_an_iris_feature_column_that_is_constant_raises_data_format_error(tmp_pa
 
 @pytest.mark.parametrize("header", [True, False])
 def test_an_iris_csv_whose_first_value_has_an_exponent_keeps_every_record(tmp_path, header):
-    """Line 1 is a header only when its feature fields are not all numbers,
+    """Line 1 is a header only when none of its feature fields is a number,
     so a headerless first record written with an exponent is read."""
     header_line, first, *rest = packaged_iris_path().read_text().splitlines()
     fields = first.split(",")
@@ -117,3 +118,43 @@ def test_an_iris_csv_whose_first_value_has_an_exponent_keeps_every_record(tmp_pa
     got, expected = load_iris(path), load_iris(None)
     np.testing.assert_array_equal(got.features, expected.features)
     np.testing.assert_array_equal(got.labels, expected.labels)
+
+
+def write_iris_copy(path, first_record=None, label_of=lambda label: label, header=True):
+    """The packaged Iris CSV at `path`: its first record replaced by
+    `first_record` if given, every label mapped by `label_of`, and its
+    header line kept or dropped."""
+    header_line, *records = packaged_iris_path().read_text().splitlines()
+    if first_record is not None:
+        records[0] = first_record
+    records = [",".join([*r.split(",")[:4], label_of(r.split(",")[4])]) for r in records]
+    path.write_text("\n".join(([header_line] if header else []) + records) + "\n")
+
+
+@pytest.mark.parametrize("header", [True, False])
+def test_a_malformed_first_record_is_no_header(tmp_path, header):
+    """A first record with one bad feature field is read as a record, and
+    its error names its line and the field, with or without a header."""
+    path = tmp_path / "iris.csv"
+    write_iris_copy(path, "5.1,3.5,1.4x,0.2,setosa", header=header)
+    message = rf"iris\.csv:{2 if header else 1}: could not convert string to float: '1\.4x'$"
+    with pytest.raises(DataFormatError, match=message):
+        load_iris(path)
+
+
+def test_numeric_iris_labels_that_are_exactly_a_class_are_read(tmp_path):
+    path = tmp_path / "iris.csv"
+    numeric = {"setosa": "0", "versicolor": "1e0", "virginica": "2.0"}
+    write_iris_copy(path, label_of=numeric.get)
+    np.testing.assert_array_equal(load_iris(path).labels, load_iris(None).labels)
+
+
+@pytest.mark.parametrize("token", ["0.9", "2.5", "-0.5", "3", "-1", "inf", "-inf", "nan", "1e400"])
+def test_a_numeric_iris_label_that_is_not_exactly_a_class_raises(tmp_path, token):
+    """No numeric label is truncated to a class: the error names the path,
+    the line and the token, and an infinite label raises no OverflowError."""
+    path = tmp_path / "iris.csv"
+    write_iris_copy(path, f"5.1,3.5,1.4,0.2,{token}")
+    message = rf"iris\.csv:2: class label must be 0, 1 or 2, got {re.escape(repr(token))}$"
+    with pytest.raises(DataFormatError, match=message):
+        load_iris(path)

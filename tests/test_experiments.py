@@ -1,15 +1,34 @@
 """Experiment-level tests: per-run noise streams and config knobs that
 reach the experiment. The CLI re-run contract is in test_cli.py."""
 
+import csv
+
 import numpy as np
+import pytest
 
 from xbar.backends import make_backend
 from xbar.config import RunConfig
 from xbar.crossbar import FORWARD
 from xbar.experiments import build_array, noise_config, run_experiment
-from xbar.lut import build_lut, lut_to_csv
+from xbar.lut import LUT_STEPS, build_lut
 from xbar.noise import NoiseConfig
 from xbar.presets import preset_array
+
+
+def read_lut_csv(path) -> np.ndarray:
+    """The rows of sweep-scaling's LUT CSV, parsed, after checking its header."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["mzi_mw", "mrr_mw", "power"]
+    return np.array(rows, dtype=float)
+
+
+def lut_rows(array) -> np.ndarray:
+    """Design 0 of the forward LUT of element (0, 0): one (mzi, mrr, power)
+    row per grid point, MZI-major."""
+    lut = build_lut(array, [0], [0])[FORWARD]
+    mzi, mrr = np.meshgrid(lut.mzi_powers_mw[0], lut.mrr_powers_mw[0], indexing="ij")
+    return np.stack([mzi.ravel(), mrr.ravel(), lut.output_power[0].ravel()], axis=1)
 
 
 def test_mnist_train_honours_the_configured_optimizer(tmp_path, mnist_dir):
@@ -78,13 +97,34 @@ def test_sweep_scaling_writes_the_lut_of_the_configured_array(tmp_path):
         "path_loss_forward_db.csv",
         "scaling.csv",
     ]
-    written = (out / "lut_element_1_1.csv").read_bytes()
-    expected = {}
-    for preset in ("simulation_9x9", "experimental_4x4"):
-        lut_to_csv(build_lut(preset_array(preset), 0, 0)[FORWARD], tmp_path / f"{preset}.csv")
-        expected[preset] = (tmp_path / f"{preset}.csv").read_bytes()
-    assert written == expected["simulation_9x9"]
-    assert written != expected["experimental_4x4"]
+    written = read_lut_csv(out / "lut_element_1_1.csv")
+    np.testing.assert_array_equal(written, lut_rows(preset_array("simulation_9x9")))
+    assert not np.array_equal(written, lut_rows(preset_array("experimental_4x4")))
+
+
+@pytest.mark.parametrize(
+    "preset, sigma",
+    [
+        ("experimental_4x4", 0.0),
+        ("experimental_4x4", 0.02),
+        ("simulation_9x9", 0.0),
+        ("simulation_9x9", 0.02),
+    ],
+)
+def test_lut_csv_is_the_row_major_grid_at_full_precision(tmp_path, preset, sigma):
+    """sweep-scaling's LUT CSV holds one row per grid point, MZI-major, and
+    every field parses back bit for bit to design 0 of the configured
+    array's forward LUT of element (0, 0)."""
+    config = RunConfig.from_dict(
+        {
+            "experiment": "sweep-scaling",
+            "out_dir": str(tmp_path),
+            "devices": {"preset": preset, "fabrication_sigma_nm": sigma},
+        }
+    )
+    got = read_lut_csv(run_experiment(config) / "lut_element_1_1.csv")
+    assert got.shape == (LUT_STEPS**2, 3)
+    np.testing.assert_array_equal(got, lut_rows(build_array(config)))
 
 
 def test_characterize_devices_with_random_mzi_phases(tmp_path):

@@ -1,6 +1,5 @@
 """LUT calibration tests."""
 
-import csv
 import functools
 import math
 from dataclasses import fields
@@ -16,23 +15,23 @@ from xbar.devices import RingDevice
 from xbar.errors import InfeasibleError, ShapeError
 from xbar.lut import (
     LUT_RING_WINDOW_NM,
+    LUT_STEPS,
     CalibrationLUT,
     LutStack,
     _rising_branches,
     build_lut,
     lut_multiply_many,
-    lut_to_csv,
 )
 from xbar.noise import NoiseConfig
 from xbar.presets import EXPERIMENTAL_ALIGN_MW, preset_array
 
 
-def reference_branches(lut):
+def reference_branches(stack, d=0):
     """The per-LUT rising branches that the one pass over a stack replaced,
-    kept as its oracle: ((mzi powers, response), (mrr powers, response),
-    full scale), each branch the strictly increasing run that ends at the
-    response's first maximum."""
-    z = lut.output_power
+    kept as its oracle, of design d of the LUT stack `stack`: ((mzi powers,
+    response), (mrr powers, response), full scale), each branch the strictly
+    increasing run that ends at the response's first maximum."""
+    z = stack.output_power[d]
     i_pk, j_pk = np.unravel_index(int(np.argmax(z)), z.shape)
     full = z[i_pk, j_pk]
 
@@ -42,21 +41,20 @@ def reference_branches(lut):
         start = int(falls[-1]) + 1 if falls.size else 0
         return powers[start:stop], response[start:stop]
 
-    return rising(lut.mzi_powers_mw, z[:, j_pk] / full), rising(lut.mrr_powers_mw, z[i_pk] / full), full
+    mzi, mrr = stack.mzi_powers_mw[d], stack.mrr_powers_mw[d]
+    return rising(mzi, z[:, j_pk] / full), rising(mrr, z[i_pk] / full), full
 
 
 def assert_stacked_branches_equal_the_reference(stack):
     """In every design of the LUT stack `stack`, `_rising_branches`, the one
     pass that `LutStack` runs, finds what `reference_branches` finds in the
-    design's own LUT. Returns each design's two branches (powers, response)."""
+    design. Returns each design's two branches (powers, response)."""
     full, branches = _rising_branches(stack.output_power)
     axes = (stack.mzi_powers_mw, stack.mrr_powers_mw)
     found = []
     for d in range(len(full)):
         cut = [(p[d, a[d] : b[d]], r[d, a[d] : b[d]]) for p, (r, a, b) in zip(axes, branches)]
-        *want, want_full = reference_branches(
-            CalibrationLUT(*(getattr(stack, f.name)[d] for f in fields(CalibrationLUT)))
-        )
+        *want, want_full = reference_branches(stack, d)
         assert full[d] == want_full
         for branch, want_branch in zip(cut, want):
             for got_part, want_part in zip(branch, want_branch):
@@ -65,19 +63,20 @@ def assert_stacked_branches_equal_the_reference(stack):
     return found
 
 
-def reference_multiply(lut, x_targets, w_targets):
-    """The per-LUT read that the stacked read replaced, kept as its oracle.
+def reference_multiply(stack, x_targets, w_targets, d=0):
+    """The per-LUT read that the stacked read replaced, kept as its oracle,
+    of design d of the LUT stack `stack`.
 
     Each axis is inverted on its rising branch with np.interp; the output
     power is read by bilinear interpolation after a search of each grid axis.
     Returns (values, clamped).
     """
-    (mzi_p, mzi_r), (mrr_p, mrr_r), full = reference_branches(lut)
+    (mzi_p, mzi_r), (mrr_p, mrr_r), full = reference_branches(stack, d)
     x, w = np.broadcast_arrays(np.asarray(x_targets, dtype=float), np.asarray(w_targets, dtype=float))
     clamped = (x < mzi_r[0]) | (x > mzi_r[-1]) | (w < mrr_r[0]) | (w > mrr_r[-1])
     px = np.interp(x, mzi_r, mzi_p)
     pw = np.interp(w, mrr_r, mrr_p)
-    gx, gy, z = lut.mzi_powers_mw, lut.mrr_powers_mw, lut.output_power
+    gx, gy, z = stack.mzi_powers_mw[d], stack.mrr_powers_mw[d], stack.output_power[d]
     ix = np.clip(np.searchsorted(gx, px) - 1, 0, len(gx) - 2)
     iy = np.clip(np.searchsorted(gy, pw) - 1, 0, len(gy) - 2)
     fx = np.clip((px - gx[ix]) / (gx[ix + 1] - gx[ix]), 0.0, 1.0)
@@ -92,9 +91,21 @@ def reference_multiply(lut, x_targets, w_targets):
 
 
 def one_lut_read(lut, x, w):
-    """The stacked read of one LUT: its rings set to `w`, then read at `x`."""
-    stack = LutStack([lut])
+    """The read of a 1-design LUT stack: its rings set to `w`, then read at `x`."""
+    stack = LutStack(lut, 0)
     return lut_multiply_many(stack, x, stack.set_rings(w))
+
+
+def one_element(array, i, j):
+    """The LUT pair of element (i, j), swept alone: two 1-design stacks."""
+    return build_lut(array, [i], [j])
+
+
+def stack_of(luts):
+    """One LUT stack of the designs of the LUT stacks `luts`, in order."""
+    return CalibrationLUT(
+        *(np.concatenate([getattr(lut, f.name) for lut in luts]) for f in fields(CalibrationLUT))
+    )
 
 
 BRANCH_ARRAYS = {
@@ -117,7 +128,7 @@ def test_ring_window_moves_up_one_fsr_when_alignment_is_near_zero(preset, direct
     span = LUT_RING_WINDOW_NM / ring.resonance_shift_per_mw
     p_align = array.ring_grid.aligned_heaters()[0, 0]
     assert p_align < span
-    mrr = build_lut(array, 0, 0, steps=16)[direction].mrr_powers_mw
+    mrr = build_lut(array, [0], [0])[direction].mrr_powers_mw[0]
     assert np.all(np.diff(mrr) > 0)
     shape = ring.lineshape
     spacing = shape.resonance_wavelength - shape.wavelength_at_phase(
@@ -140,9 +151,9 @@ def test_ring_window_unchanged_when_alignment_leaves_room():
     ring = array.ring_grid.rings[0][0]
     p_align = array.ring_grid.aligned_heaters()[0, 0]
     assert p_align == pytest.approx(EXPERIMENTAL_ALIGN_MW, abs=0.5)
-    want = np.linspace(p_align - LUT_RING_WINDOW_NM / ring.resonance_shift_per_mw, p_align, 16)
-    for lut in build_lut(array, 0, 0, steps=16).values():
-        np.testing.assert_array_equal(lut.mrr_powers_mw, want)
+    want = np.linspace(p_align - LUT_RING_WINDOW_NM / ring.resonance_shift_per_mw, p_align, LUT_STEPS)
+    for lut in build_lut(array, [0], [0]).values():
+        np.testing.assert_array_equal(lut.mrr_powers_mw, [want])
 
 
 # Element whose LUT pair calibrates element (i, j): a uniform grid is one
@@ -158,7 +169,7 @@ def test_element_products_match_a_per_element_lut_loop(sigma):
     rng = np.random.default_rng(1)
     values = rng.uniform(0.0, 1.0, (4, 4, 3))
     targets = rng.uniform(0.0, 1.0, (4, 4, 1))
-    luts = {(i, j): build_lut(array, *CALIBRATED_ON[sigma](i, j)) for i in range(4) for j in range(4)}
+    luts = {(i, j): one_element(array, *CALIBRATED_ON[sigma](i, j)) for i in range(4) for j in range(4)}
     for direction in (FORWARD, BACKWARD):
         want = np.empty((4, 4, 3))
         for (i, j), pair in luts.items():
@@ -195,7 +206,7 @@ def test_element_products_equal_their_own_direction_lut_read(variant):
     rng = np.random.default_rng(2)
     values = rng.uniform(0.0, 1.0, (4, 4, 2))
     targets = rng.uniform(0.0, 1.0, (4, 4, 1))
-    luts = build_lut(array, 0, 0)
+    luts = build_lut(array, [0], [0])
     for direction in (FORWARD, BACKWARD):
         want, _ = reference_multiply(luts[direction], values, targets)
         rings = backend.tables[direction].set_rings(targets)
@@ -224,14 +235,14 @@ def test_stacked_branches_and_reads_equal_the_per_lut_loop_on_rough_grids():
     out = rng.integers(1, 5, (designs, 6, 7)).astype(float)
     mzi = np.cumsum(rng.uniform(0.5, 1.5, (designs, 6)), axis=1)
     mrr = np.cumsum(rng.uniform(0.5, 1.5, (designs, 7)), axis=1)
-    luts = [CalibrationLUT(mzi[d], mrr[d], out[d]) for d in range(designs)]
-    assert_stacked_branches_equal_the_reference(CalibrationLUT(mzi, mrr, out))
+    luts = CalibrationLUT(mzi, mrr, out)
+    assert_stacked_branches_equal_the_reference(luts)
     values = rng.uniform(0.0, 1.1, (designs, 32))
     targets = rng.uniform(0.0, 1.1, (designs, 32))
-    stack = LutStack(CalibrationLUT(mzi, mrr, out), np.arange(designs)[:, None])
+    stack = LutStack(luts, np.arange(designs)[:, None])
     got, clamped = lut_multiply_many(stack, values, stack.set_rings(targets))
-    for d, lut in enumerate(luts):
-        want, want_clamped = reference_multiply(lut, values[d], targets[d])
+    for d in range(designs):
+        want, want_clamped = reference_multiply(luts, values[d], targets[d], d)
         np.testing.assert_array_equal(got[d], want)
         np.testing.assert_array_equal(clamped[d], want_clamped)
 
@@ -241,7 +252,8 @@ def test_stacked_branches_and_reads_equal_the_per_lut_loop_on_rough_grids():
 
 @functools.cache
 def element_luts(name, direction):
-    """The array of a BRANCH_ARRAYS grid and the LUT each element reads, row-major."""
+    """The array of a BRANCH_ARRAYS grid and the LUT each element reads,
+    row-major, each a 1-design stack from its own sweep."""
     preset, sigma = BRANCH_ARRAYS[name]
     array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
     built = {}
@@ -249,7 +261,7 @@ def element_luts(name, direction):
         for j in range(array.n):
             on = CALIBRATED_ON[sigma](i, j)
             if on not in built:
-                built[on] = build_lut(array, *on)[direction]
+                built[on] = one_element(array, *on)[direction]
     return array, [built[CALIBRATED_ON[sigma](i, j)] for i in range(array.n) for j in range(array.n)]
 
 
@@ -288,7 +300,7 @@ def test_stacked_read_equals_the_per_lut_read_bit_for_bit(name, direction, batch
         want[i, j], want_clamped[i, j] = reference_multiply(lut, values[i, j], targets[i, j])
     # Every element its own design, stacked in a shuffled order.
     order = rng.permutation(n * n)
-    stack = LutStack([luts[e] for e in order], np.argsort(order).reshape(n, n, 1))
+    stack = LutStack(stack_of([luts[e] for e in order]), np.argsort(order).reshape(n, n, 1))
     got, clamped = lut_multiply_many(stack, values, stack.set_rings(targets))
     np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(clamped, want_clamped)
@@ -298,47 +310,29 @@ def test_stacked_read_equals_the_per_lut_read_bit_for_bit(name, direction, batch
     np.testing.assert_array_equal(backend.element_products(values, rings, direction), want)
 
 
-@pytest.mark.parametrize("direction", [FORWARD, BACKWARD])
-@pytest.mark.parametrize("name", list(BRANCH_ARRAYS))
-def test_lut_csv_is_the_row_major_grid_at_full_precision(tmp_path, name, direction):
-    """The plotting CSV holds one row per grid point, MZI-major, and every
-    field parses back to its float bit for bit."""
-    preset, sigma = BRANCH_ARRAYS[name]
-    array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
-    lut = build_lut(array, 1, 1, steps=6)[direction]
-    path = tmp_path / "element.csv"
-    lut_to_csv(lut, path)
-    with open(path, newline="") as fh:
-        header, *rows = csv.reader(fh)
-    assert header == ["mzi_mw", "mrr_mw", "power"]
-    got = np.array(rows, dtype=float)
-    mzi, mrr = np.meshgrid(lut.mzi_powers_mw, lut.mrr_powers_mw, indexing="ij")
-    want = np.stack([mzi.ravel(), mrr.ravel(), lut.output_power.ravel()], axis=1)
-    assert got.shape == (36, 3)
-    np.testing.assert_array_equal(got, want)
-
-
 def _corrupt_element(lut, what):
-    """Copies of the fields of a one-design LUT, corrupted."""
+    """Copies of the fields of a 1-design LUT stack, corrupted."""
     mzi, mrr, out = (np.array(getattr(lut, f.name)) for f in fields(CalibrationLUT))
     if what == "negative power":
-        out[2, 3] = -1.0
+        out[0, 2, 3] = -1.0
     elif what == "nan power":
-        out[5, 0] = np.nan
+        out[0, 5, 0] = np.nan
     elif what == "reversed mzi axis":
-        mzi = mzi[::-1]
+        mzi = mzi[:, ::-1]
     elif what == "repeated ring knot":
-        mrr[4] = mrr[3]
+        mrr[0, 4] = mrr[0, 3]
     elif what == "nan ring knot":
-        mrr[0] = np.nan
+        mrr[0, 0] = np.nan
     elif what == "one-point axes":
-        mzi, mrr, out = mzi[:1], mrr[:1], out[:1, :1]
+        mzi, mrr, out = mzi[:, :1], mrr[:, :1], out[:, :1, :1]
     elif what == "transposed grid":
-        mrr, out = mrr[:-1], out[:, :-1].T
+        mrr, out = mrr[:, :-1], out[:, :, :-1].transpose(0, 2, 1)
     elif what == "stacked mzi axis":
         mzi = mzi[None]
     elif what == "3-D axes":
-        mzi, mrr = mzi[None, None], mrr[None, None]
+        mzi, mrr = mzi[None], mrr[None]
+    elif what == "1-D axes":
+        mzi, mrr = mzi[0], mrr[0]
     return mzi, mrr, out
 
 
@@ -351,20 +345,21 @@ def _corrupt_element(lut, what):
         ("repeated ring knot", ValueError, "strictly increasing"),
         ("nan ring knot", ValueError, "strictly increasing"),
         ("one-point axes", ValueError, "at least two points"),
-        ("transposed grid", ShapeError, r"output grid must be \(8, 7\); got \(7, 8\)"),
+        ("transposed grid", ShapeError, r"output grid must be \(1, 64, 63\); got \(1, 63, 64\)"),
         ("stacked mzi axis", ValueError, "one row per design"),
-        ("3-D axes", ValueError, "1-D, or one row per design"),
+        ("3-D axes", ValueError, "one row per design"),
+        ("1-D axes", ValueError, "one row per design"),
     ],
 )
 def test_a_one_design_lut_with_a_bad_field_raises(what, error, message):
-    lut = build_lut(preset_array("experimental_4x4"), 1, 2, steps=8)[FORWARD]
+    lut = build_lut(preset_array("experimental_4x4"), [1], [2])[FORWARD]
     with pytest.raises(error, match=message):
         CalibrationLUT(*_corrupt_element(lut, what))
 
 
 @pytest.fixture(scope="module")
 def small_lut():
-    return build_lut(preset_array("experimental_4x4"), 1, 2, steps=8)[BACKWARD]
+    return build_lut(preset_array("experimental_4x4"), [1], [2])[BACKWARD]
 
 
 @pytest.mark.parametrize(
@@ -397,7 +392,7 @@ def test_a_power_an_ulp_past_its_segment_reads_like_a_grid_search(case):
     mzi, column, knot = PAST_SEGMENT_END[case]
     grid = np.zeros((len(mzi), 2))
     grid[:, 1] = column
-    lut = CalibrationLUT(np.array(mzi), np.array([0.0, 1.0]), grid)
+    lut = CalibrationLUT(np.array([mzi]), np.array([[0.0, 1.0]]), grid[None])
     x = np.nextafter(knot, 0.0)
     (powers, response), _, _ = reference_branches(lut)
     assert np.interp(x, response, powers) > powers[np.searchsorted(response, knot)]
@@ -407,10 +402,8 @@ def test_a_power_an_ulp_past_its_segment_reads_like_a_grid_search(case):
 
 def test_stacked_read_of_luts_with_unequal_axes():
     array = preset_array("experimental_4x4", fabrication_sigma_nm=0.02, seed=0)
-    luts = []
-    for i in range(2):
-        lut = build_lut(array, i, i, steps=24)[FORWARD]
-        luts.append(CalibrationLUT(lut.mzi_powers_mw[4:], lut.mrr_powers_mw, lut.output_power[4:]))
+    lut = build_lut(array, np.arange(2), np.arange(2))[FORWARD]
+    luts = CalibrationLUT(lut.mzi_powers_mw[:, 4:], lut.mrr_powers_mw, lut.output_power[:, 4:])
     rng = np.random.default_rng(4)
     values = rng.uniform(0.0, 1.0, (2, 1, 8))
     targets = rng.uniform(0.0, 1.0, (2, 3, 1))
@@ -418,15 +411,9 @@ def test_stacked_read_of_luts_with_unequal_axes():
     stack = LutStack(luts, design[:, :, None])
     got, clamped = lut_multiply_many(stack, values, stack.set_rings(targets))
     for (i, j), d in np.ndenumerate(design):
-        want, want_clamped = reference_multiply(luts[d], values[i, 0], targets[i, j])
+        want, want_clamped = reference_multiply(luts, values[i, 0], targets[i, j], d)
         np.testing.assert_array_equal(got[i, j], want)
         np.testing.assert_array_equal(clamped[i, j], want_clamped)
-
-
-def test_stacked_luts_must_share_one_grid_shape():
-    array = preset_array("experimental_4x4")
-    with pytest.raises(ShapeError, match="one grid shape"):
-        LutStack([build_lut(array, 0, 0, steps=8)[FORWARD], build_lut(array, 0, 1, steps=9)[FORWARD]])
 
 
 @pytest.mark.parametrize(
@@ -448,17 +435,17 @@ def test_build_lut_equals_a_per_setting_sweep_of_the_grid(preset, sigma):
     rows, cols = np.divmod(np.arange(array.n**2), array.n)
     stacks = build_lut(array, rows, cols)
     for e, (i, j) in enumerate(zip(rows, cols)):
-        luts = build_lut(array, i, j)
+        luts = build_lut(array, [i], [j])
         for direction in (FORWARD, BACKWARD):
             stack, lut = stacks[direction], luts[direction]
             driven, port = (i, j) if direction == FORWARD else (j, i)
-            t = np.tile(floor, (len(lut.mzi_powers_mw), 1))
-            t[:, driven] = array.mzi.transmittance(lut.mzi_powers_mw)
-            for k, power in enumerate(lut.mrr_powers_mw):
+            t = np.tile(floor, (LUT_STEPS, 1))
+            t[:, driven] = array.mzi.transmittance(lut.mzi_powers_mw[0])
+            for k, power in enumerate(lut.mrr_powers_mw[0]):
                 heaters = grid.parked_heaters()
                 heaters[i, j] = power
                 reading = array.read(t, array.summed_drop(heaters), direction)
-                np.testing.assert_array_equal(lut.output_power[:, k], reading[:, port])
+                np.testing.assert_array_equal(lut.output_power[0, :, k], reading[:, port])
                 np.testing.assert_array_equal(stack.output_power[e, :, k], reading[:, port])
 
 
@@ -472,12 +459,12 @@ def test_stacked_sweep_equals_the_one_element_sweep_bit_for_bit(name, direction)
     array = preset_array(preset, fabrication_sigma_nm=sigma, seed=0)
     n = array.n
     rows, cols = np.divmod(np.arange(n * n), n)
-    stack = build_lut(array, rows, cols, steps=32)[direction]
-    assert stack.output_power.shape == (n * n, 32, 32)
+    stack = build_lut(array, rows, cols)[direction]
+    assert stack.output_power.shape == (n * n, LUT_STEPS, LUT_STEPS)
     for e, (i, j) in enumerate(zip(rows, cols)):
-        lut = build_lut(array, i, j, steps=32)[direction]
+        lut = build_lut(array, [i], [j])[direction]
         for f in fields(CalibrationLUT):
-            np.testing.assert_array_equal(getattr(stack, f.name)[e], getattr(lut, f.name))
+            np.testing.assert_array_equal(getattr(stack, f.name)[e], getattr(lut, f.name)[0])
     grid = array.ring_grid
     moved = grid.aligned_heaters() < LUT_RING_WINDOW_NM / grid.constants.shift_per_mw
     if name == "simulation_9x9-sigma0.02":
@@ -486,17 +473,27 @@ def test_stacked_sweep_equals_the_one_element_sweep_bit_for_bit(name, direction)
 
 def test_a_ring_window_beyond_the_heater_range_raises_in_either_form():
     # Aligned at zero power, every ring's window moves up one order spacing,
-    # past a 10 mW heater.
+    # past a 10 mW heater; for one element or several.
     array = build_crossbar(4, ring_template=RingDevice(max_power_mw=10.0))
     message = r"^element \(1,2\): the LUT ring window needs 38\.\d+ mW, beyond .* of 10\.0 mW$"
-    for rows, cols in ((1, 2), ([1, 2], [2, 0])):
+    for rows, cols in (([1], [2]), ([1, 2], [2, 0])):
         with pytest.raises(InfeasibleError, match=message):
             build_lut(array, np.array(rows), np.array(cols))
 
 
-@pytest.mark.parametrize("rows, cols", [(4, 0), ([0, 1], [2, -1]), ([[0]], [[0]])])
-def test_element_indices_outside_the_crossbar_or_not_1d_raise(rows, cols):
-    with pytest.raises(ShapeError, match="outside a 4x4 crossbar|scalars or 1-D"):
+@pytest.mark.parametrize(
+    "rows, cols, message",
+    [
+        ([4], [0], r"^element \(4,0\) outside a 4x4 crossbar$"),
+        ([0, 1], [2, -1], r"^element \(1,-1\) outside a 4x4 crossbar$"),
+        ([[0]], [[0]], r"must be 1-D arrays of one length; got \(1, 1\) and \(1, 1\)$"),
+        (1, 2, r"must be 1-D arrays of one length; got \(\) and \(\)$"),
+        ([0, 1], [0], r"must be 1-D arrays of one length; got \(2,\) and \(1,\)$"),
+    ],
+    ids=["row-outside", "col-outside", "2-D", "scalars", "unequal-lengths"],
+)
+def test_element_indices_outside_the_crossbar_or_not_1d_raise(rows, cols, message):
+    with pytest.raises(ShapeError, match=message):
         build_lut(preset_array("experimental_4x4"), np.array(rows), np.array(cols))
 
 
@@ -525,13 +522,13 @@ def _corrupt_design(lut, what):
         ("nan power", ValueError, "non-negative"),
         ("reversed ring axis", ValueError, "strictly increasing"),
         ("nan mzi knot", ValueError, "strictly increasing"),
-        ("short output grid", ShapeError, r"output grid must be \(3, 8, 8\)"),
+        ("short output grid", ShapeError, r"output grid must be \(3, 64, 64\)"),
         ("ring axes of two designs", ValueError, "one row per design"),
     ],
 )
 def test_a_lut_stack_with_one_bad_design_raises(what, error, message):
     array = preset_array("experimental_4x4", fabrication_sigma_nm=0.02, seed=0)
-    stack = build_lut(array, np.arange(3), np.arange(3), steps=8)[FORWARD]
+    stack = build_lut(array, np.arange(3), np.arange(3))[FORWARD]
     with pytest.raises(error, match=message):
         CalibrationLUT(*_corrupt_design(stack, what))
 
@@ -551,7 +548,7 @@ def test_backend_tables_read_what_a_stack_of_one_element_luts_reads(name, direct
         (_, mzi_r), (_, mrr_r), _ = reference_branches(lut)
         values[divmod(e, n)] = edge_levels(mzi_r, rng, 16)
         targets[divmod(e, n)] = edge_levels(mrr_r, rng, 16)
-    per_element = LutStack(luts, np.arange(n * n).reshape(n, n, 1))
+    per_element = LutStack(stack_of(luts), np.arange(n * n).reshape(n, n, 1))
     table = LutBackend(array).tables[direction]
     got = lut_multiply_many(table, values, table.set_rings(targets))
     want = lut_multiply_many(per_element, values, per_element.set_rings(targets))
