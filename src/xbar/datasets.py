@@ -82,6 +82,14 @@ def _is_float(token: str) -> bool:
     return True
 
 
+def _is_iris_header(fields) -> bool:
+    """Whether line 1 of an Iris CSV is a header: none of its feature fields
+    is a number, or, as in scikit-learn's `150,4,setosa,versicolor,virginica`,
+    its last three fields are the class names in order."""
+    names = tuple(field.strip().lower() for field in fields[2:])
+    return not any(map(_is_float, fields[:4])) or names == IRIS_SPECIES
+
+
 def load_iris(path=None) -> IrisDataset:
     """Parse a standard 5-column Iris CSV (4 features + species label)."""
     path = Path(path) if path is not None else packaged_iris_path()
@@ -92,8 +100,8 @@ def load_iris(path=None) -> IrisDataset:
             if not line:
                 continue
             parts = line.split(",")
-            if lineno == 1 and not any(map(_is_float, parts[:4])):
-                continue  # header row: none of its feature fields is a number
+            if lineno == 1 and _is_iris_header(parts):
+                continue
             if len(parts) != 5:
                 raise DataFormatError(
                     f"{path}:{lineno}: expected 5 comma-separated columns, found {len(parts)}"

@@ -1,4 +1,4 @@
-"""IDX parser tests on synthetic MNIST files."""
+"""IDX parser tests on synthetic MNIST files, and Iris CSV layouts and faults."""
 
 import gzip
 import re
@@ -8,6 +8,7 @@ import pytest
 from conftest import idx_bytes, write_idx
 
 from xbar.datasets import (
+    IRIS_SPECIES,
     MNIST_FILES,
     find_mnist_file,
     load_iris,
@@ -108,8 +109,9 @@ def test_an_iris_feature_column_that_is_constant_raises_data_format_error(tmp_pa
 
 @pytest.mark.parametrize("header", [True, False])
 def test_an_iris_csv_whose_first_value_has_an_exponent_keeps_every_record(tmp_path, header):
-    """Line 1 is a header only when none of its feature fields is a number,
-    so a headerless first record written with an exponent is read."""
+    """A line 1 with a feature field that is a number and no class names in
+    its last three fields is a record, so a headerless first record written
+    with an exponent is read."""
     header_line, first, *rest = packaged_iris_path().read_text().splitlines()
     fields = first.split(",")
     fields[0] = f"{float(fields[0]):e}"  # 5.100000e+00
@@ -123,11 +125,13 @@ def test_an_iris_csv_whose_first_value_has_an_exponent_keeps_every_record(tmp_pa
 def write_iris_copy(path, first_record=None, label_of=lambda label: label, header=True):
     """The packaged Iris CSV at `path`: its first record replaced by
     `first_record` if given, every label mapped by `label_of`, and its
-    header line kept or dropped."""
+    header line kept (True), dropped (False) or replaced (a string)."""
     header_line, *records = packaged_iris_path().read_text().splitlines()
     if first_record is not None:
         records[0] = first_record
     records = [",".join([*r.split(",")[:4], label_of(r.split(",")[4])]) for r in records]
+    if isinstance(header, str):
+        header_line = header
     path.write_text("\n".join(([header_line] if header else []) + records) + "\n")
 
 
@@ -140,6 +144,18 @@ def test_a_malformed_first_record_is_no_header(tmp_path, header):
     message = rf"iris\.csv:{2 if header else 1}: could not convert string to float: '1\.4x'$"
     with pytest.raises(DataFormatError, match=message):
         load_iris(path)
+
+
+def test_an_iris_csv_in_the_scikit_learn_layout_keeps_every_record(tmp_path):
+    """scikit-learn's iris.csv opens with the record count, the feature
+    count and the three class names, which line 1 reads as a header, and
+    labels its records 0, 1 and 2."""
+    path = tmp_path / "iris.csv"
+    classes = {name: str(k) for k, name in enumerate(IRIS_SPECIES)}
+    write_iris_copy(path, label_of=classes.get, header="150,4,setosa,versicolor,virginica")
+    got, expected = load_iris(path), load_iris(None)
+    assert got.features.tobytes() == expected.features.tobytes()
+    assert got.labels.tobytes() == expected.labels.tobytes()
 
 
 def test_numeric_iris_labels_that_are_exactly_a_class_are_read(tmp_path):

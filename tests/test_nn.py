@@ -225,7 +225,38 @@ def cnn_params(rng):
     return model
 
 
-@pytest.mark.parametrize("make", [iris_params, cnn_params])
+@dataclasses.dataclass
+class BareVector:
+    """A flat parameter vector alone, as two parameters that part 1,000
+    elements in, so neither ends where `Adam` halves the vector."""
+
+    flat: np.ndarray
+
+    def on(self, flat):
+        return BareVector(flat)
+
+    @property
+    def params(self):
+        return [self.flat[:1000], self.flat[1000:]]
+
+
+def bare_params(size):
+    """A maker of a `BareVector` of `size` normal draws."""
+
+    def make(rng):
+        return BareVector(rng.normal(size=size))
+
+    make.__name__ = f"bare_{size}"
+    return make
+
+
+@pytest.mark.parametrize(
+    "make",
+    # Adam steps the CNN's vector and one of `_SPLIT_MIN` elements or more
+    # in two halves, unequal ones at an odd length, and the rest whole.
+    [iris_params, cnn_params]
+    + [bare_params(nn._SPLIT_MIN + k) for k in (-1, 0, 1)],
+)
 @pytest.mark.parametrize("rate", [1e-3, 0.05])
 def test_flat_adam_equals_the_per_parameter_update(make, rate):
     rng = np.random.default_rng(3)
@@ -300,6 +331,39 @@ def test_an_adam_update_allocates_no_flat_vector():
     finally:
         tracemalloc.stop()
     assert peak < model.flat.nbytes / 10
+
+
+def test_a_split_adam_update_is_bitwise_the_serial_step():
+    """20 updates of the CNN's vector, stepped in two halves on two threads,
+    leave the parameters and both moments byte for byte, signed zeros
+    included, where the serial per-parameter step leaves them."""
+    rng = np.random.default_rng(6)
+    params = cnn_params(rng).flat
+    serial = params.copy()
+    adam, reference = Adam(0.003), PerParameterAdam(0.003)
+    for _ in range(20):
+        grads = rng.normal(scale=0.1, size=params.shape)
+        grads[rng.random(params.shape) < 0.1] = -0.0
+        adam.update(params, grads)
+        reference.update([serial], [grads])
+    assert params.size >= nn._SPLIT_MIN
+    assert params.tobytes() == serial.tobytes()
+    assert adam.m.tobytes() == reference.m[0].tobytes()
+    assert adam.v.tobytes() == reference.v[0].tobytes()
+
+
+@pytest.mark.parametrize("size", [nn._SPLIT_MIN - 1, nn._SPLIT_MIN])
+@pytest.mark.parametrize("at", [0.25, 0.75])
+def test_an_adam_update_raises_under_the_callers_error_state(size, at):
+    """A gradient whose square overflows, in either half of a split update
+    or in a whole one, raises under the caller's `np.errstate`: the worker
+    thread steps its half under the caller's numpy error state."""
+    params, grads = np.zeros(size), np.full(size, 0.1)
+    adam = Adam(0.01)
+    adam.update(params, grads)
+    grads[int(at * size)] = 1e200
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        adam.update(params, grads)
 
 
 @pytest.mark.parametrize("backend", ["photonic", "lut"])
